@@ -30,7 +30,6 @@ class SweepConfig:
     r: int | None = None
     ell: int | None = None
     exclude_zero: bool = False
-    threads: int = 1
     cap_points: int = 81
 
 
@@ -51,8 +50,7 @@ def run(config: SweepConfig, out) -> int:
     for n in range(1, config.n_max + 1):
         problem = AvoidanceProblem(sys_spec, flt, n,
                                    exclude_zero=config.exclude_zero)
-        result = exhaustive_max(problem, cap_points=config.cap_points,
-                                threads=config.threads)
+        result = exhaustive_max(problem, cap_points=config.cap_points)
         bound = sys_spec.k * res.gamma ** n if not res.at_boundary else None
         margin = bound - result.best_size if bound is not None else None
         writer.writerow([
@@ -77,12 +75,11 @@ def main(argv=None) -> int:
     parser.add_argument("--r", type=int)
     parser.add_argument("--ell", type=int)
     parser.add_argument("--exclude-zero", action="store_true")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--cap-points", type=int, default=81)
     parser.add_argument("--out", help="CSV destination (default stdout)")
     args = parser.parse_args(argv)
     config = SweepConfig(args.system, args.n_max, args.mode, args.r, args.ell,
-                         args.exclude_zero, args.threads, args.cap_points)
+                         args.exclude_zero, args.cap_points)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             return run(config, fh)

@@ -364,7 +364,7 @@ def _cmd_extremal(args) -> int:
     else:
         symmetry = False if args.no_symmetry else None
         result = exhaustive_max(problem, cap_points=args.cap_points,
-                                symmetry=symmetry, threads=args.threads)
+                                symmetry=symmetry)
     _emit(args, "extremal", result, started, seed=seed)
     return 0
 
@@ -390,8 +390,7 @@ def _cmd_verify(args) -> int:
     problem = AvoidanceProblem(sys_spec, mode, args.n,
                                exclude_zero=exclude_zero)
     report = verify_theorem_bound(problem, args.theorem,
-                                  cap_points=args.cap_points,
-                                  threads=args.threads)
+                                  cap_points=args.cap_points)
     _emit(args, "verify", report, started)
     if report.holds is not None:
         return 0 if report.holds else 1
@@ -538,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "exhaustive search")
     e.add_argument("--restarts", type=int, default=0)
     e.add_argument("--seed", type=int)
-    e.add_argument("--threads", type=int, default=1)
     e.add_argument("--no-symmetry", action="store_true",
                    help="disable the linear-symmetry reduction")
     e.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP)
@@ -553,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--r", type=int, help="span threshold for --theorem rank")
     vf.add_argument("--exclude-zero", action="store_true")
     vf.add_argument("--include-zero", action="store_true")
-    vf.add_argument("--threads", type=int, default=1)
     vf.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP)
     _add_common(vf)
     vf.set_defaults(func=_cmd_verify)
@@ -565,8 +562,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CapExceededError, DegenerateSystemError,
-            DegenerateLineError) as exc:
+    except (ValueError, OSError, OverflowError, CapExceededError,
+            DegenerateSystemError, DegenerateLineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,13 +2,25 @@
 
 A point set A avoids a solution type when no k-tuple drawn from A
 solves the system and passes the type filter (not all equal, all
-distinct, span at least r, at least ell distinct entries).  The
-exhaustive search runs a depth first scan over points in a fixed order,
-keeping the list of points that can still join the current set; a
-candidate entering the set only requires rechecking tuples that use it
-together with the new member, since tuples missing the new member were
-screened earlier.  Candidate-count pruning cuts branches that cannot
-beat the incumbent.
+distinct, span at least r, at least ell distinct entries).  Both
+questions depend only on a tuple's support, the set of distinct points
+it uses, so the exhaustive search runs on a support index that each
+call builds once.  Every point is numbered by its position in the point
+order.  Every solution in the point space is enumerated once, with the
+free positions ranging over the space and the pivot positions solved
+from them, and its support is kept as an int bitmask, listed under each
+point it uses.  The filter is applied per support, not per tuple; the
+span test, the one costly part, runs on supports with at least r
+points and is deferred until a support could first block a candidate.
+
+The search is a depth first scan over points in order, carrying the
+current set and the candidates that can still join it, both as
+bitmasks.  When x joins the set, a candidate z is blocked exactly when
+some admitted support S through x has S minus (set + x) equal to {z}.
+Supports missing x or z were screened when those points became
+candidates, so one pass over the supports through x replaces solving
+the system again per candidate.  Candidate-count pruning cuts branches
+that cannot beat the incumbent.
 
 For a homogeneous system the avoidance property is invariant under
 invertible linear maps, which act transitively on nonzero points, so
@@ -16,18 +28,24 @@ any avoiding set with a nonzero member maps to one containing the first
 nonzero point of the order; with symmetry reduction on, that point is
 forced into the set and the only sets considered separately are those
 inside {0}.
+
+The greedy bound runs on point spaces far too large for an index, so
+it checks each point x against the members kept so far: for each
+position in turn it pins x there and ranges the other free positions
+over the members and x, at a cost set by the member count, not by the
+space.  A position whose column lies in every pivot basis cannot be
+pinned; it stays a pivot, and its solved entry must equal x.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
-from .errors import CapExceededError
+from .errors import CapExceededError, DegenerateSystemError
 from .fplinalg import invert_matrix, rref_with_pivots
 from .linsystem import (
     ClassFilter,
@@ -75,157 +93,212 @@ class SearchResult:
     elapsed_s: float
 
 
-class _Checker:
-    """Violation tests shared by the searches, with pivot solving baked in."""
+def _positions(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def __init__(self, sys_spec: SystemSpec, mode: ClassFilter, n: int):
-        self.sys = sys_spec
-        self.mode = mode
-        self.n = n
-        self.p = sys_spec.p
-        self.k = sys_spec.k
-        self.m = sys_spec.m
-        self.pivots = pivot_columns(sys_spec)
-        self.free = [i for i in range(self.k) if i not in self.pivots]
-        self.minv = invert_matrix(
-            [[r[j] for j in self.pivots] for r in sys_spec.coeffs], self.p)
-        self.bs = sys_spec.constant_rows(n)
 
-    def _admits(self, entries: Sequence[tuple[int, ...]]) -> bool:
-        mode = self.mode.mode
-        if mode == "any":
-            return True
-        distinct = len(set(entries))
-        if mode == "not-all-equal":
-            return distinct > 1
-        if mode == "distinct":
-            return distinct == len(entries)
-        if mode == "distinct-count":
-            return distinct >= self.mode.ell
-        return len(rref_with_pivots(entries, self.p)[0]) >= self.mode.r
+def _count_admits(mode: ClassFilter, distinct: int, k: int) -> bool:
+    """The filter on a k-tuple with ``distinct`` distinct entries, short
+    of the span test, which needs the entries themselves."""
+    kind = mode.mode
+    if kind == "not-all-equal":
+        return distinct > 1
+    if kind == "distinct":
+        return distinct == k
+    if kind == "distinct-count":
+        return distinct >= mode.ell
+    if kind == "span-dim":
+        # the span dimension never exceeds the distinct count, so the
+        # rank test runs only where it can succeed
+        return distinct >= mode.r
+    return True
 
-    def _solve(self, assign: Sequence[tuple[int, ...]], member_set: frozenset):
-        """Complete a free-position assignment to a full tuple, or None
-        when some pivot entry falls outside the pool."""
-        p, n, m = self.p, self.n, self.m
-        rhs = []
-        for t in range(m):
-            row = self.sys.coeffs[t]
-            acc = list(self.bs[t])
-            for pos, vec in zip(self.free, assign):
-                c = row[pos]
-                if c:
-                    for s in range(n):
-                        acc[s] = (acc[s] - c * vec[s]) % p
-            rhs.append(acc)
-        entries: list = [None] * self.k
-        for pos, vec in zip(self.free, assign):
-            entries[pos] = vec
-        for ridx, col in enumerate(self.pivots):
-            mrow = self.minv[ridx]
-            vec = tuple(sum(mrow[t] * rhs[t][s] for t in range(m)) % p
-                        for s in range(n))
-            if vec not in member_set:
-                return None
-            entries[col] = vec
-        return entries
 
-    def violates_with(self, members: Sequence[tuple[int, ...]],
-                      x: tuple[int, ...]) -> bool:
-        """Whether members + x contains an admitted solution using x."""
-        pool = list(members) + [x]
-        member_set = frozenset(pool)
-        for assign in product(pool, repeat=len(self.free)):
-            entries = self._solve(assign, member_set)
-            if entries is not None and x in entries and self._admits(entries):
-                return True
-        return False
+def _spans(points: Sequence[tuple[int, ...]], support: int, r: int,
+           p: int) -> bool:
+    """Whether the points at the positions set in ``support`` span at
+    least r dimensions."""
+    rows = [points[i] for i in _positions(support)]
+    return len(rref_with_pivots(rows, p)[0]) >= r
 
-    def violates_pair(self, members: Sequence[tuple[int, ...]],
-                      x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-        """Whether members + x + y contains an admitted solution using
-        both x and y.  Tuples using at most one of them were screened
-        when that point entered the candidate list."""
-        pool = list(members) + [x, y]
-        member_set = frozenset(pool)
-        free_count = len(self.free)
-        if self.m == 1 and free_count >= 1:
-            # one pivot position holds one value, so a tuple using both
-            # x and y puts at least one of them on a free position
-            candidates = (a for a in product(pool, repeat=free_count)
-                          if x in a or y in a)
-        else:
-            candidates = product(pool, repeat=free_count)
-        for assign in candidates:
-            entries = self._solve(assign, member_set)
-            if (entries is not None and x in entries and y in entries
-                    and self._admits(entries)):
-                return True
-        return False
+
+class _Completion:
+    """Supports of the solutions whose entries lie in a point pool.
+
+    Each pivot entry is affine in the other entries, pivot r holding
+    const_r + sum_j w_rj * x_j.  With ``pinned`` set, that position
+    holds a given point: the pivots avoid it when some pivot basis
+    does, and otherwise, the column lying in every basis, it stays a
+    pivot whose solved entry must equal the point.
+    """
+
+    def __init__(self, sys_spec: SystemSpec, n: int, pinned: int | None = None):
+        p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
+        try:
+            self.pivots = pivot_columns(
+                sys_spec, excluded=() if pinned is None else (pinned,))
+        except DegenerateSystemError:
+            # the pinned column lies in every pivot basis (or, unpinned,
+            # the system is rank deficient and this raises again)
+            self.pivots = pivot_columns(sys_spec)
+        self.p, self.pinned = p, pinned
+        self.pinned_pivot = (self.pivots.index(pinned)
+                             if pinned in self.pivots else None)
+        self.free = [j for j in range(k)
+                     if j not in self.pivots and j != pinned]
+        minv = invert_matrix(
+            [[r[j] for j in self.pivots] for r in sys_spec.coeffs], p)
+        bs = sys_spec.constant_rows(n)
+        self.const = [tuple(sum(row[t] * bs[t][s] for t in range(m)) % p
+                            for s in range(n)) for row in minv]
+        self.weights = {
+            j: [-sum(row[t] * sys_spec.coeffs[t][j] for t in range(m)) % p
+                for row in minv]
+            for j in range(k) if j not in self.pivots}
+
+    def supports(self, pool: Sequence[tuple[int, ...]], bits: dict,
+                 pin: tuple[int, ...] | None = None) -> Iterator[int]:
+        """The support, as an OR of ``bits`` values, of every solution
+        whose free entries lie in ``pool``, whose pivot entries have a
+        bit and whose pinned entry is ``pin``; once per solution."""
+        p, weights = self.p, self.weights
+        consts, mask = self.const, 0
+        if pin is not None:
+            mask = bits[pin]
+            if self.pinned_pivot is None:
+                consts = [tuple(c + w * v for c, v in zip(const, pin))
+                          for const, w in zip(consts, weights[self.pinned])]
+        *head, last = self.free or [None]
+        # the entries solved from the last free position depend on the
+        # others only through the partial sums, which repeat, so each
+        # distinct partial is completed once
+        ends: dict = {}
+        for prefix in product(pool, repeat=len(head)):
+            partial, prefix_mask = consts, mask
+            for j, x in zip(head, prefix):
+                prefix_mask |= bits[x]
+                partial = [tuple(a + w * c for a, c in zip(base, x))
+                           for base, w in zip(partial, weights[j])]
+            key = tuple(tuple(a % p for a in base) for base in partial)
+            done = ends.get(key)
+            if done is None:
+                done = ends[key] = self._ends(key, pool, bits, last, pin)
+            for end in done:
+                yield prefix_mask | end
+
+    def _ends(self, partial, pool, bits: dict, last: int | None,
+              pin: tuple[int, ...] | None) -> list[int]:
+        """Bits of the last free entry and the pivot entries, for each
+        choice of the last free entry that completes a solution."""
+        p, out = self.p, []
+        for x in pool if last is not None else (None,):
+            if x is None:
+                vecs, end = partial, 0
+            else:
+                vecs = [tuple((a + w * c) % p for a, c in zip(base, x))
+                        for base, w in zip(partial, self.weights[last])]
+                end = bits[x]
+            if self.pinned_pivot is not None and vecs[self.pinned_pivot] != pin:
+                continue
+            for vec in vecs:
+                bit = bits.get(vec)
+                if bit is None:
+                    break
+                end |= bit
+            else:
+                out.append(end)
+        return out
+
+
+class _SupportIndex:
+    """Supports of every admitted solution in the point space, as
+    bitmasks over positions in the point order.
+
+    Under a span-dim filter a support's span test runs the first time
+    the support could block a candidate: shallow trees never ask about
+    most supports, and the test is the costly part of the build.
+    """
+
+    def __init__(self, problem: AvoidanceProblem,
+                 order: Sequence[tuple[int, ...]]):
+        sys_spec, mode = problem.sys_spec, problem.mode
+        self.order, self.p = order, sys_spec.p
+        self.span_r = mode.r if mode.mode == "span-dim" else None
+        bits = {v: 1 << i for i, v in enumerate(order)}
+        # per point x, supports through x without x's own bit: admitted
+        # ones, and ones still owing the span test
+        self.through: list[list[int]] = [[] for _ in order]
+        self.pending: list[list[int]] = [[] for _ in order]
+        self.spanning: dict[int, bool] = {}
+        lists = self.through if self.span_r is None else self.pending
+        # points forming an admitted solution on their own; never under
+        # a span-dim filter, whose r is at least 2
+        self.singles = 0
+        for support in set(_Completion(sys_spec, problem.n).supports(order, bits)):
+            if not _count_admits(mode, support.bit_count(), sys_spec.k):
+                continue
+            if support & (support - 1) == 0:
+                self.singles |= support
+            for i in _positions(support):
+                lists[i].append(support ^ (1 << i))
+
+    def _spans(self, support: int) -> bool:
+        verdict = self.spanning.get(support)
+        if verdict is None:
+            verdict = self.spanning[support] = _spans(
+                self.order, support, self.span_r, self.p)
+        return verdict
+
+    def blocked_by(self, x: int, inside: int) -> int:
+        """Points z outside ``inside`` (which holds x) that complete an
+        admitted solution through x with the points of ``inside``."""
+        blocked = 0
+        outside = ~inside
+        for rest in self.through[x]:
+            left = rest & outside
+            if left & (left - 1) == 0:
+                blocked |= left
+        bit = 1 << x
+        for rest in self.pending[x]:
+            left = rest & outside
+            if (left & (left - 1) == 0 and not left & blocked
+                    and self._spans(rest | bit)):
+                blocked |= left
+        return blocked
 
 
 class _DepthFirst:
     """Depth first scan with an incumbent shared across branches."""
 
-    def __init__(self, checker: _Checker):
-        self.checker = checker
+    def __init__(self, index: _SupportIndex):
+        self.index = index
         self.best_size = -1
         self.best_members: tuple = ()
         self.nodes = 0
 
-    def record(self, members: Sequence[tuple[int, ...]]) -> None:
+    def record(self, members: Sequence[int]) -> None:
         if len(members) > self.best_size:
             self.best_size = len(members)
             self.best_members = tuple(members)
 
-    def run(self, members: list, candidates: list) -> None:
+    def run(self, members: list, inside: int, candidates: int) -> None:
+        """Explore every avoiding superset of ``members`` (bitmask
+        ``inside``) within the ``candidates`` bitmask, lowest bit first."""
         self.nodes += 1
         self.record(members)
-        for i, x in enumerate(candidates):
-            if len(members) + len(candidates) - i <= self.best_size:
+        while candidates:
+            if len(members) + candidates.bit_count() <= self.best_size:
                 break
+            low = candidates & -candidates
+            candidates ^= low
+            x = low.bit_length() - 1
             members.append(x)
-            remaining = [z for z in candidates[i + 1:]
-                         if not self.checker.violates_pair(members[:-1], x, z)]
-            self.run(members, remaining)
+            self.run(members, inside | low,
+                     candidates & ~self.index.blocked_by(x, inside | low))
             members.pop()
-
-
-def _search_from(checker: _Checker, base: list, candidates: list,
-                 threads: int, record: Callable) -> int:
-    """Explore every avoiding superset of base inside base + candidates.
-
-    Returns the node count.  With threads > 1 the root branches run on
-    a pool, each with a local incumbent, and the results merge in
-    branch order, so the outcome is independent of scheduling.
-    """
-    if threads <= 1 or len(candidates) <= 1:
-        walker = _DepthFirst(checker)
-        walker.run(list(base), list(candidates))
-        record(walker.best_members)
-        return walker.nodes
-
-    record(tuple(base))
-    jobs = []
-    for i, x in enumerate(candidates):
-        members = list(base) + [x]
-        remaining = [z for z in candidates[i + 1:]
-                     if not checker.violates_pair(base, x, z)]
-        jobs.append((members, remaining))
-
-    def run_job(job: tuple) -> tuple[tuple, int]:
-        members, remaining = job
-        walker = _DepthFirst(checker)
-        walker.run(list(members), list(remaining))
-        return walker.best_members, walker.nodes
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_job, jobs))
-    nodes = 1
-    for members, branch_nodes in results:
-        nodes += branch_nodes
-        record(members)
-    return nodes
 
 
 def _verify_witness(problem: AvoidanceProblem,
@@ -240,7 +313,6 @@ def exhaustive_max(
     problem: AvoidanceProblem,
     cap_points: int = DEFAULT_POINT_CAP,
     symmetry: bool | None = None,
-    threads: int = 1,
     point_order: Sequence[Sequence[int]] | None = None,
 ) -> SearchResult:
     """Provably maximum size of an avoiding set, by depth first search.
@@ -265,32 +337,26 @@ def exhaustive_max(
     if symmetry and not problem.sys_spec.homogeneous:
         raise ValueError("symmetry reduction needs a homogeneous system")
 
-    checker = _Checker(problem.sys_spec, problem.mode, problem.n)
-    best = {"size": -1, "members": ()}
-
-    def record(members: Sequence[tuple[int, ...]]) -> None:
-        if len(members) > best["size"]:
-            best["size"] = len(members)
-            best["members"] = tuple(members)
-
-    record(())
-    nodes = 0
+    index = _SupportIndex(problem, order)
+    everything = (1 << len(order)) - 1
+    best: tuple = ()
+    walker = _DepthFirst(index)
     if symmetry:
         zero = (0,) * problem.n
-        if zero in set(order) and not checker.violates_with([], zero):
-            record((zero,))
-        anchor = next((v for v in order if any(v)), None)
-        if anchor is not None and not checker.violates_with([], anchor):
-            candidates = [z for z in order
-                          if z != anchor
-                          and not checker.violates_with([], z)
-                          and not checker.violates_pair([], anchor, z)]
-            nodes += _search_from(checker, [anchor], candidates, threads, record)
+        if zero in order and not index.singles >> order.index(zero) & 1:
+            best = (order.index(zero),)
+        anchor = next((i for i, v in enumerate(order) if any(v)), None)
+        if anchor is not None and not index.singles >> anchor & 1:
+            inside = 1 << anchor
+            candidates = (everything & ~inside & ~index.singles
+                          & ~index.blocked_by(anchor, inside))
+            walker.run([anchor], inside, candidates)
     else:
-        candidates = [z for z in order if not checker.violates_with([], z)]
-        nodes += _search_from(checker, [], candidates, threads, record)
-    witness = _verify_witness(problem, best["members"])
-    return SearchResult(best["size"], witness, True, nodes,
+        walker.run([], 0, everything & ~index.singles)
+    if len(walker.best_members) > len(best):
+        best = walker.best_members
+    witness = _verify_witness(problem, [order[i] for i in best])
+    return SearchResult(len(best), witness, True, walker.nodes,
                         time.perf_counter() - start)
 
 
@@ -311,15 +377,31 @@ def greedy_lower_bound(
         raise CapExceededError(f"{len(order)} points exceed the cap {cap_points}")
     if restarts > 0 and rng is None:
         raise ValueError("restarts need a seeded rng")
-    checker = _Checker(problem.sys_spec, problem.mode, problem.n)
+    sys_spec = problem.sys_spec
+    checks = [_Completion(sys_spec, problem.n, pinned=pos)
+              for pos in range(sys_spec.k)]
+    mode, k, p = problem.mode, sys_spec.k, sys_spec.p
+
+    def admits(support: int, pool: list) -> bool:
+        return (_count_admits(mode, support.bit_count(), k)
+                and (mode.mode != "span-dim" or _spans(pool, support, mode.r, p)))
+
     nodes = 0
 
     def one_pass(pts: Sequence[tuple[int, ...]]) -> list:
+        """Keep each point unless it completes an admitted solution with
+        the points kept so far; bits number the kept points."""
         nonlocal nodes
         members: list = []
+        bits: dict = {}
         for x in pts:
             nodes += 1
-            if not checker.violates_with(members, x):
+            bits[x] = 1 << len(members)
+            pool = members + [x]
+            if any(admits(support, pool) for check in checks
+                   for support in check.supports(pool, bits, pin=x)):
+                del bits[x]
+            else:
                 members.append(x)
         return members
 
@@ -350,7 +432,6 @@ def verify_theorem_bound(
     problem: AvoidanceProblem,
     theorem: str,
     cap_points: int = DEFAULT_POINT_CAP,
-    threads: int = 1,
 ) -> BoundReport:
     """Check one of the three headline statements at desk scale.
 
@@ -376,7 +457,7 @@ def verify_theorem_bound(
             raise ValueError("rows must sum to zero")
         if problem.mode.mode != "not-all-equal":
             raise ValueError("this statement is about not-all-equal solutions")
-        result = exhaustive_max(problem, cap_points=cap_points, threads=threads)
+        result = exhaustive_max(problem, cap_points=cap_points)
         bound = k * gamma(p, m, k).gamma ** problem.n
         return BoundReport("tao", result.best_size, bound,
                            result.best_size <= bound,
@@ -399,7 +480,7 @@ def verify_theorem_bound(
     full = PointSet.full_space(problem.n, p, include_zero=False)
     witness_found = next(
         (True for _ in enumerate_solutions(sys_spec, full, problem.mode)), False)
-    result = exhaustive_max(problem, cap_points=cap_points, threads=threads)
+    result = exhaustive_max(problem, cap_points=cap_points)
     space = p**problem.n - 1
     margin = space - result.best_size
     return BoundReport(theorem, result.best_size, None, None, margin,

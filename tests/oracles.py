@@ -5,14 +5,22 @@ package's own algorithms: determinant-based rank instead of row
 reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
+
+The one exception is the extremal search at the end: the earlier
+search, which solves the system again for every candidate, kept as the
+reference that the support-index search must reproduce node for node.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
+
+from fpsystems.fplinalg import invert_matrix, rref_with_pivots
+from fpsystems.linsystem import pivot_columns
 
 
 def grid_min_ratio(p: int, alpha: float, step: float = 1e-6) -> float:
@@ -186,3 +194,177 @@ def random_antichain(rng, length: int, k: int, max_size: int) -> list[tuple[int,
         if all(not comparable(cand, other, ranks) for other in out):
             out.append(cand)
     return out
+
+
+class ReferenceChecker:
+    """Violation tests that re-solve the system for every candidate."""
+
+    def __init__(self, sys_spec, mode, n: int):
+        self.sys = sys_spec
+        self.mode = mode
+        self.n = n
+        self.p = sys_spec.p
+        self.k = sys_spec.k
+        self.m = sys_spec.m
+        self.pivots = pivot_columns(sys_spec)
+        self.free = [i for i in range(self.k) if i not in self.pivots]
+        self.minv = invert_matrix(
+            [[r[j] for j in self.pivots] for r in sys_spec.coeffs], self.p)
+        self.bs = sys_spec.constant_rows(n)
+
+    def _admits(self, entries: Sequence[tuple[int, ...]]) -> bool:
+        mode = self.mode.mode
+        if mode == "any":
+            return True
+        distinct = len(set(entries))
+        if mode == "not-all-equal":
+            return distinct > 1
+        if mode == "distinct":
+            return distinct == len(entries)
+        if mode == "distinct-count":
+            return distinct >= self.mode.ell
+        return len(rref_with_pivots(entries, self.p)[0]) >= self.mode.r
+
+    def _solve(self, assign: Sequence[tuple[int, ...]], member_set: frozenset):
+        p, n, m = self.p, self.n, self.m
+        rhs = []
+        for t in range(m):
+            row = self.sys.coeffs[t]
+            acc = list(self.bs[t])
+            for pos, vec in zip(self.free, assign):
+                c = row[pos]
+                if c:
+                    for s in range(n):
+                        acc[s] = (acc[s] - c * vec[s]) % p
+            rhs.append(acc)
+        entries: list = [None] * self.k
+        for pos, vec in zip(self.free, assign):
+            entries[pos] = vec
+        for ridx, col in enumerate(self.pivots):
+            mrow = self.minv[ridx]
+            vec = tuple(sum(mrow[t] * rhs[t][s] for t in range(m)) % p
+                        for s in range(n))
+            if vec not in member_set:
+                return None
+            entries[col] = vec
+        return entries
+
+    def violates_with(self, members, x) -> bool:
+        """Whether members + x contains an admitted solution using x."""
+        pool = list(members) + [x]
+        member_set = frozenset(pool)
+        for assign in product(pool, repeat=len(self.free)):
+            entries = self._solve(assign, member_set)
+            if entries is not None and x in entries and self._admits(entries):
+                return True
+        return False
+
+    def violates_pair(self, members, x, y) -> bool:
+        """Whether members + x + y contains an admitted solution using
+        both x and y."""
+        pool = list(members) + [x, y]
+        member_set = frozenset(pool)
+        free_count = len(self.free)
+        if self.m == 1 and free_count >= 1:
+            candidates = (a for a in product(pool, repeat=free_count)
+                          if x in a or y in a)
+        else:
+            candidates = product(pool, repeat=free_count)
+        for assign in candidates:
+            entries = self._solve(assign, member_set)
+            if (entries is not None and x in entries and y in entries
+                    and self._admits(entries)):
+                return True
+        return False
+
+
+class ReferenceDepthFirst:
+    """Depth first scan with an incumbent shared across branches."""
+
+    def __init__(self, checker: ReferenceChecker):
+        self.checker = checker
+        self.best_size = -1
+        self.best_members: tuple = ()
+        self.nodes = 0
+
+    def record(self, members) -> None:
+        if len(members) > self.best_size:
+            self.best_size = len(members)
+            self.best_members = tuple(members)
+
+    def run(self, members: list, candidates: list) -> None:
+        self.nodes += 1
+        self.record(members)
+        for i, x in enumerate(candidates):
+            if len(members) + len(candidates) - i <= self.best_size:
+                break
+            members.append(x)
+            remaining = [z for z in candidates[i + 1:]
+                         if not self.checker.violates_pair(members[:-1], x, z)]
+            self.run(members, remaining)
+            members.pop()
+
+
+def reference_exhaustive_max(problem, symmetry=None, point_order=None):
+    """(best_size, witness points, nodes) of the reference search, with
+    the same root handling, pruning and symmetry anchor."""
+    order = problem.point_order() if point_order is None else tuple(point_order)
+    if symmetry is None:
+        symmetry = problem.sys_spec.homogeneous
+    checker = ReferenceChecker(problem.sys_spec, problem.mode, problem.n)
+    best = {"size": -1, "members": ()}
+
+    def record(members) -> None:
+        if len(members) > best["size"]:
+            best["size"] = len(members)
+            best["members"] = tuple(members)
+
+    def search_from(base: list, candidates: list) -> int:
+        walker = ReferenceDepthFirst(checker)
+        walker.run(list(base), list(candidates))
+        record(walker.best_members)
+        return walker.nodes
+
+    record(())
+    nodes = 0
+    if symmetry:
+        zero = (0,) * problem.n
+        if zero in set(order) and not checker.violates_with([], zero):
+            record((zero,))
+        anchor = next((v for v in order if any(v)), None)
+        if anchor is not None and not checker.violates_with([], anchor):
+            candidates = [z for z in order
+                          if z != anchor
+                          and not checker.violates_with([], z)
+                          and not checker.violates_pair([], anchor, z)]
+            nodes += search_from([anchor], candidates)
+    else:
+        candidates = [z for z in order if not checker.violates_with([], z)]
+        nodes += search_from([], candidates)
+    return best["size"], best["members"], nodes
+
+
+def reference_greedy(problem, restarts: int = 0, rng=None):
+    """(size, points, nodes) of the reference greedy pass with seeded
+    restarts."""
+    order = list(problem.point_order())
+    checker = ReferenceChecker(problem.sys_spec, problem.mode, problem.n)
+    nodes = 0
+
+    def one_pass(pts) -> list:
+        nonlocal nodes
+        members: list = []
+        for x in pts:
+            nodes += 1
+            if not checker.violates_with(members, x):
+                members.append(x)
+        return members
+
+    best = one_pass(order)
+    for _ in range(restarts):
+        shuffled = list(order)
+        rng.shuffle(shuffled)
+        cand = one_pass(shuffled)
+        if len(cand) > len(best):
+            best = cand
+    return len(best), tuple(best), nodes

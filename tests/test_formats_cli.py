@@ -75,6 +75,16 @@ class TestParser:
             main(["gamma"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--n", "1"],
+        ["verify", "--n", "1", "--theorem", "tao"],
+    ], ids=["extremal", "verify"])
+    def test_threads_option_is_gone(self, files, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--system", files["ap3"], "--threads", "2"])
+        assert excinfo.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestGamma:
     def test_json_payload(self, capsys):
@@ -247,6 +257,15 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_gamma_power_overflow(self, capsys):
+        # Gamma^n leaves the float range long before n = 2000
+        code, out, err = run_cli(["gamma", "--p", "3", "--m", "1", "--k", "3",
+                                  "--n", "2000"], capsys)
+        assert code == 2
+        assert not out
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestFormats:
     def test_text_format(self, capsys):
@@ -363,8 +382,7 @@ class TestCommands:
 
     def test_extremal_options(self, files, capsys):
         code, data, _ = run_json(["extremal", "--system", files["ap3"],
-                                  "--n", "2", "--no-symmetry",
-                                  "--threads", "2"], capsys)
+                                  "--n", "2", "--no-symmetry"], capsys)
         assert code == 0
         assert data["result"]["best_size"] == 4
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -16,6 +17,8 @@ from fpsystems import (
 )
 from fpsystems.seeds import spawn
 
+from .oracles import reference_exhaustive_max, reference_greedy
+
 
 def subset_avoids(sys_spec, flt, subset, n):
     ps = PointSet.make(subset, sys_spec.p, n)
@@ -32,7 +35,72 @@ def brute_max_avoiding(sys_spec, flt, n, exclude_zero=False):
     return 0
 
 
+# (coeffs, p, constants, filter, n, exclude_zero): affine, span-dim with
+# k = 4, distinct-count, exclude-zero, two equations, columns that lie in
+# every pivot basis, and systems with no free position left to range
+REFERENCE_GRID = [
+    ([(1, 1, 1)], 3, None, ClassFilter.not_all_equal(), 2, False),
+    ([(1, 1, 1)], 3, [(1, 0)], ClassFilter.not_all_equal(), 2, False),
+    ([(1, 1, 1)], 5, [(1,)], ClassFilter.not_all_equal(), 1, False),
+    ([(1, 1, 2, 2)], 3, None, ClassFilter.span_at_least(2), 2, False),
+    ([(1, 1, 1, 1)], 2, None, ClassFilter.span_at_least(3), 3, False),
+    ([(1, 1, 2, 2)], 3, None, ClassFilter.distinct_at_least(3), 2, False),
+    ([(1, 1, 1)], 3, None, ClassFilter.distinct(), 2, True),
+    ([(1, 1, 1, 0), (0, 1, 2, 2)], 3, None, ClassFilter.not_all_equal(), 2,
+     False),
+    ([(1, 1, 1, 0), (0, 1, 2, 2)], 3, None, ClassFilter.any(), 2, False),
+    ([(1, 0, 0)], 3, None, ClassFilter.not_all_equal(), 2, False),
+    ([(1, 0, 0)], 3, None, ClassFilter.any(), 2, False),
+    ([(1, 1, 0), (0, 0, 1)], 3, None, ClassFilter.not_all_equal(), 2, False),
+    ([(1, 1)], 3, None, ClassFilter.not_all_equal(), 2, False),
+    ([(1, 0), (0, 1)], 3, [(1, 0), (0, 2)], ClassFilter.any(), 2, False),
+]
+
+
+def grid_problem(coeffs, p, constants, flt, n, exclude_zero):
+    spec = SystemSpec.make(coeffs, p, constants=constants)
+    return AvoidanceProblem(spec, flt, n, exclude_zero=exclude_zero)
+
+
+@pytest.mark.parametrize("case", REFERENCE_GRID,
+                         ids=lambda c: f"{c[0]}-p{c[1]}-{c[3].mode}-n{c[4]}")
+class TestAgainstReference:
+    """The support-index search walks the same tree as the search that
+    re-solves the system per candidate: same node count, size and
+    witness, point for point."""
+
+    def test_exhaustive(self, case):
+        problem = grid_problem(*case)
+        symmetries = (True, False) if problem.sys_spec.homogeneous else (False,)
+        for symmetry in symmetries:
+            for seed in range(3):
+                order = list(problem.point_order())
+                random.Random(seed).shuffle(order)
+                got = exhaustive_max(problem, symmetry=symmetry,
+                                     point_order=order)
+                assert (got.best_size, got.witness.points, got.nodes) == \
+                    reference_exhaustive_max(problem, symmetry, order)
+
+    def test_greedy(self, case):
+        problem = grid_problem(*case)
+        got = greedy_lower_bound(problem)
+        assert (got.best_size, got.witness.points, got.nodes) == \
+            reference_greedy(problem)
+        for seed in range(3):
+            got = greedy_lower_bound(problem, restarts=2,
+                                     rng=random.Random(seed))
+            assert (got.best_size, got.witness.points, got.nodes) == \
+                reference_greedy(problem, 2, random.Random(seed))
+
+
 class TestExhaustive:
+    def test_cap_set_in_three_dimensions(self, sys_ap3):
+        problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 3)
+        result = exhaustive_max(problem)
+        assert result.best_size == 9
+        assert result.nodes == 10_504
+        assert subset_avoids(sys_ap3, problem.mode, result.witness.points, 3)
+
     def test_known_values(self, sys_ap3):
         for n, expected in ((1, 2), (2, 4)):
             problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), n)
@@ -78,13 +146,6 @@ class TestExhaustive:
         on = exhaustive_max(problem, symmetry=True)
         off = exhaustive_max(problem, symmetry=False)
         assert on.best_size == off.best_size
-
-    def test_threads_agree(self, sys_ap3):
-        problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 2)
-        single = exhaustive_max(problem, threads=1)
-        multi = exhaustive_max(problem, threads=4)
-        assert multi.best_size == single.best_size
-        assert subset_avoids(sys_ap3, problem.mode, multi.witness.points, 2)
 
     def test_distinct_impossible_when_space_too_small(self):
         # three pairwise distinct entries cannot fit in F_2, so the
