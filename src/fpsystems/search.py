@@ -9,9 +9,9 @@ call builds once.  Every point is numbered by its position in the point
 order.  Every solution in the point space is enumerated once, with the
 free positions ranging over the space and the pivot positions solved
 from them, and its support is kept as an int bitmask, listed under each
-point it uses.  The filter is applied per support, not per tuple; the
-span test, the one costly part, runs on supports with at least r
-points and is deferred until a support could first block a candidate.
+point it uses.  The filter is applied per support, not per tuple, and
+only admitted supports are kept; the span test, the one costly part,
+runs only on supports with at least r points.
 
 The search is a depth first scan over points in order, carrying the
 current set and the candidates that can still join it, both as
@@ -43,10 +43,10 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, DegenerateSystemError
-from .fplinalg import invert_matrix, rref_with_pivots
+from .fplinalg import invert_matrix
 from .linsystem import (
     ClassFilter,
     PointSet,
@@ -100,10 +100,11 @@ def _positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _count_admits(mode: ClassFilter, distinct: int, k: int) -> bool:
-    """The filter on a k-tuple with ``distinct`` distinct entries, short
-    of the span test, which needs the entries themselves."""
-    kind = mode.mode
+def _admits(mode: ClassFilter, points: Sequence[tuple[int, ...]],
+            support: int, k: int, p: int) -> bool:
+    """The filter on a k-tuple whose distinct entries are the points at
+    the positions set in ``support``."""
+    kind, distinct = mode.mode, support.bit_count()
     if kind == "not-all-equal":
         return distinct > 1
     if kind == "distinct":
@@ -113,16 +114,29 @@ def _count_admits(mode: ClassFilter, distinct: int, k: int) -> bool:
     if kind == "span-dim":
         # the span dimension never exceeds the distinct count, so the
         # rank test runs only where it can succeed
-        return distinct >= mode.r
+        return distinct >= mode.r and _spans(
+            (points[i] for i in _positions(support)), mode.r, p)
     return True
 
 
-def _spans(points: Sequence[tuple[int, ...]], support: int, r: int,
-           p: int) -> bool:
-    """Whether the points at the positions set in ``support`` span at
-    least r dimensions."""
-    rows = [points[i] for i in _positions(support)]
-    return len(rref_with_pivots(rows, p)[0]) >= r
+def _spans(rows: Iterable[tuple[int, ...]], r: int, p: int) -> bool:
+    """Whether ``rows`` span at least r dimensions over F_p; stops at
+    the r-th independent row."""
+    # each basis row is 1 at its pivot and 0 at the earlier pivots, so
+    # one pass in order reduces a row against all of them
+    basis: list = []
+    for row in rows:
+        for j, b in basis:
+            c = row[j]
+            if c:
+                row = [(a - c * e) % p for a, e in zip(row, b)]
+        j = next((j for j, a in enumerate(row) if a), None)
+        if j is not None:
+            inv = pow(row[j], -1, p)
+            basis.append((j, [a * inv % p for a in row]))
+            if len(basis) == r:
+                return True
+    return False
 
 
 class _Completion:
@@ -215,42 +229,24 @@ class _Completion:
 
 class _SupportIndex:
     """Supports of every admitted solution in the point space, as
-    bitmasks over positions in the point order.
-
-    Under a span-dim filter a support's span test runs the first time
-    the support could block a candidate: shallow trees never ask about
-    most supports, and the test is the costly part of the build.
-    """
+    bitmasks over positions in the point order."""
 
     def __init__(self, problem: AvoidanceProblem,
                  order: Sequence[tuple[int, ...]]):
         sys_spec, mode = problem.sys_spec, problem.mode
-        self.order, self.p = order, sys_spec.p
-        self.span_r = mode.r if mode.mode == "span-dim" else None
+        k, p = sys_spec.k, sys_spec.p
         bits = {v: 1 << i for i, v in enumerate(order)}
-        # per point x, supports through x without x's own bit: admitted
-        # ones, and ones still owing the span test
+        # per point x, the admitted supports through x without x's own bit
         self.through: list[list[int]] = [[] for _ in order]
-        self.pending: list[list[int]] = [[] for _ in order]
-        self.spanning: dict[int, bool] = {}
-        lists = self.through if self.span_r is None else self.pending
-        # points forming an admitted solution on their own; never under
-        # a span-dim filter, whose r is at least 2
+        # points whose all-equal tuple is an admitted solution
         self.singles = 0
         for support in set(_Completion(sys_spec, problem.n).supports(order, bits)):
-            if not _count_admits(mode, support.bit_count(), sys_spec.k):
+            if not _admits(mode, order, support, k, p):
                 continue
             if support & (support - 1) == 0:
                 self.singles |= support
             for i in _positions(support):
-                lists[i].append(support ^ (1 << i))
-
-    def _spans(self, support: int) -> bool:
-        verdict = self.spanning.get(support)
-        if verdict is None:
-            verdict = self.spanning[support] = _spans(
-                self.order, support, self.span_r, self.p)
-        return verdict
+                self.through[i].append(support ^ (1 << i))
 
     def blocked_by(self, x: int, inside: int) -> int:
         """Points z outside ``inside`` (which holds x) that complete an
@@ -259,13 +255,8 @@ class _SupportIndex:
         outside = ~inside
         for rest in self.through[x]:
             left = rest & outside
+            # left is never 0: inside avoids, as x was a candidate
             if left & (left - 1) == 0:
-                blocked |= left
-        bit = 1 << x
-        for rest in self.pending[x]:
-            left = rest & outside
-            if (left & (left - 1) == 0 and not left & blocked
-                    and self._spans(rest | bit)):
                 blocked |= left
         return blocked
 
@@ -381,11 +372,6 @@ def greedy_lower_bound(
     checks = [_Completion(sys_spec, problem.n, pinned=pos)
               for pos in range(sys_spec.k)]
     mode, k, p = problem.mode, sys_spec.k, sys_spec.p
-
-    def admits(support: int, pool: list) -> bool:
-        return (_count_admits(mode, support.bit_count(), k)
-                and (mode.mode != "span-dim" or _spans(pool, support, mode.r, p)))
-
     nodes = 0
 
     def one_pass(pts: Sequence[tuple[int, ...]]) -> list:
@@ -398,7 +384,7 @@ def greedy_lower_bound(
             nodes += 1
             bits[x] = 1 << len(members)
             pool = members + [x]
-            if any(admits(support, pool) for check in checks
+            if any(_admits(mode, pool, support, k, p) for check in checks
                    for support in check.supports(pool, bits, pin=x)):
                 del bits[x]
             else:

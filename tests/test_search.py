@@ -15,6 +15,8 @@ from fpsystems import (
     greedy_lower_bound,
     verify_theorem_bound,
 )
+from fpsystems.fplinalg import rref_with_pivots
+from fpsystems.search import _admits
 from fpsystems.seeds import spawn
 
 from .oracles import reference_exhaustive_max, reference_greedy
@@ -91,6 +93,31 @@ class TestAgainstReference:
                                      rng=random.Random(seed))
             assert (got.best_size, got.witness.points, got.nodes) == \
                 reference_greedy(problem, 2, random.Random(seed))
+
+
+class TestSupportFilter:
+    """The filter the support index applies to each support, against
+    the row echelon rank, for every threshold the filter accepts."""
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
+    def test_span_dim_matches_rank(self, p, n):
+        order = list(product(range(p), repeat=n))
+        for size in range(1, 5):
+            for chosen in combinations(range(len(order)), size):
+                support = sum(1 << i for i in chosen)
+                dim = len(rref_with_pivots([order[i] for i in chosen], p)[0])
+                for r in range(1, 4):
+                    assert _admits(ClassFilter.span_at_least(r), order,
+                                   support, 4, p) == (dim >= r)
+
+    def test_zero_point_spans_nothing(self):
+        order = [(0, 0), (1, 0), (0, 1)]
+        assert not _admits(ClassFilter.span_at_least(1), order, 0b001, 3, 3)
+        assert _admits(ClassFilter.span_at_least(1), order, 0b010, 3, 3)
+
+    def test_problem_needs_span_threshold_two(self, sys_ap3):
+        with pytest.raises(ValueError):
+            AvoidanceProblem(sys_ap3, ClassFilter.span_at_least(1), 2)
 
 
 class TestExhaustive:
