@@ -54,7 +54,12 @@ from .slicerank import (
     read_tensor_file,
     verify_polynomial_identity,
 )
-from .weights import partition_structure, verify_weight_properties, weight
+from .weights import (
+    admissible_sets,
+    partition_structure,
+    verify_weight_properties,
+    weight,
+)
 
 _STRIPPED_KEYS = {"timestamp", "elapsed_s"}
 
@@ -202,8 +207,12 @@ def _cmd_gamma(args) -> int:
     payload = {"p": args.p, "m": args.m, "k": args.k, "gamma": res}
     if args.n is not None:
         payload["n"] = args.n
-        payload["power"] = res.gamma ** args.n
-        payload["set_size_bound"] = args.k * res.gamma ** args.n
+        try:
+            power = res.gamma ** args.n
+        except OverflowError:
+            raise ValueError(f"Gamma^n overflows a float at n = {args.n}") from None
+        payload["power"] = power
+        payload["set_size_bound"] = args.k * power
         if not res.at_boundary:
             payload["monomials"] = monomial_count(args.p, args.m, args.k, args.n)
     _emit(args, "gamma", payload, started)
@@ -259,6 +268,7 @@ def _cmd_weight(args) -> int:
     rendered = _jsonable(report)
     rendered["lines"] = ["".join(str(c) for c in line)
                          for line in report.lines]
+    rendered["admissible"] = _jsonable(admissible_sets(entries, args.p))
     payload: dict = {"p": args.p, "entries": entries, "weight": rendered}
     failed = False
     sys_spec = _load_system(args.system) if args.system else None

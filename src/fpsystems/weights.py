@@ -10,6 +10,28 @@ maximizer is tie-broken deterministically (smallest size, then
 lexicographic), and the positions outside it partition into blocks with
 equal quotient lines.
 
+Admissible sets are closed under taking subsets: a dependent I has
+only dependent supersets, and an outside x_j in span(x_I) either joins
+a superset J, which makes J dependent, or stays in span(x_J).  So the
+family is walked depth first from the empty set, extending admissible
+sets by larger positions only, and no subtree below a rejected set is
+entered.  Each node keeps the residue of every outside entry modulo U,
+scaled to lead 1.  Adding i takes the residue of x_i, whose first
+nonzero column c holds 1, as the next basis vector and clears column c
+from the other residues; the extension is admissible exactly when none
+of them becomes zero.  The leads of these incremental basis vectors are
+the reduced row echelon pivot columns of U, so every residue is the
+canonical representative that ``Subspace.reduce`` returns, up to the
+scaling, and the residues are the quotient lines themselves.  At most
+k - |I| < k + 1 lines remain outside I, so omega is attained only on
+admissible sets of the largest size, and only those get their lines
+counted.
+
+``weight`` validates its input on every call and keeps the rest in a
+small least-recently-used memo keyed on the reduced tuple, because
+several flows weigh one tuple more than once (the weight facts, then the
+partition structure, of each solution).
+
 These definitions never look at any linear system, so every operation
 here accepts an arbitrary tuple of nonzero vectors; the operations tied
 to a solution hypothesis take the system as an explicit witness and
@@ -19,25 +41,27 @@ verify it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError
 from .fplinalg import (
     Subspace,
     check_prime,
     coords_of,
-    normalize_line_rep,
-    reduce_coords,
+    inverse_mod,
     rref_with_pivots,
 )
 from .linsystem import SystemSpec, is_solution
 
 ADMISSIBLE_K_CAP = 20
+# reports are frozen, so callers can share them; the flows that weigh a
+# tuple again do so at once, so a few entries catch every repeat
+_WEIGHT_MEMO_SIZE = 16
 
 
 def _checked_tuple(entries: Sequence, p: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    xs = tuple(reduce_coords(coords_of(x), p) for x in entries)
+    xs = tuple(tuple(c % p for c in coords_of(x)) for x in entries)
     if not xs:
         raise ValueError("empty tuple has no weight")
     dims = {len(x) for x in xs}
@@ -46,6 +70,64 @@ def _checked_tuple(entries: Sequence, p: int) -> tuple[tuple[tuple[int, ...], ..
     if any(not any(x) for x in xs):
         raise ValueError("tuple entries must be nonzero")
     return xs, dims.pop()
+
+
+def _capped_tuple(entries: Sequence, p, cap_k: int):
+    p = check_prime(p)
+    xs, n = _checked_tuple(entries, p)
+    if len(xs) > cap_k:
+        raise CapExceededError(f"admissible listing capped at k <= {cap_k}, got {len(xs)}")
+    return xs, n, p
+
+
+def _lead_one(v, p: int) -> tuple[int, ...] | None:
+    """v scaled so its first nonzero coordinate is 1; None when v is zero."""
+    lead = next((a for a in v if a), 0)
+    if lead == 0:
+        return None
+    if lead != 1:
+        inv = inverse_mod(lead, p)
+        v = [(inv * a) % p for a in v]
+    return tuple(v)
+
+
+def _extend(res: tuple, i: int, p: int) -> tuple | None:
+    """The residues once x_i joins the set, or None when an outside
+    entry falls in the larger span."""
+    b = res[i]
+    c = next(col for col, v in enumerate(b) if v)
+    out = []
+    for j, v in enumerate(res):
+        if j == i:
+            v = None
+        elif v is not None and v[c]:
+            t = v[c]
+            v = _lead_one([(a - t * e) % p for a, e in zip(v, b)], p)
+            if v is None:
+                return None
+        out.append(v)
+    return tuple(out)
+
+
+def _admissible_family(xs, p: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Every admissible set I with its residues, depth first from the
+    empty set in lexicographic order.  The residue of an outside entry is
+    its canonical representative modulo span(x_I) scaled to lead 1, that
+    is, its quotient line; entries inside I have None."""
+    k = len(xs)
+    stack = [((), tuple(_lead_one(x, p) for x in xs))]
+    while stack:
+        idx, res = stack.pop()
+        yield idx, res
+        # pushed last first, so the children pop in increasing order
+        for i in range(k - 1, idx[-1] if idx else -1, -1):
+            child = _extend(res, i, p)
+            if child is not None:
+                stack.append((idx + (i,), child))
+
+
+def _span(xs, idx, n: int, p: int) -> Subspace:
+    return Subspace(rref_with_pivots([xs[i] for i in idx], p)[0], n, p)
 
 
 @dataclass(frozen=True)
@@ -61,35 +143,16 @@ class AdmissibleSet:
 def admissible_sets(entries: Sequence, p, cap_k: int = ADMISSIBLE_K_CAP) -> list[AdmissibleSet]:
     """Every admissible subset of positions, by size then lexicographic.
 
-    The 2^k subsets are checked exhaustively, so k is capped.
+    The family can hold all 2^k subsets, so k is capped.
     """
-    p = check_prime(p)
-    xs, n = _checked_tuple(entries, p)
+    xs, n, p = _capped_tuple(entries, p, cap_k)
     k = len(xs)
-    if k > cap_k:
-        raise CapExceededError(f"admissible listing capped at k <= {cap_k}, got {k}")
-    out: list[AdmissibleSet] = []
-    for size in range(k + 1):
-        for idx in combinations(range(k), size):
-            rows = [xs[i] for i in idx]
-            basis, _ = rref_with_pivots(rows, p)
-            if len(basis) != size:
-                continue
-            u = Subspace(basis, n, p)
-            reduced = {}
-            ok = True
-            for j in range(k):
-                if j in idx:
-                    continue
-                red = u.reduce(xs[j])
-                if not any(red):
-                    ok = False
-                    break
-                reduced[j] = red
-            if not ok:
-                continue
-            lines = sorted({normalize_line_rep(red, p) for red in reduced.values()})
-            out.append(AdmissibleSet(idx, u, (k + 1) * size + len(lines), tuple(lines)))
+    out = []
+    for idx, res in _admissible_family(xs, p):
+        lines = sorted({r for r in res if r is not None})
+        out.append(AdmissibleSet(idx, _span(xs, idx, n, p),
+                                 (k + 1) * len(idx) + len(lines), tuple(lines)))
+    out.sort(key=lambda a: (len(a.indices), a.indices))
     return out
 
 
@@ -102,7 +165,6 @@ class WeightReport:
     span_u: Subspace
     partition: tuple[tuple[int, ...], ...]
     lines: tuple[tuple[int, ...], ...]
-    admissible: tuple[AdmissibleSet, ...]
 
 
 def weight(entries: Sequence, p, cap_k: int = ADMISSIBLE_K_CAP) -> WeightReport:
@@ -113,26 +175,35 @@ def weight(entries: Sequence, p, cap_k: int = ADMISSIBLE_K_CAP) -> WeightReport:
     of positions outside I grouped by their quotient line, ordered by
     smallest member.
     """
-    p = check_prime(p)
-    adm = admissible_sets(entries, p, cap_k=cap_k)
-    xs, _ = _checked_tuple(entries, p)
-    k = len(xs)
-    omega = max(a.weight for a in adm)
-    chosen = next(a for a in adm if a.weight == omega)
-    by_line: dict[tuple[int, ...], list[int]] = {}
-    for j in range(k):
-        if j in chosen.indices:
-            continue
-        line = normalize_line_rep(chosen.span_u.reduce(xs[j]), p)
-        by_line.setdefault(line, []).append(j)
-    blocks = sorted(by_line.items(), key=lambda item: min(item[1]))
+    xs, n, p = _capped_tuple(entries, p, cap_k)
+    return _weigh(xs, n, p)
+
+
+@lru_cache(maxsize=_WEIGHT_MEMO_SIZE)
+def _weigh(xs, n: int, p: int) -> WeightReport:
+    top, widest = 0, []
+    for idx, res in _admissible_family(xs, p):
+        if len(idx) > top:
+            top, widest = len(idx), []
+        if len(idx) == top:
+            widest.append((idx, res))
+    # widest is in lexicographic order, so a strict gain keeps the first
+    # tie; positions are grouped in order, so blocks follow their smallest
+    best = None
+    for idx, res in widest:
+        by_line: dict[tuple[int, ...], list[int]] = {}
+        for j, r in enumerate(res):
+            if r is not None:
+                by_line.setdefault(r, []).append(j)
+        if best is None or len(by_line) > len(best[1]):
+            best = (idx, by_line)
+    chosen, by_line = best
     return WeightReport(
-        omega=omega,
-        chosen=chosen.indices,
-        span_u=chosen.span_u,
-        partition=tuple(tuple(members) for _, members in blocks),
-        lines=tuple(line for line, _ in blocks),
-        admissible=tuple(adm),
+        omega=(len(xs) + 1) * top + len(by_line),
+        chosen=chosen,
+        span_u=_span(xs, chosen, n, p),
+        partition=tuple(tuple(members) for members in by_line.values()),
+        lines=tuple(by_line),
     )
 
 

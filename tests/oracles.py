@@ -6,9 +6,12 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-The one exception is the extremal search at the end: the earlier
-search, which solves the system again for every candidate, kept as the
-reference that the support-index search must reproduce node for node.
+Two exceptions sit at the end.  The earlier weight, which checks all
+2^k subsets of positions with a fresh row reduction and subspace each,
+is the reference that the walk over the admissible family must
+reproduce field for field.  The earlier extremal search, which solves
+the system again for every candidate, is the reference that the
+support-index search must reproduce node for node.
 """
 
 from __future__ import annotations
@@ -19,8 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from fpsystems.fplinalg import invert_matrix, rref_with_pivots
+from fpsystems.fplinalg import (
+    Subspace,
+    invert_matrix,
+    normalize_line_rep,
+    reduce_coords,
+    rref_with_pivots,
+)
 from fpsystems.linsystem import pivot_columns
+from fpsystems.weights import AdmissibleSet, WeightReport
 
 
 def grid_min_ratio(p: int, alpha: float, step: float = 1e-6) -> float:
@@ -194,6 +204,50 @@ def random_antichain(rng, length: int, k: int, max_size: int) -> list[tuple[int,
         if all(not comparable(cand, other, ranks) for other in out):
             out.append(cand)
     return out
+
+
+def reference_admissible_sets(entries, p: int) -> list[AdmissibleSet]:
+    """Every admissible subset of positions, by size then lexicographic,
+    from a scan of all 2^k subsets."""
+    xs = [reduce_coords(x, p) for x in entries]
+    k, n = len(xs), len(xs[0])
+    out: list[AdmissibleSet] = []
+    for size in range(k + 1):
+        for idx in combinations(range(k), size):
+            basis, _ = rref_with_pivots([xs[i] for i in idx], p)
+            if len(basis) != size:
+                continue
+            u = Subspace(basis, n, p)
+            reduced = [u.reduce(xs[j]) for j in range(k) if j not in idx]
+            if not all(any(red) for red in reduced):
+                continue
+            lines = sorted({normalize_line_rep(red, p) for red in reduced})
+            out.append(AdmissibleSet(idx, u, (k + 1) * size + len(lines), tuple(lines)))
+    return out
+
+
+def reference_weight(entries, p: int, adm=None) -> WeightReport:
+    """The weight report taken from the full admissible list (``adm``,
+    computed here when not given): the first set of maximum weight, and
+    its outside positions grouped by line."""
+    xs = [reduce_coords(x, p) for x in entries]
+    if adm is None:
+        adm = reference_admissible_sets(xs, p)
+    omega = max(a.weight for a in adm)
+    chosen = next(a for a in adm if a.weight == omega)
+    by_line: dict[tuple[int, ...], list[int]] = {}
+    for j in range(len(xs)):
+        if j not in chosen.indices:
+            line = normalize_line_rep(chosen.span_u.reduce(xs[j]), p)
+            by_line.setdefault(line, []).append(j)
+    blocks = sorted(by_line.items(), key=lambda item: min(item[1]))
+    return WeightReport(
+        omega=omega,
+        chosen=chosen.indices,
+        span_u=chosen.span_u,
+        partition=tuple(tuple(members) for _, members in blocks),
+        lines=tuple(line for line, _ in blocks),
+    )
 
 
 class ReferenceChecker:

@@ -114,6 +114,45 @@ class TestGamma:
         assert "monomials" not in data["result"]
 
 
+def _zero_span(p):
+    return {"ambient_dim": 2, "basis": [], "dim": 0, "p": p}
+
+
+def _line_span(basis, p):
+    return {"ambient_dim": 2, "basis": [basis], "dim": 1, "p": p}
+
+
+WEIGHT_STDOUT = [
+    (["weight", "--tuple", "1,0;2,0;0,1", "--p", "3", "--check-properties"],
+     {"command": "weight", "result": {
+         "entries": [[1, 0], [2, 0], [0, 1]], "p": 3,
+         "properties": {"chosen_size": 1, "ok": True, "omega": 5,
+                        "omega_valid": True, "size_valid": True,
+                        "span_dim": 2, "span_valid": True},
+         "weight": {
+             "admissible": [
+                 {"indices": [], "lines": [[0, 1], [1, 0]],
+                  "span_u": _zero_span(3), "weight": 2},
+                 {"indices": [2], "lines": [[1, 0]],
+                  "span_u": _line_span([0, 1], 3), "weight": 5}],
+             "chosen": [2], "lines": ["10"], "omega": 5,
+             "partition": [[0, 1]], "span_u": _line_span([0, 1], 3)}}}),
+    (["weight", "--tuple", "1,0;0,1;1,1;2,0", "--p", "5"],
+     {"command": "weight", "result": {
+         "entries": [[1, 0], [0, 1], [1, 1], [2, 0]], "p": 5,
+         "weight": {
+             "admissible": [
+                 {"indices": [], "lines": [[0, 1], [1, 0], [1, 1]],
+                  "span_u": _zero_span(5), "weight": 3},
+                 {"indices": [1], "lines": [[1, 0]],
+                  "span_u": _line_span([0, 1], 5), "weight": 6},
+                 {"indices": [2], "lines": [[0, 1]],
+                  "span_u": _line_span([1, 1], 5), "weight": 6}],
+             "chosen": [1], "lines": ["10"], "omega": 6,
+             "partition": [[0, 2, 3]], "span_u": _line_span([0, 1], 5)}}}),
+]
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, files, capsys, monkeypatch):
         monkeypatch.delenv("SEED", raising=False)
@@ -147,6 +186,13 @@ class TestDeterminism:
             second = run_cli(argv + ["--no-timestamp"], capsys)
             assert first == second, argv
             assert first[0] in (0, 1), argv
+
+    @pytest.mark.parametrize("argv,frozen", WEIGHT_STDOUT)
+    def test_weight_stdout_frozen(self, argv, frozen, capsys):
+        # the full --no-timestamp stdout, admissible listing included
+        code, out, _ = run_cli(argv + ["--no-timestamp"], capsys)
+        assert code == 0
+        assert out == json.dumps(frozen, indent=2, sort_keys=True) + "\n"
 
     def test_timestamp_present_by_default(self, capsys):
         code, out, _ = run_cli(["gamma", "--p", "3", "--m", "1", "--k", "3"],
@@ -265,6 +311,8 @@ class TestExitCodes:
         assert not out
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert "Gamma^n" in err
+        assert "n = 2000" in err
 
 
 class TestFormats:

@@ -14,7 +14,11 @@ from fpsystems import (
     verify_weight_properties,
     weight,
 )
-from .oracles import weight_by_definition
+from .oracles import (
+    reference_admissible_sets,
+    reference_weight,
+    weight_by_definition,
+)
 
 
 def nonzero_tuples():
@@ -25,7 +29,7 @@ def nonzero_tuples():
         return st.tuples(st.just(p),
                          st.lists(vec, min_size=k, max_size=k).map(tuple))
 
-    return st.tuples(st.sampled_from([2, 3]), st.integers(2, 4),
+    return st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(2, 4),
                      st.integers(1, 3)).flatmap(build)
 
 
@@ -66,6 +70,8 @@ class TestAdmissible:
         entries = [(1,)] * 25
         with pytest.raises(CapExceededError):
             admissible_sets(entries, 3)
+        with pytest.raises(CapExceededError):
+            weight(entries, 3)
 
     @given(nonzero_tuples())
     def test_weight_bounds_per_set(self, case):
@@ -97,9 +103,25 @@ class TestWeight:
     def test_chosen_is_smallest_then_lex(self, case):
         p, entries = case
         rep = weight(entries, p)
-        ties = [a.indices for a in rep.admissible if a.weight == rep.omega]
+        ties = [a.indices for a in admissible_sets(entries, p)
+                if a.weight == rep.omega]
         best = min(ties, key=lambda idx: (len(idx), idx))
         assert rep.chosen == best
+
+    def test_memo_never_crosses_inputs(self):
+        # the same coordinates weigh differently under p=3, where all
+        # three lie on one line, and p=5; list and tuple input, and a
+        # padded ambient space, each get their own correct report
+        # whatever was weighed just before
+        coords = [(1, 2), (1, 2), (2, 1)]
+        padded = [v + (0,) for v in coords]
+        cases = [(coords, 3), (coords, 5), (coords, 3), (tuple(coords), 5),
+                 (padded, 5), (coords, 5), (tuple(coords), 3)]
+        for entries, p in cases:
+            assert weight(entries, p) == reference_weight(entries, p)
+        assert (weight(coords, 3).omega, weight(coords, 3).chosen) == (1, ())
+        assert (weight(coords, 5).omega, weight(coords, 5).chosen) == (5, (2,))
+        assert weight(padded, 5).span_u.ambient_dim == 3
 
     def test_partition_groups_equal_lines(self):
         entries = [(1, 0), (2, 0), (0, 1), (0, 2)]
@@ -177,3 +199,30 @@ class TestPartition:
             flat = sorted(i for b in rep.blocks for i in b)
             assert flat == sorted(set(range(spec.k)) - set(rep.chosen))
             break
+
+
+def _all_tuples(p, n, k):
+    vectors = [v for v in product(range(p), repeat=n) if any(v)]
+    return list(product(vectors, repeat=k))
+
+
+class TestAgainstReference:
+    """The walk over the admissible family against the 2^k scan."""
+
+    @pytest.mark.parametrize("p,n,k", [(2, 3, 3), (3, 2, 3), (2, 2, 4), (3, 2, 4)])
+    def test_every_tuple(self, p, n, k):
+        for entries in _all_tuples(p, n, k):
+            self.check(entries, p)
+
+    @given(nonzero_tuples())
+    def test_random_tuples(self, case):
+        p, entries = case
+        self.check(entries, p)
+
+    @staticmethod
+    def check(entries, p):
+        # equal omega, chosen, span_u, partition and lines; equal
+        # admissible lists: indices, span_u, weight and lines, in order
+        adm = reference_admissible_sets(entries, p)
+        assert admissible_sets(entries, p) == adm
+        assert weight(entries, p) == reference_weight(entries, p, adm)
