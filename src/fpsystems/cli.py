@@ -46,6 +46,7 @@ from .slicerank import (
     DEFAULT_SUPPORT_CAP,
     Tensor,
     OrderFamily,
+    _gamma_power,
     antichain_slice_rank,
     clp_upper_bound,
     corollary_orders,
@@ -207,10 +208,7 @@ def _cmd_gamma(args) -> int:
     payload = {"p": args.p, "m": args.m, "k": args.k, "gamma": res}
     if args.n is not None:
         payload["n"] = args.n
-        try:
-            power = res.gamma ** args.n
-        except OverflowError:
-            raise ValueError(f"Gamma^n overflows a float at n = {args.n}") from None
+        power = _gamma_power(res.gamma, args.n)
         payload["power"] = power
         payload["set_size_bound"] = args.k * power
         if not res.at_boundary:
@@ -567,9 +565,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Parsing keeps its state in the returned Namespace, so one parser,
+    # built on the first call, serves every later call in the process.
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, OverflowError, CapExceededError,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import comb
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -69,7 +70,8 @@ def gamma(p, m: int, k: int, tol: float = 1e-12) -> GammaResult:
     boundary z = 1 with value p; this is reported with at_boundary set,
     not raised.  Otherwise the interior minimizer is bracketed by
     bisection on the monotone mean phi until the bracket width drops
-    below tol.
+    below tol, or until its ends are adjacent floats; ``tolerance`` is
+    the half-width actually reached.
     """
     p = check_prime(p)
     if m < 1 or k < 1:
@@ -83,6 +85,8 @@ def gamma(p, m: int, k: int, tol: float = 1e-12) -> GammaResult:
     iterations = 0
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:  # adjacent floats: no narrower bracket
+            break
         if _phi(mid, p) < alpha:
             lo = mid
         else:
@@ -101,29 +105,35 @@ class MonomialCountResult:
     holds: bool
 
 
+def _gamma_power(value: float, n: int) -> float:
+    """Gamma^n as a float, or a ValueError naming Gamma^n and n when it
+    overflows."""
+    try:
+        return value**n
+    except OverflowError:
+        raise ValueError(f"Gamma^n overflows a float at n = {n}") from None
+
+
 def monomial_count(p, m: int, k: int, n: int) -> MonomialCountResult:
     """Exact number of degree tuples (d_1, ..., d_n) in {0, ..., p-1}^n
-    with sum at most (p-1)mn/k, against the ceiling Gamma^n.
+    with sum at most T = floor((p-1)mn/k), against the ceiling Gamma^n.
 
-    The count is a big-integer convolution, so it is exact for every n;
-    requires k >= 2m + 1 so the ceiling is meaningful.
+    By inclusion-exclusion over the coordinates forced to d_i >= p, the
+    count is sum_{j=0}^{min(n, T // p)} (-1)^j C(n, j) C(T - jp + n, n),
+    exact in integers for every n with O(n) binomials; requires
+    k >= 2m + 1 so the ceiling is meaningful.  ``holds`` compares the
+    count with Gamma^n as floats.
     """
     p = check_prime(p)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 2 * m + 1:
         raise ValueError("need k >= 2m + 1")
+    g = gamma(p, m, k)  # also rejects m < 1 and k < 1
     threshold = (m * n * (p - 1)) // k
-    counts = [1]
-    for _ in range(n):
-        new = [0] * (len(counts) + p - 1)
-        for s, c in enumerate(counts):
-            if c:
-                for d in range(p):
-                    new[s + d] += c
-        counts = new
-    count = sum(counts[: threshold + 1])
-    bound = gamma(p, m, k).gamma ** n
+    count = sum((-1)**j * comb(n, j) * comb(threshold - j * p + n, n)
+                for j in range(min(n, threshold // p) + 1))
+    bound = _gamma_power(g.gamma, n)
     return MonomialCountResult(count, threshold, bound, count <= bound)
 
 

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -10,6 +13,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@contextmanager
+def _deadline(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(s):`` raises TimeoutError after s seconds, so a
+    loop that never ends fails its test instead of stalling the run."""
+    return _deadline
 
 
 @pytest.fixture

@@ -6,17 +6,20 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Two exceptions sit at the end.  The earlier weight, which checks all
+Three exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
 the system again for every candidate, is the reference that the
-support-index search must reproduce node for node.
+support-index search must reproduce node for node.  The earlier
+monomial count, a big-integer convolution of degree distributions, is
+the reference for the inclusion-exclusion count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
@@ -422,3 +425,25 @@ def reference_greedy(problem, restarts: int = 0, rng=None):
         if len(cand) > len(best):
             best = cand
     return len(best), tuple(best), nodes
+
+
+@lru_cache(maxsize=None)
+def _degree_sum_counts(p: int, n: int) -> tuple[int, ...]:
+    """Entry s: the number of tuples in {0..p-1}^n with sum s, by
+    convolving the distribution for n - 1 with one more coordinate."""
+    if n == 0:
+        return (1,)
+    counts = _degree_sum_counts(p, n - 1)
+    new = [0] * (len(counts) + p - 1)
+    for s, c in enumerate(counts):
+        if c:
+            for d in range(p):
+                new[s + d] += c
+    return tuple(new)
+
+
+def reference_monomial_count(p: int, m: int, k: int, n: int) -> tuple[int, int]:
+    """(count, threshold): degree tuples in {0..p-1}^n with sum at most
+    threshold = floor(mn(p-1)/k), summed from the convolved table."""
+    threshold = (m * n * (p - 1)) // k
+    return sum(_degree_sum_counts(p, n)[: threshold + 1]), threshold

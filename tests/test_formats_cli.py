@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from fpsystems.cli import main
+from fpsystems import cli
+from fpsystems.cli import build_parser, main
 
 AP3 = "p=3 m=1 k=3\n1 1 1\n"
 BAD_MINOR = "p=3 m=1 k=3\n1 2 0\n"
@@ -86,6 +87,79 @@ class TestParser:
         assert "--threads" in capsys.readouterr().err
 
 
+def fresh_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "fpsystems", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_in_process(argv, capsys):
+    try:
+        return run_cli(argv, capsys)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def _result(out):
+    return json.loads(out)["result"]
+
+
+# Each step: argv and a check on (exit code, stdout, stderr) that tells
+# the second command's defaults from the first command's options.
+REUSE_SEQUENCES = {
+    "solve-limit-then-default": [
+        (["solve", "--system", "{ap3}", "--n", "3", "--limit", "1"],
+         lambda code, out, err: _result(out)["listed"] == 1),
+        (["solve", "--system", "{ap3}", "--n", "3"],
+         lambda code, out, err: _result(out)["listed"] == 100),
+    ],
+    "weight-flag-then-none": [
+        (["weight", "--tuple", "1,0;2,0;0,1", "--p", "3", "--check-properties"],
+         lambda code, out, err: "properties" in _result(out)),
+        (["weight", "--tuple", "1,0;2,0;0,1", "--p", "3"],
+         lambda code, out, err: "properties" not in _result(out)),
+    ],
+    "usage-error-then-valid": [
+        (["gamma", "--p", "3", "--m", "1"],
+         lambda code, out, err: code == 2 and "--k" in err),
+        (["gamma", "--p", "3", "--m", "1", "--k", "3"],
+         lambda code, out, err: code == 0),
+    ],
+    "greedy-then-exhaustive": [
+        (["extremal", "--system", "{ap3}", "--n", "2", "--greedy",
+          "--restarts", "2", "--seed", "6"],
+         lambda code, out, err: _result(out)["optimal"] is False),
+        (["extremal", "--system", "{ap3}", "--n", "2"],
+         lambda code, out, err: _result(out)["optimal"] is True),
+    ],
+}
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("name", sorted(REUSE_SEQUENCES))
+    def test_sequence_matches_fresh_processes(self, name, files, capsys,
+                                              monkeypatch):
+        monkeypatch.delenv("SEED", raising=False)
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for template, check in REUSE_SEQUENCES[name]:
+            argv = [a.format(**files) for a in template] + ["--no-timestamp"]
+            got = run_in_process(argv, capsys)
+            assert got == fresh_process(argv), argv
+            assert check(*got), argv
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+
 class TestGamma:
     def test_json_payload(self, capsys):
         code, data, _ = run_json(["gamma", "--p", "3", "--m", "1", "--k", "3"],
@@ -105,6 +179,15 @@ class TestGamma:
         assert result["set_size_bound"] == pytest.approx(3 * 2.755104613023633**2)
         assert result["monomials"]["count"] >= 1
         assert result["monomials"]["holds"] is True
+
+    def test_tolerance_below_float_spacing_returns(self, capsys, deadline):
+        with deadline(5):
+            code, out, _ = run_cli(["gamma", "--p", "3", "--m", "1", "--k", "3",
+                                    "--tol", "1e-300"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["elapsed_s"] < 1
+        assert data["result"]["gamma"]["tolerance"] > 0
 
     def test_boundary_case_skips_monomials(self, capsys):
         code, data, _ = run_json(["gamma", "--p", "3", "--m", "1", "--k", "2",

@@ -1,7 +1,11 @@
+import math
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fpsystems import (
     CapExceededError,
@@ -23,7 +27,14 @@ from fpsystems import (
     write_tensor_file,
 )
 from fpsystems.seeds import spawn
-from .oracles import brute_monomial_count, grid_min_ratio, unpruned_slice_rank
+from .oracles import (
+    brute_monomial_count,
+    grid_min_ratio,
+    reference_monomial_count,
+    unpruned_slice_rank,
+)
+
+PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 class TestGamma:
@@ -58,6 +69,25 @@ class TestGamma:
                 for k in range(2 * m + 1, 2 * m + 5):
                     assert gamma(p, m, k).gamma < p
 
+    def test_default_tolerance_bisection_frozen(self):
+        # 40 halvings of [0, 1] bring the width to 2^-40 < 1e-12
+        res = gamma(3, 1, 3)
+        assert res.iterations == 40
+        assert res.tolerance == 2.0**-41
+
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_tolerance_below_float_spacing_returns(self, tol, deadline):
+        # the bracket stops at adjacent floats and reports that half-width
+        with deadline(5):
+            started = time.perf_counter()
+            res = gamma(3, 1, 3, tol=tol)
+            elapsed = time.perf_counter() - started
+        assert elapsed < 1
+        assert 0 < res.tolerance <= math.ulp(res.z_star)
+        assert res.iterations < 60
+        assert res.z_star == pytest.approx((33**0.5 - 1) / 8, abs=1e-15)
+        assert res.gamma == pytest.approx(gamma(3, 1, 3).gamma, rel=1e-12)
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             gamma(3, 0, 3)
@@ -82,9 +112,37 @@ class TestMonomialCount:
                 assert res.count == brute_monomial_count(p, 1, k, n)
                 assert res.holds
 
+    @pytest.mark.parametrize("p", PRIMES_BELOW_50 + [211, 1009])
+    def test_matches_reference(self, p):
+        for m in (1, 2, 3):
+            for k in range(2 * m + 1, 2 * m + 7):
+                for n in range(13):
+                    res = monomial_count(p, m, k, n)
+                    assert (res.count, res.threshold) == \
+                        reference_monomial_count(p, m, k, n), (p, m, k, n)
+
+    @given(st.sampled_from(PRIMES_BELOW_50 + [53, 97, 101]),
+           st.integers(1, 4), st.integers(1, 8), st.integers(0, 16))
+    def test_matches_reference_on_draws(self, p, m, k_off, n):
+        k = 2 * m + k_off
+        res = monomial_count(p, m, k, n)
+        assert (res.count, res.threshold) == reference_monomial_count(p, m, k, n)
+
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
             monomial_count(3, 1, 2, 4)
+
+    @pytest.mark.parametrize("args", [(3, -1, 0, 2), (3, 0, 3, 2), (3, 1, 3, -1)])
+    def test_bad_parameters(self, args):
+        # m = -1, k = 0 passes the k >= 2m + 1 test; it must not reach
+        # the division by k
+        with pytest.raises(ValueError):
+            monomial_count(*args)
+
+    def test_power_overflow_names_gamma_and_n(self):
+        # the count is exact at n = 2000; Gamma^n is not a float there
+        with pytest.raises(ValueError, match=r"Gamma\^n overflows a float at n = 2000"):
+            monomial_count(3, 1, 3, 2000)
 
 
 class TestTensor:
