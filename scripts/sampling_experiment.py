@@ -19,7 +19,7 @@ from itertools import combinations, product
 from fpsystems import (
     PointSet,
     enumerate_solutions,
-    is_interesting,
+    interesting_tuples,
     read_system_file,
     sampling_step_distinct,
     sampling_step_weight,
@@ -42,12 +42,10 @@ class StepConfig:
 
 def rescan_distinct(sys_spec, points: PointSet, survivors: PointSet,
                     ell: int) -> int:
-    count = 0
-    for idx in combinations(range(sys_spec.k), sys_spec.m + 1):
-        for tup in product(survivors.points, repeat=sys_spec.m + 1):
-            if is_interesting(sys_spec, points, idx, tup, ell):
-                count += 1
-    return count
+    return sum(len(interesting_tuples(sys_spec, points, idx, ell,
+                                      product(survivors.points,
+                                              repeat=sys_spec.m + 1)))
+               for idx in combinations(range(sys_spec.k), sys_spec.m + 1))
 
 
 def rescan_weight(sys_spec, survivors: PointSet, w: int) -> int:

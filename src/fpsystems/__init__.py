@@ -46,6 +46,7 @@ from .linsystem import (
     ValidationReport,
     count_interesting_tuples,
     enumerate_solutions,
+    interesting_tuples,
     is_interesting,
     is_solution,
     pivot_columns,
@@ -77,7 +78,7 @@ from .search import (
     greedy_lower_bound,
     verify_theorem_bound,
 )
-from .seeds import derive_seed, spawn
+from .seeds import derive_seed, spawn, spawner
 from .slicerank import (
     GammaResult,
     MonomialCountResult,

@@ -173,33 +173,35 @@ def rref_with_pivots(
     pivot column indices.  The output rows are a canonical basis of the
     row space, so identical row spaces give identical outputs.
     """
-    work = [list(reduce_coords(r, p)) for r in rows]
-    if work:
-        ncols = len(work[0])
-        if any(len(r) != ncols for r in work):
-            raise ValueError("rows have unequal lengths")
-    else:
-        ncols = 0
+    work = [[int(c) % p for c in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    if any(len(r) != ncols for r in work):
+        raise ValueError("rows have unequal lengths")
+    nrows = len(work)
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        sel = next((r for r in range(row, len(work)) if work[r][col]), None)
-        if sel is None:
+        sel = row
+        while sel < nrows and not work[sel][col]:
+            sel += 1
+        if sel == nrows:
             continue
-        work[row], work[sel] = work[sel], work[row]
-        inv = inverse_mod(work[row][col], p)
-        work[row] = [(inv * v) % p for v in work[row]]
-        piv_row = work[row]
-        for r in range(len(work)):
-            if r != row and work[r][col]:
-                c = work[r][col]
-                wr = work[r]
-                work[r] = [(wr[j] - c * piv_row[j]) % p for j in range(ncols)]
+        piv = work[sel]
+        work[sel] = work[row]
+        inv = inverse_mod(piv[col], p)
+        if inv != 1:
+            piv = [inv * v % p for v in piv]
+        work[row] = piv
+        for r in range(nrows):
+            wr = work[r]
+            c = wr[col]
+            if c and r != row:
+                work[r] = [(a - c * b) % p for a, b in zip(wr, piv)]
         pivots.append(col)
         row += 1
-        if row == len(work):
+        if row == nrows:
             break
-    return tuple(tuple(r) for r in work[:row]), tuple(pivots)
+    return tuple(map(tuple, work[:row])), tuple(pivots)
 
 
 def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DegenerateSystemError
+from .errors import CapExceededError, DegenerateSystemError
 from .fplinalg import (
     Subspace,
     check_prime,
@@ -28,6 +28,8 @@ from .fplinalg import (
     reduce_coords,
     rref_with_pivots,
 )
+
+DEFAULT_COUNT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -375,6 +377,143 @@ def enumerate_solutions(
             yield sol
 
 
+class _Completion:
+    """Solutions of the system with the entries at some positions given.
+
+    The m pivot positions are solved from the others: pivot r holds
+    const_r + sum_j w_rj * x_j over the non-pivot positions j.  The
+    pivots avoid the pinned positions as far as the other columns allow;
+    when fewer than m of those are independent, the missing pivots are
+    pinned positions, whose solved entries must equal the given points.
+    """
+
+    def __init__(self, sys_spec: SystemSpec, n: int, pinned: Sequence[int] = ()):
+        p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
+        self.p, self.pinned = p, tuple(pinned)
+        # unpinned columns first, so the echelon pivots take them first
+        order = [j for j in range(k) if j not in self.pinned] + sorted(self.pinned)
+        _, lead = rref_with_pivots(
+            [[r[j] for j in order] for r in sys_spec.coeffs], p)
+        if len(lead) < m:
+            raise DegenerateSystemError(
+                "coefficient rank below the equation count on the allowed columns")
+        self.pivots = tuple(order[j] for j in lead)
+        # (pivot row, index into the pinned points) of each pinned pivot
+        self.pinned_pivots = [(r, self.pinned.index(j))
+                              for r, j in enumerate(self.pivots) if j in self.pinned]
+        self.open_pivots = [r for r, j in enumerate(self.pivots)
+                            if j not in self.pinned]
+        self.free = [j for j in range(k)
+                     if j not in self.pivots and j not in self.pinned]
+        minv = invert_matrix(
+            [[r[j] for j in self.pivots] for r in sys_spec.coeffs], p)
+        bs = sys_spec.constant_rows(n)
+        self.const = [tuple(sum(row[t] * bs[t][s] for t in range(m)) % p
+                            for s in range(n)) for row in minv]
+        self.weights = {
+            j: [-sum(row[t] * sys_spec.coeffs[t][j] for t in range(m)) % p
+                for row in minv]
+            for j in range(k) if j not in self.pivots}
+
+    def supports(self, pool: Sequence[tuple[int, ...]], bits: dict,
+                 pins: Sequence[tuple[int, ...]] = ()) -> Iterator[int]:
+        """The support, as an OR of ``bits`` values, of the entries off
+        the pinned positions of every solution whose pinned entries are
+        ``pins``, whose free entries lie in ``pool`` and whose pivot
+        entries have a bit; once per solution."""
+        p, weights = self.p, self.weights
+        consts = self.const
+        for j, x in zip(self.pinned, pins):
+            if j in weights:
+                consts = [tuple(c + w * v for c, v in zip(const, x))
+                          for const, w in zip(consts, weights[j])]
+        *head, last = self.free or [None]
+        # the entries solved from the last free position depend on the
+        # others only through the partial sums, which repeat, so each
+        # distinct partial is completed once
+        ends: dict = {}
+        for prefix in product(pool, repeat=len(head)):
+            partial, prefix_mask = consts, 0
+            for j, x in zip(head, prefix):
+                prefix_mask |= bits[x]
+                partial = [tuple(a + w * c for a, c in zip(base, x))
+                           for base, w in zip(partial, weights[j])]
+            key = tuple(tuple(a % p for a in base) for base in partial)
+            done = ends.get(key)
+            if done is None:
+                done = ends[key] = self._ends(key, pool, bits, last, pins)
+            for end in done:
+                yield prefix_mask | end
+
+    def _ends(self, partial, pool, bits: dict, last: int | None,
+              pins: Sequence[tuple[int, ...]]) -> list[int]:
+        """Bits of the last free entry and the unpinned pivot entries,
+        for each choice of the last free entry that completes a
+        solution."""
+        p, out = self.p, []
+        for x in pool if last is not None else (None,):
+            if x is None:
+                vecs, end = partial, 0
+            else:
+                vecs = [tuple((a + w * c) % p for a, c in zip(base, x))
+                        for base, w in zip(partial, self.weights[last])]
+                end = bits[x]
+            if self.pinned_pivots and any(
+                    vecs[r] != pins[i] for r, i in self.pinned_pivots):
+                continue
+            for r in self.open_pivots:
+                bit = bits.get(vecs[r])
+                if bit is None:
+                    break
+                end |= bit
+            else:
+                out.append(end)
+        return out
+
+
+def _interesting_positions(sys_spec: SystemSpec, index_set: Sequence[int],
+                           ell: int) -> tuple[int, ...]:
+    m, k = sys_spec.m, sys_spec.k
+    idx = tuple(sorted(set(index_set)))
+    if len(idx) != m + 1:
+        raise ValueError(f"need an index set and tuple of size m + 1 = {m + 1}")
+    if any(not 0 <= i < k for i in idx):
+        raise IndexError("index set out of range")
+    if not 1 <= ell <= k:
+        raise ValueError(f"ell must lie in 1..{k}")
+    return idx
+
+
+def interesting_tuples(
+    sys_spec: SystemSpec,
+    points: PointSet,
+    index_set: Sequence[int],
+    ell: int,
+    tuples: Iterable[Sequence[tuple[int, ...]]],
+) -> list:
+    """The interesting tuples among ``tuples``, in order (see
+    ``is_interesting``).  Each tuple holds m + 1 members of ``points``
+    as reduced coordinate tuples; the pivots, inverse minor and affine
+    weights of the completion are built once for the index set."""
+    m, p = sys_spec.m, sys_spec.p
+    idx = _interesting_positions(sys_spec, index_set, ell)
+    need = max(0, ell - m - 1)
+    completion = None
+    out = []
+    for xs in tuples:
+        if len(rref_with_pivots(xs, p)[0]) != m + 1:
+            continue
+        if completion is None:
+            # built at the first independent tuple, as dependent tuples
+            # never need one
+            completion = _Completion(sys_spec, points.n, idx)
+            bits = {v: 1 << i for i, v in enumerate(points.points)}
+        if any(support.bit_count() >= need
+               for support in completion.supports(points.points, bits, xs)):
+            out.append(xs)
+    return out
+
+
 def is_interesting(
     sys_spec: SystemSpec,
     points: PointSet,
@@ -385,27 +524,14 @@ def is_interesting(
     """Whether an (m+1)-tuple on the positions ``index_set`` is linearly
     independent and extends to a full solution in the point set with at
     least ell - m - 1 distinct vectors among the completed positions."""
-    m, k = sys_spec.m, sys_spec.k
-    idx = tuple(sorted(set(index_set)))
-    if len(idx) != m + 1 or len(tuple_entries) != m + 1:
-        raise ValueError(f"need an index set and tuple of size m + 1 = {m + 1}")
-    if any(not 0 <= i < k for i in idx):
-        raise IndexError("index set out of range")
-    if not 1 <= ell <= k:
-        raise ValueError(f"ell must lie in 1..{k}")
+    if len(tuple_entries) != sys_spec.m + 1:
+        raise ValueError(
+            f"need an index set and tuple of size m + 1 = {sys_spec.m + 1}")
+    idx = _interesting_positions(sys_spec, index_set, ell)
     xs = [reduce_coords(coords_of(x), sys_spec.p) for x in tuple_entries]
     if any(x not in points for x in xs):
         raise ValueError("tuple entries must belong to the point set")
-    if rank(xs, sys_spec.p) != m + 1:
-        return False
-    pin = dict(zip(idx, xs))
-    need = max(0, ell - m - 1)
-    rest = [j for j in range(k) if j not in pin]
-    for sol in enumerate_solutions(sys_spec, points, pinned=pin):
-        completion = [sol.entries[j] for j in rest]
-        if len(set(completion)) >= need:
-            return True
-    return False
+    return bool(interesting_tuples(sys_spec, points, idx, ell, [xs]))
 
 
 @dataclass(frozen=True)
@@ -418,16 +544,19 @@ class InterestingCountReport:
 
 
 def count_interesting_tuples(
-    sys_spec: SystemSpec, points: PointSet, index_set: Sequence[int], ell: int
+    sys_spec: SystemSpec, points: PointSet, index_set: Sequence[int], ell: int,
+    cap: int = DEFAULT_COUNT_CAP,
 ) -> InterestingCountReport:
     """Exact count of interesting tuples on ``index_set``, against the
-    k^2 * p^(m n) ceiling."""
+    k^2 * p^(m n) ceiling.  Raises CapExceededError, before any work,
+    when the |A|^(m+1) candidate tuples exceed ``cap``."""
     m = sys_spec.m
-    idx = tuple(sorted(set(index_set)))
-    count = 0
-    for tup in product(points.points, repeat=m + 1):
-        if is_interesting(sys_spec, points, idx, tup, ell):
-            count += 1
+    idx = _interesting_positions(sys_spec, index_set, ell)
+    work = len(points) ** (m + 1)
+    if work > cap:
+        raise CapExceededError(f"{work} candidate tuples exceed the cap {cap}")
+    count = len(interesting_tuples(sys_spec, points, idx, ell,
+                                   product(points.points, repeat=m + 1)))
     bound = sys_spec.k**2 * sys_spec.p ** (m * points.n)
     return InterestingCountReport(idx, ell, count, bound, count <= bound)
 

@@ -37,8 +37,8 @@ from .fplinalg import (
     reduce_coords,
     span,
 )
-from .linsystem import PointSet, SystemSpec, enumerate_solutions, is_interesting
-from .seeds import spawn
+from .linsystem import PointSet, SystemSpec, enumerate_solutions, interesting_tuples
+from .seeds import spawner
 from .slicerank import gamma
 from .weights import weight
 
@@ -106,6 +106,9 @@ def verify_containment(
     the exact value; Monte Carlo mode samples ``trials`` subspaces with
     per-trial generators derived from the seed, and flags a frequency
     further than three binomial standard deviations from the mean.
+    A standard basis vector e_i lies in a subspace exactly when it is
+    a row of the reduced echelon basis (its coordinates in that basis
+    are its entries at the pivot columns), so that is the test.
     """
     p = check_prime(p)
     if s > n:
@@ -118,7 +121,7 @@ def verify_containment(
         method = "exhaustive" if gaussian_binomial(n, d, p) <= enum_cap else "monte-carlo"
     if method == "exhaustive":
         subspaces = enumerate_subspaces(n, d, p, cap=enum_cap)
-        hits = sum(1 for v in subspaces if all(v.contains(e) for e in basis))
+        hits = sum(1 for v in subspaces if all(e in v.basis for e in basis))
         total = len(subspaces)
         freq = Fraction(hits, total)
         return ContainmentCheck(p, n, d, s, prob.exact, prob.upper, "exhaustive",
@@ -126,10 +129,10 @@ def verify_containment(
     if trials < 1:
         raise ValueError("Monte Carlo needs at least one trial")
     hits = 0
+    trial_rng = spawner(seed, "containment")
     for i in range(trials):
-        rng = spawn(seed, "containment", i)
-        v = random_subspace(n, d, p, rng)
-        if all(v.contains(e) for e in basis):
+        v = random_subspace(n, d, p, trial_rng(i))
+        if all(e in v.basis for e in basis):
             hits += 1
     freq = hits / trials
     mean = float(prob.exact)
@@ -202,9 +205,8 @@ def sampling_step_distinct(
         raise CapExceededError(f"{work} candidate tuples exceed the cap {cap}")
     offending = []
     for idx in index_sets:
-        for tup in product(inside.points, repeat=m + 1):
-            if is_interesting(sys_spec, points, idx, tup, ell):
-                offending.append(tup)
+        offending += interesting_tuples(sys_spec, points, idx, ell,
+                                        product(inside.points, repeat=m + 1))
     removed = _delete_per_structure(offending)
     survivors = inside.without(removed)
     return SamplingStepReport(d, len(inside), len(offending), len(survivors),

@@ -45,14 +45,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, DegenerateSystemError
-from .fplinalg import invert_matrix
+from .errors import CapExceededError
 from .linsystem import (
     ClassFilter,
     PointSet,
     SystemSpec,
+    _Completion,
     enumerate_solutions,
-    pivot_columns,
 )
 from .slicerank import gamma
 
@@ -137,94 +136,6 @@ def _spans(rows: Iterable[tuple[int, ...]], r: int, p: int) -> bool:
             if len(basis) == r:
                 return True
     return False
-
-
-class _Completion:
-    """Supports of the solutions whose entries lie in a point pool.
-
-    Each pivot entry is affine in the other entries, pivot r holding
-    const_r + sum_j w_rj * x_j.  With ``pinned`` set, that position
-    holds a given point: the pivots avoid it when some pivot basis
-    does, and otherwise, the column lying in every basis, it stays a
-    pivot whose solved entry must equal the point.
-    """
-
-    def __init__(self, sys_spec: SystemSpec, n: int, pinned: int | None = None):
-        p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
-        try:
-            self.pivots = pivot_columns(
-                sys_spec, excluded=() if pinned is None else (pinned,))
-        except DegenerateSystemError:
-            # the pinned column lies in every pivot basis (or, unpinned,
-            # the system is rank deficient and this raises again)
-            self.pivots = pivot_columns(sys_spec)
-        self.p, self.pinned = p, pinned
-        self.pinned_pivot = (self.pivots.index(pinned)
-                             if pinned in self.pivots else None)
-        self.free = [j for j in range(k)
-                     if j not in self.pivots and j != pinned]
-        minv = invert_matrix(
-            [[r[j] for j in self.pivots] for r in sys_spec.coeffs], p)
-        bs = sys_spec.constant_rows(n)
-        self.const = [tuple(sum(row[t] * bs[t][s] for t in range(m)) % p
-                            for s in range(n)) for row in minv]
-        self.weights = {
-            j: [-sum(row[t] * sys_spec.coeffs[t][j] for t in range(m)) % p
-                for row in minv]
-            for j in range(k) if j not in self.pivots}
-
-    def supports(self, pool: Sequence[tuple[int, ...]], bits: dict,
-                 pin: tuple[int, ...] | None = None) -> Iterator[int]:
-        """The support, as an OR of ``bits`` values, of every solution
-        whose free entries lie in ``pool``, whose pivot entries have a
-        bit and whose pinned entry is ``pin``; once per solution."""
-        p, weights = self.p, self.weights
-        consts, mask = self.const, 0
-        if pin is not None:
-            mask = bits[pin]
-            if self.pinned_pivot is None:
-                consts = [tuple(c + w * v for c, v in zip(const, pin))
-                          for const, w in zip(consts, weights[self.pinned])]
-        *head, last = self.free or [None]
-        # the entries solved from the last free position depend on the
-        # others only through the partial sums, which repeat, so each
-        # distinct partial is completed once
-        ends: dict = {}
-        for prefix in product(pool, repeat=len(head)):
-            partial, prefix_mask = consts, mask
-            for j, x in zip(head, prefix):
-                prefix_mask |= bits[x]
-                partial = [tuple(a + w * c for a, c in zip(base, x))
-                           for base, w in zip(partial, weights[j])]
-            key = tuple(tuple(a % p for a in base) for base in partial)
-            done = ends.get(key)
-            if done is None:
-                done = ends[key] = self._ends(key, pool, bits, last, pin)
-            for end in done:
-                yield prefix_mask | end
-
-    def _ends(self, partial, pool, bits: dict, last: int | None,
-              pin: tuple[int, ...] | None) -> list[int]:
-        """Bits of the last free entry and the pivot entries, for each
-        choice of the last free entry that completes a solution."""
-        p, out = self.p, []
-        for x in pool if last is not None else (None,):
-            if x is None:
-                vecs, end = partial, 0
-            else:
-                vecs = [tuple((a + w * c) % p for a, c in zip(base, x))
-                        for base, w in zip(partial, self.weights[last])]
-                end = bits[x]
-            if self.pinned_pivot is not None and vecs[self.pinned_pivot] != pin:
-                continue
-            for vec in vecs:
-                bit = bits.get(vec)
-                if bit is None:
-                    break
-                end |= bit
-            else:
-                out.append(end)
-        return out
 
 
 class _SupportIndex:
@@ -369,7 +280,7 @@ def greedy_lower_bound(
     if restarts > 0 and rng is None:
         raise ValueError("restarts need a seeded rng")
     sys_spec = problem.sys_spec
-    checks = [_Completion(sys_spec, problem.n, pinned=pos)
+    checks = [_Completion(sys_spec, problem.n, pinned=(pos,))
               for pos in range(sys_spec.k)]
     mode, k, p = problem.mode, sys_spec.k, sys_spec.p
     nodes = 0
@@ -384,8 +295,9 @@ def greedy_lower_bound(
             nodes += 1
             bits[x] = 1 << len(members)
             pool = members + [x]
-            if any(_admits(mode, pool, support, k, p) for check in checks
-                   for support in check.supports(pool, bits, pin=x)):
+            if any(_admits(mode, pool, support | bits[x], k, p)
+                   for check in checks
+                   for support in check.supports(pool, bits, pins=(x,))):
                 del bits[x]
             else:
                 members.append(x)

@@ -10,6 +10,7 @@ trial indices) are decorrelated while staying reproducible.  Built-in
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -23,19 +24,30 @@ def _mix(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK
 
 
+def _fold(x: int, label: int | str) -> int:
+    if isinstance(label, str):
+        for byte in label.encode("utf-8"):
+            x = _mix((x + _GOLDEN + byte) & _MASK)
+        return x
+    return _mix((x + _GOLDEN + (label & _MASK)) & _MASK)
+
+
 def derive_seed(master: int, *labels: int | str) -> int:
     """Derive a 64-bit seed from a master seed and a label path."""
     x = (master & _MASK) + _GOLDEN & _MASK
     x = _mix(x)
     for label in labels:
-        if isinstance(label, str):
-            for byte in label.encode("utf-8"):
-                x = _mix((x + _GOLDEN + byte) & _MASK)
-        else:
-            x = _mix((x + _GOLDEN + (label & _MASK)) & _MASK)
+        x = _fold(x, label)
     return x
 
 
 def spawn(master: int, *labels: int | str) -> random.Random:
     """A fresh random.Random seeded by derive_seed(master, *labels)."""
     return random.Random(derive_seed(master, *labels))
+
+
+def spawner(master: int, *labels: int | str) -> Callable[[int | str], random.Random]:
+    """``spawn(master, *labels, last)`` as a function of the last label,
+    with the common prefix folded once; for per-trial streams."""
+    prefix = derive_seed(master, *labels)
+    return lambda last: random.Random(_fold(prefix, last))

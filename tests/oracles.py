@@ -6,14 +6,17 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Three exceptions sit at the end.  The earlier weight, which checks all
+Five exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
 the system again for every candidate, is the reference that the
 support-index search must reproduce node for node.  The earlier
 monomial count, a big-integer convolution of degree distributions, is
-the reference for the inclusion-exclusion count.
+the reference for the inclusion-exclusion count.  The earlier row
+reduction is the reference for the leaner one, and the earlier
+interesting-tuple test, which runs a pinned enumeration per tuple, is
+the reference for the completion built once per index set.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ import numpy as np
 
 from fpsystems.fplinalg import (
     Subspace,
+    coords_of,
+    inverse_mod,
     invert_matrix,
     normalize_line_rep,
     reduce_coords,
     rref_with_pivots,
 )
-from fpsystems.linsystem import pivot_columns
+from fpsystems.linsystem import enumerate_solutions, pivot_columns
 from fpsystems.weights import AdmissibleSet, WeightReport
 
 
@@ -447,3 +452,63 @@ def reference_monomial_count(p: int, m: int, k: int, n: int) -> tuple[int, int]:
     threshold = floor(mn(p-1)/k), summed from the convolved table."""
     threshold = (m * n * (p - 1)) // k
     return sum(_degree_sum_counts(p, n)[: threshold + 1]), threshold
+
+
+def reference_rref_with_pivots(rows, p: int):
+    """Reduced row echelon form and pivot columns, as the package
+    computed them before the leaner elimination."""
+    work = [list(reduce_coords(r, p)) for r in rows]
+    if work:
+        ncols = len(work[0])
+        if any(len(r) != ncols for r in work):
+            raise ValueError("rows have unequal lengths")
+    else:
+        ncols = 0
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        sel = next((r for r in range(row, len(work)) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[row], work[sel] = work[sel], work[row]
+        inv = inverse_mod(work[row][col], p)
+        work[row] = [(inv * v) % p for v in work[row]]
+        piv_row = work[row]
+        for r in range(len(work)):
+            if r != row and work[r][col]:
+                c = work[r][col]
+                wr = work[r]
+                work[r] = [(wr[j] - c * piv_row[j]) % p for j in range(ncols)]
+        pivots.append(col)
+        row += 1
+        if row == len(work):
+            break
+    return tuple(tuple(r) for r in work[:row]), tuple(pivots)
+
+
+def reference_is_interesting(sys_spec, points, index_set, tuple_entries,
+                             ell: int) -> bool:
+    """The interesting-tuple test as the package ran it before the
+    completion was built once per index set: validate, test
+    independence, then enumerate the solutions with the tuple pinned."""
+    m, k = sys_spec.m, sys_spec.k
+    idx = tuple(sorted(set(index_set)))
+    if len(idx) != m + 1 or len(tuple_entries) != m + 1:
+        raise ValueError(f"need an index set and tuple of size m + 1 = {m + 1}")
+    if any(not 0 <= i < k for i in idx):
+        raise IndexError("index set out of range")
+    if not 1 <= ell <= k:
+        raise ValueError(f"ell must lie in 1..{k}")
+    xs = [reduce_coords(coords_of(x), sys_spec.p) for x in tuple_entries]
+    if any(x not in points for x in xs):
+        raise ValueError("tuple entries must belong to the point set")
+    if len(reference_rref_with_pivots(xs, sys_spec.p)[0]) != m + 1:
+        return False
+    pin = dict(zip(idx, xs))
+    need = max(0, ell - m - 1)
+    rest = [j for j in range(k) if j not in pin]
+    for sol in enumerate_solutions(sys_spec, points, pinned=pin):
+        completion = [sol.entries[j] for j in rest]
+        if len(set(completion)) >= need:
+            return True
+    return False

@@ -11,6 +11,11 @@ AP3 = "p=3 m=1 k=3\n1 1 1\n"
 BAD_MINOR = "p=3 m=1 k=3\n1 2 0\n"
 S531 = "p=5 m=1 k=3\n1 3 1\n"
 K4 = "p=3 m=1 k=4\n1 1 2 2\n"
+M2K4 = "p=3 m=2 k=4\n1 1 1 0\n0 1 2 1\n"
+# eleven nonzero points of F_3^3 where the deletion steps leave a survivor
+SPARSE_F3_3 = [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 2), (1, 1, 0),
+               (1, 2, 2), (2, 0, 0), (2, 1, 2), (2, 2, 1), (1, 1, 1),
+               (0, 1, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +23,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     paths = {}
     for name, text in (("ap3", AP3), ("bad", BAD_MINOR), ("s531", S531),
-                       ("k4", K4)):
+                       ("k4", K4), ("m2k4", M2K4)):
         path = root / f"{name}.system"
         path.write_text(text)
         paths[name] = str(path)
@@ -28,6 +33,10 @@ def files(tmp_path_factory):
     diag = root / "diag.tensor"
     diag.write_text("2 2 3\n0 0 0 1\n1 1 1 1\n")
     paths["diag"] = str(diag)
+    sparse = root / "sparse.vectors"
+    sparse.write_text("p=3 n=3\n" + "".join(
+        " ".join(map(str, v)) + "\n" for v in SPARSE_F3_3))
+    paths["sparse"] = str(sparse)
     return paths
 
 
@@ -236,6 +245,49 @@ WEIGHT_STDOUT = [
 ]
 
 
+def _exact(num, den):
+    return {"denominator": den, "numerator": num, "value": num / den}
+
+
+def _step(d, deleted, kept, removed, survivors):
+    return {"d": d, "deleted": deleted, "kept": kept, "removed": removed,
+            "surviving": len(survivors),
+            "survivors": {"n": 3, "p": 3, "points": survivors},
+            "target": None}
+
+
+# argv entries starting with @ name a file of the ``files`` fixture
+SAMPLE_STDOUT = [
+    (["sample", "containment", "--p", "3", "--n", "4", "--d", "3", "--s", "2",
+      "--method", "monte-carlo", "--trials", "200", "--seed", "5"],
+     {"command": "sample", "seed": 5, "result": {
+         "d": 3, "exact": _exact(1, 10), "frequency": 0.13, "hits": 26,
+         "method": "monte-carlo", "n": 4, "p": 3, "s": 2,
+         "sigma": 0.021213203435596427, "trials": 200, "upper": _exact(1, 9),
+         "within_3sigma": True}}),
+    (["sample", "containment", "--p", "2", "--n", "4", "--d", "2", "--s", "2"],
+     {"command": "sample", "seed": 0, "result": {
+         "d": 2, "exact": _exact(1, 35), "frequency": 1 / 35, "hits": 1,
+         "method": "exhaustive", "n": 4, "p": 2, "s": 2, "sigma": 0.0,
+         "trials": 35, "upper": _exact(1, 16), "within_3sigma": True}}),
+    (["sample", "step-distinct", "--system", "@ap3", "--n", "3",
+      "--exclude-zero", "--d", "2", "--seed", "1"],
+     {"command": "sample", "seed": 1, "result": _step(
+         2, 144, 8, [[0, 1, 1], [0, 2, 2], [1, 0, 2], [1, 1, 0], [1, 2, 1],
+                     [2, 0, 1], [2, 1, 2], [2, 2, 0]], [])}),
+    (["sample", "step-distinct", "--system", "@ap3", "--points", "@sparse",
+      "--d", "2", "--seed", "4", "--ell", "2"],
+     {"command": "sample", "seed": 4, "result": _step(
+         2, 18, 4, [[0, 0, 1], [0, 1, 1], [0, 2, 1]], [[0, 1, 2]])}),
+    (["sample", "step-weight", "--system", "@ap3", "--points", "@sparse",
+      "--d", "3", "--w", "5", "--seed", "2"],
+     {"command": "sample", "seed": 2, "result": _step(
+         3, 36, 11, [[0, 0, 1], [0, 1, 1], [0, 2, 1], [1, 0, 2], [1, 1, 0],
+                     [1, 1, 1], [1, 2, 2], [2, 0, 0], [2, 1, 2], [2, 2, 1]],
+         [[0, 1, 2]])}),
+]
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, files, capsys, monkeypatch):
         monkeypatch.delenv("SEED", raising=False)
@@ -273,6 +325,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("argv,frozen", WEIGHT_STDOUT)
     def test_weight_stdout_frozen(self, argv, frozen, capsys):
         # the full --no-timestamp stdout, admissible listing included
+        code, out, _ = run_cli(argv + ["--no-timestamp"], capsys)
+        assert code == 0
+        assert out == json.dumps(frozen, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv,frozen", SAMPLE_STDOUT)
+    def test_sample_stdout_frozen(self, argv, frozen, files, capsys,
+                                  monkeypatch):
+        monkeypatch.delenv("SEED", raising=False)
+        argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
         code, out, _ = run_cli(argv + ["--no-timestamp"], capsys)
         assert code == 0
         assert out == json.dumps(frozen, indent=2, sort_keys=True) + "\n"
@@ -324,6 +385,18 @@ class TestExitCodes:
                                  capsys)
         assert code == 0
         assert data["result"]["report"]["ok"] is True
+
+    def test_step_distinct_with_few_unpinned_columns(self, files, capsys):
+        # generic minors but k = 4 < 2m + 1: two pivots cannot both avoid
+        # the three pinned positions; this exited 2 as a degenerate system
+        code, data, err = run_json(["sample", "step-distinct", "--system",
+                                    files["m2k4"], "--n", "3", "--d", "3",
+                                    "--exclude-zero"], capsys)
+        assert code == 0, err
+        result = data["result"]
+        assert result["kept"] == 26
+        assert result["deleted"] == 0
+        assert result["surviving"] == 26
 
     def test_validate_failing_minor(self, files, capsys):
         code, data, _ = run_json(["validate", "--system", files["bad"]],

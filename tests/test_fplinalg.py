@@ -28,7 +28,13 @@ from fpsystems import (
     span,
     write_vector_file,
 )
-from .oracles import rank_by_minors, span_table, subspaces_as_sets
+from fpsystems.fplinalg import _INV_TABLE_MAX
+from .oracles import (
+    rank_by_minors,
+    reference_rref_with_pivots,
+    span_table,
+    subspaces_as_sets,
+)
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -93,6 +99,33 @@ class TestRref:
             col = [row[c] for row in reduced]
             assert col[r] == 1
             assert all(v == 0 for i, v in enumerate(col) if i != r)
+
+    # 65537 is the first prime above the inverse-table limit, so
+    # inverses there come from pow, not the table
+    REFERENCE_PRIMES = (2, 3, 5, 7, 101, 65537)
+
+    @given(st.sampled_from(REFERENCE_PRIMES).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(0, 8).flatmap(
+            lambda ncols: st.lists(st.lists(
+                st.one_of(st.integers(-3 * p, 3 * p), st.booleans()),
+                min_size=ncols, max_size=ncols), max_size=6)))))
+    def test_matches_reference(self, case):
+        p, rows = case
+        assert max(self.REFERENCE_PRIMES) > _INV_TABLE_MAX
+        assert rref_with_pivots(rows, p) == reference_rref_with_pivots(rows, p)
+
+    @pytest.mark.parametrize("p", REFERENCE_PRIMES)
+    def test_matches_reference_on_edge_shapes(self, p):
+        for rows in ([], [[]], [[], []], [[0, 0], [0, 0]], [[p, -p, 2 * p]],
+                     [[True, False], [False, True], [True, True]],
+                     [[-1, 1, 0], [1, -1, 0], [0, 0, -1]]):
+            assert (rref_with_pivots(rows, p)
+                    == reference_rref_with_pivots(rows, p))
+        for rows in ([[1, 2], [3]], [[], [1]], [[1], [0], [1, 0]]):
+            with pytest.raises(ValueError):
+                rref_with_pivots(rows, p)
+            with pytest.raises(ValueError):
+                reference_rref_with_pivots(rows, p)
 
     def test_rank_accepts_matrix_type(self):
         m = FpMatrix.make([(1, 2), (2, 1)], 3)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fpsystems import (
+    CapExceededError,
     ClassFilter,
     DegenerateSystemError,
     PointSet,
@@ -13,6 +14,7 @@ from fpsystems import (
     SystemSpec,
     count_interesting_tuples,
     enumerate_solutions,
+    interesting_tuples,
     is_interesting,
     is_solution,
     pivot_columns,
@@ -20,7 +22,7 @@ from fpsystems import (
     validate,
     write_system_file,
 )
-from .oracles import brute_solutions
+from .oracles import brute_solutions, rank_by_minors, reference_is_interesting
 
 PRIMES = st.sampled_from([2, 3, 5])
 
@@ -246,6 +248,128 @@ class TestInteresting:
         points = PointSet.make([], 3, n=2)
         report = count_interesting_tuples(sys_ap3, points, (0, 1), 3)
         assert report.count == 0
+
+
+    def test_count_cap_raises_before_any_work(self, sys_ap3, monkeypatch):
+        import fpsystems.linsystem as linsystem
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("tuples scanned despite the cap")
+        monkeypatch.setattr(linsystem, "interesting_tuples", no_work)
+        monkeypatch.setattr(linsystem, "rank", no_work)
+        points = PointSet.full_space(2, 3)
+        with pytest.raises(CapExceededError):
+            count_interesting_tuples(sys_ap3, points, (0, 1), 3, cap=80)
+        # the default cap of 10^6 candidate pairs: 1009^2 > 10^6
+        spec = SystemSpec.make([(1, 1, 1007)], 1009)
+        with pytest.raises(CapExceededError):
+            count_interesting_tuples(spec, PointSet.full_space(1, 1009),
+                                     (0, 1), 3)
+
+
+# points of F_5^3 with solutions of the m = 2 system below: pinning e1,
+# e2, e3 at positions 0, 1, 2 solves x4 = (1,2,3), x5 = (3,2,1)
+M2_POINTS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (3, 2, 1), (1, 1, 0)]
+
+REFERENCE_CASES = [
+    ("x+y+z=0 F_3^2", [(1, 1, 1)], 3, None, PointSet.full_space(2, 3)),
+    ("x+y+z=0 F_3^3*", [(1, 1, 1)], 3, None,
+     PointSet.full_space(3, 3, include_zero=False)),
+    ("x+y+2z+2w=0 F_3^2", [(1, 1, 2, 2)], 3, None, PointSet.full_space(2, 3)),
+    ("x+y+z=(1,0) F_3^2", [(1, 1, 1)], 3, [(1, 0)], PointSet.full_space(2, 3)),
+    ("m=2 F_5^3", [(1, 1, 1, 1, 1), (1, 2, 3, 4, 0)], 5, None,
+     PointSet.make(M2_POINTS, 5)),
+    # on these three points some tuples complete only with a repeated
+    # entry, so the distinct count must leave out the pinned entries
+    ("x1+...+x5=0 three points of F_3^2", [(1, 1, 1, 1, 1)], 3, None,
+     PointSet.make([(0, 2), (0, 1), (1, 0)], 3)),
+]
+
+
+class TestInterestingAgainstReference:
+    """The completion built once per index set against the earlier
+    per-tuple pinned enumeration (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("coeffs,p,constants,points",
+                             [case[1:] for case in REFERENCE_CASES],
+                             ids=[case[0] for case in REFERENCE_CASES])
+    def test_every_index_set_tuple_and_ell(self, coeffs, p, constants, points):
+        spec = SystemSpec.make(coeffs, p, constants)
+        m, k = spec.m, spec.k
+        tuples = list(product(points.points, repeat=m + 1))
+        found = 0
+        for idx in combinations(range(k), m + 1):
+            for ell in range(1, k + 1):
+                expected = [tup for tup in tuples if reference_is_interesting(
+                    spec, points, idx, tup, ell)]
+                assert [tup for tup in tuples if is_interesting(
+                    spec, points, idx, tup, ell)] == expected, (idx, ell)
+                assert interesting_tuples(spec, points, idx, ell,
+                                          tuples) == expected
+                report = count_interesting_tuples(spec, points, idx, ell)
+                assert report.count == len(expected)
+                found += len(expected)
+        assert found
+
+    @pytest.mark.parametrize("index_set,entries,ell", [
+        ((0,), ((1, 0), (0, 1)), 3),
+        ((0, 0), ((1, 0), (0, 1)), 3),
+        ((0, 1, 2), ((1, 0), (0, 1)), 3),
+        ((0, 1), ((1, 0),), 3),
+        ((0, 1), ((1, 0), (0, 1), (1, 1)), 3),
+        ((0, 3), ((1, 0), (0, 1)), 3),
+        ((-1, 0), ((1, 0), (0, 1)), 3),
+        ((0, 3), ((1, 0),), 3),
+        ((0, 1), ((1, 0), (0, 1)), 0),
+        ((0, 1), ((1, 0), (0, 1)), 4),
+        ((0, 1), ((0, 0), (0, 1)), 3),
+        ((0, 1), ((1, 0, 0), (0, 1)), 3),
+    ])
+    def test_same_exceptions(self, sys_ap3, index_set, entries, ell):
+        points = PointSet.full_space(2, 3, include_zero=False)
+        with pytest.raises((ValueError, IndexError)) as ref:
+            reference_is_interesting(sys_ap3, points, index_set, entries, ell)
+        with pytest.raises(ref.type) as ours:
+            is_interesting(sys_ap3, points, index_set, entries, ell)
+        assert type(ours.value) is ref.type
+        assert str(ours.value) == str(ref.value)
+        if len(entries) == 2 and all(x in points for x in entries):
+            # an index set or ell fault: counting rejects it alike
+            with pytest.raises(ref.type):
+                count_interesting_tuples(sys_ap3, points, index_set, ell)
+
+
+class TestFewUnpinnedColumns:
+    """k < 2m + 1 with generic minors: fewer than m columns remain off
+    the m + 1 pinned positions, so some pivots are pinned and their
+    solved entries must equal the pinned points."""
+
+    ROWS = [(1, 1, 1, 0), (0, 1, 2, 1)]
+    POINTS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1),
+              (2, 0, 1), (0, 2, 2), (1, 2, 0)]
+
+    @pytest.mark.parametrize("constants", [None, [(1, 0, 0), (0, 1, 0)]])
+    def test_matches_brute_force(self, constants):
+        spec = SystemSpec.make(self.ROWS, 3, constants)
+        assert spec.generic_minors and spec.k < 2 * spec.m + 1
+        points = PointSet.make(self.POINTS, 3)
+        sols = brute_solutions(self.ROWS, constants, 3, self.POINTS, 3)
+        found = 0
+        for idx in combinations(range(4), 3):
+            rest = [j for j in range(4) if j not in idx]
+            for tup in product(self.POINTS, repeat=3):
+                independent = rank_by_minors([list(x) for x in tup], 3) == 3
+                for ell in range(1, 5):
+                    expected = independent and any(
+                        tuple(s[i] for i in idx) == tup
+                        and len({s[j] for j in rest}) >= ell - 3
+                        for s in sols)
+                    assert is_interesting(spec, points, idx, tup,
+                                          ell) == expected
+                    found += expected
+        # homogeneous: eliminating the lone free variable leaves a
+        # nontrivial relation no independent triple satisfies
+        assert bool(found) == (constants is not None)
 
 
 class TestSystemFiles:

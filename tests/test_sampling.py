@@ -26,7 +26,7 @@ from fpsystems import (
     weight,
 )
 from fpsystems.sampling import _delete_per_structure
-from fpsystems.seeds import spawn
+from fpsystems.seeds import spawn, spawner
 from .oracles import containment_fraction
 
 
@@ -117,6 +117,124 @@ class TestVerifyContainment:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             verify_containment(2, 3, 2, 1, method="guess")
+
+
+# Results printed by the package before the per-trial set-up and the
+# deletion steps were reworked; the same seeds must give them exactly.
+CONTAINMENT_FROZEN = [
+    ((3, 3, 2, 1), 0, 95, 0.31666666666666665),
+    ((3, 3, 2, 1), 7, 91, 0.30333333333333334),
+    ((2, 4, 3, 2), 0, 64, 0.21333333333333335),
+    ((2, 4, 3, 2), 7, 71, 0.23666666666666666),
+    ((3, 4, 3, 2), 0, 31, 0.10333333333333333),
+    ((3, 4, 3, 2), 7, 33, 0.11),
+    ((5, 3, 2, 1), 0, 67, 0.22333333333333333),
+    ((5, 3, 2, 1), 7, 43, 0.14333333333333334),
+    ((3, 3, 0, 1), 0, 0, 0.0),
+    ((3, 3, 0, 1), 7, 0, 0.0),
+    ((2, 3, 3, 2), 0, 300, 1.0),
+    ((2, 3, 3, 2), 7, 300, 1.0),
+]
+EXHAUSTIVE_FROZEN = [
+    ((2, 4, 2, 2), 35, 1),
+    ((3, 3, 2, 2), 13, 1),
+    ((2, 3, 3, 3), 1, 1),
+    ((3, 3, 0, 1), 1, 0),
+    ((2, 4, 3, 1), 15, 7),
+]
+# eleven nonzero points of F_3^3 where the deletion steps leave a survivor
+SPARSE = [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 2), (1, 1, 0), (1, 2, 2),
+          (2, 0, 0), (2, 1, 2), (2, 2, 1), (1, 1, 1), (0, 1, 2)]
+STEP_SYSTEMS = {"ap3": [(1, 1, 1)], "k4": [(1, 1, 2, 2)]}
+STEP_POINTS = {
+    "full3": PointSet.full_space(3, 3, include_zero=False),
+    "full2": PointSet.full_space(2, 3, include_zero=False),
+    "sparse": PointSet.make(SPARSE, 3),
+}
+# (kind, system, points, d, ell or w, seed, kept, deleted, survivors, removed)
+STEP_FROZEN = [
+    ('distinct', 'ap3', 'full3', 2, 3, 1, 8, 144,
+     [],
+     [(0, 1, 0), (0, 2, 0), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 0, 2),
+      (2, 1, 2), (2, 2, 2)]),
+    ('distinct', 'ap3', 'sparse', 3, 3, 2, 11, 108,
+     [(0, 1, 2)],
+     [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1),
+      (1, 2, 2), (2, 0, 0), (2, 1, 2), (2, 2, 1)]),
+    ('distinct', 'ap3', 'sparse', 2, 2, 3, 3, 0,
+     [(0, 0, 1), (1, 2, 2), (2, 1, 2)],
+     []),
+    ('distinct', 'k4', 'full3', 2, 4, 4, 8, 288,
+     [],
+     [(0, 1, 0), (0, 2, 0), (1, 0, 2), (1, 1, 2), (1, 2, 2), (2, 0, 1),
+      (2, 1, 1), (2, 2, 1)]),
+    ('distinct', 'k4', 'sparse', 3, 3, 5, 11, 648,
+     [],
+     [(0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 0),
+      (1, 1, 1), (1, 2, 2), (2, 0, 0), (2, 1, 2), (2, 2, 1)]),
+    ('distinct', 'k4', 'full2', 1, 4, 6, 2, 0,
+     [(0, 1), (0, 2)],
+     []),
+    ('weight', 'ap3', 'full3', 2, 5, 1, 8, 48,
+     [],
+     [(0, 1, 0), (0, 2, 0), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 0, 2),
+      (2, 1, 2), (2, 2, 2)]),
+    ('weight', 'ap3', 'sparse', 3, 5, 2, 11, 36,
+     [(0, 1, 2)],
+     [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1),
+      (1, 2, 2), (2, 0, 0), (2, 1, 2), (2, 2, 1)]),
+    ('weight', 'k4', 'full3', 2, 6, 4, 8, 288,
+     [],
+     [(0, 1, 0), (0, 2, 0), (1, 0, 2), (1, 1, 2), (1, 2, 2), (2, 0, 1),
+      (2, 1, 1), (2, 2, 1)]),
+    ('weight', 'k4', 'sparse', 3, 6, 5, 11, 112,
+     [],
+     [(0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 0),
+      (1, 1, 1), (1, 2, 2), (2, 0, 0), (2, 1, 2), (2, 2, 1)]),
+    ('weight', 'k4', 'full2', 2, 2, 6, 8, 144,
+     [],
+     [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0),
+      (2, 1), (2, 2)]),
+]
+
+
+class TestStreamIdentity:
+    @pytest.mark.parametrize("params,seed,hits,frequency", CONTAINMENT_FROZEN)
+    def test_monte_carlo_containment(self, params, seed, hits, frequency):
+        check = verify_containment(*params, trials=300, seed=seed,
+                                   method="monte-carlo")
+        assert (check.hits, check.frequency) == (hits, frequency)
+
+    @pytest.mark.parametrize("params,total,hits", EXHAUSTIVE_FROZEN)
+    def test_exhaustive_containment(self, params, total, hits):
+        check = verify_containment(*params, method="exhaustive")
+        assert (check.trials, check.hits) == (total, hits)
+        assert check.within_3sigma
+
+    @pytest.mark.parametrize(
+        "kind,system,points,d,arg,seed,kept,deleted,survivors,removed",
+        STEP_FROZEN)
+    def test_deletion_steps(self, kind, system, points, d, arg, seed, kept,
+                            deleted, survivors, removed):
+        step = sampling_step_distinct if kind == "distinct" else sampling_step_weight
+        report = step(SystemSpec.make(STEP_SYSTEMS[system], 3),
+                      STEP_POINTS[points], arg, d, spawn(seed, "frozen-step"))
+        assert (report.kept, report.deleted) == (kept, deleted)
+        assert list(report.survivors.points) == survivors
+        assert list(report.removed) == removed
+
+
+class TestSpawner:
+    @pytest.mark.parametrize("master", [0, 7, -1, -(2**70) + 3, 2**64,
+                                        2**64 + 5, 2**200 - 1])
+    @pytest.mark.parametrize("labels", [(), ("containment",), ("ü", "日本"),
+                                        ("x", 3, -4), (2**65,)])
+    def test_matches_spawn(self, master, labels):
+        trial = spawner(master, *labels)
+        for last in (0, 1, 2**63, 2**64 + 1, -2, 10**30, "trial", "é"):
+            ours, theirs = trial(last), spawn(master, *labels, last)
+            assert ours.getstate() == theirs.getstate()
+            assert ours.random() == theirs.random()
 
 
 class TestExpectedIntersection:
