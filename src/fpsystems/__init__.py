@@ -78,7 +78,7 @@ from .search import (
     greedy_lower_bound,
     verify_theorem_bound,
 )
-from .seeds import derive_seed, spawn, spawner
+from .seeds import derive_seed, spawn
 from .slicerank import (
     GammaResult,
     MonomialCountResult,

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import CapExceededError, DegenerateLineError, DegenerateSystemError
 from .linsystem import (
+    DEFAULT_WORK_CAP,
     ClassFilter,
     PointSet,
     SystemSpec,
@@ -526,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
             sa_step.add_argument("--w", type=int, help="weight value")
         sa_step.add_argument("--target", type=float,
                              help="threshold recorded in the report")
-        sa_step.add_argument("--cap-step", type=int, default=10**6)
+        sa_step.add_argument("--cap-step", type=int, default=DEFAULT_WORK_CAP)
         sa_step.add_argument("--seed", type=int)
         _add_common(sa_step)
     sa.set_defaults(func=_cmd_sample)

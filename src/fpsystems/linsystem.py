@@ -29,7 +29,8 @@ from .fplinalg import (
     rref_with_pivots,
 )
 
-DEFAULT_COUNT_CAP = 10**6
+# candidate tuples or assignments a count or deletion step scans at most
+DEFAULT_WORK_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -286,18 +287,20 @@ class PointSet:
                         tuple(v for v in self.points if v not in gone))
 
 
-def pivot_columns(sys_spec: SystemSpec, excluded: Iterable[int] = ()) -> tuple[int, ...]:
-    """Lexicographically first m columns (outside ``excluded``) carrying a
-    nonsingular m x m minor; these are the echelon pivots of the column
-    slice, so they exist exactly when that slice has rank m."""
-    excluded = set(excluded)
-    usable = [j for j in range(sys_spec.k) if j not in excluded]
-    sub = [[r[j] for j in usable] for r in sys_spec.coeffs]
+def pivot_columns(sys_spec: SystemSpec, pinned: Iterable[int] = ()) -> tuple[int, ...]:
+    """Lexicographically first m columns carrying a nonsingular m x m
+    minor, trying the columns in ``pinned`` only after all the others;
+    these are the echelon pivots of the reordered matrix, so they exist
+    exactly when the system has rank m.  A pinned column is a pivot only
+    when fewer than m of the other columns are independent."""
+    pinned = set(pinned)
+    order = [j for j in range(sys_spec.k) if j not in pinned] + sorted(pinned)
+    sub = [[r[j] for j in order] for r in sys_spec.coeffs]
     _, pivots = rref_with_pivots(sub, sys_spec.p)
     if len(pivots) < sys_spec.m:
         raise DegenerateSystemError(
-            "coefficient rank below the equation count on the allowed columns")
-    return tuple(usable[j] for j in pivots)
+            "coefficient rank below the equation count")
+    return tuple(order[j] for j in pivots)
 
 
 def enumerate_solutions(
@@ -308,9 +311,11 @@ def enumerate_solutions(
 ) -> Iterator[SolutionTuple]:
     """Stream every solution with all entries in ``points``, exactly once.
 
-    Positions in ``pinned`` are frozen to the given vectors.  The
-    remaining positions split into m pivot positions, solved from the
-    others, and free positions ranging over the point set.  A solution
+    Positions in ``pinned`` are frozen to the given vectors.  The m
+    pivot positions (see ``pivot_columns``) are solved from the others;
+    a pinned pivot, taken only when fewer than m unpinned columns are
+    independent, must solve to its given vector.  The remaining
+    positions are free and range over the point set.  A solution
     is determined by its free coordinates and every free assignment
     yields at most one solution, so the iteration hits each solution
     exactly once and no dedup pass is needed.
@@ -330,15 +335,16 @@ def enumerate_solutions(
             if len(cs) != n:
                 raise ValueError("pinned vector dimension mismatch")
             pin[pos] = cs
-    pivots = pivot_columns(sys_spec, excluded=pin.keys())
+    pivots = pivot_columns(sys_spec, pinned=pin.keys())
     free = [i for i in range(k) if i not in pivots and i not in pin]
+    fixed = [(pos, vec) for pos, vec in pin.items() if pos not in pivots]
     minv = invert_matrix([[r[j] for j in pivots] for r in sys_spec.coeffs], p)
     bs = sys_spec.constant_rows(n)
     base_rhs = []
     for t in range(m):
         row = sys_spec.coeffs[t]
         acc = list(bs[t])
-        for pos, vec in pin.items():
+        for pos, vec in fixed:
             c = row[pos]
             if c:
                 for s in range(n):
@@ -366,7 +372,7 @@ def enumerate_solutions(
             mrow = minv[ridx]
             vec = tuple(sum(mrow[t] * rhs[t][s] for t in range(m)) % p
                         for s in range(n))
-            if vec not in points:
+            if (vec != pin[col]) if col in pin else (vec not in points):
                 ok = False
                 break
             entries[col] = vec
@@ -390,14 +396,7 @@ class _Completion:
     def __init__(self, sys_spec: SystemSpec, n: int, pinned: Sequence[int] = ()):
         p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
         self.p, self.pinned = p, tuple(pinned)
-        # unpinned columns first, so the echelon pivots take them first
-        order = [j for j in range(k) if j not in self.pinned] + sorted(self.pinned)
-        _, lead = rref_with_pivots(
-            [[r[j] for j in order] for r in sys_spec.coeffs], p)
-        if len(lead) < m:
-            raise DegenerateSystemError(
-                "coefficient rank below the equation count on the allowed columns")
-        self.pivots = tuple(order[j] for j in lead)
+        self.pivots = pivot_columns(sys_spec, pinned=self.pinned)
         # (pivot row, index into the pinned points) of each pinned pivot
         self.pinned_pivots = [(r, self.pinned.index(j))
                               for r, j in enumerate(self.pivots) if j in self.pinned]
@@ -492,15 +491,21 @@ def interesting_tuples(
     tuples: Iterable[Sequence[tuple[int, ...]]],
 ) -> list:
     """The interesting tuples among ``tuples``, in order (see
-    ``is_interesting``).  Each tuple holds m + 1 members of ``points``
-    as reduced coordinate tuples; the pivots, inverse minor and affine
-    weights of the completion are built once for the index set."""
+    ``is_interesting``).  Each tuple must hold m + 1 members of
+    ``points`` as reduced coordinate tuples; the pivots, inverse minor
+    and affine weights of the completion are built once for the index
+    set."""
     m, p = sys_spec.m, sys_spec.p
     idx = _interesting_positions(sys_spec, index_set, ell)
     need = max(0, ell - m - 1)
+    members = points._members
     completion = None
     out = []
     for xs in tuples:
+        if len(xs) != m + 1:
+            raise ValueError(f"need an index set and tuple of size m + 1 = {m + 1}")
+        if any(x not in members for x in xs):
+            raise ValueError("tuple entries must belong to the point set")
         if len(rref_with_pivots(xs, p)[0]) != m + 1:
             continue
         if completion is None:
@@ -527,11 +532,8 @@ def is_interesting(
     if len(tuple_entries) != sys_spec.m + 1:
         raise ValueError(
             f"need an index set and tuple of size m + 1 = {sys_spec.m + 1}")
-    idx = _interesting_positions(sys_spec, index_set, ell)
     xs = [reduce_coords(coords_of(x), sys_spec.p) for x in tuple_entries]
-    if any(x not in points for x in xs):
-        raise ValueError("tuple entries must belong to the point set")
-    return bool(interesting_tuples(sys_spec, points, idx, ell, [xs]))
+    return bool(interesting_tuples(sys_spec, points, index_set, ell, [xs]))
 
 
 @dataclass(frozen=True)
@@ -545,16 +547,16 @@ class InterestingCountReport:
 
 def count_interesting_tuples(
     sys_spec: SystemSpec, points: PointSet, index_set: Sequence[int], ell: int,
-    cap: int = DEFAULT_COUNT_CAP,
 ) -> InterestingCountReport:
     """Exact count of interesting tuples on ``index_set``, against the
     k^2 * p^(m n) ceiling.  Raises CapExceededError, before any work,
-    when the |A|^(m+1) candidate tuples exceed ``cap``."""
+    when the |A|^(m+1) candidate tuples exceed ``DEFAULT_WORK_CAP``."""
     m = sys_spec.m
     idx = _interesting_positions(sys_spec, index_set, ell)
     work = len(points) ** (m + 1)
-    if work > cap:
-        raise CapExceededError(f"{work} candidate tuples exceed the cap {cap}")
+    if work > DEFAULT_WORK_CAP:
+        raise CapExceededError(
+            f"{work} candidate tuples exceed the cap {DEFAULT_WORK_CAP}")
     count = len(interesting_tuples(sys_spec, points, idx, ell,
                                    product(points.points, repeat=m + 1)))
     bound = sys_spec.k**2 * sys_spec.p ** (m * points.n)

@@ -37,12 +37,17 @@ from .fplinalg import (
     reduce_coords,
     span,
 )
-from .linsystem import PointSet, SystemSpec, enumerate_solutions, interesting_tuples
+from .linsystem import (
+    DEFAULT_WORK_CAP,
+    PointSet,
+    SystemSpec,
+    enumerate_solutions,
+    interesting_tuples,
+)
 from .seeds import spawner
 from .slicerank import gamma
 from .weights import weight
 
-DEFAULT_STEP_CAP = 10**6
 DEFAULT_ENUM_CAP = 10**5
 
 
@@ -185,7 +190,7 @@ def sampling_step_distinct(
     d: int,
     rng: random.Random,
     target: float | None = None,
-    cap: int = DEFAULT_STEP_CAP,
+    cap: int = DEFAULT_WORK_CAP,
 ) -> SamplingStepReport:
     """Sample a subspace and delete one vector per extendable
     independent tuple lying inside it.
@@ -220,7 +225,7 @@ def sampling_step_weight(
     d: int,
     rng: random.Random,
     target: float | None = None,
-    cap: int = DEFAULT_STEP_CAP,
+    cap: int = DEFAULT_WORK_CAP,
 ) -> SamplingStepReport:
     """Sample a subspace and delete one vector per weight-w solution
     lying inside it."""

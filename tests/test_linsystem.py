@@ -179,7 +179,12 @@ class TestPivotChoice:
         assert pivot_columns(spec) == (1,)
 
     def test_exclusion(self, sys_m2):
-        assert pivot_columns(sys_m2, excluded=(0,)) == (1, 2)
+        assert pivot_columns(sys_m2, pinned=(0,)) == (1, 2)
+
+    def test_pinned_columns_fill_a_shortfall(self, sys_m2):
+        # one unpinned column left: the second pivot is the first pinned
+        assert pivot_columns(sys_m2, pinned=(0, 1, 2, 4)) == (3, 0)
+        assert pivot_columns(sys_m2, pinned=range(5)) == (0, 1)
 
 
 class TestSolutionTuple:
@@ -250,17 +255,14 @@ class TestInteresting:
         assert report.count == 0
 
 
-    def test_count_cap_raises_before_any_work(self, sys_ap3, monkeypatch):
+    def test_count_cap_raises_before_any_work(self, monkeypatch):
         import fpsystems.linsystem as linsystem
 
         def no_work(*args, **kwargs):
             raise AssertionError("tuples scanned despite the cap")
         monkeypatch.setattr(linsystem, "interesting_tuples", no_work)
         monkeypatch.setattr(linsystem, "rank", no_work)
-        points = PointSet.full_space(2, 3)
-        with pytest.raises(CapExceededError):
-            count_interesting_tuples(sys_ap3, points, (0, 1), 3, cap=80)
-        # the default cap of 10^6 candidate pairs: 1009^2 > 10^6
+        # the cap of 10^6 candidate pairs: 1009^2 > 10^6
         spec = SystemSpec.make([(1, 1, 1007)], 1009)
         with pytest.raises(CapExceededError):
             count_interesting_tuples(spec, PointSet.full_space(1, 1009),
@@ -338,6 +340,21 @@ class TestInterestingAgainstReference:
             with pytest.raises(ref.type):
                 count_interesting_tuples(sys_ap3, points, index_set, ell)
 
+    @pytest.mark.parametrize("entries", [
+        ((1, 0),),
+        ((1, 0), (0, 1), (1, 1)),
+        ((4, 0), (0, 1)),
+        ((0, 0), (0, 1)),
+        ((1, 0, 0), (0, 1)),
+    ])
+    def test_tuples_checked(self, sys_ap3, entries):
+        # wrong length, unreduced, or off the point set: an error, as in
+        # is_interesting, never a silent False
+        points = PointSet.full_space(2, 3, include_zero=False)
+        good = ((1, 0), (0, 1))
+        with pytest.raises(ValueError):
+            interesting_tuples(sys_ap3, points, (0, 1), 3, [good, entries])
+
 
 class TestFewUnpinnedColumns:
     """k < 2m + 1 with generic minors: fewer than m columns remain off
@@ -370,6 +387,23 @@ class TestFewUnpinnedColumns:
         # homogeneous: eliminating the lone free variable leaves a
         # nontrivial relation no independent triple satisfies
         assert bool(found) == (constants is not None)
+
+    @pytest.mark.parametrize("constants", [None, [(1, 0, 0), (0, 1, 0)]])
+    def test_pinned_enumeration_matches_brute_force(self, constants):
+        # three pins leave one unpinned column, so one pivot is pinned
+        spec = SystemSpec.make(self.ROWS, 3, constants)
+        points = PointSet.make(self.POINTS, 3)
+        sols = brute_solutions(self.ROWS, constants, 3, self.POINTS, 3)
+        found = 0
+        for idx in combinations(range(4), 3):
+            for tup in product(self.POINTS, repeat=3):
+                ours = [s.entries for s in enumerate_solutions(
+                    spec, points, pinned=dict(zip(idx, tup)))]
+                expected = [s for s in sols
+                            if tuple(s[i] for i in idx) == tup]
+                assert sorted(ours) == sorted(expected)
+                found += len(expected)
+        assert found
 
 
 class TestSystemFiles:
