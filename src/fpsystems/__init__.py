@@ -11,24 +11,15 @@ optimization producing the set-size base constant, which is solved to
 a stated tolerance.
 """
 
-from .errors import CapExceededError, DegenerateLineError, DegenerateSystemError
+from .errors import CapExceededError, DegenerateSystemError
 from .fplinalg import (
-    FieldPrime,
-    FpMatrix,
-    FpVector,
-    QuotientLine,
-    QuotientVector,
     Subspace,
-    all_vectors,
     enumerate_subspaces,
     gaussian_binomial,
     inverse_mod,
     invert_matrix,
     is_prime,
-    minor_nonsingular,
     normalize_line_rep,
-    quotient_line,
-    quotient_project,
     random_subspace,
     rank,
     read_vector_file,

@@ -20,7 +20,7 @@ import time
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .errors import CapExceededError, DegenerateLineError, DegenerateSystemError
+from .errors import CapExceededError, DegenerateSystemError
 from .linsystem import (
     DEFAULT_WORK_CAP,
     ClassFilter,
@@ -579,7 +579,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, OverflowError, CapExceededError,
-            DegenerateSystemError, DegenerateLineError) as exc:
+            DegenerateSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,3 @@ class CapExceededError(RuntimeError):
 
 class DegenerateSystemError(ValueError):
     """The coefficient matrix has rank below the number of equations."""
-
-
-class DegenerateLineError(ValueError):
-    """A quotient line was requested for a vector lying inside the subspace."""

@@ -1,12 +1,15 @@
 """Exact linear algebra over the prime field F_p.
 
-Vectors and matrices carry their entries as plain integer tuples reduced
-mod p, so every computation here is exact.  Subspaces are stored through
-their reduced row echelon bases, which makes them canonical: two
-subspaces are equal exactly when their stored bases agree, so they can
-be hashed, compared, enumerated and counted directly.  Quotient vectors
-are represented by the unique coset representative vanishing on the
-pivot columns of the subspace being quotiented out.
+Vectors are plain integer tuples reduced mod p and matrices are
+sequences of such rows, so every computation here is exact.  Subspaces
+are stored through their reduced row echelon bases, which makes them
+canonical: two subspaces are equal exactly when their stored bases
+agree, so they can be hashed, compared, enumerated and counted
+directly.  ``Subspace.reduce`` gives the coset representative of a
+vector modulo a subspace (the one vanishing on the pivot columns), and
+``normalize_line_rep`` scales a nonzero one to lead 1.  The module also
+holds the line-based reading and writing shared by the vector, system
+and tensor file formats.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, DegenerateLineError
+from .errors import CapExceededError
 
 MAX_PRIME = (1 << 31) - 1
 _INV_TABLE_MAX = 1 << 16
@@ -42,9 +45,7 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p) -> int:
-    """Normalize p (an int or a FieldPrime) to a validated prime int."""
-    if isinstance(p, FieldPrime):
-        return p.p
+    """Normalize p to a validated prime int."""
     p = int(p)
     if not 2 <= p <= MAX_PRIME:
         raise ValueError(f"prime must satisfy 2 <= p <= 2^31 - 1, got {p}")
@@ -68,99 +69,13 @@ def inverse_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-@dataclass(frozen=True)
-class FieldPrime:
-    """The prime field F_p; the modulus is validated at construction."""
-
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", check_prime(int(self.p)))
-
-    def inv(self, a: int) -> int:
-        return inverse_mod(a, self.p)
-
-
 def coords_of(v) -> tuple[int, ...]:
-    """Coordinate tuple of v, accepting FpVector or any int sequence."""
-    if isinstance(v, FpVector):
-        return v.coords
+    """Coordinate tuple of v, from any int sequence."""
     return tuple(int(c) for c in v)
 
 
 def reduce_coords(coords, p: int) -> tuple[int, ...]:
     return tuple(int(c) % p for c in coords)
-
-
-@dataclass(frozen=True)
-class FpVector:
-    """A vector in F_p^n with coordinates stored reduced mod p."""
-
-    coords: tuple[int, ...]
-    p: int
-
-    @classmethod
-    def make(cls, coords: Iterable[int], p) -> "FpVector":
-        p = check_prime(p)
-        return cls(reduce_coords(coords, p), p)
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def _check_mate(self, other: "FpVector") -> None:
-        if self.p != other.p:
-            raise ValueError("vectors live over different primes")
-        if len(self.coords) != len(other.coords):
-            raise ValueError("vectors have mismatched dimensions")
-
-    def __add__(self, other: "FpVector") -> "FpVector":
-        self._check_mate(other)
-        p = self.p
-        return FpVector(tuple((a + b) % p for a, b in zip(self.coords, other.coords)), p)
-
-    def __sub__(self, other: "FpVector") -> "FpVector":
-        self._check_mate(other)
-        p = self.p
-        return FpVector(tuple((a - b) % p for a, b in zip(self.coords, other.coords)), p)
-
-    def scale(self, c: int) -> "FpVector":
-        p = self.p
-        c %= p
-        return FpVector(tuple((c * a) % p for a in self.coords), p)
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """A matrix over F_p stored as a tuple of row tuples."""
-
-    rows: tuple[tuple[int, ...], ...]
-    p: int
-
-    @classmethod
-    def make(cls, rows: Iterable[Iterable[int]], p) -> "FpMatrix":
-        p = check_prime(p)
-        reduced = tuple(reduce_coords(r, p) for r in rows)
-        if reduced:
-            width = len(reduced[0])
-            if any(len(r) != width for r in reduced):
-                raise ValueError("matrix rows have unequal lengths")
-        return cls(reduced, p)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
 
 
 def rref_with_pivots(
@@ -208,28 +123,9 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
     return rref_with_pivots(rows, p)[0]
 
 
-def rank(m, p=None) -> int:
-    """Rank over F_p.  Accepts an FpMatrix, or raw rows together with p."""
-    if isinstance(m, FpMatrix):
-        rows, p = m.rows, m.p
-    else:
-        if p is None:
-            raise ValueError("rank of raw rows needs p")
-        rows, p = [coords_of(r) for r in m], check_prime(p)
-    return len(rref_with_pivots(rows, p)[0])
-
-
-def minor_nonsingular(m: FpMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> bool:
-    """Whether the square submatrix on the given index sets is invertible."""
-    row_idx = tuple(row_idx)
-    col_idx = tuple(col_idx)
-    if len(row_idx) != len(col_idx):
-        raise ValueError("minor needs equally many rows and columns")
-    nr, nc = m.shape
-    if any(not 0 <= i < nr for i in row_idx) or any(not 0 <= j < nc for j in col_idx):
-        raise IndexError("minor index out of range")
-    sub = [[m.rows[i][j] for j in col_idx] for i in row_idx]
-    return len(rref_with_pivots(sub, m.p)[0]) == len(row_idx)
+def rank(rows, p) -> int:
+    """Rank over F_p of the given rows."""
+    return len(rref_with_pivots([coords_of(r) for r in rows], check_prime(p))[0])
 
 
 def invert_matrix(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
@@ -321,24 +217,18 @@ class Subspace:
 
 
 def span(vectors: Sequence, p=None, ambient_dim: int | None = None) -> Subspace:
-    """Subspace spanned by the given vectors.
+    """Subspace spanned by the given vectors over F_p.
 
-    For an empty collection both p and ambient_dim must be supplied;
-    otherwise they are inferred and checked for consistency.
+    For an empty collection ambient_dim must be supplied too; otherwise
+    it is inferred from the vectors and checked for consistency.
     """
     vs = [coords_of(v) for v in vectors]
-    for v in vectors:
-        if isinstance(v, FpVector):
-            if p is None:
-                p = v.p
-            elif check_prime(p) != v.p:
-                raise ValueError("vectors disagree with the supplied prime")
     if not vs:
         if p is None or ambient_dim is None:
             raise ValueError("empty span needs explicit p and ambient_dim")
         return Subspace.zero(ambient_dim, p)
     if p is None:
-        raise ValueError("span of raw tuples needs p")
+        raise ValueError("span needs p")
     dims = {len(v) for v in vs}
     if len(dims) != 1:
         raise ValueError("vectors have mixed ambient dimensions")
@@ -346,22 +236,6 @@ def span(vectors: Sequence, p=None, ambient_dim: int | None = None) -> Subspace:
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("vectors do not match the requested ambient dimension")
     return Subspace.from_rows(vs, n, p)
-
-
-@dataclass(frozen=True)
-class QuotientVector:
-    """Image of a vector in F_p^n / U, held as its canonical representative."""
-
-    representative: tuple[int, ...]
-    modulo: Subspace
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.representative)
-
-
-def quotient_project(x, u: Subspace) -> QuotientVector:
-    return QuotientVector(u.reduce(x), u)
 
 
 def normalize_line_rep(coords: Sequence[int], p: int) -> tuple[int, ...]:
@@ -372,26 +246,6 @@ def normalize_line_rep(coords: Sequence[int], p: int) -> tuple[int, ...]:
         raise ValueError("cannot normalize the zero vector")
     inv = inverse_mod(lead, p)
     return tuple((inv * c) % p for c in coords)
-
-
-@dataclass(frozen=True)
-class QuotientLine:
-    """A one-dimensional subspace of F_p^n / U in canonical form.
-
-    ``rep`` is the canonical representative of a spanning vector,
-    rescaled so its leading nonzero coordinate is 1.  Two lines over the
-    same subspace are equal exactly when their reps agree.
-    """
-
-    rep: tuple[int, ...]
-    modulo: Subspace
-
-
-def quotient_line(x, u: Subspace) -> QuotientLine:
-    red = u.reduce(x)
-    if not any(red):
-        raise DegenerateLineError("vector lies in the subspace, no line spanned")
-    return QuotientLine(normalize_line_rep(red, u.p), u)
 
 
 def gaussian_binomial(n: int, d: int, p: int) -> int:
@@ -455,10 +309,24 @@ def random_subspace(n: int, d: int, p, rng: random.Random) -> Subspace:
             return Subspace(basis, n, p)
 
 
-def all_vectors(n: int, p) -> Iterator[tuple[int, ...]]:
-    """All vectors of F_p^n in lexicographic order."""
-    p = check_prime(p)
-    return product(range(p), repeat=n)
+def read_lines(src, what: str) -> list[str]:
+    """The stripped non-blank lines of a text file or readable stream;
+    a ValueError naming ``what`` when there are none."""
+    text = src.read() if hasattr(src, "read") else Path(src).read_text()
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"empty {what} file")
+    return lines
+
+
+def write_lines(dest, lines: Iterable[str]) -> None:
+    """Write one line each, newline-terminated, to a path or a writable
+    stream."""
+    text = "\n".join(lines) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        Path(dest).write_text(text)
 
 
 def write_vector_file(dest, vectors: Sequence, p: int, n: int) -> None:
@@ -470,11 +338,7 @@ def write_vector_file(dest, vectors: Sequence, p: int, n: int) -> None:
         if len(cs) != n:
             raise ValueError("vector length differs from header dimension")
         lines.append(" ".join(str(c % p) for c in cs))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    write_lines(dest, lines)
 
 
 def _header_fields(line: str, keys: Sequence[str]) -> dict[str, int]:
@@ -492,13 +356,7 @@ def _header_fields(line: str, keys: Sequence[str]) -> dict[str, int]:
 
 def read_vector_file(src) -> tuple[int, int, list[tuple[int, ...]]]:
     """Read the vector text format; returns (p, n, vectors)."""
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        text = Path(src).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty vector file")
+    lines = read_lines(src, "vector")
     fields = _header_fields(lines[0], ("p", "n"))
     p, n = check_prime(fields["p"]), fields["n"]
     vectors = []

@@ -7,7 +7,10 @@ structural hypotheses used throughout (rows summing to zero, all m x m
 coefficient minors nonsingular), streams every solution with entries in
 a given point set exactly once, classifies solutions by distinctness and
 span, and counts the extendable independent tuples that the subspace
-deletion steps key on.
+deletion steps key on.  One pivot solver, ``_Completion``, does every
+solve: enumeration, the supports of the extremal search and of the
+interesting-tuple test, and the partitioned bound in ``slicerank`` are
+views over its walk.
 """
 
 from __future__ import annotations
@@ -15,22 +18,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceededError, DegenerateSystemError
 from .fplinalg import (
     Subspace,
+    _header_fields,
     check_prime,
     coords_of,
     invert_matrix,
     rank,
+    read_lines,
+    read_vector_file,
     reduce_coords,
     rref_with_pivots,
+    write_lines,
 )
 
 # candidate tuples or assignments a count or deletion step scans at most
 DEFAULT_WORK_CAP = 10**6
+# completed last-position entries a solution walk keeps for reuse
+_MEMO_CAP = 1 << 16
+
+
+def _failing_minors(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
+    """The column sets of the singular m x m minors of the m rows."""
+    m, k = len(rows), len(rows[0])
+    return tuple(cols for cols in combinations(range(k), m)
+                 if len(rref_with_pivots([[r[j] for j in cols] for r in rows], p)[0]) != m)
 
 
 @dataclass(frozen=True)
@@ -72,10 +87,7 @@ class SystemSpec:
             if len({len(b) for b in consts}) > 1:
                 raise ValueError("constant vectors have mixed dimensions")
         rows_sum_zero = all(sum(r) % p == 0 for r in rows)
-        generic = m <= k and all(
-            len(rref_with_pivots([[r[j] for j in cols] for r in rows], p)[0]) == m
-            for cols in combinations(range(k), m)
-        )
+        generic = m <= k and not _failing_minors(rows, p)
         return cls(p, m, k, rows, consts, rows_sum_zero, generic)
 
     @property
@@ -105,18 +117,13 @@ class ValidationReport:
 
 def validate(sys_spec: SystemSpec) -> ValidationReport:
     """Recheck both structural hypotheses, listing every failing minor."""
-    p = sys_spec.p
-    row_sums = tuple(sum(r) % p for r in sys_spec.coeffs)
-    failing = []
-    for cols in combinations(range(sys_spec.k), sys_spec.m):
-        sub = [[r[j] for j in cols] for r in sys_spec.coeffs]
-        if len(rref_with_pivots(sub, p)[0]) != sys_spec.m:
-            failing.append(cols)
+    row_sums = tuple(sum(r) % sys_spec.p for r in sys_spec.coeffs)
+    failing = _failing_minors(sys_spec.coeffs, sys_spec.p)
     return ValidationReport(
         rows_sum_zero=not any(row_sums),
         generic_minors=not failing,
         row_sums=row_sums,
-        failing_minors=tuple(failing),
+        failing_minors=failing,
     )
 
 
@@ -138,29 +145,32 @@ def is_solution(sys_spec: SystemSpec, entries: Sequence) -> bool:
     return True
 
 
-def _classify(entries: Sequence[tuple[int, ...]], p: int) -> tuple[int, int, bool]:
-    distinct = len(set(entries))
-    span_dim = rank(entries, p)
-    return distinct, span_dim, distinct == 1
-
-
 @dataclass(frozen=True)
 class SolutionTuple:
-    """A k-tuple of vectors solving a system, with its classification."""
+    """A k-tuple of vectors solving a system, with its classification;
+    the span dimension is ranked on first use."""
 
     entries: tuple[tuple[int, ...], ...]
     p: int
     distinct_count: int
-    span_dim: int
     all_equal: bool
 
     @classmethod
     def create(cls, sys_spec: SystemSpec, entries: Sequence) -> "SolutionTuple":
+        """Check that the entries solve the system, then classify them."""
         xs = tuple(coords_of(x) for x in entries)
         if not is_solution(sys_spec, xs):
             raise ValueError("entries do not solve the system")
-        distinct, span_dim, all_equal = _classify(xs, sys_spec.p)
-        return cls(xs, sys_spec.p, distinct, span_dim, all_equal)
+        return cls._of(xs, sys_spec.p)
+
+    @classmethod
+    def _of(cls, entries: tuple[tuple[int, ...], ...], p: int) -> "SolutionTuple":
+        distinct = len(set(entries))
+        return cls(entries, p, distinct, distinct == 1)
+
+    @cached_property
+    def span_dim(self) -> int:
+        return rank(self.entries, self.p)
 
 
 _MODES = ("any", "not-all-equal", "distinct", "span-dim", "distinct-count")
@@ -258,14 +268,13 @@ class PointSet:
 
     @classmethod
     def from_file(cls, src) -> "PointSet":
-        from .fplinalg import read_vector_file
-
         p, n, vectors = read_vector_file(src)
         return cls.make(vectors, p, n)
 
     @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.points)
+    def _members(self) -> dict:
+        # each point maps to itself: the membership table of a solution walk
+        return {v: v for v in self.points}
 
     def __contains__(self, v) -> bool:
         return tuple(v) in self._members
@@ -318,79 +327,55 @@ def enumerate_solutions(
     positions are free and range over the point set.  A solution
     is determined by its free coordinates and every free assignment
     yields at most one solution, so the iteration hits each solution
-    exactly once and no dedup pass is needed.
+    exactly once and no dedup pass is needed.  Solutions come in the
+    lexicographic order of their free entries, by position.
     """
     flt = flt or ClassFilter.any()
     p = sys_spec.p
     if points.p != p:
         raise ValueError("point set prime differs from system prime")
     n = points.n
-    k, m = sys_spec.k, sys_spec.m
     pin: dict[int, tuple[int, ...]] = {}
     if pinned:
         for pos, vec in pinned.items():
-            if not 0 <= pos < k:
+            if not 0 <= pos < sys_spec.k:
                 raise IndexError(f"pinned position {pos} out of range")
             cs = reduce_coords(coords_of(vec), p)
             if len(cs) != n:
                 raise ValueError("pinned vector dimension mismatch")
             pin[pos] = cs
-    pivots = pivot_columns(sys_spec, pinned=pin.keys())
-    free = [i for i in range(k) if i not in pivots and i not in pin]
-    fixed = [(pos, vec) for pos, vec in pin.items() if pos not in pivots]
-    minv = invert_matrix([[r[j] for j in pivots] for r in sys_spec.coeffs], p)
-    bs = sys_spec.constant_rows(n)
-    base_rhs = []
-    for t in range(m):
-        row = sys_spec.coeffs[t]
-        acc = list(bs[t])
-        for pos, vec in fixed:
-            c = row[pos]
-            if c:
-                for s in range(n):
-                    acc[s] = (acc[s] - c * vec[s]) % p
-        base_rhs.append(acc)
-    pts = points.points
-    for assign in product(pts, repeat=len(free)):
-        rhs = []
-        for t in range(m):
-            row = sys_spec.coeffs[t]
-            acc = list(base_rhs[t])
-            for pos, vec in zip(free, assign):
-                c = row[pos]
-                if c:
-                    for s in range(n):
-                        acc[s] = (acc[s] - c * vec[s]) % p
-            rhs.append(acc)
-        entries: list = [None] * k
-        for pos, vec in pin.items():
-            entries[pos] = vec
-        for pos, vec in zip(free, assign):
-            entries[pos] = vec
-        ok = True
-        for ridx, col in enumerate(pivots):
-            mrow = minv[ridx]
-            vec = tuple(sum(mrow[t] * rhs[t][s] for t in range(m)) % p
-                        for s in range(n))
-            if (vec != pin[col]) if col in pin else (vec not in points):
-                ok = False
-                break
-            entries[col] = vec
-        if not ok:
-            continue
-        sol = SolutionTuple.create(sys_spec, tuple(entries))
-        if flt.admits(sol):
-            yield sol
+    completion = _Completion(sys_spec, n, tuple(pin))
+    # every point is its own label
+    pool = points._members.items()
+    tables = [points._members] * len(completion.open_pivots)
+    head = completion.free[:-1]
+    # positions of an end's labels: the last free one, then the open pivots
+    tail = completion.free[-1:] + [completion.pivots[r]
+                                   for r in completion.open_pivots]
+    entries = [pin.get(j) for j in range(sys_spec.k)]
+    for prefix, ends in completion.walk([pool] * len(completion.free),
+                                        tables, tuple(pin.values())):
+        for j, (x, _) in zip(head, prefix):
+            entries[j] = x
+        for end in ends:
+            for j, x in zip(tail, end):
+                entries[j] = x
+            sol = SolutionTuple._of(tuple(entries), p)
+            if flt.admits(sol):
+                yield sol
 
 
 class _Completion:
-    """Solutions of the system with the entries at some positions given.
+    """Solutions of the system with the entries at some positions given:
+    the one pivot solver behind enumeration, supports and the
+    partitioned bound.
 
     The m pivot positions are solved from the others: pivot r holds
     const_r + sum_j w_rj * x_j over the non-pivot positions j.  The
     pivots avoid the pinned positions as far as the other columns allow;
     when fewer than m of those are independent, the missing pivots are
     pinned positions, whose solved entries must equal the given points.
+    The other positions are free, in increasing order.
     """
 
     def __init__(self, sys_spec: SystemSpec, n: int, pinned: Sequence[int] = ()):
@@ -414,60 +399,85 @@ class _Completion:
                 for row in minv]
             for j in range(k) if j not in self.pivots}
 
-    def supports(self, pool: Sequence[tuple[int, ...]], bits: dict,
-                 pins: Sequence[tuple[int, ...]] = ()) -> Iterator[int]:
-        """The support, as an OR of ``bits`` values, of the entries off
-        the pinned positions of every solution whose pinned entries are
-        ``pins``, whose free entries lie in ``pool`` and whose pivot
-        entries have a bit; once per solution."""
+    def walk(self, pools: Sequence[Sequence[tuple]], tables: Sequence[Mapping],
+             pins: Sequence[tuple[int, ...]] = ()) -> Iterator[tuple[tuple, list]]:
+        """Every solution whose pinned entries are ``pins``, whose entry
+        at the free position ``free[i]`` comes from ``pools[i]`` (an
+        iterable of (point, label) pairs) and whose entry at the open
+        pivot ``pivots[open_pivots[i]]`` is a key of ``tables[i]``.
+
+        Yields (prefix, ends) for each choice of the entries at all free
+        positions but the last, in lexicographic pool order: prefix is
+        that choice as pairs, and ends lists, in pool order, the tuple
+        (label of the last free entry, table value of each open pivot)
+        of each choice of the last free entry that completes a solution
+        (no last label when there is no free position).
+        """
         p, weights = self.p, self.weights
         consts = self.const
         for j, x in zip(self.pinned, pins):
             if j in weights:
                 consts = [tuple(c + w * v for c, v in zip(const, x))
                           for const, w in zip(consts, weights[j])]
-        *head, last = self.free or [None]
+        head = [weights[j] for j in self.free[:-1]]
+        last_weights = weights[self.free[-1]] if self.free else None
+        *head_pools, last_pool = pools or [[(None, None)]]
         # the entries solved from the last free position depend on the
         # others only through the partial sums, which repeat, so each
-        # distinct partial is completed once
-        ends: dict = {}
-        for prefix in product(pool, repeat=len(head)):
-            partial, prefix_mask = consts, 0
-            for j, x in zip(head, prefix):
-                prefix_mask |= bits[x]
+        # distinct partial is completed once (up to a bounded store)
+        memo: dict = {}
+        stored = 0
+        for prefix in product(*head_pools):
+            partial = consts
+            for ws, (x, _) in zip(head, prefix):
                 partial = [tuple(a + w * c for a, c in zip(base, x))
-                           for base, w in zip(partial, weights[j])]
+                           for base, w in zip(partial, ws)]
             key = tuple(tuple(a % p for a in base) for base in partial)
-            done = ends.get(key)
-            if done is None:
-                done = ends[key] = self._ends(key, pool, bits, last, pins)
-            for end in done:
-                yield prefix_mask | end
+            ends = memo.get(key)
+            if ends is None:
+                ends = self._ends(key, last_weights, last_pool, tables, pins)
+                if stored < _MEMO_CAP:
+                    memo[key] = ends
+                    stored += len(ends) + 1
+            yield prefix, ends
 
-    def _ends(self, partial, pool, bits: dict, last: int | None,
-              pins: Sequence[tuple[int, ...]]) -> list[int]:
-        """Bits of the last free entry and the unpinned pivot entries,
-        for each choice of the last free entry that completes a
-        solution."""
+    def _ends(self, partial, last_weights, pool, tables, pins) -> list[tuple]:
         p, out = self.p, []
-        for x in pool if last is not None else (None,):
+        for x, label in pool:
             if x is None:
-                vecs, end = partial, 0
+                vecs, labels = partial, []
             else:
                 vecs = [tuple((a + w * c) % p for a, c in zip(base, x))
-                        for base, w in zip(partial, self.weights[last])]
-                end = bits[x]
+                        for base, w in zip(partial, last_weights)]
+                labels = [label]
             if self.pinned_pivots and any(
                     vecs[r] != pins[i] for r, i in self.pinned_pivots):
                 continue
-            for r in self.open_pivots:
-                bit = bits.get(vecs[r])
-                if bit is None:
+            for r, table in zip(self.open_pivots, tables):
+                value = table.get(vecs[r])
+                if value is None:
                     break
-                end |= bit
+                labels.append(value)
             else:
-                out.append(end)
+                out.append(tuple(labels))
         return out
+
+    def supports(self, bits: dict,
+                 pins: Sequence[tuple[int, ...]] = ()) -> Iterator[int]:
+        """The support, as an OR of ``bits`` values, of the entries off
+        the pinned positions of every solution whose pinned entries are
+        ``pins`` and whose other entries are keys of ``bits`` (the pool,
+        in its order); once per solution."""
+        tables = [bits] * len(self.open_pivots)
+        for prefix, ends in self.walk([bits.items()] * len(self.free), tables, pins):
+            mask = 0
+            for _, bit in prefix:
+                mask |= bit
+            for end in ends:
+                support = mask
+                for bit in end:
+                    support |= bit
+                yield support
 
 
 def _interesting_positions(sys_spec: SystemSpec, index_set: Sequence[int],
@@ -514,7 +524,7 @@ def interesting_tuples(
             completion = _Completion(sys_spec, points.n, idx)
             bits = {v: 1 << i for i, v in enumerate(points.points)}
         if any(support.bit_count() >= need
-               for support in completion.supports(points.points, bits, xs)):
+               for support in completion.supports(bits, xs)):
             out.append(xs)
     return out
 
@@ -573,23 +583,11 @@ def write_system_file(dest, sys_spec: SystemSpec) -> None:
         lines.append("b:")
         for b in sys_spec.constants:
             lines.append(" ".join(str(c) for c in b))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    write_lines(dest, lines)
 
 
 def read_system_file(src) -> SystemSpec:
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        text = Path(src).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty system file")
-    from .fplinalg import _header_fields
-
+    lines = read_lines(src, "system")
     fields = _header_fields(lines[0], ("p", "m", "k"))
     p, m, k = fields["p"], fields["m"], fields["k"]
     if len(lines) < 1 + m:

@@ -118,6 +118,8 @@ def verify_containment(
     p = check_prime(p)
     if s > n:
         raise ValueError("cannot fix more independent vectors than the dimension")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     prob = containment_probability(p, n, d, s)
     basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(s)]
     if method not in ("auto", "exhaustive", "monte-carlo"):

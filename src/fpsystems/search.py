@@ -151,7 +151,7 @@ class _SupportIndex:
         self.through: list[list[int]] = [[] for _ in order]
         # points whose all-equal tuple is an admitted solution
         self.singles = 0
-        for support in set(_Completion(sys_spec, problem.n).supports(order, bits)):
+        for support in set(_Completion(sys_spec, problem.n).supports(bits)):
             if not _admits(mode, order, support, k, p):
                 continue
             if support & (support - 1) == 0:
@@ -277,6 +277,8 @@ def greedy_lower_bound(
     order = list(problem.point_order())
     if len(order) > cap_points:
         raise CapExceededError(f"{len(order)} points exceed the cap {cap_points}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if restarts > 0 and rng is None:
         raise ValueError("restarts need a seeded rng")
     sys_spec = problem.sys_spec
@@ -295,9 +297,10 @@ def greedy_lower_bound(
             nodes += 1
             bits[x] = 1 << len(members)
             pool = members + [x]
+            # bits, in insertion order, is the pool: the members, then x
             if any(_admits(mode, pool, support | bits[x], k, p)
                    for check in checks
-                   for support in check.supports(pool, bits, pins=(x,))):
+                   for support in check.supports(bits, pins=(x,))):
                 del bits[x]
             else:
                 members.append(x)

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
-from .fplinalg import check_prime, coords_of, reduce_coords
-from .linsystem import SystemSpec, is_solution
+from .fplinalg import check_prime, coords_of, read_lines, reduce_coords, write_lines
+from .linsystem import SystemSpec, _Completion, is_solution
 
 DEFAULT_SUPPORT_CAP = 14
 DEFAULT_CROSS_CAP = 10**7
@@ -466,66 +465,40 @@ def partitioned_solution_bound(
         if not is_solution(sys_spec, sol):
             raise ValueError("family contains a non-solution")
     length = len(sols)
-    k, m, p = sys_spec.k, sys_spec.m, sys_spec.p
+    k = sys_spec.k
     if length == 0:
         return PartitionedBoundReport(True, None, 0, None, True)
     if length**k > cap:
         raise CapExceededError(f"{length}^{k} cross tuples exceed the cap {cap}")
     n = len(sols[0][0])
-    from .linsystem import pivot_columns
-    from .fplinalg import invert_matrix
-
-    pivots = pivot_columns(sys_spec)
-    free = [i for i in range(k) if i not in pivots]
-    minv = invert_matrix([[r[j] for j in pivots] for r in sys_spec.coeffs], p)
-    bs = sys_spec.constant_rows(n)
-    by_position: list[dict[tuple[int, ...], list[int]]] = []
-    for pos in range(k):
+    # free entries are labelled by their family index, pivot entries by
+    # the family indices holding that point at that position
+    completion = _Completion(sys_spec, n)
+    pools = [[(sol[pos], l) for l, sol in enumerate(sols)] for pos in completion.free]
+    tables: list[dict[tuple[int, ...], list[int]]] = []
+    for r in completion.open_pivots:
         table: dict[tuple[int, ...], list[int]] = {}
         for l, sol in enumerate(sols):
-            table.setdefault(sol[pos], []).append(l)
-        by_position.append(table)
+            table.setdefault(sol[completion.pivots[r]], []).append(l)
+        tables.append(table)
+    head = completion.free[:-1]
+    last = completion.free[-1:]
 
-    def violating(idx: Sequence[int]) -> bool:
-        return any(len({idx[i] for i in b}) > 1 for b in blocks)
+    def cross_tuples() -> Iterator[tuple[int, ...]]:
+        idx = [0] * k
+        for prefix, ends in completion.walk(pools, tables):
+            for pos, (_, l) in zip(head, prefix):
+                idx[pos] = l
+            for end in ends:
+                for pos, l in zip(last, end):
+                    idx[pos] = l
+                for pivot_choice in product(*end[len(last):]):
+                    for pos, l in zip(completion.pivots, pivot_choice):
+                        idx[pos] = l
+                    yield tuple(idx)
 
-    witness = None
-    for free_choice in product(range(length), repeat=len(free)):
-        rhs = []
-        for t in range(m):
-            row = sys_spec.coeffs[t]
-            acc = list(bs[t])
-            for pos, l in zip(free, free_choice):
-                c = row[pos]
-                if c:
-                    vec = sols[l][pos]
-                    for s in range(n):
-                        acc[s] = (acc[s] - c * vec[s]) % p
-            rhs.append(acc)
-        candidate_lists = []
-        feasible = True
-        for ridx, col in enumerate(pivots):
-            mrow = minv[ridx]
-            vec = tuple(sum(mrow[t] * rhs[t][s] for t in range(m)) % p
-                        for s in range(n))
-            hits = by_position[col].get(vec)
-            if not hits:
-                feasible = False
-                break
-            candidate_lists.append(hits)
-        if not feasible:
-            continue
-        for pivot_choice in product(*candidate_lists):
-            idx = [0] * k
-            for pos, l in zip(free, free_choice):
-                idx[pos] = l
-            for pos, l in zip(pivots, pivot_choice):
-                idx[pos] = l
-            if violating(idx):
-                witness = tuple(idx)
-                break
-        if witness is not None:
-            break
+    witness = next((idx for idx in cross_tuples()
+                    if any(len({idx[i] for i in b}) > 1 for b in blocks)), None)
     if witness is not None:
         return PartitionedBoundReport(False, witness, length, None, None)
     bound = clp_upper_bound(sys_spec, n)
@@ -538,21 +511,11 @@ def write_tensor_file(dest, tensor: Tensor) -> None:
     lines = [f"{tensor.p} {tensor.length} {tensor.k}"]
     for idx in tensor.support:
         lines.append(" ".join(str(i) for i in idx) + f" {tensor.entry(idx)}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    write_lines(dest, lines)
 
 
 def read_tensor_file(src) -> Tensor:
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        text = Path(src).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty tensor file")
+    lines = read_lines(src, "tensor")
     head = lines[0].split()
     if len(head) != 3:
         raise ValueError("tensor header must be: p L k")

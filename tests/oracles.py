@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Five exceptions sit at the end.  The earlier weight, which checks all
+Seven exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -16,7 +16,13 @@ monomial count, a big-integer convolution of degree distributions, is
 the reference for the inclusion-exclusion count.  The earlier row
 reduction is the reference for the leaner one, and the earlier
 interesting-tuple test, which runs a pinned enumeration per tuple, is
-the reference for the completion built once per index set.
+the reference for the completion built once per index set.  The
+earlier enumeration loop, which solves the pivot entries afresh for
+every free assignment and re-verifies and ranks each tuple, is the
+reference that ``enumerate_solutions`` must reproduce solution for
+solution and in order; the earlier partitioned-bound loop, with its own
+pivots, inverse minor and right-hand sides, is the reference for
+``partitioned_solution_bound``, witness included.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from fpsystems.fplinalg import (
     reduce_coords,
     rref_with_pivots,
 )
-from fpsystems.linsystem import enumerate_solutions, pivot_columns
+from fpsystems.linsystem import ClassFilter, SolutionTuple, is_solution, pivot_columns
+from fpsystems.slicerank import PartitionedBoundReport, clp_upper_bound
 from fpsystems.weights import AdmissibleSet, WeightReport
 
 
@@ -507,8 +514,142 @@ def reference_is_interesting(sys_spec, points, index_set, tuple_entries,
     pin = dict(zip(idx, xs))
     need = max(0, ell - m - 1)
     rest = [j for j in range(k) if j not in pin]
-    for sol in enumerate_solutions(sys_spec, points, pinned=pin):
+    for sol in reference_enumerate_solutions(sys_spec, points, pinned=pin):
         completion = [sol.entries[j] for j in rest]
         if len(set(completion)) >= need:
             return True
     return False
+
+
+def reference_enumerate_solutions(sys_spec, points, flt=None, pinned=None):
+    """Solution enumeration as the package ran it before the single
+    completion kernel: for every assignment of the free positions, solve
+    each pivot entry from scratch with the inverse pivot minor, then
+    re-verify and classify the tuple through ``SolutionTuple.create``."""
+    flt = flt or ClassFilter.any()
+    p = sys_spec.p
+    if points.p != p:
+        raise ValueError("point set prime differs from system prime")
+    n = points.n
+    k, m = sys_spec.k, sys_spec.m
+    pin = {}
+    if pinned:
+        for pos, vec in pinned.items():
+            if not 0 <= pos < k:
+                raise IndexError(f"pinned position {pos} out of range")
+            cs = reduce_coords(coords_of(vec), p)
+            if len(cs) != n:
+                raise ValueError("pinned vector dimension mismatch")
+            pin[pos] = cs
+    pivots = pivot_columns(sys_spec, pinned=pin.keys())
+    free = [i for i in range(k) if i not in pivots and i not in pin]
+    fixed = [(pos, vec) for pos, vec in pin.items() if pos not in pivots]
+    minv = invert_matrix([[r[j] for j in pivots] for r in sys_spec.coeffs], p)
+    bs = sys_spec.constant_rows(n)
+    base_rhs = []
+    for t in range(m):
+        row = sys_spec.coeffs[t]
+        acc = list(bs[t])
+        for pos, vec in fixed:
+            c = row[pos]
+            if c:
+                for s in range(n):
+                    acc[s] = (acc[s] - c * vec[s]) % p
+        base_rhs.append(acc)
+    for assign in product(points.points, repeat=len(free)):
+        rhs = []
+        for t in range(m):
+            row = sys_spec.coeffs[t]
+            acc = list(base_rhs[t])
+            for pos, vec in zip(free, assign):
+                c = row[pos]
+                if c:
+                    for s in range(n):
+                        acc[s] = (acc[s] - c * vec[s]) % p
+            rhs.append(acc)
+        entries = [None] * k
+        for pos, vec in pin.items():
+            entries[pos] = vec
+        for pos, vec in zip(free, assign):
+            entries[pos] = vec
+        ok = True
+        for ridx, col in enumerate(pivots):
+            mrow = minv[ridx]
+            vec = tuple(sum(mrow[t] * rhs[t][s] for t in range(m)) % p
+                        for s in range(n))
+            if (vec != pin[col]) if col in pin else (vec not in points):
+                ok = False
+                break
+            entries[col] = vec
+        if not ok:
+            continue
+        sol = SolutionTuple.create(sys_spec, tuple(entries))
+        if flt.admits(sol):
+            yield sol
+
+
+def reference_partitioned_solution_bound(sys_spec, solutions, partition):
+    """The cross-solution check as the package ran it before the single
+    completion kernel: its own pivots, inverse minor and right-hand
+    sides, one free choice of family indices at a time, then every
+    combination of the family indices matching each solved pivot entry;
+    the first index tuple not constant on some block is the witness."""
+    blocks = [tuple(sorted(set(b))) for b in partition]
+    if any(len(b) < 2 for b in blocks):
+        raise ValueError("every block must have at least two positions")
+    covered = sorted(i for b in blocks for i in b)
+    if covered != list(range(sys_spec.k)):
+        raise ValueError("blocks must partition the variable positions")
+    sols = [tuple(reduce_coords(coords_of(x), sys_spec.p) for x in sol)
+            for sol in solutions]
+    for sol in sols:
+        if not is_solution(sys_spec, sol):
+            raise ValueError("family contains a non-solution")
+    length = len(sols)
+    k, m, p = sys_spec.k, sys_spec.m, sys_spec.p
+    if length == 0:
+        return PartitionedBoundReport(True, None, 0, None, True)
+    n = len(sols[0][0])
+    pivots = pivot_columns(sys_spec)
+    free = [i for i in range(k) if i not in pivots]
+    minv = invert_matrix([[r[j] for j in pivots] for r in sys_spec.coeffs], p)
+    bs = sys_spec.constant_rows(n)
+    by_position = []
+    for pos in range(k):
+        table = {}
+        for l, sol in enumerate(sols):
+            table.setdefault(sol[pos], []).append(l)
+        by_position.append(table)
+    for free_choice in product(range(length), repeat=len(free)):
+        rhs = []
+        for t in range(m):
+            row = sys_spec.coeffs[t]
+            acc = list(bs[t])
+            for pos, l in zip(free, free_choice):
+                c = row[pos]
+                if c:
+                    vec = sols[l][pos]
+                    for s in range(n):
+                        acc[s] = (acc[s] - c * vec[s]) % p
+            rhs.append(acc)
+        candidate_lists = []
+        for ridx, col in enumerate(pivots):
+            mrow = minv[ridx]
+            vec = tuple(sum(mrow[t] * rhs[t][s] for t in range(m)) % p
+                        for s in range(n))
+            hits = by_position[col].get(vec)
+            if not hits:
+                break
+            candidate_lists.append(hits)
+        else:
+            for pivot_choice in product(*candidate_lists):
+                idx = [0] * k
+                for pos, l in zip(free, free_choice):
+                    idx[pos] = l
+                for pos, l in zip(pivots, pivot_choice):
+                    idx[pos] = l
+                if any(len({idx[i] for i in b}) > 1 for b in blocks):
+                    return PartitionedBoundReport(False, tuple(idx), length,
+                                                  None, None)
+    bound = clp_upper_bound(sys_spec, n)
+    return PartitionedBoundReport(True, None, length, bound, length <= bound)

@@ -470,6 +470,19 @@ class TestExitCodes:
         assert "Gamma^n" in err
         assert "n = 2000" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--system", "@ap3", "--n", "2", "--greedy",
+         "--restarts", "-1"],
+        ["sample", "containment", "--p", "2", "--n", "4", "--d", "2",
+         "--s", "1", "--trials", "-5"],
+    ], ids=["restarts", "trials"])
+    def test_negative_count(self, argv, files, capsys):
+        argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert not out
+        assert "must be nonnegative" in err
+
 
 class TestFormats:
     def test_text_format(self, capsys):

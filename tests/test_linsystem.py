@@ -2,7 +2,7 @@ import io
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsystems import (
@@ -22,7 +22,12 @@ from fpsystems import (
     validate,
     write_system_file,
 )
-from .oracles import brute_solutions, rank_by_minors, reference_is_interesting
+from .oracles import (
+    brute_solutions,
+    rank_by_minors,
+    reference_enumerate_solutions,
+    reference_is_interesting,
+)
 
 PRIMES = st.sampled_from([2, 3, 5])
 
@@ -404,6 +409,101 @@ class TestFewUnpinnedColumns:
                 assert sorted(ours) == sorted(expected)
                 found += len(expected)
         assert found
+
+
+REFERENCE_CASES_FOR_ENUMERATION = REFERENCE_CASES + [
+    ("x+y+2z+2w=0 F_3^2*", [(1, 1, 2, 2)], 3, None,
+     PointSet.full_space(2, 3, include_zero=False)),
+    ("x+y+z=(1,0) F_5^2", [(1, 1, 1)], 5, [(1, 0)], PointSet.full_space(2, 5)),
+]
+
+
+@st.composite
+def enumeration_cases(draw):
+    """A system (affine or not) with m in {1, 2} and k <= 5, a point set
+    (all of F_p^n when that has at most nine points, or up to six of
+    them), a filter, and a pinned map whose vectors mostly lie in the
+    point set; with m = 2 and three or more pins, some pinned positions
+    are pivots."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 2))
+    k = draw(st.integers(m + 1, 5))
+    n = draw(st.integers(1, 2))
+    coord = st.integers(0, p - 1)
+    vec = st.tuples(*[coord] * n)
+    coeffs = draw(st.lists(st.lists(coord, min_size=k, max_size=k),
+                           min_size=m, max_size=m))
+    constants = draw(st.none() | st.lists(vec, min_size=m, max_size=m))
+    spec = SystemSpec.make(coeffs, p, constants)
+    if p**n <= 9 and draw(st.booleans()):
+        points = PointSet.full_space(n, p)
+    else:
+        points = PointSet.make(draw(st.lists(vec, min_size=1, max_size=6)), p, n)
+    mode = draw(st.sampled_from(["any", "not-all-equal", "distinct",
+                                 "span-dim", "distinct-count"]))
+    flt = ClassFilter(mode, r=draw(st.integers(1, 3)) if mode == "span-dim" else None,
+                      ell=draw(st.integers(1, k)) if mode == "distinct-count" else None)
+    positions = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
+    member = st.sampled_from(points.points)
+    pinned = {pos: draw(st.one_of(member, member, member, vec))
+              for pos in positions}
+    return spec, points, flt, pinned
+
+
+def _outcome(run):
+    try:
+        return [(s.entries, s.distinct_count, s.span_dim, s.all_equal)
+                for s in run()]
+    except DegenerateSystemError as exc:
+        return str(exc)
+
+
+class TestEnumerateAgainstReference:
+    """The single completion kernel against the earlier per-assignment
+    loop (``tests/oracles.py``): the same solutions in the same order,
+    with the same classification."""
+
+    @settings(max_examples=150)
+    @given(enumeration_cases())
+    def test_same_sequence(self, case):
+        spec, points, flt, pinned = case
+        ours = _outcome(lambda: enumerate_solutions(spec, points, flt, pinned))
+        assert ours == _outcome(
+            lambda: reference_enumerate_solutions(spec, points, flt, pinned))
+
+    @pytest.mark.parametrize("constants", [None, [(1, 0, 0), (0, 1, 0)]])
+    def test_pinned_pivots(self, constants):
+        # k = 4 < 2m + 1: pinning three positions leaves one unpinned
+        # column, so one pivot is pinned and must solve to its pin
+        spec = SystemSpec.make(TestFewUnpinnedColumns.ROWS, 3, constants)
+        points = PointSet.make(TestFewUnpinnedColumns.POINTS, 3)
+        found = 0
+        for idx in combinations(range(4), 3):
+            assert any(j in idx for j in pivot_columns(spec, pinned=idx))
+            for tup in product(points.points, repeat=3):
+                pinned = dict(zip(idx, tup))
+                ours = _outcome(lambda: enumerate_solutions(
+                    spec, points, pinned=pinned))
+                assert ours == _outcome(lambda: reference_enumerate_solutions(
+                    spec, points, pinned=pinned))
+                found += len(ours)
+        assert found
+
+    @pytest.mark.parametrize("coeffs,p,constants,points",
+                             [case[1:] for case in REFERENCE_CASES_FOR_ENUMERATION],
+                             ids=[case[0] for case in REFERENCE_CASES_FOR_ENUMERATION])
+    def test_every_filter_on_known_systems(self, coeffs, p, constants, points):
+        spec = SystemSpec.make(coeffs, p, constants)
+        filters = [ClassFilter.any(), ClassFilter.not_all_equal(),
+                   ClassFilter.distinct()]
+        filters += [ClassFilter.span_at_least(r) for r in (1, 2, 3)]
+        filters += [ClassFilter.distinct_at_least(ell)
+                    for ell in range(1, spec.k + 1)]
+        for flt in filters:
+            ours = _outcome(lambda: enumerate_solutions(spec, points, flt))
+            assert ours == _outcome(
+                lambda: reference_enumerate_solutions(spec, points, flt))
+            assert isinstance(ours, list)
 
 
 class TestSystemFiles:

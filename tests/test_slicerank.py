@@ -29,8 +29,10 @@ from fpsystems import (
 from fpsystems.seeds import spawn
 from .oracles import (
     brute_monomial_count,
+    brute_solutions,
     grid_min_ratio,
     reference_monomial_count,
+    reference_partitioned_solution_bound,
     unpruned_slice_rank,
 )
 
@@ -314,3 +316,73 @@ class TestPartitionedBound:
         sols = [(((1,),) * 3)]
         with pytest.raises(ValueError):
             partitioned_solution_bound(sys_ap3, sols, [(0,), (1, 2)])
+
+
+@st.composite
+def families(draw):
+    """A rows-sum-zero system with k in 3..5 over F_3 or F_5, a family of
+    its solutions over a few points of F_p^n and a partition into blocks
+    of size at least two.  Families of constant tuples over a point set
+    avoiding the nonconstant solutions have no cross-solutions; other
+    families mostly have some."""
+    p = draw(st.sampled_from([3, 5]))
+    k = draw(st.integers(3, 5))
+    n = draw(st.integers(1, 2))
+    row = draw(st.lists(st.integers(1, p - 1), min_size=k - 1, max_size=k - 1))
+    spec = SystemSpec.make([row + [-sum(row) % p]], p)
+    coord = st.integers(0, p - 1)
+    pool = draw(st.lists(st.tuples(*[coord] * n), min_size=2, max_size=4,
+                         unique=True))
+    if draw(st.booleans()):
+        family = [(v,) * k for v in pool]
+    else:
+        sols = brute_solutions([list(spec.coeffs[0])], None, p, pool, n)
+        family = draw(st.lists(st.sampled_from(sols), min_size=1, max_size=5))
+    sizes = draw(st.sampled_from([s for s in ([k], [2, k - 2], [3, k - 3])
+                                  if min(s) >= 2]))
+    order = draw(st.permutations(range(k)))
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(tuple(order[start:start + size]))
+        start += size
+    return spec, family, blocks
+
+
+class TestPartitionedAgainstReference:
+    """The bound through the completion kernel against the earlier loop
+    with its own pivots (``tests/oracles.py``): same report, witness
+    included."""
+
+    @given(families())
+    def test_same_report(self, case):
+        spec, family, blocks = case
+        assert (partitioned_solution_bound(spec, family, blocks)
+                == reference_partitioned_solution_bound(spec, family, blocks))
+
+    @pytest.mark.parametrize("coeffs,p,n,pool,blocks,met", [
+        # cap set in F_3^2: constant tuples never mix
+        ((1, 1, 1), 3, 2, [(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1, 2)], True),
+        # the whole line F_3 mixes: (0, 1, 2) solves x + y + z = 0
+        ((1, 1, 1), 3, 1, [(0,), (1,), (2,)], [(0, 1, 2)], False),
+        ((1, 1, 2, 2), 3, 2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (2, 3)], False),
+        # x + 3y + z = 0 over F_5: 2v + 3w = 0 forces w = v
+        ((1, 3, 1), 5, 2, [(1, 0), (0, 1), (1, 1)], [(0, 1, 2)], True),
+    ])
+    def test_constant_families(self, coeffs, p, n, pool, blocks, met):
+        spec = SystemSpec.make([coeffs], p)
+        family = [(v,) * spec.k for v in pool]
+        ours = partitioned_solution_bound(spec, family, blocks)
+        assert ours == reference_partitioned_solution_bound(spec, family, blocks)
+        assert ours.hypothesis_met is met
+
+    def test_m2_family(self, sys_m2):
+        points = [(1, 0), (0, 1), (1, 1), (2, 3), (4, 4)]
+        sols = brute_solutions([list(r) for r in sys_m2.coeffs], None, 5,
+                               points, 2)
+        for size in range(1, 6):
+            family = sols[:size] + sols[-size:]
+            for blocks in ([(0, 1, 2, 3, 4)], [(0, 1), (2, 3, 4)],
+                           [(4, 0), (1, 3, 2)]):
+                assert (partitioned_solution_bound(sys_m2, family, blocks)
+                        == reference_partitioned_solution_bound(
+                            sys_m2, family, blocks))
