@@ -23,7 +23,6 @@ from .fplinalg import (
     random_subspace,
     rank,
     read_vector_file,
-    rref,
     rref_with_pivots,
     span,
     write_vector_file,

@@ -558,8 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--theorem", required=True,
                     choices=("tao", "distinct", "rank"))
     vf.add_argument("--r", type=int, help="span threshold for --theorem rank")
-    vf.add_argument("--exclude-zero", action="store_true")
-    vf.add_argument("--include-zero", action="store_true")
+    zero = vf.add_mutually_exclusive_group()
+    zero.add_argument("--exclude-zero", action="store_true")
+    zero.add_argument("--include-zero", action="store_true")
     vf.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP)
     _add_common(vf)
     vf.set_defaults(func=_cmd_verify)

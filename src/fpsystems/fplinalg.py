@@ -79,7 +79,7 @@ def reduce_coords(coords, p: int) -> tuple[int, ...]:
 
 
 def rref_with_pivots(
-    rows: Sequence[Sequence[int]], p: int
+    rows: Iterable[Sequence[int]], p: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over F_p.
 
@@ -117,10 +117,6 @@ def rref_with_pivots(
         if row == nrows:
             break
     return tuple(map(tuple, work[:row])), tuple(pivots)
-
-
-def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
-    return rref_with_pivots(rows, p)[0]
 
 
 def rank(rows, p) -> int:
@@ -166,13 +162,6 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int, p) -> "Subspace":
         return cls((), ambient_dim, check_prime(p))
-
-    @classmethod
-    def full(cls, ambient_dim: int, p) -> "Subspace":
-        p = check_prime(p)
-        rows = tuple(tuple(1 if j == i else 0 for j in range(ambient_dim))
-                     for i in range(ambient_dim))
-        return cls(rows, ambient_dim, p)
 
     @property
     def dim(self) -> int:

@@ -121,7 +121,7 @@ def validate(sys_spec: SystemSpec) -> ValidationReport:
     failing = _failing_minors(sys_spec.coeffs, sys_spec.p)
     return ValidationReport(
         rows_sum_zero=not any(row_sums),
-        generic_minors=not failing,
+        generic_minors=sys_spec.m <= sys_spec.k and not failing,
         row_sums=row_sums,
         failing_minors=failing,
     )
@@ -178,7 +178,9 @@ _MODES = ("any", "not-all-equal", "distinct", "span-dim", "distinct-count")
 
 @dataclass(frozen=True)
 class ClassFilter:
-    """A predicate on solution tuples.
+    """A predicate on solution tuples, decided by ``admits_support``
+    from the distinct entries alone, so a tuple and its support (as the
+    extremal search keeps it) get the same answer.
 
     Modes: ``any`` admits everything; ``not-all-equal`` drops constant
     tuples; ``distinct`` requires all k entries pairwise distinct;
@@ -199,15 +201,25 @@ class ClassFilter:
             raise ValueError("distinct-count filter needs ell >= 1")
 
     def admits(self, sol: SolutionTuple) -> bool:
+        return self.admits_support(len(sol.entries), sol.distinct_count,
+                                   sol.entries, sol.p)
+
+    def admits_support(self, k: int, distinct: int, rows: Iterable,
+                       p: int) -> bool:
+        """The filter on a k-tuple over F_p with ``distinct`` distinct
+        entries; ``rows`` yields those entries (repeats allowed) and is
+        read only by ``span-dim``, at most once."""
         if self.mode == "any":
             return True
         if self.mode == "not-all-equal":
-            return not sol.all_equal
+            return distinct > 1
         if self.mode == "distinct":
-            return sol.distinct_count == len(sol.entries)
-        if self.mode == "span-dim":
-            return sol.span_dim >= self.r
-        return sol.distinct_count >= self.ell
+            return distinct == k
+        if self.mode == "distinct-count":
+            return distinct >= self.ell
+        # the span dimension never exceeds the distinct count, so the
+        # rank test runs only where it can succeed
+        return distinct >= self.r and len(rref_with_pivots(rows, p)[0]) >= self.r
 
     @classmethod
     def any(cls) -> "ClassFilter":

@@ -27,15 +27,12 @@ from typing import Sequence
 
 from .errors import CapExceededError
 from .fplinalg import (
-    Subspace,
     check_prime,
     coords_of,
     enumerate_subspaces,
     gaussian_binomial,
-    normalize_line_rep,
     random_subspace,
     reduce_coords,
-    span,
 )
 from .linsystem import (
     DEFAULT_WORK_CAP,
@@ -45,7 +42,7 @@ from .linsystem import (
     interesting_tuples,
 )
 from .seeds import spawner
-from .slicerank import gamma
+from .slicerank import _gamma_power, gamma
 from .weights import weight
 
 DEFAULT_ENUM_CAP = 10**5
@@ -288,7 +285,8 @@ def count_weight_solutions(sys_spec: SystemSpec, points: PointSet, w: int, r: in
             dim_ok = False
         if sol.span_dim == r:
             count += 1
-    bound = (2 * k) ** (2 * k) * p ** (r * k) * g.gamma ** points.n * len(points) ** (r - 1)
+    bound = ((2 * k) ** (2 * k) * p ** (r * k) * _gamma_power(g.gamma, points.n)
+             * len(points) ** (r - 1))
     return WeightCountReport(w, r, count, bound, count <= bound, dim_ok, sizes_ok)
 
 
@@ -332,29 +330,24 @@ def max_disjoint_span_family(
         raise ValueError("need one fixed vector per index")
     if any(x not in points for x in fixed_cs):
         raise ValueError("fixed vectors must belong to the point set")
-    u = span(fixed_cs, p=p, ambient_dim=points.n)
-    rest = [j for j in range(k) if j not in idx]
-
-    def line_set(entries) -> frozenset:
-        return frozenset(normalize_line_rep(u.reduce(entries[j]), p) for j in rest)
-
+    # a qualifying solution's chosen maximizer is idx, so the quotient
+    # lines of its weight report are those modulo the fixed entries' span
     qualifying = []
     for sol in enumerate_solutions(sys_spec, points, pinned=dict(zip(idx, fixed_cs))):
         rep = weight(sol.entries, p)
         if rep.omega == w and rep.chosen == idx:
-            qualifying.append(sol.entries)
+            qualifying.append((sol.entries, frozenset(rep.lines)))
     family = []
     used: set = set()
-    for entries in qualifying:
-        lines = line_set(entries)
+    for entries, lines in qualifying:
         if used & lines:
             continue
         family.append(entries)
         used |= lines
-    maximal = all(entries in family or (line_set(entries) & used)
-                  for entries in qualifying)
+    maximal = all(entries in family or (lines & used)
+                  for entries, lines in qualifying)
     g = gamma(p, m, k - len(idx))
-    bound = k ** (k + 1) * g.gamma ** points.n
+    bound = k ** (k + 1) * _gamma_power(g.gamma, points.n)
     return FamilyReport(tuple(family), len(family), bound,
                         len(family) <= bound, maximal)
 

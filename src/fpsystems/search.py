@@ -9,9 +9,8 @@ call builds once.  Every point is numbered by its position in the point
 order.  Every solution in the point space is enumerated once, with the
 free positions ranging over the space and the pivot positions solved
 from them, and its support is kept as an int bitmask, listed under each
-point it uses.  The filter is applied per support, not per tuple, and
-only admitted supports are kept; the span test, the one costly part,
-runs only on supports with at least r points.
+point it uses.  The filter (``ClassFilter.admits_support``) is applied
+per support, not per tuple, and only admitted supports are kept.
 
 The search is a depth first scan over points in order, carrying the
 current set and the candidates that can still join it, both as
@@ -42,8 +41,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError
 from .linsystem import (
@@ -53,7 +51,7 @@ from .linsystem import (
     _Completion,
     enumerate_solutions,
 )
-from .slicerank import gamma
+from .slicerank import clp_upper_bound
 
 DEFAULT_POINT_CAP = 81
 
@@ -77,10 +75,8 @@ class AvoidanceProblem:
             raise ValueError(f"need 2 <= ell <= {k}")
 
     def point_order(self) -> tuple[tuple[int, ...], ...]:
-        pts = product(range(self.sys_spec.p), repeat=self.n)
-        if self.exclude_zero:
-            return tuple(v for v in pts if any(v))
-        return tuple(pts)
+        return PointSet.full_space(self.n, self.sys_spec.p,
+                                   include_zero=not self.exclude_zero).points
 
 
 @dataclass(frozen=True)
@@ -92,50 +88,12 @@ class SearchResult:
     elapsed_s: float
 
 
-def _positions(mask: int) -> Iterator[int]:
+def _selected(items: Sequence, mask: int) -> Iterator:
+    """The items at the positions set in ``mask``, in order."""
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        yield items[low.bit_length() - 1]
         mask ^= low
-
-
-def _admits(mode: ClassFilter, points: Sequence[tuple[int, ...]],
-            support: int, k: int, p: int) -> bool:
-    """The filter on a k-tuple whose distinct entries are the points at
-    the positions set in ``support``."""
-    kind, distinct = mode.mode, support.bit_count()
-    if kind == "not-all-equal":
-        return distinct > 1
-    if kind == "distinct":
-        return distinct == k
-    if kind == "distinct-count":
-        return distinct >= mode.ell
-    if kind == "span-dim":
-        # the span dimension never exceeds the distinct count, so the
-        # rank test runs only where it can succeed
-        return distinct >= mode.r and _spans(
-            (points[i] for i in _positions(support)), mode.r, p)
-    return True
-
-
-def _spans(rows: Iterable[tuple[int, ...]], r: int, p: int) -> bool:
-    """Whether ``rows`` span at least r dimensions over F_p; stops at
-    the r-th independent row."""
-    # each basis row is 1 at its pivot and 0 at the earlier pivots, so
-    # one pass in order reduces a row against all of them
-    basis: list = []
-    for row in rows:
-        for j, b in basis:
-            c = row[j]
-            if c:
-                row = [(a - c * e) % p for a, e in zip(row, b)]
-        j = next((j for j, a in enumerate(row) if a), None)
-        if j is not None:
-            inv = pow(row[j], -1, p)
-            basis.append((j, [a * inv % p for a in row]))
-            if len(basis) == r:
-                return True
-    return False
 
 
 class _SupportIndex:
@@ -147,16 +105,18 @@ class _SupportIndex:
         sys_spec, mode = problem.sys_spec, problem.mode
         k, p = sys_spec.k, sys_spec.p
         bits = {v: 1 << i for i, v in enumerate(order)}
+        positions = range(len(order))
         # per point x, the admitted supports through x without x's own bit
         self.through: list[list[int]] = [[] for _ in order]
         # points whose all-equal tuple is an admitted solution
         self.singles = 0
         for support in set(_Completion(sys_spec, problem.n).supports(bits)):
-            if not _admits(mode, order, support, k, p):
+            if not mode.admits_support(k, support.bit_count(),
+                                       _selected(order, support), p):
                 continue
             if support & (support - 1) == 0:
                 self.singles |= support
-            for i in _positions(support):
+            for i in _selected(positions, support):
                 self.through[i].append(support ^ (1 << i))
 
     def blocked_by(self, x: int, inside: int) -> int:
@@ -296,9 +256,10 @@ def greedy_lower_bound(
         for x in pts:
             nodes += 1
             bits[x] = 1 << len(members)
-            pool = members + [x]
+            pool, xbit = members + [x], bits[x]
             # bits, in insertion order, is the pool: the members, then x
-            if any(_admits(mode, pool, support | bits[x], k, p)
+            if any(mode.admits_support(k, (support | xbit).bit_count(),
+                                       _selected(pool, support | xbit), p)
                    for check in checks
                    for support in check.supports(bits, pins=(x,))):
                 del bits[x]
@@ -359,7 +320,7 @@ def verify_theorem_bound(
         if problem.mode.mode != "not-all-equal":
             raise ValueError("this statement is about not-all-equal solutions")
         result = exhaustive_max(problem, cap_points=cap_points)
-        bound = k * gamma(p, m, k).gamma ** problem.n
+        bound = clp_upper_bound(sys_spec, problem.n)
         return BoundReport("tao", result.best_size, bound,
                            result.best_size <= bound,
                            bound - result.best_size, None,

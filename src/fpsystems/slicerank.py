@@ -235,11 +235,6 @@ class OrderFamily:
             out.append(tuple(rank_of))
         return tuple(out)
 
-    def le(self, axis: int, a: int, b: int) -> bool:
-        """Whether a precedes-or-equals b in the order on the given axis."""
-        r = self._ranks[axis]
-        return r[a] <= r[b]
-
     @classmethod
     def all_increasing(cls, length: int, k: int) -> "OrderFamily":
         return cls(tuple(tuple(range(length)) for _ in range(k)))
@@ -414,7 +409,7 @@ def verify_polynomial_identity(
     return all(product_formula(idx) == tensor.entry(idx) for idx in tuples)
 
 
-def clp_upper_bound(sys_spec: SystemSpec, n: int, length: int | None = None) -> float:
+def clp_upper_bound(sys_spec: SystemSpec, n: int) -> float:
     """The certified slice rank ceiling k * Gamma^n for indicator tensors
     of this system over F_p^n, whatever the candidate count L."""
     if n < 0:
@@ -422,7 +417,7 @@ def clp_upper_bound(sys_spec: SystemSpec, n: int, length: int | None = None) -> 
     g = gamma(sys_spec.p, sys_spec.m, sys_spec.k)
     if g.at_boundary:
         raise ValueError("ceiling needs k >= 2m + 1")
-    return sys_spec.k * g.gamma**n
+    return sys_spec.k * _gamma_power(g.gamma, n)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,10 @@ k - |I| < k + 1 lines remain outside I, so omega is attained only on
 admissible sets of the largest size, and only those get their lines
 counted.
 
-``weight`` validates its input on every call and keeps the rest in a
-small least-recently-used memo keyed on the reduced tuple, because
-several flows weigh one tuple more than once (the weight facts, then the
-partition structure, of each solution).
+Each public operation validates its input once per call and weighs the
+checked tuple through a small least-recently-used memo keyed on the
+reduced tuple, because several flows weigh one tuple more than once (the
+weight facts, then the partition structure, of each solution).
 
 These definitions never look at any linear system, so every operation
 here accepts an arbitrary tuple of nonzero vectors; the operations tied
@@ -72,11 +72,12 @@ def _checked_tuple(entries: Sequence, p: int) -> tuple[tuple[tuple[int, ...], ..
     return xs, dims.pop()
 
 
-def _capped_tuple(entries: Sequence, p, cap_k: int):
+def _capped_tuple(entries: Sequence, p):
     p = check_prime(p)
     xs, n = _checked_tuple(entries, p)
-    if len(xs) > cap_k:
-        raise CapExceededError(f"admissible listing capped at k <= {cap_k}, got {len(xs)}")
+    if len(xs) > ADMISSIBLE_K_CAP:
+        raise CapExceededError(
+            f"admissible listing capped at k <= {ADMISSIBLE_K_CAP}, got {len(xs)}")
     return xs, n, p
 
 
@@ -140,12 +141,12 @@ class AdmissibleSet:
     lines: tuple[tuple[int, ...], ...]
 
 
-def admissible_sets(entries: Sequence, p, cap_k: int = ADMISSIBLE_K_CAP) -> list[AdmissibleSet]:
+def admissible_sets(entries: Sequence, p) -> list[AdmissibleSet]:
     """Every admissible subset of positions, by size then lexicographic.
 
     The family can hold all 2^k subsets, so k is capped.
     """
-    xs, n, p = _capped_tuple(entries, p, cap_k)
+    xs, n, p = _capped_tuple(entries, p)
     k = len(xs)
     out = []
     for idx, res in _admissible_family(xs, p):
@@ -167,7 +168,7 @@ class WeightReport:
     lines: tuple[tuple[int, ...], ...]
 
 
-def weight(entries: Sequence, p, cap_k: int = ADMISSIBLE_K_CAP) -> WeightReport:
+def weight(entries: Sequence, p) -> WeightReport:
     """The weight of a tuple of nonzero vectors.
 
     Returns omega, the chosen maximizer I (smallest size first, then
@@ -175,7 +176,7 @@ def weight(entries: Sequence, p, cap_k: int = ADMISSIBLE_K_CAP) -> WeightReport:
     of positions outside I grouped by their quotient line, ordered by
     smallest member.
     """
-    xs, n, p = _capped_tuple(entries, p, cap_k)
+    xs, n, p = _capped_tuple(entries, p)
     return _weigh(xs, n, p)
 
 
@@ -231,15 +232,14 @@ def verify_weight_properties(
     elements; and the span of the whole tuple has dimension at least
     omega / (k+1).  When a system is supplied the tuple must solve it.
     """
-    p = check_prime(p)
-    xs, _ = _checked_tuple(entries, p)
+    xs, n, p = _capped_tuple(entries, p)
     k = len(xs)
     if sys_spec is not None:
         if sys_spec.constants is not None:
             raise ValueError("property check expects a homogeneous system")
         if not is_solution(sys_spec, xs):
             raise ValueError("tuple does not solve the supplied system")
-    rep = weight(xs, p)
+    rep = _weigh(xs, n, p)
     forbidden = {0} | {(k + 1) * t for t in range(1, k)}
     omega_valid = rep.omega not in forbidden
     size_valid = len(rep.chosen) == rep.omega // (k + 1)
@@ -273,10 +273,10 @@ def partition_structure(entries: Sequence, sys_spec: SystemSpec) -> PartitionRep
         raise ValueError("partition structure expects a homogeneous system")
     if not sys_spec.rows_sum_zero:
         raise ValueError("partition structure expects rows summing to zero")
-    xs, _ = _checked_tuple(entries, sys_spec.p)
+    xs, n, p = _capped_tuple(entries, sys_spec.p)
     if not is_solution(sys_spec, xs):
         raise ValueError("tuple does not solve the supplied system")
-    rep = weight(xs, sys_spec.p)
+    rep = _weigh(xs, n, p)
     sizes = [len(b) for b in rep.partition]
     min_size = min(sizes) if sizes else 0
     distinct_lines = len(set(rep.lines)) == len(rep.lines)

@@ -406,6 +406,13 @@ class TestExitCodes:
         assert report["ok"] is False
         assert report["failing_minors"] == [[2]]
 
+    def test_validate_more_equations_than_variables(self, tmp_path, capsys):
+        path = tmp_path / "tall.system"
+        path.write_text("p=3 m=3 k=2\n1 2\n1 1\n2 1\n")
+        code, data, _ = run_json(["validate", "--system", str(path)], capsys)
+        assert code == 1
+        assert data["result"]["report"]["generic_minors"] is False
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["validate", "--system", "/no/such/file"],
                                capsys)
@@ -469,6 +476,22 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "Gamma^n" in err
         assert "n = 2000" in err
+
+    def test_slicerank_bound_overflow(self, files, capsys):
+        code, out, err = run_cli(["slicerank", "bound", "--system",
+                                  files["ap3"], "--n", "2000"], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: Gamma^n overflows a float at n = 2000\n"
+
+    def test_verify_zero_flags_clash(self, files, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--system", files["ap3"], "--n", "2",
+                  "--theorem", "tao", "--exclude-zero", "--include-zero"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "not allowed with" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["extremal", "--system", "@ap3", "--n", "2", "--greedy",

@@ -86,6 +86,15 @@ class TestValidate:
         assert not spec.rows_sum_zero
         assert spec.generic_minors
 
+    def test_more_equations_than_variables(self):
+        # no m x m minor exists, so none fails, yet the minors are not
+        # generic; validate and make apply the same rule
+        spec = SystemSpec.make([(1, 2), (1, 1), (2, 1)], 3)
+        rep = validate(spec)
+        assert rep.failing_minors == ()
+        assert not rep.generic_minors and not spec.generic_minors
+        assert not rep.ok
+
 
 class TestIsSolution:
     def test_constant_tuples_solve_rows_sum_zero(self, sys_ap3):

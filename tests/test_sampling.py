@@ -16,12 +16,14 @@ from fpsystems import (
     gamma,
     is_interesting,
     max_disjoint_span_family,
+    normalize_line_rep,
     proof_dimension_distinct,
     proof_dimension_weight,
     random_subspace,
     rank,
     sampling_step_distinct,
     sampling_step_weight,
+    span,
     verify_containment,
     weight,
 )
@@ -396,6 +398,15 @@ class TestWeightCounts:
         with pytest.raises(ValueError):
             count_weight_solutions(sys_ap3, points, 1, 1)
 
+    def test_gamma_power_overflow_named(self, sys_ap3):
+        # two points of F_3^2000: few solutions, but Gamma^2000 overflows
+        e1 = (1,) + (0,) * 1999
+        points = PointSet.make([e1, tuple(2 * c for c in e1)], 3)
+        with pytest.raises(ValueError, match="Gamma\\^n overflows"):
+            count_weight_solutions(sys_ap3, points, 1, 1)
+        with pytest.raises(ValueError, match="Gamma\\^n overflows"):
+            max_disjoint_span_family(sys_ap3, points, (), (), 1)
+
 
 class TestDisjointFamily:
     def test_empty_family_when_nothing_qualifies(self, sys_k4):
@@ -438,6 +449,34 @@ class TestDisjointFamily:
                  for e in rep.family]
         for a, b in combinations(lines, 2):
             assert not (a & b)
+
+    def test_family_matches_recomputed_lines(self, sys_k4):
+        # the family grown from quotient lines derived afresh per
+        # solution, modulo the span of the fixed entries
+        points = PointSet.full_space(2, 3, include_zero=False)
+        sols = [sol.entries for sol in enumerate_solutions(sys_k4, points)]
+        cases = {((), ())} | {((i,), (sol[i],)) for sol in sols
+                              for i in range(4)}
+        checked = 0
+        for idx, fixed in sorted(cases):
+            u = span(fixed, p=3, ambient_dim=2)
+            pinned = [sol.entries for sol in enumerate_solutions(
+                sys_k4, points, pinned=dict(zip(idx, fixed)))]
+            for w in range(5 * len(idx), 5 * len(idx) + 5):
+                family, used = [], set()
+                for sol in pinned:
+                    rep = weight(sol, 3)
+                    if rep.omega != w or rep.chosen != idx:
+                        continue
+                    lines = {normalize_line_rep(u.reduce(sol[j]), 3)
+                             for j in range(4) if j not in idx}
+                    if not used & lines:
+                        family.append(sol)
+                        used |= lines
+                rep = max_disjoint_span_family(sys_k4, points, idx, fixed, w)
+                assert rep.family == tuple(family)
+                checked += len(family)
+        assert checked > 0
 
     def test_wrong_index_size_rejected(self, sys_k4):
         points = PointSet.full_space(2, 3, include_zero=False)

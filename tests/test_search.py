@@ -16,7 +16,6 @@ from fpsystems import (
     verify_theorem_bound,
 )
 from fpsystems.fplinalg import rref_with_pivots
-from fpsystems.search import _admits
 from fpsystems.seeds import spawn
 
 from .oracles import reference_exhaustive_max, reference_greedy
@@ -95,25 +94,45 @@ class TestAgainstReference:
                 reference_greedy(problem, 2, random.Random(seed))
 
 
+def untouched_rows():
+    """Rows that fail the test if the filter reads them."""
+    raise AssertionError("rows read outside the span test")
+    yield
+
+
 class TestSupportFilter:
-    """The filter the support index applies to each support, against
-    the row echelon rank, for every threshold the filter accepts."""
+    """The filter the support index applies to each support's distinct
+    points, against the row echelon rank, for every threshold the filter
+    accepts."""
 
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
     def test_span_dim_matches_rank(self, p, n):
         order = list(product(range(p), repeat=n))
         for size in range(1, 5):
             for chosen in combinations(range(len(order)), size):
-                support = sum(1 << i for i in chosen)
-                dim = len(rref_with_pivots([order[i] for i in chosen], p)[0])
+                rows = [order[i] for i in chosen]
+                dim = len(rref_with_pivots(rows, p)[0])
                 for r in range(1, 4):
-                    assert _admits(ClassFilter.span_at_least(r), order,
-                                   support, 4, p) == (dim >= r)
+                    flt = ClassFilter.span_at_least(r)
+                    assert flt.admits_support(4, size, iter(rows), p) == (dim >= r)
 
     def test_zero_point_spans_nothing(self):
-        order = [(0, 0), (1, 0), (0, 1)]
-        assert not _admits(ClassFilter.span_at_least(1), order, 0b001, 3, 3)
-        assert _admits(ClassFilter.span_at_least(1), order, 0b010, 3, 3)
+        flt = ClassFilter.span_at_least(1)
+        assert not flt.admits_support(3, 1, iter([(0, 0)]), 3)
+        assert flt.admits_support(3, 1, iter([(1, 0)]), 3)
+
+    # admitted with 1 and with 2 distinct entries out of k = 3; a span
+    # of dimension 3 needs 3 distinct points, so no case reads the rows
+    @pytest.mark.parametrize("flt,expected", [
+        (ClassFilter.any(), (True, True)),
+        (ClassFilter.not_all_equal(), (False, True)),
+        (ClassFilter.distinct(), (False, False)),
+        (ClassFilter.distinct_at_least(2), (False, True)),
+        (ClassFilter.span_at_least(3), (False, False)),
+    ], ids=["any", "not-all-equal", "distinct", "distinct-count", "span-dim"])
+    def test_rows_read_only_by_a_possible_span_test(self, flt, expected):
+        assert tuple(flt.admits_support(3, distinct, untouched_rows(), 3)
+                     for distinct in (1, 2)) == expected
 
     def test_problem_needs_span_threshold_two(self, sys_ap3):
         with pytest.raises(ValueError):

@@ -285,6 +285,11 @@ class TestCeiling:
         with pytest.raises(ValueError):
             clp_upper_bound(spec, 2)
 
+    def test_overflow_named(self, sys_ap3):
+        with pytest.raises(ValueError,
+                           match=r"Gamma\^n overflows a float at n = 2000"):
+            clp_upper_bound(sys_ap3, 2000)
+
 
 class TestPartitionedBound:
     def test_block_constant_family_certified(self, sys_ap3):

@@ -14,6 +14,7 @@ from fpsystems import (
     verify_weight_properties,
     weight,
 )
+from fpsystems import weights
 from .oracles import (
     reference_admissible_sets,
     reference_weight,
@@ -72,6 +73,21 @@ class TestAdmissible:
             admissible_sets(entries, 3)
         with pytest.raises(CapExceededError):
             weight(entries, 3)
+        with pytest.raises(CapExceededError):
+            verify_weight_properties(entries, 3)
+        # 25 ones sum to 0 mod 5, so the tuple solves the system
+        with pytest.raises(CapExceededError):
+            partition_structure(entries, SystemSpec.make([(1,) * 25], 5))
+
+    def test_checks_validate_once(self, sys_ap3, monkeypatch):
+        calls = []
+        checked = weights._checked_tuple
+        monkeypatch.setattr(weights, "_checked_tuple",
+                            lambda xs, p: calls.append(p) or checked(xs, p))
+        entries = [(1, 0), (2, 1), (0, 2)]
+        assert verify_weight_properties(entries, 3, sys_spec=sys_ap3).ok
+        assert partition_structure(entries, sys_ap3).lemma_ok
+        assert calls == [3, 3]
 
     @given(nonzero_tuples())
     def test_weight_bounds_per_set(self, case):
