@@ -70,13 +70,14 @@ from .search import (
 )
 from .seeds import derive_seed, spawn
 from .slicerank import (
+    Ceiling,
     GammaResult,
     MonomialCountResult,
     OrderFamily,
     PartitionedBoundReport,
     Tensor,
     antichain_slice_rank,
-    clp_upper_bound,
+    ceiling,
     corollary_orders,
     gamma,
     indicator_tensor,

@@ -25,7 +25,7 @@ from .linsystem import (
     DEFAULT_WORK_CAP,
     ClassFilter,
     PointSet,
-    SystemSpec,
+    _MODES,
     enumerate_solutions,
     read_system_file,
     validate,
@@ -49,7 +49,7 @@ from .slicerank import (
     OrderFamily,
     _gamma_power,
     antichain_slice_rank,
-    clp_upper_bound,
+    ceiling,
     corollary_orders,
     gamma,
     monomial_count,
@@ -148,10 +148,6 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _load_system(path: str) -> SystemSpec:
-    return read_system_file(path)
-
-
 def _load_points(args, p) -> PointSet:
     if getattr(args, "points", None):
         points = PointSet.from_file(args.points)
@@ -209,9 +205,8 @@ def _cmd_gamma(args) -> int:
     payload = {"p": args.p, "m": args.m, "k": args.k, "gamma": res}
     if args.n is not None:
         payload["n"] = args.n
-        power = _gamma_power(res.gamma, args.n)
-        payload["power"] = power
-        payload["set_size_bound"] = args.k * power
+        payload["power"] = _gamma_power(res.gamma, args.n)
+        payload["set_size_bound"] = _gamma_power(res.gamma, args.n, args.k)
         if not res.at_boundary:
             payload["monomials"] = monomial_count(args.p, args.m, args.k, args.n)
     _emit(args, "gamma", payload, started)
@@ -220,7 +215,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_validate(args) -> int:
     started = time.perf_counter()
-    sys_spec = _load_system(args.system)
+    sys_spec = read_system_file(args.system)
     report = validate(sys_spec)
     payload = {
         "p": sys_spec.p,
@@ -236,7 +231,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     started = time.perf_counter()
-    sys_spec = _load_system(args.system)
+    sys_spec = read_system_file(args.system)
     points = _load_points(args, sys_spec.p)
     flt = _make_filter(args, sys_spec.k)
     count = 0
@@ -270,7 +265,7 @@ def _cmd_weight(args) -> int:
     rendered["admissible"] = _jsonable(admissible_sets(entries, args.p))
     payload: dict = {"p": args.p, "entries": entries, "weight": rendered}
     failed = False
-    sys_spec = _load_system(args.system) if args.system else None
+    sys_spec = read_system_file(args.system) if args.system else None
     if args.check_properties:
         props = verify_weight_properties(entries, args.p, sys_spec=sys_spec)
         payload["properties"] = props
@@ -304,7 +299,7 @@ def _cmd_slicerank(args) -> int:
         _emit(args, "slicerank", payload, started)
         return 0
     if args.action == "identity":
-        sys_spec = _load_system(args.system)
+        sys_spec = read_system_file(args.system)
         points = _load_points(args, sys_spec.p)
         seed = _resolve_seed(args)
         rng = spawn(seed, "identity")
@@ -325,10 +320,9 @@ def _cmd_slicerank(args) -> int:
                    "expected": args.length}
         _emit(args, "slicerank", payload, started)
         return 0 if rank_value == args.length else 1
-    sys_spec = _load_system(args.system)
-    bound = clp_upper_bound(sys_spec, args.n)
-    g = gamma(sys_spec.p, sys_spec.m, sys_spec.k)
-    payload = {"n": args.n, "k": sys_spec.k, "gamma": g, "bound": bound}
+    sys_spec = read_system_file(args.system)
+    ceil = ceiling(sys_spec.p, sys_spec.m, sys_spec.k, args.n, factor=sys_spec.k)
+    payload = {"n": args.n, "k": sys_spec.k, "gamma": ceil.gamma, "bound": ceil.bound}
     _emit(args, "slicerank", payload, started)
     return 0
 
@@ -342,7 +336,7 @@ def _cmd_sample(args) -> int:
                                    method=args.method)
         _emit(args, "sample", check, started, seed=seed)
         return 0 if check.within_3sigma else 1
-    sys_spec = _load_system(args.system)
+    sys_spec = read_system_file(args.system)
     points = _load_points(args, sys_spec.p)
     seed = _resolve_seed(args)
     if args.action == "step-distinct":
@@ -362,7 +356,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_extremal(args) -> int:
     started = time.perf_counter()
-    sys_spec = _load_system(args.system)
+    sys_spec = read_system_file(args.system)
     problem = AvoidanceProblem(sys_spec, _make_filter(args, sys_spec.k),
                                args.n, exclude_zero=args.exclude_zero)
     seed: int | None = None
@@ -380,7 +374,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    sys_spec = _load_system(args.system)
+    sys_spec = read_system_file(args.system)
     if args.theorem == "tao":
         mode = ClassFilter.not_all_equal()
         exclude_zero = False
@@ -446,9 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="enumerate solutions over a point set")
     s.add_argument("--system", required=True)
     _add_point_source(s)
-    s.add_argument("--mode", default="any",
-                   choices=("any", "not-all-equal", "distinct", "span-dim",
-                            "distinct-count"))
+    s.add_argument("--mode", default="any", choices=_MODES)
     s.add_argument("--r", type=int, help="span dimension threshold")
     s.add_argument("--ell", type=int, help="distinct entry threshold")
     s.add_argument("--limit", type=int, default=100,
@@ -535,9 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("extremal", help="largest avoiding subset search")
     e.add_argument("--system", required=True)
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--mode", default="not-all-equal",
-                   choices=("any", "not-all-equal", "distinct", "span-dim",
-                            "distinct-count"))
+    e.add_argument("--mode", default="not-all-equal", choices=_MODES)
     e.add_argument("--r", type=int)
     e.add_argument("--ell", type=int)
     e.add_argument("--exclude-zero", action="store_true")

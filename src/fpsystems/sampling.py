@@ -42,7 +42,7 @@ from .linsystem import (
     interesting_tuples,
 )
 from .seeds import spawner
-from .slicerank import _gamma_power, gamma
+from .slicerank import ceiling
 from .weights import weight
 
 DEFAULT_ENUM_CAP = 10**5
@@ -269,9 +269,8 @@ def count_weight_solutions(sys_spec: SystemSpec, points: PointSet, w: int, r: in
     floor_w = w // (k + 1)
     if not floor_w + 1 <= r <= k:
         raise ValueError(f"need {floor_w + 1} <= r <= {k}")
-    if k - floor_w < 2 * m + 1:
-        raise ValueError("need k - floor(w / (k+1)) >= 2m + 1")
-    g = gamma(p, m, k - floor_w)
+    ceil = ceiling(p, m, k - floor_w, points.n,
+                   factor=(2 * k) ** (2 * k) * p ** (r * k) * len(points) ** (r - 1))
     count = 0
     dim_ok = True
     sizes_ok = True
@@ -285,9 +284,7 @@ def count_weight_solutions(sys_spec: SystemSpec, points: PointSet, w: int, r: in
             dim_ok = False
         if sol.span_dim == r:
             count += 1
-    bound = ((2 * k) ** (2 * k) * p ** (r * k) * _gamma_power(g.gamma, points.n)
-             * len(points) ** (r - 1))
-    return WeightCountReport(w, r, count, bound, count <= bound, dim_ok, sizes_ok)
+    return WeightCountReport(w, r, count, ceil.bound, ceil.holds(count), dim_ok, sizes_ok)
 
 
 @dataclass(frozen=True)
@@ -323,8 +320,7 @@ def max_disjoint_span_family(
     idx = tuple(sorted(set(index_set)))
     if len(idx) != w // (k + 1):
         raise ValueError("index set size must equal floor(w / (k+1))")
-    if k - len(idx) < 2 * m + 1:
-        raise ValueError("need k - |I| >= 2m + 1")
+    ceil = ceiling(p, m, k - len(idx), points.n, factor=k ** (k + 1))
     fixed_cs = [reduce_coords(coords_of(x), p) for x in fixed]
     if len(fixed_cs) != len(idx):
         raise ValueError("need one fixed vector per index")
@@ -346,10 +342,8 @@ def max_disjoint_span_family(
         used |= lines
     maximal = all(entries in family or (lines & used)
                   for entries, lines in qualifying)
-    g = gamma(p, m, k - len(idx))
-    bound = k ** (k + 1) * _gamma_power(g.gamma, points.n)
-    return FamilyReport(tuple(family), len(family), bound,
-                        len(family) <= bound, maximal)
+    return FamilyReport(tuple(family), len(family), ceil.bound,
+                        ceil.holds(len(family)), maximal)
 
 
 def proof_dimension_weight(p, gamma_value: float, n: int, k: int) -> int:

@@ -51,7 +51,7 @@ from .linsystem import (
     _Completion,
     enumerate_solutions,
 )
-from .slicerank import clp_upper_bound
+from .slicerank import ceiling
 
 DEFAULT_POINT_CAP = 81
 
@@ -313,17 +313,15 @@ def verify_theorem_bound(
     sys_spec = problem.sys_spec
     k, m, p = sys_spec.k, sys_spec.m, sys_spec.p
     if theorem == "tao":
-        if k < 2 * m + 1:
-            raise ValueError("need k >= 2m + 1")
+        ceil = ceiling(p, m, k, problem.n, factor=k)
         if not sys_spec.rows_sum_zero:
             raise ValueError("rows must sum to zero")
         if problem.mode.mode != "not-all-equal":
             raise ValueError("this statement is about not-all-equal solutions")
         result = exhaustive_max(problem, cap_points=cap_points)
-        bound = clp_upper_bound(sys_spec, problem.n)
-        return BoundReport("tao", result.best_size, bound,
-                           result.best_size <= bound,
-                           bound - result.best_size, None,
+        return BoundReport("tao", result.best_size, ceil.bound,
+                           ceil.holds(result.best_size),
+                           ceil.bound - result.best_size, None,
                            "exhaustive maximum against k * Gamma^n")
     if theorem == "distinct":
         if k < 3 * m:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import comb
+from math import comb, isinf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
@@ -47,19 +47,21 @@ class GammaResult:
     at_boundary: bool
 
 
-def _phi(z: float, p: int) -> float:
+def _powers(z: float, p: int) -> list[float]:
+    """The floats 1, z, ..., z^(p-1), each one product from the last."""
     powers = [1.0]
     for _ in range(p - 1):
         powers.append(powers[-1] * z)
-    total = sum(powers)
-    return sum(j * powers[j] for j in range(p)) / total
+    return powers
+
+
+def _phi(z: float, p: int) -> float:
+    powers = _powers(z, p)
+    return sum(j * powers[j] for j in range(p)) / sum(powers)
 
 
 def _objective(z: float, p: int, alpha: float) -> float:
-    powers = [1.0]
-    for _ in range(p - 1):
-        powers.append(powers[-1] * z)
-    return sum(powers) / z**alpha
+    return sum(_powers(z, p)) / z**alpha
 
 
 def gamma(p, m: int, k: int, tol: float = 1e-12) -> GammaResult:
@@ -104,13 +106,43 @@ class MonomialCountResult:
     holds: bool
 
 
-def _gamma_power(value: float, n: int) -> float:
-    """Gamma^n as a float, or a ValueError naming Gamma^n and n when it
-    overflows."""
+def _gamma_power(value: float, n: int, factor: int = 1) -> float:
+    """factor * Gamma^n as a finite float, or a ValueError naming n when
+    Gamma^n, the factor or their product leaves the float range."""
     try:
-        return value**n
+        power = value**n
     except OverflowError:
         raise ValueError(f"Gamma^n overflows a float at n = {n}") from None
+    try:
+        bound = factor * power
+    except OverflowError:  # an int factor too large for a float
+        bound = float("inf")
+    if isinf(bound):
+        raise ValueError(f"c * Gamma^n overflows a float at n = {n}")
+    return bound
+
+
+@dataclass(frozen=True)
+class Ceiling:
+    """The slice-rank ceiling factor * Gamma(p, m, k)^n."""
+
+    gamma: GammaResult
+    bound: float
+
+    def holds(self, count: int) -> bool:
+        """Whether a count stays within the ceiling, compared as floats."""
+        return count <= self.bound
+
+
+def ceiling(p, m: int, k: int, n: int, factor: int = 1) -> Ceiling:
+    """The ceiling factor * Gamma^n at the default tolerance; needs n >= 0,
+    k >= 2m + 1 and a ceiling within the float range."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    g = gamma(p, m, k)
+    if g.at_boundary:
+        raise ValueError(f"ceiling needs k >= 2m + 1, got k = {k}, m = {m}")
+    return Ceiling(g, _gamma_power(g.gamma, n, factor))
 
 
 def monomial_count(p, m: int, k: int, n: int) -> MonomialCountResult:
@@ -119,21 +151,14 @@ def monomial_count(p, m: int, k: int, n: int) -> MonomialCountResult:
 
     By inclusion-exclusion over the coordinates forced to d_i >= p, the
     count is sum_{j=0}^{min(n, T // p)} (-1)^j C(n, j) C(T - jp + n, n),
-    exact in integers for every n with O(n) binomials; requires
-    k >= 2m + 1 so the ceiling is meaningful.  ``holds`` compares the
-    count with Gamma^n as floats.
+    exact in integers for every n with O(n) binomials.
     """
-    p = check_prime(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 2 * m + 1:
-        raise ValueError("need k >= 2m + 1")
-    g = gamma(p, m, k)  # also rejects m < 1 and k < 1
+    ceil = ceiling(p, m, k, n)
+    p = int(p)
     threshold = (m * n * (p - 1)) // k
     count = sum((-1)**j * comb(n, j) * comb(threshold - j * p + n, n)
                 for j in range(min(n, threshold // p) + 1))
-    bound = _gamma_power(g.gamma, n)
-    return MonomialCountResult(count, threshold, bound, count <= bound)
+    return MonomialCountResult(count, threshold, ceil.bound, ceil.holds(count))
 
 
 @dataclass(frozen=True)
@@ -409,17 +434,6 @@ def verify_polynomial_identity(
     return all(product_formula(idx) == tensor.entry(idx) for idx in tuples)
 
 
-def clp_upper_bound(sys_spec: SystemSpec, n: int) -> float:
-    """The certified slice rank ceiling k * Gamma^n for indicator tensors
-    of this system over F_p^n, whatever the candidate count L."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    g = gamma(sys_spec.p, sys_spec.m, sys_spec.k)
-    if g.at_boundary:
-        raise ValueError("ceiling needs k >= 2m + 1")
-    return sys_spec.k * _gamma_power(g.gamma, n)
-
-
 @dataclass(frozen=True)
 class PartitionedBoundReport:
     """Outcome of the cross-solution hypothesis check and rank ceiling."""
@@ -435,7 +449,6 @@ def partitioned_solution_bound(
     sys_spec: SystemSpec,
     solutions: Sequence[Sequence],
     partition: Sequence[Sequence[int]],
-    cap: int = DEFAULT_CROSS_CAP,
 ) -> PartitionedBoundReport:
     """Check a family of solutions for cross-solutions that mix family
     members within a block, and apply the k * Gamma^n ceiling when none
@@ -463,8 +476,8 @@ def partitioned_solution_bound(
     k = sys_spec.k
     if length == 0:
         return PartitionedBoundReport(True, None, 0, None, True)
-    if length**k > cap:
-        raise CapExceededError(f"{length}^{k} cross tuples exceed the cap {cap}")
+    if length**k > DEFAULT_CROSS_CAP:
+        raise CapExceededError(f"{length}^{k} cross tuples exceed the cap {DEFAULT_CROSS_CAP}")
     n = len(sols[0][0])
     # free entries are labelled by their family index, pivot entries by
     # the family indices holding that point at that position
@@ -496,8 +509,9 @@ def partitioned_solution_bound(
                     if any(len({idx[i] for i in b}) > 1 for b in blocks)), None)
     if witness is not None:
         return PartitionedBoundReport(False, witness, length, None, None)
-    bound = clp_upper_bound(sys_spec, n)
-    return PartitionedBoundReport(True, None, length, bound, length <= bound)
+    ceil = ceiling(sys_spec.p, sys_spec.m, k, n, factor=k)
+    return PartitionedBoundReport(True, None, length, ceil.bound,
+                                  ceil.holds(length))
 
 
 def write_tensor_file(dest, tensor: Tensor) -> None:

@@ -44,7 +44,7 @@ from fpsystems.fplinalg import (
     rref_with_pivots,
 )
 from fpsystems.linsystem import ClassFilter, SolutionTuple, is_solution, pivot_columns
-from fpsystems.slicerank import PartitionedBoundReport, clp_upper_bound
+from fpsystems.slicerank import PartitionedBoundReport, ceiling
 from fpsystems.weights import AdmissibleSet, WeightReport
 
 
@@ -651,5 +651,5 @@ def reference_partitioned_solution_bound(sys_spec, solutions, partition):
                 if any(len({idx[i] for i in b}) > 1 for b in blocks):
                     return PartitionedBoundReport(False, tuple(idx), length,
                                                   None, None)
-    bound = clp_upper_bound(sys_spec, n)
+    bound = ceiling(sys_spec.p, sys_spec.m, k, n, factor=k).bound
     return PartitionedBoundReport(True, None, length, bound, length <= bound)

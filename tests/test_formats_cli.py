@@ -484,6 +484,23 @@ class TestExitCodes:
         assert not out
         assert err == "error: Gamma^n overflows a float at n = 2000\n"
 
+    def test_slicerank_bound_product_overflow(self, files, capsys):
+        # Gamma^700 is a float, k * Gamma^700 is not
+        code, out, err = run_cli(["slicerank", "bound", "--system",
+                                  files["ap3"], "--n", "700"], capsys)
+        assert code == 2
+        assert not out
+        assert err.startswith("error:")
+        assert "n = 700" in err
+
+    def test_gamma_set_size_bound_overflow(self, capsys):
+        code, out, err = run_cli(["gamma", "--p", "3", "--m", "1", "--k", "3",
+                                  "--n", "700"], capsys)
+        assert code == 2
+        assert not out
+        assert err.startswith("error:")
+        assert "n = 700" in err
+
     def test_verify_zero_flags_clash(self, files, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--system", files["ap3"], "--n", "2",

@@ -407,6 +407,24 @@ class TestWeightCounts:
         with pytest.raises(ValueError, match="Gamma\\^n overflows"):
             max_disjoint_span_family(sys_ap3, points, (), (), 1)
 
+    def test_ceiling_product_overflow_raises(self, sys_ap3):
+        # Gamma^n is a float at these n; the factor times Gamma^n is not
+        def two_points(n):
+            e1 = (1,) + (0,) * (n - 1)
+            return PointSet.make([e1, tuple(2 * c for c in e1)], 3)
+
+        with pytest.raises(ValueError, match="n = 690"):
+            count_weight_solutions(sys_ap3, two_points(690), 1, 1)
+        with pytest.raises(ValueError, match="n = 698"):
+            max_disjoint_span_family(sys_ap3, two_points(698), (), (), 1)
+
+    def test_integer_factor_overflow_raises(self):
+        # p^(rk) = 1009^121 is too large for a float
+        spec = SystemSpec.make([[1] * 10 + [999]], 1009)
+        points = PointSet.make([(1, 0), (0, 1)], 1009)
+        with pytest.raises(ValueError, match="n = 2"):
+            count_weight_solutions(spec, points, 1, 11)
+
 
 class TestDisjointFamily:
     def test_empty_family_when_nothing_qualifies(self, sys_k4):

@@ -14,7 +14,7 @@ from fpsystems import (
     SystemSpec,
     Tensor,
     antichain_slice_rank,
-    clp_upper_bound,
+    ceiling,
     corollary_orders,
     gamma,
     indicator_tensor,
@@ -274,21 +274,20 @@ class TestIndicator:
 
 
 class TestCeiling:
-    def test_value(self, sys_ap3):
+    def test_value(self):
         g = gamma(3, 1, 3).gamma
-        assert clp_upper_bound(sys_ap3, 2) == pytest.approx(3 * g**2)
-        assert clp_upper_bound(sys_ap3, 1) == pytest.approx(8.2653, abs=1e-3)
-        assert clp_upper_bound(sys_ap3, 2) == pytest.approx(22.7718, abs=1e-3)
+        assert ceiling(3, 1, 3, 2, factor=3).bound == pytest.approx(3 * g**2)
+        assert ceiling(3, 1, 3, 1, factor=3).bound == pytest.approx(8.2653, abs=1e-3)
+        assert ceiling(3, 1, 3, 2, factor=3).bound == pytest.approx(22.7718, abs=1e-3)
 
     def test_boundary_rejected(self):
-        spec = SystemSpec.make([(1, 2)], 3)
         with pytest.raises(ValueError):
-            clp_upper_bound(spec, 2)
+            ceiling(3, 1, 2, 2, factor=2)
 
-    def test_overflow_named(self, sys_ap3):
+    def test_overflow_named(self):
         with pytest.raises(ValueError,
                            match=r"Gamma\^n overflows a float at n = 2000"):
-            clp_upper_bound(sys_ap3, 2000)
+            ceiling(3, 1, 3, 2000, factor=3)
 
 
 class TestPartitionedBound:
