@@ -18,13 +18,12 @@ from itertools import combinations, product
 
 from fpsystems import (
     PointSet,
-    enumerate_solutions,
     interesting_tuples,
     read_system_file,
     sampling_step_distinct,
     sampling_step_weight,
-    weight,
 )
+from fpsystems.sampling import _weight_class
 from fpsystems.seeds import spawn
 
 
@@ -42,15 +41,13 @@ class StepConfig:
 
 def rescan_distinct(sys_spec, points: PointSet, survivors: PointSet,
                     ell: int) -> int:
-    return sum(len(interesting_tuples(sys_spec, points, idx, ell,
-                                      product(survivors.points,
-                                              repeat=sys_spec.m + 1)))
-               for idx in combinations(range(sys_spec.k), sys_spec.m + 1))
+    index_sets = list(combinations(range(sys_spec.k), sys_spec.m + 1))
+    return len(interesting_tuples(sys_spec, points, index_sets, ell,
+                                  product(survivors.points, repeat=sys_spec.m + 1)))
 
 
 def rescan_weight(sys_spec, survivors: PointSet, w: int) -> int:
-    return sum(1 for sol in enumerate_solutions(sys_spec, survivors)
-               if weight(sol.entries, sys_spec.p).omega == w)
+    return sum(1 for _ in _weight_class(sys_spec, survivors, w))
 
 
 def run(config: StepConfig, out) -> int:

@@ -343,13 +343,13 @@ def _cmd_sample(args) -> int:
         ell = args.ell if args.ell is not None else sys_spec.k
         rng = spawn(seed, "step-distinct")
         report = sampling_step_distinct(sys_spec, points, ell, args.d, rng,
-                                        target=args.target, cap=args.cap_step)
+                                        cap=args.cap_step)
     else:
         if args.w is None:
             raise ValueError("step-weight needs --w")
         rng = spawn(seed, "step-weight")
         report = sampling_step_weight(sys_spec, points, args.w, args.d, rng,
-                                      target=args.target, cap=args.cap_step)
+                                      cap=args.cap_step)
     _emit(args, "sample", report, started, seed=seed)
     return 0
 
@@ -517,8 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="distinct entry threshold (default k)")
         else:
             sa_step.add_argument("--w", type=int, help="weight value")
-        sa_step.add_argument("--target", type=float,
-                             help="threshold recorded in the report")
         sa_step.add_argument("--cap-step", type=int, default=DEFAULT_WORK_CAP)
         sa_step.add_argument("--seed", type=int)
         _add_common(sa_step)

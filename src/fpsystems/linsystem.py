@@ -508,21 +508,21 @@ def _interesting_positions(sys_spec: SystemSpec, index_set: Sequence[int],
 def interesting_tuples(
     sys_spec: SystemSpec,
     points: PointSet,
-    index_set: Sequence[int],
+    index_sets: Sequence[Sequence[int]],
     ell: int,
     tuples: Iterable[Sequence[tuple[int, ...]]],
 ) -> list:
-    """The interesting tuples among ``tuples``, in order (see
-    ``is_interesting``).  Each tuple must hold m + 1 members of
-    ``points`` as reduced coordinate tuples; the pivots, inverse minor
-    and affine weights of the completion are built once for the index
-    set."""
+    """The interesting tuples among ``tuples`` (see ``is_interesting``),
+    grouped by index set in ``index_sets`` order, candidate order kept
+    within each group.  Each tuple must hold m + 1 members of ``points``
+    as reduced coordinate tuples, and is checked and rank-tested once
+    for all index sets; each index set's completion is built once."""
     m, p = sys_spec.m, sys_spec.p
-    idx = _interesting_positions(sys_spec, index_set, ell)
+    positions = [_interesting_positions(sys_spec, idx, ell) for idx in index_sets]
     need = max(0, ell - m - 1)
     members = points._members
-    completion = None
-    out = []
+    completions = None
+    groups: list[list] = [[] for _ in positions]
     for xs in tuples:
         if len(xs) != m + 1:
             raise ValueError(f"need an index set and tuple of size m + 1 = {m + 1}")
@@ -530,15 +530,16 @@ def interesting_tuples(
             raise ValueError("tuple entries must belong to the point set")
         if len(rref_with_pivots(xs, p)[0]) != m + 1:
             continue
-        if completion is None:
+        if completions is None:
             # built at the first independent tuple, as dependent tuples
             # never need one
-            completion = _Completion(sys_spec, points.n, idx)
+            completions = [_Completion(sys_spec, points.n, idx) for idx in positions]
             bits = {v: 1 << i for i, v in enumerate(points.points)}
-        if any(support.bit_count() >= need
-               for support in completion.supports(bits, xs)):
-            out.append(xs)
-    return out
+        for completion, group in zip(completions, groups):
+            if any(support.bit_count() >= need
+                   for support in completion.supports(bits, xs)):
+                group.append(xs)
+    return [xs for group in groups for xs in group]
 
 
 def is_interesting(
@@ -555,7 +556,7 @@ def is_interesting(
         raise ValueError(
             f"need an index set and tuple of size m + 1 = {sys_spec.m + 1}")
     xs = [reduce_coords(coords_of(x), sys_spec.p) for x in tuple_entries]
-    return bool(interesting_tuples(sys_spec, points, index_set, ell, [xs]))
+    return bool(interesting_tuples(sys_spec, points, [index_set], ell, [xs]))
 
 
 @dataclass(frozen=True)
@@ -579,7 +580,7 @@ def count_interesting_tuples(
     if work > DEFAULT_WORK_CAP:
         raise CapExceededError(
             f"{work} candidate tuples exceed the cap {DEFAULT_WORK_CAP}")
-    count = len(interesting_tuples(sys_spec, points, idx, ell,
+    count = len(interesting_tuples(sys_spec, points, [idx], ell,
                                    product(points.points, repeat=m + 1)))
     bound = sys_spec.k**2 * sys_spec.p ** (m * points.n)
     return InterestingCountReport(idx, ell, count, bound, count <= bound)

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import CapExceededError
 from .fplinalg import (
@@ -166,7 +166,6 @@ class SamplingStepReport:
     kept: int
     deleted: int
     surviving: int
-    target: float | None
     survivors: PointSet
     removed: tuple[tuple[int, ...], ...]
 
@@ -182,13 +181,24 @@ def _delete_per_structure(structures: Sequence[Sequence[tuple[int, ...]]]) -> se
     return removed
 
 
+def _weight_class(sys_spec: SystemSpec, points: PointSet, w: int,
+                  pinned: Mapping | None = None) -> Iterator[tuple]:
+    """(solution, weight report) for every solution of weight w with
+    entries in ``points`` and the ``pinned`` entries, in enumeration
+    order.  The point set is checked when called, not when iterated."""
+    if (0,) * points.n in points:
+        raise ValueError("weight machinery needs a point set without zero")
+    return ((sol, rep)
+            for sol in enumerate_solutions(sys_spec, points, pinned=pinned)
+            for rep in [weight(sol.entries, sys_spec.p)] if rep.omega == w)
+
+
 def sampling_step_distinct(
     sys_spec: SystemSpec,
     points: PointSet,
     ell: int,
     d: int,
     rng: random.Random,
-    target: float | None = None,
     cap: int = DEFAULT_WORK_CAP,
 ) -> SamplingStepReport:
     """Sample a subspace and delete one vector per extendable
@@ -207,14 +217,12 @@ def sampling_step_distinct(
     work = len(index_sets) * len(inside) ** (m + 1)
     if work > cap:
         raise CapExceededError(f"{work} candidate tuples exceed the cap {cap}")
-    offending = []
-    for idx in index_sets:
-        offending += interesting_tuples(sys_spec, points, idx, ell,
-                                        product(inside.points, repeat=m + 1))
+    offending = interesting_tuples(sys_spec, points, index_sets, ell,
+                                   product(inside.points, repeat=m + 1))
     removed = _delete_per_structure(offending)
     survivors = inside.without(removed)
     return SamplingStepReport(d, len(inside), len(offending), len(survivors),
-                              target, survivors, tuple(sorted(removed)))
+                              survivors, tuple(sorted(removed)))
 
 
 def sampling_step_weight(
@@ -223,24 +231,22 @@ def sampling_step_weight(
     w: int,
     d: int,
     rng: random.Random,
-    target: float | None = None,
     cap: int = DEFAULT_WORK_CAP,
 ) -> SamplingStepReport:
     """Sample a subspace and delete one vector per weight-w solution
     lying inside it."""
-    if (0,) * points.n in points:
-        raise ValueError("weight machinery needs a point set without zero")
     v = random_subspace(points.n, d, sys_spec.p, rng)
     inside = points.restrict_to(v)
+    # a subspace holds zero, so inside has zero exactly when points has
+    stream = _weight_class(sys_spec, inside, w)
     work = len(inside) ** (sys_spec.k - sys_spec.m)
     if work > cap:
         raise CapExceededError(f"{work} assignments exceed the cap {cap}")
-    offending = [sol.entries for sol in enumerate_solutions(sys_spec, inside)
-                 if weight(sol.entries, sys_spec.p).omega == w]
+    offending = [sol.entries for sol, _ in stream]
     removed = _delete_per_structure(offending)
     survivors = inside.without(removed)
     return SamplingStepReport(d, len(inside), len(offending), len(survivors),
-                              target, survivors, tuple(sorted(removed)))
+                              survivors, tuple(sorted(removed)))
 
 
 @dataclass(frozen=True)
@@ -263,8 +269,7 @@ def count_weight_solutions(sys_spec: SystemSpec, points: PointSet, w: int, r: in
     claims: its chosen maximizer has floor(w / (k+1)) elements and its
     span dimension lies strictly above that, at most k.
     """
-    if (0,) * points.n in points:
-        raise ValueError("weight machinery needs a point set without zero")
+    solutions = _weight_class(sys_spec, points, w)
     k, m, p = sys_spec.k, sys_spec.m, sys_spec.p
     floor_w = w // (k + 1)
     if not floor_w + 1 <= r <= k:
@@ -274,10 +279,7 @@ def count_weight_solutions(sys_spec: SystemSpec, points: PointSet, w: int, r: in
     count = 0
     dim_ok = True
     sizes_ok = True
-    for sol in enumerate_solutions(sys_spec, points):
-        rep = weight(sol.entries, p)
-        if rep.omega != w:
-            continue
+    for sol, rep in solutions:
         if len(rep.chosen) != floor_w:
             sizes_ok = False
         if not floor_w + 1 <= sol.span_dim <= k:
@@ -314,8 +316,6 @@ def max_disjoint_span_family(
     so by construction every qualifying solution left out shares a line
     with the family (re-verified before returning).
     """
-    if (0,) * points.n in points:
-        raise ValueError("weight machinery needs a point set without zero")
     k, m, p = sys_spec.k, sys_spec.m, sys_spec.p
     idx = tuple(sorted(set(index_set)))
     if len(idx) != w // (k + 1):
@@ -328,11 +328,10 @@ def max_disjoint_span_family(
         raise ValueError("fixed vectors must belong to the point set")
     # a qualifying solution's chosen maximizer is idx, so the quotient
     # lines of its weight report are those modulo the fixed entries' span
-    qualifying = []
-    for sol in enumerate_solutions(sys_spec, points, pinned=dict(zip(idx, fixed_cs))):
-        rep = weight(sol.entries, p)
-        if rep.omega == w and rep.chosen == idx:
-            qualifying.append((sol.entries, frozenset(rep.lines)))
+    qualifying = [(sol.entries, frozenset(rep.lines))
+                  for sol, rep in _weight_class(sys_spec, points, w,
+                                                dict(zip(idx, fixed_cs)))
+                  if rep.chosen == idx]
     family = []
     used: set = set()
     for entries, lines in qualifying:

@@ -74,6 +74,13 @@ class AvoidanceProblem:
         if self.mode.mode == "distinct-count" and not 2 <= self.mode.ell <= k:
             raise ValueError(f"need 2 <= ell <= {k}")
 
+    def check_point_cap(self, cap_points: int) -> None:
+        """Raise CapExceededError, before the point space is built, when it
+        holds more than ``cap_points`` points."""
+        count = self.sys_spec.p ** self.n - self.exclude_zero
+        if count > cap_points:
+            raise CapExceededError(f"{count} points exceed the cap {cap_points}")
+
     def point_order(self) -> tuple[tuple[int, ...], ...]:
         return PointSet.full_space(self.n, self.sys_spec.p,
                                    include_zero=not self.exclude_zero).points
@@ -184,6 +191,7 @@ def exhaustive_max(
     restricts the branch exploration as described in the module notes.
     """
     start = time.perf_counter()
+    problem.check_point_cap(cap_points)
     if point_order is None:
         order = problem.point_order()
     else:
@@ -192,8 +200,6 @@ def exhaustive_max(
         expected = problem.point_order()
         if set(order) != set(expected) or len(order) != len(expected):
             raise ValueError("point order must permute the problem's point space")
-    if len(order) > cap_points:
-        raise CapExceededError(f"{len(order)} points exceed the cap {cap_points}")
     if symmetry is None:
         symmetry = problem.sys_spec.homogeneous
     if symmetry and not problem.sys_spec.homogeneous:
@@ -234,9 +240,8 @@ def greedy_lower_bound(
     and the largest set wins.  Lower bound only, never claimed optimal.
     """
     start = time.perf_counter()
+    problem.check_point_cap(cap_points)
     order = list(problem.point_order())
-    if len(order) > cap_points:
-        raise CapExceededError(f"{len(order)} points exceed the cap {cap_points}")
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if restarts > 0 and rng is None:
@@ -337,10 +342,10 @@ def verify_theorem_bound(
             raise ValueError("need k >= 2m + r - 1")
     else:
         raise ValueError(f"unknown statement {theorem!r}")
+    result = exhaustive_max(problem, cap_points=cap_points)
     full = PointSet.full_space(problem.n, p, include_zero=False)
     witness_found = next(
         (True for _ in enumerate_solutions(sys_spec, full, problem.mode)), False)
-    result = exhaustive_max(problem, cap_points=cap_points)
     space = p**problem.n - 1
     margin = space - result.best_size
     return BoundReport(theorem, result.best_size, None, None, margin,

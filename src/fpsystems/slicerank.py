@@ -107,8 +107,10 @@ class MonomialCountResult:
 
 
 def _gamma_power(value: float, n: int, factor: int = 1) -> float:
-    """factor * Gamma^n as a finite float, or a ValueError naming n when
-    Gamma^n, the factor or their product leaves the float range."""
+    """factor * Gamma^n as a finite float; a ValueError for n < 0, or one
+    naming n when Gamma^n, the factor or their product overflows."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     try:
         power = value**n
     except OverflowError:
@@ -137,8 +139,6 @@ class Ceiling:
 def ceiling(p, m: int, k: int, n: int, factor: int = 1) -> Ceiling:
     """The ceiling factor * Gamma^n at the default tolerance; needs n >= 0,
     k >= 2m + 1 and a ceiling within the float range."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     g = gamma(p, m, k)
     if g.at_boundary:
         raise ValueError(f"ceiling needs k >= 2m + 1, got k = {k}, m = {m}")
@@ -161,6 +161,15 @@ def monomial_count(p, m: int, k: int, n: int) -> MonomialCountResult:
     return MonomialCountResult(count, threshold, ceil.bound, ceil.holds(count))
 
 
+def _check_shape(length: int, k: int) -> None:
+    """Reject a dense [L]^k shape before any of its values is built."""
+    if length < 1 or k < 2:
+        raise ValueError("need L >= 1 and k >= 2")
+    if length**k > _TENSOR_SIZE_CAP:
+        raise CapExceededError(f"dense tensor of size {length}^{k} "
+                               f"exceeds the cap {_TENSOR_SIZE_CAP}")
+
+
 @dataclass(frozen=True)
 class Tensor:
     """A dense k-dimensional array over F_p on index set [L]^k.
@@ -175,11 +184,7 @@ class Tensor:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.length < 1 or self.k < 2:
-            raise ValueError("need L >= 1 and k >= 2")
-        if self.length**self.k > _TENSOR_SIZE_CAP:
-            raise CapExceededError(f"dense tensor of size {self.length}^{self.k} "
-                                   f"exceeds the cap {_TENSOR_SIZE_CAP}")
+        _check_shape(self.length, self.k)
         if len(self.values) != self.length**self.k:
             raise ValueError("value count does not match L^k")
 
@@ -187,6 +192,7 @@ class Tensor:
     def from_function(cls, p, length: int, k: int,
                       fn: Callable[[tuple[int, ...]], int]) -> "Tensor":
         p = check_prime(p)
+        _check_shape(length, k)
         vals = tuple(fn(idx) % p for idx in product(range(length), repeat=k))
         return cls(p, length, k, vals)
 
@@ -194,6 +200,7 @@ class Tensor:
     def from_entries(cls, p, length: int, k: int,
                      entries: dict[tuple[int, ...], int]) -> "Tensor":
         p = check_prime(p)
+        _check_shape(length, k)
         vals = [0] * length**k
         for idx, val in entries.items():
             if len(idx) != k or any(not 0 <= i < length for i in idx):
@@ -316,13 +323,11 @@ def antichain_slice_rank(tensor: Tensor, orders: OrderFamily,
     if orders.k != tensor.k or orders.length != tensor.length:
         raise ValueError("order family does not match the tensor shape")
     support = tensor.support
-    if not is_antichain(support, orders):
-        raise ValueError("tensor support is not an antichain under these orders")
     size = len(support)
-    if size == 0:
-        return 0
     if size > cap:
         raise CapExceededError(f"support size {size} exceeds the cap {cap}")
+    if not is_antichain(support, orders):
+        raise ValueError("tensor support is not an antichain under these orders")
     k = tensor.k
     share = []
     for e in support:
@@ -364,6 +369,22 @@ def antichain_slice_rank(tensor: Tensor, orders: OrderFamily,
     return best
 
 
+def _candidate_columns(sys_spec: SystemSpec, columns: Sequence[Sequence]) -> list[list[tuple]]:
+    """The k columns reduced mod p, checked for one positive length and one dimension."""
+    if len(columns) != sys_spec.k:
+        raise ValueError(f"need {sys_spec.k} candidate columns")
+    cols = [[reduce_coords(coords_of(v), sys_spec.p) for v in col] for col in columns]
+    lengths = {len(col) for col in cols}
+    if len(lengths) != 1:
+        raise ValueError("candidate columns have unequal lengths")
+    if lengths.pop() < 1:
+        raise ValueError("candidate columns are empty")
+    dims = {len(v) for col in cols for v in col}
+    if len(dims) != 1:
+        raise ValueError("candidate vectors have mixed dimensions")
+    return cols
+
+
 def indicator_tensor(sys_spec: SystemSpec, columns: Sequence[Sequence]) -> Tensor:
     """The 0/1 tensor recording which mixed tuples solve the system.
 
@@ -371,23 +392,10 @@ def indicator_tensor(sys_spec: SystemSpec, columns: Sequence[Sequence]) -> Tenso
     candidate vectors; entry (l_1, ..., l_k) is 1 exactly when taking
     the l_i-th candidate in position i solves the system.
     """
-    if len(columns) != sys_spec.k:
-        raise ValueError(f"need {sys_spec.k} candidate columns")
-    cols = [[reduce_coords(coords_of(v), sys_spec.p) for v in col] for col in columns]
-    lengths = {len(col) for col in cols}
-    if len(lengths) != 1:
-        raise ValueError("candidate columns have unequal lengths")
-    length = lengths.pop()
-    if length < 1:
-        raise ValueError("candidate columns are empty")
-    dims = {len(v) for col in cols for v in col}
-    if len(dims) != 1:
-        raise ValueError("candidate vectors have mixed dimensions")
-
-    def fn(idx: tuple[int, ...]) -> int:
-        return 1 if is_solution(sys_spec, [cols[i][l] for i, l in enumerate(idx)]) else 0
-
-    return Tensor.from_function(sys_spec.p, length, sys_spec.k, fn)
+    cols = _candidate_columns(sys_spec, columns)
+    return Tensor.from_function(
+        sys_spec.p, len(cols[0]), sys_spec.k,
+        lambda idx: int(is_solution(sys_spec, [cols[i][l] for i, l in enumerate(idx)])))
 
 
 def verify_polynomial_identity(
@@ -403,17 +411,16 @@ def verify_polynomial_identity(
     1 - (sum_i a_{j,i} x_i(s) - b_j(s))^(p-1) in F_p, by Fermat's little
     theorem.  All L^k index tuples are checked when that count is within
     the cap, otherwise ``samples`` uniformly drawn tuples (which needs a
-    seeded rng).
+    seeded rng).  No tensor is built: each checked entry of the
+    indicator tensor is decided on its own by ``is_solution``.
     """
-    tensor = indicator_tensor(sys_spec, columns)
-    cols = [[reduce_coords(coords_of(v), sys_spec.p) for v in col] for col in columns]
+    cols = _candidate_columns(sys_spec, columns)
     p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
     n = len(cols[0][0])
     bs = sys_spec.constant_rows(n)
-    length = tensor.length
+    length = len(cols[0])
 
-    def product_formula(idx) -> int:
-        xs = [cols[i][l] for i, l in enumerate(idx)]
+    def product_formula(xs) -> int:
         acc = 1
         for j in range(m):
             row = sys_spec.coeffs[j]
@@ -431,7 +438,8 @@ def verify_polynomial_identity(
             raise ValueError("sampled verification needs a seeded rng")
         tuples = (tuple(rng.randrange(length) for _ in range(k))
                   for _ in range(samples))
-    return all(product_formula(idx) == tensor.entry(idx) for idx in tuples)
+    rows = ([cols[i][l] for i, l in enumerate(idx)] for idx in tuples)
+    return all(product_formula(xs) == is_solution(sys_spec, xs) for xs in rows)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,13 @@ class TestGamma:
         assert data["elapsed_s"] < 1
         assert data["result"]["gamma"]["tolerance"] > 0
 
+    def test_negative_n_at_boundary_rejected(self, capsys):
+        code, out, err = run_cli(["gamma", "--p", "3", "--m", "1", "--k", "2",
+                                  "--n", "-1"], capsys)
+        assert code == 2
+        assert not out
+        assert err.strip() == "error: n must be nonnegative"
+
     def test_boundary_case_skips_monomials(self, capsys):
         code, data, _ = run_json(["gamma", "--p", "3", "--m", "1", "--k", "2",
                                   "--n", "2"], capsys)
@@ -252,8 +259,7 @@ def _exact(num, den):
 def _step(d, deleted, kept, removed, survivors):
     return {"d": d, "deleted": deleted, "kept": kept, "removed": removed,
             "surviving": len(survivors),
-            "survivors": {"n": 3, "p": 3, "points": survivors},
-            "target": None}
+            "survivors": {"n": 3, "p": 3, "points": survivors}}
 
 
 # argv entries starting with @ name a file of the ``files`` fixture

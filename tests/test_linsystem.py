@@ -320,7 +320,7 @@ class TestInterestingAgainstReference:
                     spec, points, idx, tup, ell)]
                 assert [tup for tup in tuples if is_interesting(
                     spec, points, idx, tup, ell)] == expected, (idx, ell)
-                assert interesting_tuples(spec, points, idx, ell,
+                assert interesting_tuples(spec, points, [idx], ell,
                                           tuples) == expected
                 report = count_interesting_tuples(spec, points, idx, ell)
                 assert report.count == len(expected)
@@ -354,6 +354,22 @@ class TestInterestingAgainstReference:
             with pytest.raises(ref.type):
                 count_interesting_tuples(sys_ap3, points, index_set, ell)
 
+    @pytest.mark.parametrize("coeffs,p,constants,points",
+                             [case[1:] for case in REFERENCE_CASES],
+                             ids=[case[0] for case in REFERENCE_CASES])
+    def test_index_sets_grouped_in_order(self, coeffs, p, constants, points):
+        # one scan over every index set, in reverse order to show the
+        # groups follow the given order, not the sorted one
+        spec = SystemSpec.make(coeffs, p, constants)
+        tuples = list(product(points.points, repeat=spec.m + 1))
+        index_sets = list(combinations(range(spec.k), spec.m + 1))[::-1]
+        for ell in range(1, spec.k + 1):
+            expected = [tup for idx in index_sets
+                        for tup in interesting_tuples(spec, points, [idx],
+                                                      ell, tuples)]
+            assert interesting_tuples(spec, points, index_sets, ell,
+                                      iter(tuples)) == expected
+
     @pytest.mark.parametrize("entries", [
         ((1, 0),),
         ((1, 0), (0, 1), (1, 1)),
@@ -367,7 +383,7 @@ class TestInterestingAgainstReference:
         points = PointSet.full_space(2, 3, include_zero=False)
         good = ((1, 0), (0, 1))
         with pytest.raises(ValueError):
-            interesting_tuples(sys_ap3, points, (0, 1), 3, [good, entries])
+            interesting_tuples(sys_ap3, points, [(0, 1)], 3, [good, entries])
 
 
 class TestFewUnpinnedColumns:

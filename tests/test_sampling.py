@@ -27,6 +27,7 @@ from fpsystems import (
     verify_containment,
     weight,
 )
+from fpsystems import linsystem
 from fpsystems.sampling import _delete_per_structure
 from fpsystems.seeds import spawn, spawner
 from .oracles import containment_fraction
@@ -313,6 +314,24 @@ class TestStepDistinct:
                     global_count += 1
         assert report.deleted == global_count
 
+    def test_each_candidate_rank_tested_once(self, sys_ap3, monkeypatch):
+        # kept^2 candidates, each rank-tested once for all three index
+        # sets, plus one pivot_columns per index set's completion
+        calls = 0
+        counted = linsystem.rref_with_pivots
+
+        def counting(rows, p):
+            nonlocal calls
+            calls += 1
+            return counted(rows, p)
+
+        monkeypatch.setattr(linsystem, "rref_with_pivots", counting)
+        points = PointSet.full_space(3, 3, include_zero=False)
+        report = sampling_step_distinct(sys_ap3, points, 3, 2,
+                                        spawn(0, "step", 0))
+        assert report.deleted
+        assert calls <= report.kept**2 + 3
+
     def test_generic_minors_required(self):
         spec = SystemSpec.make([(1, 2, 0)], 3)
         points = PointSet.full_space(2, 3, include_zero=False)
@@ -395,8 +414,13 @@ class TestWeightCounts:
 
     def test_zero_point_rejected(self, sys_ap3):
         points = PointSet.full_space(1, 3)
-        with pytest.raises(ValueError):
+        message = "weight machinery needs a point set without zero"
+        with pytest.raises(ValueError, match=message):
             count_weight_solutions(sys_ap3, points, 1, 1)
+        with pytest.raises(ValueError, match=message):
+            max_disjoint_span_family(sys_ap3, points, (), (), 1)
+        with pytest.raises(ValueError, match=message):
+            sampling_step_weight(sys_ap3, points, 1, 1, spawn(0, "x"))
 
     def test_gamma_power_overflow_named(self, sys_ap3):
         # two points of F_3^2000: few solutions, but Gamma^2000 overflows

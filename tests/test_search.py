@@ -216,6 +216,20 @@ class TestExhaustive:
         with pytest.raises(CapExceededError):
             exhaustive_max(problem)
 
+    def test_point_cap_checked_before_the_space(self, sys_ap3, monkeypatch):
+        def no_space(*args, **kwargs):
+            raise AssertionError("the point space was built")
+
+        monkeypatch.setattr(PointSet, "full_space", no_space)
+        problem = AvoidanceProblem(sys_ap3, ClassFilter.distinct(), 5,
+                                   exclude_zero=True)
+        with pytest.raises(CapExceededError, match="242 points"):
+            exhaustive_max(problem)
+        with pytest.raises(CapExceededError, match="242 points"):
+            greedy_lower_bound(problem, cap_points=81)
+        with pytest.raises(CapExceededError, match="242 points"):
+            verify_theorem_bound(problem, "distinct")
+
     def test_symmetry_needs_homogeneous(self):
         spec = SystemSpec.make([(1, 1, 1)], 3, constants=[(1,)])
         problem = AvoidanceProblem(spec, ClassFilter.not_all_equal(), 1)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -26,6 +27,7 @@ from fpsystems import (
     verify_polynomial_identity,
     write_tensor_file,
 )
+from fpsystems import slicerank
 from fpsystems.seeds import spawn
 from .oracles import (
     brute_monomial_count,
@@ -165,6 +167,32 @@ class TestTensor:
         with pytest.raises(IndexError):
             Tensor.from_entries(3, 2, 2, {(0, 5): 1})
 
+    def test_shape_checked_before_values(self):
+        calls = 0
+
+        def fn(idx):
+            nonlocal calls
+            calls += 1
+            return 0
+
+        with pytest.raises(CapExceededError):
+            Tensor.from_function(2, 200, 3, fn)
+        with pytest.raises(ValueError):
+            Tensor.from_function(2, 3, 1, fn)
+        assert calls == 0
+
+    def test_oversized_file_raises_before_allocating(self, tmp_path):
+        path = tmp_path / "big.tensor"
+        path.write_text("2 200 3\n0 0 0 1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                read_tensor_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_file_roundtrip(self, tmp_path):
         t = Tensor.from_entries(5, 3, 3, {(0, 1, 2): 4, (2, 2, 2): 1})
         path = tmp_path / "tensor.txt"
@@ -227,6 +255,16 @@ class TestSliceRank:
         with pytest.raises(CapExceededError):
             antichain_slice_rank(t, orders, cap=3)
 
+    def test_cap_checked_before_antichain_scan(self, monkeypatch):
+        def no_scan(support, orders):
+            raise AssertionError("antichain scan ran")
+
+        monkeypatch.setattr(slicerank, "is_antichain", no_scan)
+        diag = {(i, i, i): 1 for i in range(6)}
+        t = Tensor.from_entries(2, 6, 3, diag)
+        with pytest.raises(CapExceededError):
+            antichain_slice_rank(t, corollary_orders([(0, 1, 2)], 6), cap=3)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_unpruned_oracle(self, seed):
         rng = random.Random(seed)
@@ -267,6 +305,15 @@ class TestIndicator:
         assert verify_polynomial_identity(sys_ap3, cols, samples=200,
                                           rng=rng, exhaustive_cap=10)
 
+    def test_sampled_identity_builds_no_tensor(self, sys_ap3, monkeypatch):
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("a tensor was built")
+
+        monkeypatch.setattr(slicerank.Tensor, "from_function", no_tensor)
+        cols = [list(PointSet.full_space(5, 3))] * 3
+        assert verify_polynomial_identity(sys_ap3, cols, samples=200,
+                                          rng=spawn(1, "identity"))
+
     def test_sampled_needs_rng(self, sys_ap3):
         cols = [list(PointSet.full_space(2, 3))] * 3
         with pytest.raises(ValueError):
@@ -283,6 +330,12 @@ class TestCeiling:
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
             ceiling(3, 1, 2, 2, factor=2)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            ceiling(3, 1, 3, -1)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            slicerank._gamma_power(3.0, -1)
 
     def test_overflow_named(self):
         with pytest.raises(ValueError,
