@@ -5,6 +5,11 @@ arguments and the resolved seed, so identical invocations give
 byte-identical output once timestamps are stripped (--no-timestamp).
 Exit codes: 0 on success, 1 when a requested check or hypothesis fails,
 2 on usage or input errors.
+
+Each leaf subcommand has one handler that returns (result, exit code,
+seed), the seed None when the command draws no randomness; ``main``
+alone owns timing, the report envelope, writing it to stdout and the
+exit code.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .errors import CapExceededError, DegenerateSystemError
+from .fplinalg import check_prime
 from .linsystem import (
     DEFAULT_WORK_CAP,
     ClassFilter,
@@ -123,19 +129,6 @@ def _render(envelope: dict, fmt: str) -> str:
     return "".join(f"{key} = {value}\n" for key, value in rows)
 
 
-def _emit(args, command: str, result, started: float,
-          seed: int | None = None) -> None:
-    envelope = {"command": command, "result": _jsonable(result)}
-    if seed is not None:
-        envelope["seed"] = seed
-    if not args.no_timestamp:
-        envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
-        envelope["elapsed_s"] = round(time.perf_counter() - started, 6)
-    else:
-        envelope = _strip_keys(envelope)
-    sys.stdout.write(_render(envelope, args.format))
-
-
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -149,58 +142,36 @@ def _resolve_seed(args) -> int:
 
 
 def _load_points(args, p) -> PointSet:
-    if getattr(args, "points", None):
+    if args.points:
         points = PointSet.from_file(args.points)
         if points.p != int(p):
             raise ValueError(
                 f"point file prime {points.p} differs from system prime {int(p)}")
         return points
-    if getattr(args, "n", None):
+    if args.n is not None:
         return PointSet.full_space(args.n, p,
                                    include_zero=not args.exclude_zero)
     raise ValueError("provide --points FILE or --n N")
 
 
 def _make_filter(args, k: int) -> ClassFilter:
-    mode = args.mode
-    if mode == "span-dim":
-        if args.r is None:
-            raise ValueError("--mode span-dim needs --r")
-        return ClassFilter.span_at_least(args.r)
-    if mode == "distinct-count":
-        ell = args.ell if args.ell is not None else k
-        return ClassFilter.distinct_at_least(ell)
-    return ClassFilter(mode)
+    if args.mode == "span-dim" and args.r is None:
+        raise ValueError("--mode span-dim needs --r")
+    return ClassFilter(args.mode, r=args.r,
+                       ell=k if args.ell is None else args.ell)
 
 
-def _parse_entries(text: str, p) -> tuple[tuple[int, ...], ...]:
-    entries = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        entries.append(tuple(int(tok) % int(p)
-                             for tok in chunk.replace(",", " ").split()))
-    if not entries:
-        raise ValueError("empty tuple specification")
-    return tuple(entries)
-
-
-def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
-    blocks = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        blocks.append(tuple(int(tok)
-                            for tok in chunk.replace(",", " ").split()))
+def _parse_blocks(text: str, what: str) -> tuple[tuple[int, ...], ...]:
+    """Integer blocks like '1,0;2,1' (';' between blocks, ',' or spaces
+    inside one); ``what`` names the specification in the error."""
+    blocks = tuple(tuple(int(tok) for tok in chunk.replace(",", " ").split())
+                   for chunk in text.split(";") if chunk.strip())
     if not blocks:
-        raise ValueError("empty partition specification")
-    return tuple(blocks)
+        raise ValueError(f"empty {what} specification")
+    return blocks
 
 
-def _cmd_gamma(args) -> int:
-    started = time.perf_counter()
+def _cmd_gamma(args) -> tuple:
     res = gamma(args.p, args.m, args.k, tol=args.tol)
     payload = {"p": args.p, "m": args.m, "k": args.k, "gamma": res}
     if args.n is not None:
@@ -209,12 +180,10 @@ def _cmd_gamma(args) -> int:
         payload["set_size_bound"] = _gamma_power(res.gamma, args.n, args.k)
         if not res.at_boundary:
             payload["monomials"] = monomial_count(args.p, args.m, args.k, args.n)
-    _emit(args, "gamma", payload, started)
-    return 0
+    return payload, 0, None
 
 
-def _cmd_validate(args) -> int:
-    started = time.perf_counter()
+def _cmd_validate(args) -> tuple:
     sys_spec = read_system_file(args.system)
     report = validate(sys_spec)
     payload = {
@@ -225,12 +194,10 @@ def _cmd_validate(args) -> int:
         "homogeneous": sys_spec.homogeneous,
         "report": report,
     }
-    _emit(args, "validate", payload, started)
-    return 0 if report.ok else 1
+    return payload, 0 if report.ok else 1, None
 
 
-def _cmd_solve(args) -> int:
-    started = time.perf_counter()
+def _cmd_solve(args) -> tuple:
     sys_spec = read_system_file(args.system)
     points = _load_points(args, sys_spec.p)
     flt = _make_filter(args, sys_spec.k)
@@ -251,23 +218,23 @@ def _cmd_solve(args) -> int:
         "listed": len(listed),
         "solutions": listed,
     }
-    _emit(args, "solve", payload, started)
-    return 0
+    return payload, 0, None
 
 
-def _cmd_weight(args) -> int:
-    started = time.perf_counter()
-    entries = _parse_entries(args.tuple, args.p)
-    report = weight(entries, args.p)
+def _cmd_weight(args) -> tuple:
+    p = check_prime(args.p)
+    entries = tuple(tuple(c % p for c in row)
+                    for row in _parse_blocks(args.tuple, "tuple"))
+    report = weight(entries, p)
     rendered = _jsonable(report)
     rendered["lines"] = ["".join(str(c) for c in line)
                          for line in report.lines]
-    rendered["admissible"] = _jsonable(admissible_sets(entries, args.p))
-    payload: dict = {"p": args.p, "entries": entries, "weight": rendered}
+    rendered["admissible"] = _jsonable(admissible_sets(entries, p))
+    payload: dict = {"p": p, "entries": entries, "weight": rendered}
     failed = False
     sys_spec = read_system_file(args.system) if args.system else None
     if args.check_properties:
-        props = verify_weight_properties(entries, args.p, sys_spec=sys_spec)
+        props = verify_weight_properties(entries, p, sys_spec=sys_spec)
         payload["properties"] = props
         failed = failed or not props.ok
     if args.check_partition:
@@ -276,131 +243,117 @@ def _cmd_weight(args) -> int:
         part = partition_structure(entries, sys_spec)
         payload["partition"] = part
         failed = failed or not part.lemma_ok
-    _emit(args, "weight", payload, started)
-    return 1 if failed else 0
+    return payload, 1 if failed else 0, None
 
 
-def _cmd_slicerank(args) -> int:
-    started = time.perf_counter()
-    if args.action == "rank":
-        tensor = read_tensor_file(args.tensor)
-        if args.partition:
-            orders = corollary_orders(_parse_partition(args.partition),
-                                      tensor.length)
-        else:
-            orders = OrderFamily.all_increasing(tensor.length, tensor.k)
-        rank_value = antichain_slice_rank(tensor, orders, cap=args.cap_support)
-        payload = {
-            "length": tensor.length,
-            "k": tensor.k,
-            "support_size": len(tensor.support),
-            "rank": rank_value,
-        }
-        _emit(args, "slicerank", payload, started)
-        return 0
-    if args.action == "identity":
-        sys_spec = read_system_file(args.system)
-        points = _load_points(args, sys_spec.p)
-        seed = _resolve_seed(args)
-        rng = spawn(seed, "identity")
-        columns = [list(points) for _ in range(sys_spec.k)]
-        ok = verify_polynomial_identity(sys_spec, columns,
-                                        samples=args.samples, rng=rng)
-        payload = {"length": len(points), "k": sys_spec.k,
-                   "samples": args.samples, "identity_holds": ok}
-        _emit(args, "slicerank", payload, started, seed=seed)
-        return 0 if ok else 1
-    if args.action == "diagonal":
-        tensor = Tensor.from_function(
-            args.p, args.length, args.k,
-            lambda idx: 1 if len(set(idx)) == 1 else 0)
-        orders = corollary_orders((tuple(range(args.k)),), args.length)
-        rank_value = antichain_slice_rank(tensor, orders, cap=args.cap_support)
-        payload = {"length": args.length, "k": args.k, "rank": rank_value,
-                   "expected": args.length}
-        _emit(args, "slicerank", payload, started)
-        return 0 if rank_value == args.length else 1
-    sys_spec = read_system_file(args.system)
-    ceil = ceiling(sys_spec.p, sys_spec.m, sys_spec.k, args.n, factor=sys_spec.k)
-    payload = {"n": args.n, "k": sys_spec.k, "gamma": ceil.gamma, "bound": ceil.bound}
-    _emit(args, "slicerank", payload, started)
-    return 0
+def _cmd_slicerank_rank(args) -> tuple:
+    tensor = read_tensor_file(args.tensor)
+    if args.partition:
+        orders = corollary_orders(_parse_blocks(args.partition, "partition"),
+                                  tensor.length)
+    else:
+        orders = OrderFamily.all_increasing(tensor.length, tensor.k)
+    rank_value = antichain_slice_rank(tensor, orders, cap=args.cap_support)
+    payload = {
+        "length": tensor.length,
+        "k": tensor.k,
+        "support_size": len(tensor.support),
+        "rank": rank_value,
+    }
+    return payload, 0, None
 
 
-def _cmd_sample(args) -> int:
-    started = time.perf_counter()
-    if args.action == "containment":
-        seed = _resolve_seed(args)
-        check = verify_containment(args.p, args.n, args.d, args.s,
-                                   trials=args.trials, seed=seed,
-                                   method=args.method)
-        _emit(args, "sample", check, started, seed=seed)
-        return 0 if check.within_3sigma else 1
+def _cmd_slicerank_identity(args) -> tuple:
     sys_spec = read_system_file(args.system)
     points = _load_points(args, sys_spec.p)
     seed = _resolve_seed(args)
-    if args.action == "step-distinct":
-        ell = args.ell if args.ell is not None else sys_spec.k
-        rng = spawn(seed, "step-distinct")
-        report = sampling_step_distinct(sys_spec, points, ell, args.d, rng,
-                                        cap=args.cap_step)
+    columns = [list(points) for _ in range(sys_spec.k)]
+    ok = verify_polynomial_identity(sys_spec, columns, samples=args.samples,
+                                    rng=spawn(seed, "identity"))
+    payload = {"length": len(points), "k": sys_spec.k,
+               "samples": args.samples, "identity_holds": ok}
+    return payload, 0 if ok else 1, seed
+
+
+def _cmd_slicerank_diagonal(args) -> tuple:
+    tensor = Tensor.from_function(
+        args.p, args.length, args.k,
+        lambda idx: 1 if len(set(idx)) == 1 else 0)
+    orders = corollary_orders((tuple(range(args.k)),), args.length)
+    rank_value = antichain_slice_rank(tensor, orders, cap=args.cap_support)
+    payload = {"length": args.length, "k": args.k, "rank": rank_value,
+               "expected": args.length}
+    return payload, 0 if rank_value == args.length else 1, None
+
+
+def _cmd_slicerank_bound(args) -> tuple:
+    sys_spec = read_system_file(args.system)
+    ceil = ceiling(sys_spec.p, sys_spec.m, sys_spec.k, args.n, factor=sys_spec.k)
+    payload = {"n": args.n, "k": sys_spec.k, "gamma": ceil.gamma, "bound": ceil.bound}
+    return payload, 0, None
+
+
+def _cmd_sample_containment(args) -> tuple:
+    seed = _resolve_seed(args)
+    check = verify_containment(args.p, args.n, args.d, args.s,
+                               trials=args.trials, seed=seed,
+                               method=args.method)
+    return check, 0 if check.within_3sigma else 1, seed
+
+
+def _cmd_sample_step(args) -> tuple:
+    sys_spec = read_system_file(args.system)
+    points = _load_points(args, sys_spec.p)
+    seed = _resolve_seed(args)
+    if "ell" in args:  # only the step-distinct parser has --ell
+        step = sampling_step_distinct
+        level = sys_spec.k if args.ell is None else args.ell
+    elif args.w is None:
+        raise ValueError("step-weight needs --w")
     else:
-        if args.w is None:
-            raise ValueError("step-weight needs --w")
-        rng = spawn(seed, "step-weight")
-        report = sampling_step_weight(sys_spec, points, args.w, args.d, rng,
-                                      cap=args.cap_step)
-    _emit(args, "sample", report, started, seed=seed)
-    return 0
+        step, level = sampling_step_weight, args.w
+    report = step(sys_spec, points, level, args.d, spawn(seed, args.action),
+                  cap=args.cap_step)
+    return report, 0, seed
 
 
-def _cmd_extremal(args) -> int:
-    started = time.perf_counter()
+def _cmd_extremal(args) -> tuple:
     sys_spec = read_system_file(args.system)
     problem = AvoidanceProblem(sys_spec, _make_filter(args, sys_spec.k),
                                args.n, exclude_zero=args.exclude_zero)
-    seed: int | None = None
-    if args.greedy:
-        seed = _resolve_seed(args)
-        rng = spawn(seed, "greedy") if args.restarts else None
-        result = greedy_lower_bound(problem, restarts=args.restarts, rng=rng)
-    else:
+    if not args.greedy:
         symmetry = False if args.no_symmetry else None
-        result = exhaustive_max(problem, cap_points=args.cap_points,
-                                symmetry=symmetry)
-    _emit(args, "extremal", result, started, seed=seed)
-    return 0
+        return exhaustive_max(problem, cap_points=args.cap_points,
+                              symmetry=symmetry), 0, None
+    seed = _resolve_seed(args)
+    rng = spawn(seed, "greedy") if args.restarts else None
+    return greedy_lower_bound(problem, restarts=args.restarts, rng=rng), 0, seed
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+# statement -> (filter mode, zero excluded by default)
+_STATEMENTS = {
+    "tao": ("not-all-equal", False),
+    "distinct": ("distinct", True),
+    "rank": ("span-dim", True),
+}
+
+
+def _cmd_verify(args) -> tuple:
     sys_spec = read_system_file(args.system)
-    if args.theorem == "tao":
-        mode = ClassFilter.not_all_equal()
-        exclude_zero = False
-    elif args.theorem == "distinct":
-        mode = ClassFilter.distinct()
-        exclude_zero = True
-    else:
-        if args.r is None:
-            raise ValueError("--theorem rank needs --r")
-        mode = ClassFilter.span_at_least(args.r)
-        exclude_zero = True
-    if args.exclude_zero:
-        exclude_zero = True
-    if args.include_zero:
-        exclude_zero = False
-    problem = AvoidanceProblem(sys_spec, mode, args.n,
-                               exclude_zero=exclude_zero)
+    mode, exclude_zero = _STATEMENTS[args.theorem]
+    if mode == "span-dim" and args.r is None:
+        raise ValueError("--theorem rank needs --r")
+    problem = AvoidanceProblem(
+        sys_spec, ClassFilter(mode, r=args.r), args.n,
+        exclude_zero=args.exclude_zero or (exclude_zero and not args.include_zero))
     report = verify_theorem_bound(problem, args.theorem,
                                   cap_points=args.cap_points)
-    _emit(args, "verify", report, started)
-    if report.holds is not None:
-        return 0 if report.holds else 1
-    return 0
+    return report, 0 if report.holds is not False else 1, None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, func) -> None:
+    """The output options of a leaf subcommand and its handler."""
+    parser.set_defaults(func=func)
     parser.add_argument("--format", choices=("json", "text", "csv"),
                         default="json", help="output format")
     parser.add_argument("--no-timestamp", action="store_true",
@@ -413,6 +366,12 @@ def _add_point_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="use all of F_p^n instead")
     parser.add_argument("--exclude-zero", action="store_true",
                         help="drop the zero vector from --n point sets")
+
+
+def _add_filter(parser: argparse.ArgumentParser, default_mode: str) -> None:
+    parser.add_argument("--mode", default=default_mode, choices=_MODES)
+    parser.add_argument("--r", type=int, help="span dimension threshold")
+    parser.add_argument("--ell", type=int, help="distinct entry threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,25 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int,
                    help="also report the bound k * gamma^n and the "
                         "monomial count at this n")
-    _add_common(g)
-    g.set_defaults(func=_cmd_gamma)
+    _add_common(g, _cmd_gamma)
 
     v = sub.add_parser("validate", help="recheck system hypotheses")
     v.add_argument("--system", required=True)
-    _add_common(v)
-    v.set_defaults(func=_cmd_validate)
+    _add_common(v, _cmd_validate)
 
     s = sub.add_parser("solve", help="enumerate solutions over a point set")
     s.add_argument("--system", required=True)
     _add_point_source(s)
-    s.add_argument("--mode", default="any", choices=_MODES)
-    s.add_argument("--r", type=int, help="span dimension threshold")
-    s.add_argument("--ell", type=int, help="distinct entry threshold")
+    _add_filter(s, "any")
     s.add_argument("--limit", type=int, default=100,
                    help="maximum solutions listed in the report")
     s.add_argument("--count-only", action="store_true")
-    _add_common(s)
-    s.set_defaults(func=_cmd_solve)
+    _add_common(s, _cmd_solve)
 
     w = sub.add_parser("weight", help="weight and admissible-set structure "
                                       "of a tuple")
@@ -457,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--system", help="system file for solution-dependent checks")
     w.add_argument("--check-properties", action="store_true")
     w.add_argument("--check-partition", action="store_true")
-    _add_common(w)
-    w.set_defaults(func=_cmd_weight)
+    _add_common(w, _cmd_weight)
 
     sr = sub.add_parser("slicerank", help="slice rank toolbox")
     sr_sub = sr.add_subparsers(dest="action", required=True)
@@ -470,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "block orders")
     sr_rank.add_argument("--cap-support", type=int,
                          default=DEFAULT_SUPPORT_CAP)
-    _add_common(sr_rank)
+    _add_common(sr_rank, _cmd_slicerank_rank)
     sr_id = sr_sub.add_parser("identity", help="check the indicator "
                                                "product formula")
     sr_id.add_argument("--system", required=True)
     _add_point_source(sr_id)
     sr_id.add_argument("--samples", type=int, default=1000)
     sr_id.add_argument("--seed", type=int)
-    _add_common(sr_id)
+    _add_common(sr_id, _cmd_slicerank_identity)
     sr_diag = sr_sub.add_parser("diagonal", help="rank of the diagonal "
                                                  "tensor (sanity demo)")
     sr_diag.add_argument("--p", type=int, default=2)
@@ -485,13 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     sr_diag.add_argument("--k", type=int, required=True)
     sr_diag.add_argument("--cap-support", type=int,
                          default=DEFAULT_SUPPORT_CAP)
-    _add_common(sr_diag)
+    _add_common(sr_diag, _cmd_slicerank_diagonal)
     sr_bound = sr_sub.add_parser("bound", help="certified rank ceiling "
                                                "k * gamma^n")
     sr_bound.add_argument("--system", required=True)
     sr_bound.add_argument("--n", type=int, required=True)
-    _add_common(sr_bound)
-    sr.set_defaults(func=_cmd_slicerank)
+    _add_common(sr_bound, _cmd_slicerank_bound)
 
     sa = sub.add_parser("sample", help="subspace sampling experiments")
     sa_sub = sa.add_subparsers(dest="action", required=True)
@@ -505,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sa_cont.add_argument("--method", default="auto",
                          choices=("auto", "exhaustive", "monte-carlo"))
     sa_cont.add_argument("--seed", type=int)
-    _add_common(sa_cont)
+    _add_common(sa_cont, _cmd_sample_containment)
     for kind in ("step-distinct", "step-weight"):
         sa_step = sa_sub.add_parser(kind, help=f"one {kind} deletion step")
         sa_step.add_argument("--system", required=True)
@@ -519,15 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
             sa_step.add_argument("--w", type=int, help="weight value")
         sa_step.add_argument("--cap-step", type=int, default=DEFAULT_WORK_CAP)
         sa_step.add_argument("--seed", type=int)
-        _add_common(sa_step)
-    sa.set_defaults(func=_cmd_sample)
+        _add_common(sa_step, _cmd_sample_step)
 
     e = sub.add_parser("extremal", help="largest avoiding subset search")
     e.add_argument("--system", required=True)
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--mode", default="not-all-equal", choices=_MODES)
-    e.add_argument("--r", type=int)
-    e.add_argument("--ell", type=int)
+    _add_filter(e, "not-all-equal")
     e.add_argument("--exclude-zero", action="store_true")
     e.add_argument("--greedy", action="store_true",
                    help="randomized greedy lower bound instead of "
@@ -536,22 +485,22 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int)
     e.add_argument("--no-symmetry", action="store_true",
                    help="disable the linear-symmetry reduction")
-    e.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP)
-    _add_common(e)
-    e.set_defaults(func=_cmd_extremal)
+    e.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP,
+                   help="largest point space the exhaustive search "
+                        "takes (--greedy ignores it)")
+    _add_common(e, _cmd_extremal)
 
     vf = sub.add_parser("verify", help="check a headline bound at desk scale")
     vf.add_argument("--system", required=True)
     vf.add_argument("--n", type=int, required=True)
-    vf.add_argument("--theorem", required=True,
-                    choices=("tao", "distinct", "rank"))
+    vf.add_argument("--theorem", required=True, choices=tuple(_STATEMENTS))
     vf.add_argument("--r", type=int, help="span threshold for --theorem rank")
     zero = vf.add_mutually_exclusive_group()
     zero.add_argument("--exclude-zero", action="store_true")
     zero.add_argument("--include-zero", action="store_true")
-    vf.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP)
-    _add_common(vf)
-    vf.set_defaults(func=_cmd_verify)
+    vf.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP,
+                    help="largest point space the exhaustive search takes")
+    _add_common(vf, _cmd_verify)
     return parser
 
 
@@ -565,12 +514,23 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        result, code, seed = args.func(args)
+        envelope = {"command": args.command, "result": _jsonable(result)}
+        if seed is not None:
+            envelope["seed"] = seed
+        if args.no_timestamp:
+            envelope = _strip_keys(envelope)
+        else:
+            envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
+            envelope["elapsed_s"] = round(time.perf_counter() - started, 6)
+        sys.stdout.write(_render(envelope, args.format))
     except (ValueError, OSError, OverflowError, CapExceededError,
             DegenerateSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

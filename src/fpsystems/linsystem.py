@@ -275,6 +275,8 @@ class PointSet:
     @classmethod
     def full_space(cls, n: int, p, include_zero: bool = True) -> "PointSet":
         p = check_prime(p)
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         pts = (v for v in product(range(p), repeat=n) if include_zero or any(v))
         return cls(p, n, tuple(pts))
 

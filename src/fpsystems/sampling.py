@@ -99,7 +99,6 @@ def verify_containment(
     trials: int = 10**4,
     seed: int = 0,
     method: str = "auto",
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> ContainmentCheck:
     """Compare the exact containment probability with observation.
 
@@ -107,7 +106,8 @@ def verify_containment(
     Exhaustive mode scans every d-dimensional subspace and must match
     the exact value; Monte Carlo mode samples ``trials`` subspaces with
     per-trial generators derived from the seed, and flags a frequency
-    further than three binomial standard deviations from the mean.
+    further than three binomial standard deviations from the mean; auto
+    mode scans exhaustively up to ``DEFAULT_ENUM_CAP`` subspaces.
     A standard basis vector e_i lies in a subspace exactly when it is
     a row of the reduced echelon basis (its coordinates in that basis
     are its entries at the pivot columns), so that is the test.
@@ -122,9 +122,10 @@ def verify_containment(
     if method not in ("auto", "exhaustive", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "exhaustive" if gaussian_binomial(n, d, p) <= enum_cap else "monte-carlo"
+        method = ("exhaustive" if gaussian_binomial(n, d, p) <= DEFAULT_ENUM_CAP
+                  else "monte-carlo")
     if method == "exhaustive":
-        subspaces = enumerate_subspaces(n, d, p, cap=enum_cap)
+        subspaces = enumerate_subspaces(n, d, p, cap=DEFAULT_ENUM_CAP)
         hits = sum(1 for v in subspaces if all(e in v.basis for e in basis))
         total = len(subspaces)
         freq = Fraction(hits, total)

@@ -54,6 +54,7 @@ from .linsystem import (
 from .slicerank import ceiling
 
 DEFAULT_POINT_CAP = 81
+GREEDY_POINT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -232,15 +233,15 @@ def greedy_lower_bound(
     problem: AvoidanceProblem,
     restarts: int = 0,
     rng: random.Random | None = None,
-    cap_points: int = 10**6,
 ) -> SearchResult:
     """Greedy avoiding set: scan points in order and keep what fits.
 
     With restarts > 0 the order is reshuffled per restart (rng needed)
     and the largest set wins.  Lower bound only, never claimed optimal.
+    Point spaces above ``GREEDY_POINT_CAP`` points are refused.
     """
     start = time.perf_counter()
-    problem.check_point_cap(cap_points)
+    problem.check_point_cap(GREEDY_POINT_CAP)
     order = list(problem.point_order())
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")

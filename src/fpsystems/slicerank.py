@@ -165,9 +165,12 @@ def _check_shape(length: int, k: int) -> None:
     """Reject a dense [L]^k shape before any of its values is built."""
     if length < 1 or k < 2:
         raise ValueError("need L >= 1 and k >= 2")
-    if length**k > _TENSOR_SIZE_CAP:
-        raise CapExceededError(f"dense tensor of size {length}^{k} "
-                               f"exceeds the cap {_TENSOR_SIZE_CAP}")
+    # L = 1 counts as 2: its index tuples, order family and rank search
+    # still grow with k; the bit-length test spares the power for huge k
+    if (k > _TENSOR_SIZE_CAP.bit_length()
+            or max(length, 2)**k > _TENSOR_SIZE_CAP):
+        raise CapExceededError(f"dense tensor [{length}]^{k} exceeds the "
+                               f"cap {_TENSOR_SIZE_CAP} on max(L, 2)^k")
 
 
 @dataclass(frozen=True)
@@ -403,16 +406,16 @@ def verify_polynomial_identity(
     columns: Sequence[Sequence],
     samples: int = 1000,
     rng=None,
-    exhaustive_cap: int = DEFAULT_IDENTITY_CAP,
 ) -> bool:
     """Check that the product formula reproduces the indicator tensor.
 
     The solution indicator factors over equations j and coordinates s as
     1 - (sum_i a_{j,i} x_i(s) - b_j(s))^(p-1) in F_p, by Fermat's little
     theorem.  All L^k index tuples are checked when that count is within
-    the cap, otherwise ``samples`` uniformly drawn tuples (which needs a
-    seeded rng).  No tensor is built: each checked entry of the
-    indicator tensor is decided on its own by ``is_solution``.
+    ``DEFAULT_IDENTITY_CAP``, otherwise ``samples`` uniformly drawn
+    tuples (which needs a seeded rng).  No tensor is built: each checked
+    entry of the indicator tensor is decided on its own by
+    ``is_solution``.
     """
     cols = _candidate_columns(sys_spec, columns)
     p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
@@ -431,7 +434,7 @@ def verify_polynomial_identity(
                     return 0
         return acc
 
-    if length**k <= exhaustive_cap:
+    if length**k <= DEFAULT_IDENTITY_CAP:
         tuples: Iterable[tuple[int, ...]] = product(range(length), repeat=k)
     else:
         if rng is None:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpsystems import cli
 from fpsystems.cli import build_parser, main
@@ -529,6 +533,30 @@ class TestExitCodes:
         assert not out
         assert "must be nonnegative" in err
 
+    def test_weight_prime_checked_before_reduction(self, capsys):
+        # the entries were reduced mod 0 first: ZeroDivisionError
+        code, out, err = run_cli(["weight", "--tuple", "1,0", "--p", "0"],
+                                 capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: prime must satisfy 2 <= p <= 2^31 - 1, got 0\n"
+
+    def test_negative_point_space_dimension(self, files, capsys):
+        code, out, err = run_cli(["solve", "--system", files["ap3"],
+                                  "--n", "-1"], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: n must be nonnegative\n"
+
+    def test_diagonal_order_capped_at_length_one(self, capsys, deadline):
+        # L = 1 keeps L^k under the size cap for every k
+        with deadline(1):
+            code, out, err = run_cli(["slicerank", "diagonal", "--length", "1",
+                                      "--k", "21"], capsys)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: dense tensor [1]^21 exceeds the cap")
+
 
 class TestFormats:
     def test_text_format(self, capsys):
@@ -585,6 +613,23 @@ class TestCommands:
                    or line.isdigit() for line in lines)
         assert all(set(line) <= set("012") for line in lines)
 
+    def test_weight_entries_printed_reduced(self, capsys):
+        code, data, _ = run_json(["weight", "--tuple", "4,0", "--p", "3"],
+                                 capsys)
+        assert code == 0
+        assert data["result"]["entries"] == [[1, 0]]
+
+    def test_zero_dimensional_point_space(self, files, capsys):
+        # F_p^0 = {()} is a point space, not a missing one
+        code, data, err = run_json(["solve", "--system", files["ap3"],
+                                    "--n", "0"], capsys)
+        assert code == 0, err
+        assert data["result"]["count"] == 1
+        code, data, err = run_json(["slicerank", "identity", "--system",
+                                    files["ap3"], "--n", "0"], capsys)
+        assert code == 0, err
+        assert data["result"]["length"] == 1
+
     def test_weight_checks_on_solution(self, files, capsys):
         code, data, _ = run_json(["weight", "--tuple", "1;1;1", "--p", "3",
                                   "--system", files["ap3"],
@@ -621,6 +666,12 @@ class TestCommands:
         assert code == 0
         assert data["result"]["rank"] == 4
         assert data["result"]["expected"] == 4
+
+    def test_slicerank_diagonal_length_one(self, capsys):
+        code, data, _ = run_json(["slicerank", "diagonal", "--length", "1",
+                                  "--k", "20"], capsys)
+        assert code == 0
+        assert data["result"]["rank"] == 1
 
     def test_slicerank_bound(self, files, capsys):
         code, data, _ = run_json(["slicerank", "bound", "--system",
@@ -692,6 +743,90 @@ class TestCommands:
                                     "--n", "1", "--theorem", "tao",
                                     "--exclude-zero"], capsys)
         assert code2 == 0
+
+
+INT = st.integers(-2, 5).map(str)
+# point spaces F_p^n stop at n = 2 (at most 25 points), so no run is long
+DIM = st.integers(-2, 2).map(str)
+PRIME = st.integers(0, 7).map(str)
+# blocks like '1,0;2,1' of one width, or short text with stray characters
+BLOCKS = st.one_of(
+    st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.lists(INT, min_size=width, max_size=width).map(",".join),
+        min_size=1, max_size=4).map(";".join)),
+    st.text(alphabet="0123,; x", max_size=8))
+SYSTEM = st.sampled_from(["@ap3", "@bad", "@s531", "@k4", "@m2k4"])
+POINT_SOURCE = [("--points", st.just("@sparse")), ("--n", DIM),
+                ("--exclude-zero", None)]
+FILTER = [("--mode", st.sampled_from(["any", "not-all-equal", "distinct",
+                                      "span-dim", "distinct-count"])),
+          ("--r", INT), ("--ell", INT)]
+SEED = [("--seed", INT)]
+TOL = st.sampled_from(["1e-12", "0", "-1", "1e-300", "nan"])
+TENSOR = st.sampled_from(["@tensor", "@diag"])
+COMMON = [("--format", st.sampled_from(["json", "text", "csv"]))]
+# each leaf command: its words, its required flags, its optional flags;
+# a flag's strategy gives its value, None marks a switch
+FUZZ_GRAMMAR = [
+    (["gamma"], [("--p", PRIME), ("--m", INT), ("--k", INT)],
+     [("--n", INT), ("--tol", TOL)]),
+    (["validate"], [("--system", SYSTEM)], []),
+    (["solve"], [("--system", SYSTEM)],
+     POINT_SOURCE + FILTER + [("--limit", INT), ("--count-only", None)]),
+    (["weight"], [("--tuple", BLOCKS), ("--p", PRIME)],
+     [("--system", SYSTEM), ("--check-properties", None),
+      ("--check-partition", None)]),
+    (["slicerank", "rank"], [("--tensor", TENSOR)],
+     [("--partition", BLOCKS), ("--cap-support", INT)]),
+    (["slicerank", "identity"], [("--system", SYSTEM)],
+     POINT_SOURCE + SEED + [("--samples", INT)]),
+    (["slicerank", "diagonal"], [("--length", INT), ("--k", INT)],
+     [("--p", PRIME), ("--cap-support", INT)]),
+    (["slicerank", "bound"], [("--system", SYSTEM), ("--n", INT)], []),
+    (["sample", "containment"],
+     [("--p", PRIME), ("--n", INT), ("--d", INT), ("--s", INT)],
+     [("--trials", INT),
+      ("--method", st.sampled_from(["auto", "exhaustive", "monte-carlo"]))]
+     + SEED),
+    (["sample", "step-distinct"], [("--system", SYSTEM), ("--d", INT)],
+     POINT_SOURCE + SEED + [("--ell", INT), ("--cap-step", INT)]),
+    (["sample", "step-weight"], [("--system", SYSTEM), ("--d", INT)],
+     POINT_SOURCE + SEED + [("--w", INT), ("--cap-step", INT)]),
+    (["extremal"], [("--system", SYSTEM), ("--n", DIM)],
+     FILTER + SEED + [("--exclude-zero", None), ("--greedy", None),
+                      ("--restarts", INT), ("--no-symmetry", None),
+                      ("--cap-points", INT)]),
+    (["verify"], [("--system", SYSTEM), ("--n", DIM),
+                  ("--theorem", st.sampled_from(["tao", "distinct", "rank"]))],
+     [("--r", INT), ("--exclude-zero", None), ("--include-zero", None),
+      ("--cap-points", INT)]),
+]
+
+
+@st.composite
+def fuzz_argv(draw):
+    words, required, optional = draw(st.sampled_from(FUZZ_GRAMMAR))
+    flags = required + [f for f in optional + COMMON if draw(st.booleans())]
+    argv = list(words)
+    for flag, value in flags:
+        argv += [flag] if value is None else [flag, draw(value)]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300)
+    @given(argv=fuzz_argv())
+    @example(argv=["weight", "--tuple", "1,0", "--p", "0"])
+    def test_every_run_ends_in_a_contract_code(self, argv, files):
+        argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--no-timestamp"])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestModuleEntry:

@@ -27,7 +27,7 @@ from fpsystems import (
     verify_containment,
     weight,
 )
-from fpsystems import linsystem
+from fpsystems import linsystem, sampling
 from fpsystems.sampling import _delete_per_structure
 from fpsystems.seeds import spawn, spawner
 from .oracles import containment_fraction
@@ -109,8 +109,9 @@ class TestVerifyContainment:
                                method="monte-carlo")
         assert a == b
 
-    def test_auto_picks_monte_carlo_over_cap(self):
-        check = verify_containment(2, 5, 2, 1, trials=200, seed=0, enum_cap=10)
+    def test_auto_picks_monte_carlo_over_cap(self, monkeypatch):
+        monkeypatch.setattr(sampling, "DEFAULT_ENUM_CAP", 10)
+        check = verify_containment(2, 5, 2, 1, trials=200, seed=0)
         assert check.method == "monte-carlo"
 
     def test_too_many_fixed_rejected(self):

@@ -15,6 +15,7 @@ from fpsystems import (
     greedy_lower_bound,
     verify_theorem_bound,
 )
+from fpsystems import search
 from fpsystems.fplinalg import rref_with_pivots
 from fpsystems.seeds import spawn
 
@@ -225,8 +226,9 @@ class TestExhaustive:
                                    exclude_zero=True)
         with pytest.raises(CapExceededError, match="242 points"):
             exhaustive_max(problem)
+        monkeypatch.setattr(search, "GREEDY_POINT_CAP", 81)
         with pytest.raises(CapExceededError, match="242 points"):
-            greedy_lower_bound(problem, cap_points=81)
+            greedy_lower_bound(problem)
         with pytest.raises(CapExceededError, match="242 points"):
             verify_theorem_bound(problem, "distinct")
 
@@ -270,10 +272,11 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_lower_bound(problem, restarts=2)
 
-    def test_point_cap(self, sys_ap3):
+    def test_point_cap(self, sys_ap3, monkeypatch):
         problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 2)
+        monkeypatch.setattr(search, "GREEDY_POINT_CAP", 3)
         with pytest.raises(CapExceededError):
-            greedy_lower_bound(problem, cap_points=3)
+            greedy_lower_bound(problem)
 
 
 class TestTheoremBounds:

@@ -299,11 +299,11 @@ class TestIndicator:
         cols = [list(PointSet.full_space(2, 3))] * 3
         assert verify_polynomial_identity(spec, cols)
 
-    def test_identity_sampled(self, sys_ap3):
+    def test_identity_sampled(self, sys_ap3, monkeypatch):
         cols = [list(PointSet.full_space(2, 3))] * 3
         rng = spawn(0, "identity-test")
-        assert verify_polynomial_identity(sys_ap3, cols, samples=200,
-                                          rng=rng, exhaustive_cap=10)
+        monkeypatch.setattr(slicerank, "DEFAULT_IDENTITY_CAP", 10)
+        assert verify_polynomial_identity(sys_ap3, cols, samples=200, rng=rng)
 
     def test_sampled_identity_builds_no_tensor(self, sys_ap3, monkeypatch):
         def no_tensor(*args, **kwargs):
@@ -314,10 +314,11 @@ class TestIndicator:
         assert verify_polynomial_identity(sys_ap3, cols, samples=200,
                                           rng=spawn(1, "identity"))
 
-    def test_sampled_needs_rng(self, sys_ap3):
+    def test_sampled_needs_rng(self, sys_ap3, monkeypatch):
         cols = [list(PointSet.full_space(2, 3))] * 3
+        monkeypatch.setattr(slicerank, "DEFAULT_IDENTITY_CAP", 10)
         with pytest.raises(ValueError):
-            verify_polynomial_identity(sys_ap3, cols, exhaustive_cap=10)
+            verify_polynomial_identity(sys_ap3, cols)
 
 
 class TestCeiling:
