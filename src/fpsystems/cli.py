@@ -155,6 +155,10 @@ def _load_points(args, p) -> PointSet:
 
 
 def _make_filter(args, k: int) -> ClassFilter:
+    if args.r is not None and args.mode != "span-dim":
+        raise ValueError("--r applies only to --mode span-dim")
+    if args.ell is not None and args.mode != "distinct-count":
+        raise ValueError("--ell applies only to --mode distinct-count")
     if args.mode == "span-dim" and args.r is None:
         raise ValueError("--mode span-dim needs --r")
     return ClassFilter(args.mode, r=args.r,
@@ -201,6 +205,10 @@ def _cmd_solve(args) -> tuple:
     sys_spec = read_system_file(args.system)
     points = _load_points(args, sys_spec.p)
     flt = _make_filter(args, sys_spec.k)
+    work = len(points) ** max(sys_spec.k - sys_spec.m, 0)
+    if work > DEFAULT_WORK_CAP:
+        raise CapExceededError(
+            f"{work} assignments exceed the cap {DEFAULT_WORK_CAP}")
     count = 0
     listed = []
     for sol in enumerate_solutions(sys_spec, points, flt):
@@ -343,6 +351,8 @@ def _cmd_verify(args) -> tuple:
     mode, exclude_zero = _STATEMENTS[args.theorem]
     if mode == "span-dim" and args.r is None:
         raise ValueError("--theorem rank needs --r")
+    if mode != "span-dim" and args.r is not None:
+        raise ValueError("--r applies only to --theorem rank")
     problem = AvoidanceProblem(
         sys_spec, ClassFilter(mode, r=args.r), args.n,
         exclude_zero=args.exclude_zero or (exclude_zero and not args.include_zero))

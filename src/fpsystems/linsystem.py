@@ -431,7 +431,7 @@ class _Completion:
         consts = self.const
         for j, x in zip(self.pinned, pins):
             if j in weights:
-                consts = [tuple(c + w * v for c, v in zip(const, x))
+                consts = [tuple([c + w * v for c, v in zip(const, x)])
                           for const, w in zip(consts, weights[j])]
         head = [weights[j] for j in self.free[:-1]]
         last_weights = weights[self.free[-1]] if self.free else None
@@ -444,9 +444,9 @@ class _Completion:
         for prefix in product(*head_pools):
             partial = consts
             for ws, (x, _) in zip(head, prefix):
-                partial = [tuple(a + w * c for a, c in zip(base, x))
+                partial = [[a + w * c for a, c in zip(base, x)]
                            for base, w in zip(partial, ws)]
-            key = tuple(tuple(a % p for a in base) for base in partial)
+            key = tuple([tuple([a % p for a in base]) for base in partial])
             ends = memo.get(key)
             if ends is None:
                 ends = self._ends(key, last_weights, last_pool, tables, pins)
@@ -456,24 +456,35 @@ class _Completion:
             yield prefix, ends
 
     def _ends(self, partial, last_weights, pool, tables, pins) -> list[tuple]:
+        if last_weights is None:
+            # no free position: the pivots are solved outright
+            if any(partial[r] != pins[i] for r, i in self.pinned_pivots):
+                return []
+            labels = [table.get(partial[r])
+                      for r, table in zip(self.open_pivots, tables)]
+            return [] if None in labels else [tuple(labels)]
         p, out = self.p, []
+        # (base, weight, pinned point) per pinned pivot and (base,
+        # weight, table) per open pivot: pivot r solves to
+        # base + weight * x for the last free entry x
+        fixed = [(partial[r], last_weights[r], pins[i])
+                 for r, i in self.pinned_pivots]
+        solved = [(partial[r], last_weights[r], table)
+                  for r, table in zip(self.open_pivots, tables)]
         for x, label in pool:
-            if x is None:
-                vecs, labels = partial, []
-            else:
-                vecs = [tuple((a + w * c) % p for a, c in zip(base, x))
-                        for base, w in zip(partial, last_weights)]
-                labels = [label]
-            if self.pinned_pivots and any(
-                    vecs[r] != pins[i] for r, i in self.pinned_pivots):
-                continue
-            for r, table in zip(self.open_pivots, tables):
-                value = table.get(vecs[r])
-                if value is None:
+            for base, w, want in fixed:
+                if tuple([(a + w * c) % p for a, c in zip(base, x)]) != want:
                     break
-                labels.append(value)
             else:
-                out.append(tuple(labels))
+                labels = [label]
+                for base, w, table in solved:
+                    value = table.get(tuple([(a + w * c) % p
+                                             for a, c in zip(base, x)]))
+                    if value is None:
+                        break
+                    labels.append(value)
+                else:
+                    out.append(tuple(labels))
         return out
 
     def supports(self, bits: dict,

@@ -33,7 +33,12 @@ it checks each point x against the members kept so far: for each
 position in turn it pins x there and ranges the other free positions
 over the members and x, at a cost set by the member count, not by the
 space.  A position whose column lies in every pivot basis cannot be
-pinned; it stays a pivot, and its solved entry must equal x.
+pinned; it stays a pivot, and its solved entry must equal x.  Positions
+with equal coefficient columns are pinned once, at the first of them:
+swapping the entries at two such positions maps solutions to solutions
+with the same support, and admission depends on the support alone, so
+x completes an admitted solution at one of them exactly when it does at
+the first.
 """
 
 from __future__ import annotations
@@ -248,8 +253,10 @@ def greedy_lower_bound(
     if restarts > 0 and rng is None:
         raise ValueError("restarts need a seeded rng")
     sys_spec = problem.sys_spec
+    # one check per distinct coefficient column, at its first position
+    columns = list(zip(*sys_spec.coeffs))
     checks = [_Completion(sys_spec, problem.n, pinned=(pos,))
-              for pos in range(sys_spec.k)]
+              for pos, col in enumerate(columns) if col not in columns[:pos]]
     mode, k, p = problem.mode, sys_spec.k, sys_spec.p
     nodes = 0
 

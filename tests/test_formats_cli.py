@@ -459,6 +459,31 @@ class TestExitCodes:
                                 "--theorem", "rank"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--system", "@ap3", "--n", "1", "--mode", "any",
+          "--r", "3"], "--r applies only to --mode span-dim"),
+        (["solve", "--system", "@ap3", "--n", "1", "--mode", "distinct",
+          "--ell", "2"], "--ell applies only to --mode distinct-count"),
+        (["verify", "--system", "@ap3", "--n", "1", "--theorem", "tao",
+          "--r", "2"], "--r applies only to --theorem rank"),
+    ], ids=["solve-r", "solve-ell", "verify-r"])
+    def test_flag_the_mode_ignores(self, argv, flag, files, capsys):
+        # each of these exited 0 with the flag silently ignored
+        argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert not out
+        assert err == f"error: {flag}\n"
+
+    def test_solve_work_cap(self, files, capsys, deadline):
+        # 3^9 points give 3^18 free assignments: this ran without end
+        with deadline(5):
+            code, out, err = run_cli(["solve", "--system", files["ap3"],
+                                      "--n", "9", "--count-only"], capsys)
+        assert code == 2
+        assert not out
+        assert err == f"error: {3**18} assignments exceed the cap {10**6}\n"
+
     def test_step_weight_needs_w(self, files, capsys):
         code, _, err = run_cli(["sample", "step-weight", "--system",
                                 files["ap3"], "--n", "2", "--exclude-zero",

@@ -39,7 +39,8 @@ def brute_max_avoiding(sys_spec, flt, n, exclude_zero=False):
 
 # (coeffs, p, constants, filter, n, exclude_zero): affine, span-dim with
 # k = 4, distinct-count, exclude-zero, two equations, columns that lie in
-# every pivot basis, and systems with no free position left to range
+# every pivot basis, systems with no free position left to range, and
+# repeated coefficient columns, which the greedy pins once per column
 REFERENCE_GRID = [
     ([(1, 1, 1)], 3, None, ClassFilter.not_all_equal(), 2, False),
     ([(1, 1, 1)], 3, [(1, 0)], ClassFilter.not_all_equal(), 2, False),
@@ -56,6 +57,10 @@ REFERENCE_GRID = [
     ([(1, 1, 0), (0, 0, 1)], 3, None, ClassFilter.not_all_equal(), 2, False),
     ([(1, 1)], 3, None, ClassFilter.not_all_equal(), 2, False),
     ([(1, 0), (0, 1)], 3, [(1, 0), (0, 2)], ClassFilter.any(), 2, False),
+    ([(1, 1, 2, 2)], 3, None, ClassFilter.not_all_equal(), 2, False),
+    ([(1, 1, 1, 0), (0, 1, 1, 1)], 3, None, ClassFilter.not_all_equal(), 2,
+     False),
+    ([(1,) * 6], 3, None, ClassFilter.distinct(), 1, False),
 ]
 
 
@@ -277,6 +282,22 @@ class TestGreedy:
         monkeypatch.setattr(search, "GREEDY_POINT_CAP", 3)
         with pytest.raises(CapExceededError):
             greedy_lower_bound(problem)
+
+    @pytest.mark.parametrize("coeffs, built", [((1, 1, 1), 1), ((1, 1, 2, 2), 2)],
+                             ids=["x+y+z", "1122"])
+    def test_one_check_per_column_class(self, coeffs, built, monkeypatch):
+        made = []
+
+        class Counted(search._Completion):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("pinned"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_Completion", Counted)
+        problem = AvoidanceProblem(SystemSpec.make([coeffs], 3),
+                                   ClassFilter.not_all_equal(), 2)
+        greedy_lower_bound(problem, restarts=1, rng=random.Random(0))
+        assert len(made) == built
 
 
 class TestTheoremBounds:
