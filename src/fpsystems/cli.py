@@ -53,6 +53,7 @@ from .slicerank import (
     DEFAULT_SUPPORT_CAP,
     Tensor,
     OrderFamily,
+    _check_shape,
     _gamma_power,
     antichain_slice_rank,
     ceiling,
@@ -68,9 +69,6 @@ from .weights import (
     verify_weight_properties,
     weight,
 )
-
-_STRIPPED_KEYS = {"timestamp", "elapsed_s"}
-
 
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -93,15 +91,6 @@ def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     return str(obj)
-
-
-def _strip_keys(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_keys(v) for k, v in obj.items()
-                if k not in _STRIPPED_KEYS}
-    if isinstance(obj, list):
-        return [_strip_keys(x) for x in obj]
-    return obj
 
 
 def _flatten(obj, prefix: str, out: list) -> None:
@@ -284,9 +273,11 @@ def _cmd_slicerank_identity(args) -> tuple:
 
 
 def _cmd_slicerank_diagonal(args) -> tuple:
-    tensor = Tensor.from_function(
-        args.p, args.length, args.k,
-        lambda idx: 1 if len(set(idx)) == 1 else 0)
+    # prime and shape are checked before the L diagonal entries are built
+    p = check_prime(args.p)
+    _check_shape(args.length, args.k)
+    tensor = Tensor.from_entries(p, args.length, args.k,
+                                 {(i,) * args.k: 1 for i in range(args.length)})
     orders = corollary_orders((tuple(range(args.k)),), args.length)
     rank_value = antichain_slice_rank(tensor, orders, cap=args.cap_support)
     payload = {"length": args.length, "k": args.k, "rank": rank_value,
@@ -530,9 +521,7 @@ def main(argv=None) -> int:
         envelope = {"command": args.command, "result": _jsonable(result)}
         if seed is not None:
             envelope["seed"] = seed
-        if args.no_timestamp:
-            envelope = _strip_keys(envelope)
-        else:
+        if not args.no_timestamp:
             envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
             envelope["elapsed_s"] = round(time.perf_counter() - started, 6)
         sys.stdout.write(_render(envelope, args.format))

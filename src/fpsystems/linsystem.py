@@ -326,6 +326,11 @@ def pivot_columns(sys_spec: SystemSpec, pinned: Iterable[int] = ()) -> tuple[int
     return tuple(order[j] for j in pivots)
 
 
+def _check_same_prime(sys_spec: SystemSpec, points: PointSet) -> None:
+    if points.p != sys_spec.p:
+        raise ValueError("point set prime differs from system prime")
+
+
 def enumerate_solutions(
     sys_spec: SystemSpec,
     points: PointSet,
@@ -346,8 +351,7 @@ def enumerate_solutions(
     """
     flt = flt or ClassFilter.any()
     p = sys_spec.p
-    if points.p != p:
-        raise ValueError("point set prime differs from system prime")
+    _check_same_prime(sys_spec, points)
     n = points.n
     pin: dict[int, tuple[int, ...]] = {}
     if pinned:
@@ -530,6 +534,7 @@ def interesting_tuples(
     within each group.  Each tuple must hold m + 1 members of ``points``
     as reduced coordinate tuples, and is checked and rank-tested once
     for all index sets; each index set's completion is built once."""
+    _check_same_prime(sys_spec, points)
     m, p = sys_spec.m, sys_spec.p
     positions = [_interesting_positions(sys_spec, idx, ell) for idx in index_sets]
     need = max(0, ell - m - 1)

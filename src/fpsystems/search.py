@@ -44,7 +44,6 @@ the first.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -98,7 +97,6 @@ class SearchResult:
     witness: PointSet
     optimal: bool
     nodes: int
-    elapsed_s: float
 
 
 def _selected(items: Sequence, mask: int) -> Iterator:
@@ -196,7 +194,6 @@ def exhaustive_max(
     (on by default for homogeneous systems, unavailable otherwise)
     restricts the branch exploration as described in the module notes.
     """
-    start = time.perf_counter()
     problem.check_point_cap(cap_points)
     if point_order is None:
         order = problem.point_order()
@@ -230,8 +227,7 @@ def exhaustive_max(
     if len(walker.best_members) > len(best):
         best = walker.best_members
     witness = _verify_witness(problem, [order[i] for i in best])
-    return SearchResult(len(best), witness, True, walker.nodes,
-                        time.perf_counter() - start)
+    return SearchResult(len(best), witness, True, walker.nodes)
 
 
 def greedy_lower_bound(
@@ -245,7 +241,6 @@ def greedy_lower_bound(
     and the largest set wins.  Lower bound only, never claimed optimal.
     Point spaces above ``GREEDY_POINT_CAP`` points are refused.
     """
-    start = time.perf_counter()
     problem.check_point_cap(GREEDY_POINT_CAP)
     order = list(problem.point_order())
     if restarts < 0:
@@ -288,8 +283,7 @@ def greedy_lower_bound(
         if len(cand) > len(best):
             best = cand
     witness = _verify_witness(problem, best)
-    return SearchResult(len(best), witness, False, nodes,
-                        time.perf_counter() - start)
+    return SearchResult(len(best), witness, False, nodes)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,16 @@ unique root of phi(z) = (p-1)m/k, found here by bisection; for
 k <= 2m the objective decreases on all of (0, 1] and the minimum is the
 boundary value p at z = 1, reported rather than raised.
 
-For a k-dimensional array whose support is an antichain in the product
-of k total orders on [L], the slice rank equals the minimum over ways
-of assigning each support element to one of the k axes of the total
-number of distinct projections collected per axis; that minimum is
-computed exactly by a branch and bound search.
+For a k-dimensional array whose support S is an antichain in the
+product of k total orders on [L], the slice rank equals the size of a
+minimum k-partite hitting set (Sawin and Tao, "Notes on the slice rank
+of tensors", 2016): one set of projections per axis such that every
+element of S has its projection taken on some axis.  It is searched
+exactly by branching on an uncovered element over its k projections
+(the 3-hitting-set branching of Niedermeier and Rossmanith, 2003).
+Uncovered elements that are pairwise disjoint on every axis each need
+a projection of their own, so their number, picked greedily, bounds
+what the branch still has to take.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import CapExceededError
 from .fplinalg import check_prime, coords_of, read_lines, reduce_coords, write_lines
 from .linsystem import SystemSpec, _Completion, is_solution
 
-DEFAULT_SUPPORT_CAP = 14
+DEFAULT_SUPPORT_CAP = 40
 DEFAULT_CROSS_CAP = 10**7
 DEFAULT_IDENTITY_CAP = 10**5
 _TENSOR_SIZE_CAP = 2 * 10**6
@@ -173,67 +178,64 @@ def _check_shape(length: int, k: int) -> None:
                                f"cap {_TENSOR_SIZE_CAP} on max(L, 2)^k")
 
 
+def _check_index(idx: Sequence[int], length: int, k: int) -> None:
+    if len(idx) != k or any(not 0 <= i < length for i in idx):
+        raise IndexError(f"index {tuple(idx)} out of range")
+
+
 @dataclass(frozen=True)
 class Tensor:
-    """A dense k-dimensional array over F_p on index set [L]^k.
+    """A k-dimensional array over F_p on index set [L]^k, held by its
+    support.
 
-    Values are stored row-major; indices are 0 based.  The support is
-    the list of index tuples with nonzero value.
+    ``entries`` lists the (index tuple, nonzero value) pairs in
+    lexicographic index order, which the constructor checks; indices
+    are 0 based.  The support is the list of their index tuples.
     """
 
     p: int
     length: int
     k: int
-    values: tuple[int, ...]
+    entries: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
         _check_shape(self.length, self.k)
-        if len(self.values) != self.length**self.k:
-            raise ValueError("value count does not match L^k")
+        for idx, val in self.entries:
+            _check_index(idx, self.length, self.k)
+            if not 0 < val < self.p:
+                raise ValueError(f"value {val} at {idx} is not a nonzero residue")
+        if any(a >= b for (a, _), (b, _) in zip(self.entries, self.entries[1:])):
+            raise ValueError("entries must be in increasing index order")
 
     @classmethod
     def from_function(cls, p, length: int, k: int,
                       fn: Callable[[tuple[int, ...]], int]) -> "Tensor":
         p = check_prime(p)
         _check_shape(length, k)
-        vals = tuple(fn(idx) % p for idx in product(range(length), repeat=k))
-        return cls(p, length, k, vals)
+        values = ((idx, fn(idx) % p) for idx in product(range(length), repeat=k))
+        return cls(p, length, k, tuple((idx, val) for idx, val in values if val))
 
     @classmethod
     def from_entries(cls, p, length: int, k: int,
                      entries: dict[tuple[int, ...], int]) -> "Tensor":
         p = check_prime(p)
         _check_shape(length, k)
-        vals = [0] * length**k
-        for idx, val in entries.items():
-            if len(idx) != k or any(not 0 <= i < length for i in idx):
-                raise IndexError(f"index {idx} out of range")
-            flat = 0
-            for i in idx:
-                flat = flat * length + i
-            vals[flat] = val % p
-        return cls(p, length, k, tuple(vals))
+        for idx in entries:  # zero values too, though they are dropped
+            _check_index(idx, length, k)
+        return cls(p, length, k, tuple(sorted(
+            (idx, val % p) for idx, val in entries.items() if val % p)))
+
+    @cached_property
+    def _values(self) -> dict[tuple[int, ...], int]:
+        return dict(self.entries)
 
     def entry(self, idx: Sequence[int]) -> int:
-        if len(idx) != self.k or any(not 0 <= i < self.length for i in idx):
-            raise IndexError(f"index {tuple(idx)} out of range")
-        flat = 0
-        for i in idx:
-            flat = flat * self.length + i
-        return self.values[flat]
+        _check_index(idx, self.length, self.k)
+        return self._values.get(tuple(idx), 0)
 
     @cached_property
     def support(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for flat, val in enumerate(self.values):
-            if val:
-                idx = []
-                rest = flat
-                for _ in range(self.k):
-                    rest, i = divmod(rest, self.length)
-                    idx.append(i)
-                out.append(tuple(reversed(idx)))
-        return tuple(out)
+        return tuple(idx for idx, _ in self.entries)
 
 
 @dataclass(frozen=True)
@@ -275,19 +277,26 @@ class OrderFamily:
         return cls(tuple(tuple(range(length)) for _ in range(k)))
 
 
+def _blocks(partition: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The blocks, each sorted; every block must have at least two axes,
+    and together they must cover the axes 0, 1, ... exactly once."""
+    blocks = [tuple(sorted(set(b))) for b in partition]
+    if any(len(b) < 2 for b in blocks):
+        raise ValueError("every block must have at least two axes")
+    covered = sorted(i for b in blocks for i in b)
+    if covered != list(range(len(covered))):
+        raise ValueError("blocks must partition the axis range exactly")
+    return blocks
+
+
 def corollary_orders(partition: Sequence[Sequence[int]], length: int) -> OrderFamily:
     """Order family attached to a partition of the k axes into blocks of
     size at least two: the smallest axis of each block gets the
     increasing order, the second smallest the reversed order, and every
     other axis the increasing order.  Under these orders the support of
     a block-constant family of index tuples is an antichain."""
-    blocks = [tuple(sorted(set(b))) for b in partition]
-    if any(len(b) < 2 for b in blocks):
-        raise ValueError("every block must have at least two axes")
-    covered = sorted(i for b in blocks for i in b)
-    k = len(covered)
-    if covered != list(range(k)):
-        raise ValueError("blocks must partition the axis range exactly")
+    blocks = _blocks(partition)
+    k = sum(len(b) for b in blocks)
     increasing = tuple(range(length))
     reversed_order = tuple(range(length - 1, -1, -1))
     orders: list[tuple[int, ...]] = [increasing] * k
@@ -317,11 +326,14 @@ def antichain_slice_rank(tensor: Tensor, orders: OrderFamily,
                          cap: int = DEFAULT_SUPPORT_CAP) -> int:
     """Exact slice rank of a tensor whose support is an antichain.
 
-    Equal to the minimum over assignments of support elements to axes of
-    the total number of distinct projections collected on each axis.
-    The search assigns elements one at a time, most projection-sharing
-    first, pruning whenever the partial count reaches the incumbent
-    (the count never decreases as elements are added).
+    Equal to the size of a minimum k-partite hitting set of the support:
+    one set of projections per axis, every support element hit on some
+    axis.  The search starts from the best single axis, takes one of the
+    k projections of the first uncovered element per branch, and prunes
+    when the projections taken plus the number of greedily picked
+    uncovered elements pairwise disjoint on every axis reach the
+    incumbent.  Supports above ``cap`` elements are refused before the
+    antichain test.
     """
     if orders.k != tensor.k or orders.length != tensor.length:
         raise ValueError("order family does not match the tensor shape")
@@ -331,44 +343,33 @@ def antichain_slice_rank(tensor: Tensor, orders: OrderFamily,
         raise CapExceededError(f"support size {size} exceeds the cap {cap}")
     if not is_antichain(support, orders):
         raise ValueError("tensor support is not an antichain under these orders")
-    k = tensor.k
-    share = []
-    for e in support:
-        share.append(sum(1 for f in support if f != e
-                         for ax in range(k) if f[ax] == e[ax]))
-    elems = [e for _, e in sorted(zip(share, support),
-                                  key=lambda t: (-t[0], t[1]))]
-    projections: list[set[int]] = [set() for _ in range(k)]
-    best = min(len({e[ax] for e in support}) for ax in range(k))
+    axes = range(tensor.k)
+    taken: list[set[int]] = [set() for _ in axes]
+    best = min(len({e[ax] for e in support}) for ax in axes)
 
-    def greedy() -> int:
-        sets: list[set[int]] = [set() for _ in range(k)]
-        for e in elems:
-            ax = min(range(k), key=lambda i: (e[i] not in sets[i], len(sets[i])))
-            sets[ax].add(e[ax])
-        return sum(len(s) for s in sets)
-
-    best = min(best, greedy())
-
-    def walk(idx: int, partial: int) -> None:
+    def walk(count: int) -> None:
         nonlocal best
-        if partial >= best:
+        uncovered = [e for e in support
+                     if not any(e[ax] in taken[ax] for ax in axes)]
+        if not uncovered:
+            best = count
             return
-        if idx == len(elems):
-            best = partial
+        seen: list[set[int]] = [set() for _ in axes]
+        bound = 0
+        for e in uncovered:
+            if not any(e[ax] in seen[ax] for ax in axes):
+                bound += 1
+                for ax in axes:
+                    seen[ax].add(e[ax])
+        if count + bound >= best:
             return
-        e = elems[idx]
-        axes = sorted(range(k), key=lambda i: e[i] not in projections[i])
+        e = uncovered[0]
         for ax in axes:
-            proj = e[ax]
-            if proj in projections[ax]:
-                walk(idx + 1, partial)
-            else:
-                projections[ax].add(proj)
-                walk(idx + 1, partial + 1)
-                projections[ax].remove(proj)
+            taken[ax].add(e[ax])
+            walk(count + 1)
+            taken[ax].remove(e[ax])
 
-    walk(0, 0)
+    walk(0)
     return best
 
 
@@ -472,12 +473,9 @@ def partitioned_solution_bound(
     k * Gamma^n; otherwise the first violating index tuple is reported
     and no ceiling is claimed.
     """
-    blocks = [tuple(sorted(set(b))) for b in partition]
-    if any(len(b) < 2 for b in blocks):
-        raise ValueError("every block must have at least two positions")
-    covered = sorted(i for b in blocks for i in b)
-    if covered != list(range(sys_spec.k)):
-        raise ValueError("blocks must partition the variable positions")
+    blocks = _blocks(partition)
+    if sum(len(b) for b in blocks) != sys_spec.k:
+        raise ValueError(f"blocks must cover the {sys_spec.k} variable positions")
     sols = [tuple(reduce_coords(coords_of(x), sys_spec.p) for x in sol)
             for sol in solutions]
     for sol in sols:
@@ -529,8 +527,8 @@ def write_tensor_file(dest, tensor: Tensor) -> None:
     """Write a tensor: header ``p L k``, then one line per support
     element with the k indices (0 based) and the value."""
     lines = [f"{tensor.p} {tensor.length} {tensor.k}"]
-    for idx in tensor.support:
-        lines.append(" ".join(str(i) for i in idx) + f" {tensor.entry(idx)}")
+    for idx, val in tensor.entries:
+        lines.append(" ".join(str(i) for i in idx) + f" {val}")
     write_lines(dest, lines)
 
 

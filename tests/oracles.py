@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Seven exceptions sit at the end.  The earlier weight, which checks all
+Eight exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -22,7 +22,10 @@ every free assignment and re-verifies and ranks each tuple, is the
 reference that ``enumerate_solutions`` must reproduce solution for
 solution and in order; the earlier partitioned-bound loop, with its own
 pivots, inverse minor and right-hand sides, is the reference for
-``partitioned_solution_bound``, witness included.
+``partitioned_solution_bound``, witness included.  The earlier
+slice-rank search, which assigns every support element to an axis under
+a share ordering and a greedy bound, is the reference for the
+hitting-set search on supports too large for the unpruned recursion.
 """
 
 from __future__ import annotations
@@ -653,3 +656,50 @@ def reference_partitioned_solution_bound(sys_spec, solutions, partition):
                                                   None, None)
     bound = ceiling(sys_spec.p, sys_spec.m, k, n, factor=k).bound
     return PartitionedBoundReport(True, None, length, bound, length <= bound)
+
+
+def reference_antichain_slice_rank(support, k: int) -> int:
+    """Minimum over assignments of support elements to axes of the total
+    number of distinct projections, as the package searched it before
+    the hitting-set branching: elements in decreasing order of shared
+    projections, a greedy incumbent, and a walk assigning each element
+    to an axis that prunes once the partial count reaches the incumbent."""
+    support = [tuple(e) for e in support]
+    share = []
+    for e in support:
+        share.append(sum(1 for f in support if f != e
+                         for ax in range(k) if f[ax] == e[ax]))
+    elems = [e for _, e in sorted(zip(share, support),
+                                  key=lambda t: (-t[0], t[1]))]
+    projections: list[set[int]] = [set() for _ in range(k)]
+    best = min(len({e[ax] for e in support}) for ax in range(k))
+
+    def greedy() -> int:
+        sets: list[set[int]] = [set() for _ in range(k)]
+        for e in elems:
+            ax = min(range(k), key=lambda i: (e[i] not in sets[i], len(sets[i])))
+            sets[ax].add(e[ax])
+        return sum(len(s) for s in sets)
+
+    best = min(best, greedy())
+
+    def walk(idx: int, partial: int) -> None:
+        nonlocal best
+        if partial >= best:
+            return
+        if idx == len(elems):
+            best = partial
+            return
+        e = elems[idx]
+        axes = sorted(range(k), key=lambda i: e[i] not in projections[i])
+        for ax in axes:
+            proj = e[ax]
+            if proj in projections[ax]:
+                walk(idx + 1, partial)
+            else:
+                projections[ax].add(proj)
+                walk(idx + 1, partial + 1)
+                projections[ax].remove(proj)
+
+    walk(0, 0)
+    return best

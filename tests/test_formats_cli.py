@@ -356,6 +356,14 @@ class TestDeterminism:
         assert "timestamp" in data
         assert "elapsed_s" in data
 
+    def test_elapsed_only_at_top_level(self, files, capsys):
+        code, out, _ = run_cli(["extremal", "--system", files["ap3"],
+                                "--n", "1"], capsys)
+        data = json.loads(out)
+        assert code == 0
+        assert "elapsed_s" in data
+        assert "elapsed_s" not in data["result"]
+
     def test_no_timestamp_strips_nested_elapsed(self, files, capsys):
         code, data, _ = run_json(["extremal", "--system", files["ap3"],
                                   "--n", "1"], capsys)
@@ -582,6 +590,15 @@ class TestExitCodes:
         assert not out
         assert err.startswith("error: dense tensor [1]^21 exceeds the cap")
 
+    def test_diagonal_shape_checked_before_entries(self, capsys, deadline):
+        # the L diagonal entries are not built for a shape over the cap
+        with deadline(1):
+            code, out, err = run_cli(["slicerank", "diagonal", "--length",
+                                      str(10**9), "--k", "2"], capsys)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: dense tensor [1000000000]^2 exceeds the cap")
+
 
 class TestFormats:
     def test_text_format(self, capsys):
@@ -691,6 +708,13 @@ class TestCommands:
         assert code == 0
         assert data["result"]["rank"] == 4
         assert data["result"]["expected"] == 4
+
+    def test_slicerank_diagonal_length_twelve(self, capsys, deadline):
+        with deadline(2):
+            code, data, _ = run_json(["slicerank", "diagonal", "--length", "12",
+                                      "--k", "4"], capsys)
+        assert code == 0
+        assert data["result"]["rank"] == 12
 
     def test_slicerank_diagonal_length_one(self, capsys):
         code, data, _ = run_json(["slicerank", "diagonal", "--length", "1",

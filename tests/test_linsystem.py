@@ -269,6 +269,13 @@ class TestInteresting:
         assert report.count == 0
 
 
+    def test_point_set_over_another_prime_rejected(self, sys_ap3):
+        # scanned against the F_3 system, these F_5 points would give
+        # count 328 against bound 81, a false failed bound
+        points = PointSet.full_space(2, 5, include_zero=False)
+        with pytest.raises(ValueError, match="point set prime differs"):
+            count_interesting_tuples(sys_ap3, points, (0, 1), 3)
+
     def test_count_cap_raises_before_any_work(self, monkeypatch):
         import fpsystems.linsystem as linsystem
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -287,6 +288,11 @@ class TestDeletionDiscipline:
 
 
 class TestStepDistinct:
+    def test_point_set_over_another_prime_rejected(self, sys_ap3):
+        points = PointSet.full_space(2, 5, include_zero=False)
+        with pytest.raises(ValueError, match="point set prime differs"):
+            sampling_step_distinct(sys_ap3, points, 3, 2, random.Random(1))
+
     def test_certificate_on_survivors(self, sys_ap3):
         points = PointSet.full_space(3, 3, include_zero=False)
         for i in range(5):

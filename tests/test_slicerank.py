@@ -34,6 +34,8 @@ from .oracles import (
     brute_solutions,
     grid_min_ratio,
     reference_monomial_count,
+    random_antichain,
+    reference_antichain_slice_rank,
     reference_partitioned_solution_bound,
     unpruned_slice_rank,
 )
@@ -167,6 +169,10 @@ class TestTensor:
         with pytest.raises(IndexError):
             Tensor.from_entries(3, 2, 2, {(0, 5): 1})
 
+    def test_bad_index_rejected_with_zero_value(self):
+        with pytest.raises(IndexError):
+            Tensor.from_entries(3, 2, 2, {(0, 5): 3})
+
     def test_shape_checked_before_values(self):
         calls = 0
 
@@ -192,6 +198,25 @@ class TestTensor:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_holds_nonzero_entries_in_index_order(self):
+        t = Tensor.from_entries(3, 2, 2, {(1, 1): 1, (0, 1): 3, (0, 0): 2})
+        assert t.entries == (((0, 0), 2), ((1, 1), 1))
+        assert t.support == ((0, 0), (1, 1))
+        t = Tensor.from_function(3, 2, 2, lambda idx: idx[0] + 2 * idx[1])
+        assert t.entries == (((0, 1), 2), ((1, 0), 1))
+
+    @pytest.mark.parametrize("entries,error", [
+        ((((3, 0), 1),), IndexError),
+        ((((0, 0, 0), 1),), IndexError),
+        ((((0, 0), 0),), ValueError),
+        ((((0, 0), 3),), ValueError),
+        ((((1, 0), 1), ((0, 1), 1)), ValueError),
+        ((((0, 1), 1), ((0, 1), 2)), ValueError),
+    ])
+    def test_direct_entries_checked(self, entries, error):
+        with pytest.raises(error):
+            Tensor(3, 2, 2, entries)
 
     def test_file_roundtrip(self, tmp_path):
         t = Tensor.from_entries(5, 3, 3, {(0, 1, 2): 4, (2, 2, 2): 1})
@@ -278,6 +303,51 @@ class TestSliceRank:
         t = Tensor.from_entries(3, length, k, {e: 1 for e in support})
         orders = OrderFamily.all_increasing(length, k)
         assert antichain_slice_rank(t, orders) == unpruned_slice_rank(support, k)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference_search(self, seed):
+        # 9 to 21 elements: beyond the unpruned recursion, within the
+        # earlier assignment search
+        rng = random.Random(seed)
+        k = 3 + seed % 2
+        length = 12 if k == 3 else 8
+        support: list = []
+        while len(support) < 9:
+            support = random_antichain(rng, length, k, rng.randrange(9, 22))
+        t = Tensor.from_entries(2, length, k, {e: 1 for e in support})
+        orders = OrderFamily.all_increasing(length, k)
+        assert antichain_slice_rank(t, orders) == \
+            reference_antichain_slice_rank(support, k)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_block_constant_matches_reference_search(self, seed):
+        # index tuples constant on each block form an antichain under
+        # the block orders
+        rng = random.Random(seed)
+        k = rng.choice([4, 5])
+        axes = list(range(k))
+        rng.shuffle(axes)
+        blocks = [axes[:2], axes[2:]]
+        length = rng.randrange(3, 6)
+        entries = {}
+        for _ in range(rng.randrange(9, 22)):
+            a, b = rng.randrange(length), rng.randrange(length)
+            idx = [0] * k
+            for ax in blocks[0]:
+                idx[ax] = a
+            for ax in blocks[1]:
+                idx[ax] = b
+            entries[tuple(idx)] = 1
+        t = Tensor.from_entries(2, length, k, entries)
+        orders = corollary_orders(blocks, length)
+        assert antichain_slice_rank(t, orders) == \
+            reference_antichain_slice_rank(t.support, k)
+
+    def test_fixed_sum_family_within_default_cap(self):
+        # {a + b + c = 5} in [6]^3: 21 elements, rank 6
+        t = Tensor.from_function(2, 6, 3, lambda idx: int(sum(idx) == 5))
+        assert len(t.support) == 21
+        assert antichain_slice_rank(t, OrderFamily.all_increasing(6, 3)) == 6
 
 
 class TestIndicator:
