@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -70,15 +71,19 @@ from .weights import (
     weight,
 )
 
+
+@functools.cache
+def _rendered_names(cls: type) -> tuple[str, ...]:
+    """A dataclass type's field names, then its public property names."""
+    return tuple([f.name for f in dataclasses.fields(cls)]
+                 + [name for name in dir(cls) if not name.startswith("_")
+                    and isinstance(getattr(cls, name, None), property)])
+
+
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {f.name: _jsonable(getattr(obj, f.name))
-               for f in dataclasses.fields(obj)}
-        for name in dir(type(obj)):
-            if not name.startswith("_") and isinstance(
-                    getattr(type(obj), name, None), property):
-                out[name] = _jsonable(getattr(obj, name))
-        return out
+        return {name: _jsonable(getattr(obj, name))
+                for name in _rendered_names(type(obj))}
     if isinstance(obj, Fraction):
         return {"numerator": obj.numerator, "denominator": obj.denominator,
                 "value": float(obj)}

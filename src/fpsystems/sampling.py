@@ -38,6 +38,7 @@ from .linsystem import (
     DEFAULT_WORK_CAP,
     PointSet,
     SystemSpec,
+    _check_same_prime,
     enumerate_solutions,
     interesting_tuples,
 )
@@ -211,6 +212,7 @@ def sampling_step_distinct(
     """
     if not sys_spec.generic_minors:
         raise ValueError("deletion step expects a system with generic minors")
+    _check_same_prime(sys_spec, points)
     m, k = sys_spec.m, sys_spec.k
     v = random_subspace(points.n, d, sys_spec.p, rng)
     inside = points.restrict_to(v)
@@ -236,6 +238,7 @@ def sampling_step_weight(
 ) -> SamplingStepReport:
     """Sample a subspace and delete one vector per weight-w solution
     lying inside it."""
+    _check_same_prime(sys_spec, points)
     v = random_subspace(points.n, d, sys_spec.p, rng)
     inside = points.restrict_to(v)
     # a subspace holds zero, so inside has zero exactly when points has

@@ -11,6 +11,26 @@ unique root of phi(z) = (p-1)m/k, found here by bisection; for
 k <= 2m the objective decreases on all of (0, 1] and the minimum is the
 boundary value p at z = 1, reported rather than raised.
 
+With t = -ln z, phi sums in closed form to 1/expm1(t) - p/expm1(pt),
+so each bisection step costs O(1) instead of O(p).  Three branches
+keep it accurate and finite:
+
+- pt < 0.01: the two terms nearly cancel, so phi is the series
+  (p-1)/2 - (p^2-1)t/12 + (p^4-1)t^3/720, whose next term is below
+  (pt)^5/7560 of the value;
+- pt > 700: p/expm1(pt) is below half an ulp of the first term and
+  expm1 would overflow on subnormal z, so phi is z/(1-z);
+- otherwise the closed form itself.
+
+Measured over every prime p <= 10007 and 0.1 <= z <= 1 - 10^-9, the
+relative error is at most 7e-14 against the direct sum (kept as
+``tests/oracles.reference_phi``) and below 9e-14 against a 60-digit
+evaluation, the worst cases just past the series switch, where the
+closed form loses up to 4/(pt) ulps to cancellation; the direct sum's
+own error is at most 2e-14.  The objective is still the direct sum,
+taken once at the final midpoint, so Gamma is bit for bit the value
+the sum gives there.
+
 For a k-dimensional array whose support S is an antichain in the
 product of k total orders on [L], the slice rank equals the size of a
 minimum k-partite hitting set (Sawin and Tao, "Notes on the slice rank
@@ -27,8 +47,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import comb, isinf
+from itertools import accumulate, product, repeat
+from math import comb, expm1, isinf, log
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
@@ -52,21 +73,22 @@ class GammaResult:
     at_boundary: bool
 
 
-def _powers(z: float, p: int) -> list[float]:
-    """The floats 1, z, ..., z^(p-1), each one product from the last."""
-    powers = [1.0]
-    for _ in range(p - 1):
-        powers.append(powers[-1] * z)
-    return powers
-
-
 def _phi(z: float, p: int) -> float:
-    powers = _powers(z, p)
-    return sum(j * powers[j] for j in range(p)) / sum(powers)
+    """The mean of j under weights z^j on {0, ..., p-1}, for 0 < z <= 1,
+    by the three branches in the module docstring."""
+    t = -log(z)
+    pt = p * t
+    if pt < 1e-2:
+        return (p - 1) / 2 - (p * p - 1) * t / 12 + (p**4 - 1) * t**3 / 720
+    if pt > 700:
+        return z / (1 - z)
+    return 1 / expm1(t) - p / expm1(pt)
 
 
 def _objective(z: float, p: int, alpha: float) -> float:
-    return sum(_powers(z, p)) / z**alpha
+    """(1 + z + ... + z^(p-1)) / z^alpha, each power one product from the
+    last and the sum taken left to right, in O(1) memory."""
+    return sum(accumulate(repeat(z, p - 1), mul, initial=1.0)) / z**alpha
 
 
 def gamma(p, m: int, k: int, tol: float = 1e-12) -> GammaResult:
@@ -543,5 +565,8 @@ def read_tensor_file(src) -> Tensor:
         toks = [int(t) for t in ln.split()]
         if len(toks) != k + 1:
             raise ValueError(f"expected {k} indices and a value: {ln!r}")
-        entries[tuple(toks[:-1])] = toks[-1]
+        idx = tuple(toks[:-1])
+        if idx in entries:
+            raise ValueError(f"repeated index {idx} in line {ln!r}")
+        entries[idx] = toks[-1]
     return Tensor.from_entries(p, length, k, entries)

@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Eight exceptions sit at the end.  The earlier weight, which checks all
+Nine exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -26,6 +26,8 @@ pivots, inverse minor and right-hand sides, is the reference for
 slice-rank search, which assigns every support element to an axis under
 a share ordering and a greedy bound, is the reference for the
 hitting-set search on supports too large for the unpruned recursion.
+The earlier mean phi(z), summed directly over the p powers of z, is
+the reference for the closed form with its series and tail branches.
 """
 
 from __future__ import annotations
@@ -703,3 +705,13 @@ def reference_antichain_slice_rank(support, k: int) -> int:
 
     walk(0, 0)
     return best
+
+
+def reference_phi(z: float, p: int) -> float:
+    """The mean of j under weights z^j on {0, ..., p-1}, as the package
+    summed it before the closed form: the powers 1, z, ..., z^(p-1),
+    each one product from the last, then two direct sums."""
+    powers = [1.0]
+    for _ in range(p - 1):
+        powers.append(powers[-1] * z)
+    return sum(j * powers[j] for j in range(p)) / sum(powers)

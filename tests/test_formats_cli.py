@@ -202,6 +202,16 @@ class TestGamma:
         assert data["elapsed_s"] < 1
         assert data["result"]["gamma"]["tolerance"] > 0
 
+    def test_large_prime_with_n(self, capsys, deadline):
+        # expm1(p t) overflows on the first midpoint unless phi takes its
+        # tail branch; cli.main would turn that OverflowError into exit 2
+        with deadline(10):
+            code, data, err = run_json(["gamma", "--p", "1000003", "--m", "1",
+                                        "--k", "3", "--n", "4"], capsys)
+        assert code == 0, err
+        assert data["result"]["gamma"]["gamma"] < 1000003
+        assert data["result"]["monomials"]["holds"] is True
+
     def test_negative_n_at_boundary_rejected(self, capsys):
         code, out, err = run_cli(["gamma", "--p", "3", "--m", "1", "--k", "2",
                                   "--n", "-1"], capsys)
@@ -509,6 +519,15 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_repeated_tensor_index(self, tmp_path, capsys):
+        path = tmp_path / "twice.tensor"
+        path.write_text("2 2 2\n0 1 1\n0 1 0\n1 0 1\n")
+        code, out, err = run_cli(["slicerank", "rank", "--tensor", str(path)],
+                                 capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: repeated index (0, 1) in line '0 1 0'\n"
+
     def test_gamma_power_overflow(self, capsys):
         # Gamma^n leaves the float range long before n = 2000
         code, out, err = run_cli(["gamma", "--p", "3", "--m", "1", "--k", "3",
@@ -814,10 +833,12 @@ SEED = [("--seed", INT)]
 TOL = st.sampled_from(["1e-12", "0", "-1", "1e-300", "nan"])
 TENSOR = st.sampled_from(["@tensor", "@diag"])
 COMMON = [("--format", st.sampled_from(["json", "text", "csv"]))]
+# phi costs O(1) per bisection step, so Gamma takes large primes too
+GAMMA_PRIME = st.one_of(PRIME, st.sampled_from(["1009", "1000003"]))
 # each leaf command: its words, its required flags, its optional flags;
 # a flag's strategy gives its value, None marks a switch
 FUZZ_GRAMMAR = [
-    (["gamma"], [("--p", PRIME), ("--m", INT), ("--k", INT)],
+    (["gamma"], [("--p", GAMMA_PRIME), ("--m", INT), ("--k", INT)],
      [("--n", INT), ("--tol", TOL)]),
     (["validate"], [("--system", SYSTEM)], []),
     (["solve"], [("--system", SYSTEM)],

@@ -293,6 +293,15 @@ class TestStepDistinct:
         with pytest.raises(ValueError, match="point set prime differs"):
             sampling_step_distinct(sys_ap3, points, 3, 2, random.Random(1))
 
+    def test_prime_checked_before_sampling_and_cap(self, sys_ap3):
+        # over F_5^4 the step would exceed the cap before any prime check
+        points = PointSet.full_space(4, 5, include_zero=False)
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="point set prime differs"):
+            sampling_step_distinct(sys_ap3, points, 3, 2, rng, cap=1000)
+        assert rng.getstate() == state
+
     def test_certificate_on_survivors(self, sys_ap3):
         points = PointSet.full_space(3, 3, include_zero=False)
         for i in range(5):
@@ -379,6 +388,14 @@ class TestStepWeight:
         points = PointSet.full_space(2, 3)
         with pytest.raises(ValueError):
             sampling_step_weight(sys_ap3, points, 1, 1, spawn(0, "x"))
+
+    def test_prime_checked_before_sampling_and_cap(self, sys_ap3):
+        points = PointSet.full_space(4, 5, include_zero=False)
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="point set prime differs"):
+            sampling_step_weight(sys_ap3, points, 1, 4, rng, cap=10)
+        assert rng.getstate() == state
 
     def test_cap_enforced(self, sys_ap3):
         points = PointSet.full_space(3, 3, include_zero=False)

@@ -37,6 +37,7 @@ from .oracles import (
     random_antichain,
     reference_antichain_slice_rank,
     reference_partitioned_solution_bound,
+    reference_phi,
     unpruned_slice_rank,
 )
 
@@ -93,6 +94,36 @@ class TestGamma:
         assert res.iterations < 60
         assert res.z_star == pytest.approx((33**0.5 - 1) / 8, abs=1e-15)
         assert res.gamma == pytest.approx(gamma(3, 1, 3).gamma, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 1009, 6043, 10007])
+    def test_phi_matches_reference(self, p):
+        # 0.1 <= z <= 1 - 1e-9, with points on both sides of the series
+        # switch pt = 0.01; z = 0.1 is on the tail branch for p >= 307
+        zs = [0.1 + 0.05 * i for i in range(18)]
+        zs += [1 - 10**(-e / 4) for e in range(4, 37)]
+        zs += [math.exp(-x / p) for x in (0.004, 0.0099, 0.0101, 0.02, 0.5)]
+        for z in zs:
+            assert slicerank._phi(z, p) == pytest.approx(
+                reference_phi(z, p), rel=1e-12, abs=0), z
+
+    @pytest.mark.parametrize("p,m,k,tol", [
+        pytest.param(1000003, 1, 3, 1e-12, id="p=1000003"),
+        pytest.param(1009, 1, 10**6, 1e-12, id="k=10^6"),
+        # alpha = 2 / 10^400 underflows to 0.0, so every midpoint moves hi
+        # down: to 2^-997 for tol 1e-300, into the subnormals for 5e-324
+        pytest.param(3, 1, 10**400, 1e-300, id="alpha=0-tol=1e-300"),
+        pytest.param(3, 1, 10**400, 5e-324, id="alpha=0-subnormal"),
+    ])
+    def test_edges_return_finite(self, p, m, k, tol, deadline):
+        with deadline(5):
+            started = time.perf_counter()
+            res = gamma(p, m, k, tol=tol)
+            elapsed = time.perf_counter() - started
+        assert elapsed < 1
+        assert not res.at_boundary
+        assert 1 <= res.gamma < p
+        assert 0 <= res.z_star < 1
+        assert 0 <= res.tolerance <= max(tol, math.ulp(res.z_star))
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
