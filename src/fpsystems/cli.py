@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .errors import CapExceededError, DegenerateSystemError
-from .fplinalg import check_prime
+from .fplinalg import check_prime, reduce_coords
 from .linsystem import (
     DEFAULT_WORK_CAP,
     ClassFilter,
@@ -196,6 +196,8 @@ def _cmd_validate(args) -> tuple:
 
 
 def _cmd_solve(args) -> tuple:
+    if args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     sys_spec = read_system_file(args.system)
     points = _load_points(args, sys_spec.p)
     flt = _make_filter(args, sys_spec.k)
@@ -225,7 +227,7 @@ def _cmd_solve(args) -> tuple:
 
 def _cmd_weight(args) -> tuple:
     p = check_prime(args.p)
-    entries = tuple(tuple(c % p for c in row)
+    entries = tuple(reduce_coords(row, p)
                     for row in _parse_blocks(args.tuple, "tuple"))
     report = weight(entries, p)
     rendered = _jsonable(report)

@@ -10,6 +10,12 @@ vector modulo a subspace (the one vanishing on the pivot columns), and
 ``normalize_line_rep`` scales a nonzero one to lead 1.  The module also
 holds the line-based reading and writing shared by the vector, system
 and tensor file formats.
+
+Each object has one canonical form, decided here: a vector is the tuple
+``reduce_coords`` returns, a line is that tuple scaled to lead 1, and a
+subspace is what ``span`` returns.  Every public entry point that takes
+vectors reduces them through ``reduce_coords``, so (4,) and (1,) are
+the same point of F_3^1.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CapExceededError
 
 MAX_PRIME = (1 << 31) - 1
-_INV_TABLE_MAX = 1 << 16
 DEFAULT_SUBSPACE_CAP = 10**6
 
 
@@ -54,28 +59,30 @@ def check_prime(p) -> int:
     return p
 
 
-@lru_cache(maxsize=None)
-def _inverse_table(p: int) -> tuple[int, ...]:
-    return (0,) + tuple(pow(a, -1, p) for a in range(1, p))
-
-
 def inverse_mod(a: int, p: int) -> int:
-    """Multiplicative inverse mod p: table lookup for small p, pow otherwise."""
+    """Multiplicative inverse mod p."""
     a %= p
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse")
-    if p < _INV_TABLE_MAX:
-        return _inverse_table(p)[a]
     return pow(a, -1, p)
 
 
-def coords_of(v) -> tuple[int, ...]:
-    """Coordinate tuple of v, from any int sequence."""
-    return tuple(int(c) for c in v)
-
-
 def reduce_coords(coords, p: int) -> tuple[int, ...]:
-    return tuple(int(c) % p for c in coords)
+    """The point of F_p^n with these coordinates: each entry of the int
+    sequence as an int reduced mod p.  The one normaliser of vectors."""
+    return tuple([int(c) % p for c in coords])
+
+
+def _lead_one(v, p: int) -> tuple[int, ...] | None:
+    """The reduced vector v scaled so its first nonzero coordinate is 1;
+    None when v is zero."""
+    lead = next((a for a in v if a), 0)
+    if lead == 0:
+        return None
+    if lead != 1:
+        inv = inverse_mod(lead, p)
+        v = [(inv * a) % p for a in v]
+    return tuple(v)
 
 
 def rref_with_pivots(
@@ -88,6 +95,7 @@ def rref_with_pivots(
     pivot column indices.  The output rows are a canonical basis of the
     row space, so identical row spaces give identical outputs.
     """
+    # mutable rows, so not built by reduce_coords
     work = [[int(c) % p for c in r] for r in rows]
     ncols = len(work[0]) if work else 0
     if any(len(r) != ncols for r in work):
@@ -121,7 +129,7 @@ def rref_with_pivots(
 
 def rank(rows, p) -> int:
     """Rank over F_p of the given rows."""
-    return len(rref_with_pivots([coords_of(r) for r in rows], check_prime(p))[0])
+    return len(rref_with_pivots(rows, check_prime(p))[0])
 
 
 def invert_matrix(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
@@ -150,19 +158,6 @@ class Subspace:
     ambient_dim: int
     p: int
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], ambient_dim: int, p) -> "Subspace":
-        p = check_prime(p)
-        rows = [coords_of(r) for r in rows]
-        if any(len(r) != ambient_dim for r in rows):
-            raise ValueError("row length differs from ambient dimension")
-        basis, _ = rref_with_pivots(rows, p)
-        return cls(basis, ambient_dim, p)
-
-    @classmethod
-    def zero(cls, ambient_dim: int, p) -> "Subspace":
-        return cls((), ambient_dim, check_prime(p))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -177,7 +172,7 @@ class Subspace:
         The representative vanishes on every pivot column of the basis;
         it is zero exactly when v lies in the subspace.
         """
-        y = list(reduce_coords(coords_of(v), self.p))
+        y = list(reduce_coords(v, self.p))
         if len(y) != self.ambient_dim:
             raise ValueError("vector dimension differs from ambient dimension")
         p = self.p
@@ -211,30 +206,30 @@ def span(vectors: Sequence, p=None, ambient_dim: int | None = None) -> Subspace:
     For an empty collection ambient_dim must be supplied too; otherwise
     it is inferred from the vectors and checked for consistency.
     """
-    vs = [coords_of(v) for v in vectors]
+    vs = list(vectors)
     if not vs:
         if p is None or ambient_dim is None:
             raise ValueError("empty span needs explicit p and ambient_dim")
-        return Subspace.zero(ambient_dim, p)
+        return Subspace((), ambient_dim, check_prime(p))
     if p is None:
         raise ValueError("span needs p")
+    p = check_prime(p)
+    vs = [reduce_coords(v, p) for v in vs]
     dims = {len(v) for v in vs}
     if len(dims) != 1:
         raise ValueError("vectors have mixed ambient dimensions")
     n = dims.pop()
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("vectors do not match the requested ambient dimension")
-    return Subspace.from_rows(vs, n, p)
+    return Subspace(rref_with_pivots(vs, p)[0], n, p)
 
 
 def normalize_line_rep(coords: Sequence[int], p: int) -> tuple[int, ...]:
     """Scale a nonzero vector so its leading nonzero coordinate is 1."""
-    coords = reduce_coords(coords, p)
-    lead = next((c for c in coords if c), 0)
-    if lead == 0:
+    rep = _lead_one(reduce_coords(coords, p), p)
+    if rep is None:
         raise ValueError("cannot normalize the zero vector")
-    inv = inverse_mod(lead, p)
-    return tuple((inv * c) % p for c in coords)
+    return rep
 
 
 def gaussian_binomial(n: int, d: int, p: int) -> int:
@@ -290,7 +285,7 @@ def random_subspace(n: int, d: int, p, rng: random.Random) -> Subspace:
     if d < 0 or d > n:
         raise ValueError(f"dimension {d} out of range for ambient {n}")
     if d == 0:
-        return Subspace.zero(n, p)
+        return Subspace((), n, p)
     while True:
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
         basis, _ = rref_with_pivots(rows, p)
@@ -323,10 +318,10 @@ def write_vector_file(dest, vectors: Sequence, p: int, n: int) -> None:
     vector per line with space-separated coordinates."""
     lines = [f"p={p} n={n}"]
     for v in vectors:
-        cs = coords_of(v)
+        cs = reduce_coords(v, p)
         if len(cs) != n:
             raise ValueError("vector length differs from header dimension")
-        lines.append(" ".join(str(c % p) for c in cs))
+        lines.append(" ".join(map(str, cs)))
     write_lines(dest, lines)
 
 
@@ -350,7 +345,7 @@ def read_vector_file(src) -> tuple[int, int, list[tuple[int, ...]]]:
     p, n = check_prime(fields["p"]), fields["n"]
     vectors = []
     for ln in lines[1:]:
-        cs = tuple(int(t) % p for t in ln.split())
+        cs = reduce_coords(ln.split(), p)
         if len(cs) != n:
             raise ValueError(f"expected {n} coordinates, got {len(cs)}: {ln!r}")
         vectors.append(cs)

@@ -25,7 +25,6 @@ from .fplinalg import (
     Subspace,
     _header_fields,
     check_prime,
-    coords_of,
     invert_matrix,
     rank,
     read_lines,
@@ -81,7 +80,7 @@ class SystemSpec:
             raise ValueError("a system needs at least two variables")
         consts = None
         if constants is not None:
-            consts = tuple(reduce_coords(coords_of(b), p) for b in constants)
+            consts = tuple(reduce_coords(b, p) for b in constants)
             if len(consts) != m:
                 raise ValueError("need one constant vector per equation")
             if len({len(b) for b in consts}) > 1:
@@ -129,14 +128,14 @@ def validate(sys_spec: SystemSpec) -> ValidationReport:
 
 def is_solution(sys_spec: SystemSpec, entries: Sequence) -> bool:
     """Whether the k vectors satisfy every equation of the system."""
-    xs = [coords_of(x) for x in entries]
+    p = sys_spec.p
+    xs = [reduce_coords(x, p) for x in entries]
     if len(xs) != sys_spec.k:
         raise ValueError(f"expected {sys_spec.k} vectors, got {len(xs)}")
     dims = {len(x) for x in xs}
     if len(dims) != 1:
         raise ValueError("solution entries have mixed dimensions")
     n = dims.pop()
-    p = sys_spec.p
     bs = sys_spec.constant_rows(n)
     for row, target in zip(sys_spec.coeffs, bs):
         for s in range(n):
@@ -158,7 +157,7 @@ class SolutionTuple:
     @classmethod
     def create(cls, sys_spec: SystemSpec, entries: Sequence) -> "SolutionTuple":
         """Check that the entries solve the system, then classify them."""
-        xs = tuple(coords_of(x) for x in entries)
+        xs = tuple(reduce_coords(x, sys_spec.p) for x in entries)
         if not is_solution(sys_spec, xs):
             raise ValueError("entries do not solve the system")
         return cls._of(xs, sys_spec.p)
@@ -256,7 +255,7 @@ class PointSet:
         seen = set()
         out = []
         for v in points:
-            cs = reduce_coords(coords_of(v), p)
+            cs = reduce_coords(v, p)
             if cs not in seen:
                 seen.add(cs)
                 out.append(cs)
@@ -291,7 +290,7 @@ class PointSet:
         return {v: v for v in self.points}
 
     def __contains__(self, v) -> bool:
-        return tuple(v) in self._members
+        return reduce_coords(v, self.p) in self._members
 
     def __len__(self) -> int:
         return len(self.points)
@@ -358,7 +357,7 @@ def enumerate_solutions(
         for pos, vec in pinned.items():
             if not 0 <= pos < sys_spec.k:
                 raise IndexError(f"pinned position {pos} out of range")
-            cs = reduce_coords(coords_of(vec), p)
+            cs = reduce_coords(vec, p)
             if len(cs) != n:
                 raise ValueError("pinned vector dimension mismatch")
             pin[pos] = cs
@@ -573,7 +572,7 @@ def is_interesting(
     if len(tuple_entries) != sys_spec.m + 1:
         raise ValueError(
             f"need an index set and tuple of size m + 1 = {sys_spec.m + 1}")
-    xs = [reduce_coords(coords_of(x), sys_spec.p) for x in tuple_entries]
+    xs = [reduce_coords(x, sys_spec.p) for x in tuple_entries]
     return bool(interesting_tuples(sys_spec, points, [index_set], ell, [xs]))
 
 

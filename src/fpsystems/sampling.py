@@ -28,7 +28,6 @@ from typing import Iterator, Mapping, Sequence
 from .errors import CapExceededError
 from .fplinalg import (
     check_prime,
-    coords_of,
     enumerate_subspaces,
     gaussian_binomial,
     random_subspace,
@@ -325,7 +324,7 @@ def max_disjoint_span_family(
     if len(idx) != w // (k + 1):
         raise ValueError("index set size must equal floor(w / (k+1))")
     ceil = ceiling(p, m, k - len(idx), points.n, factor=k ** (k + 1))
-    fixed_cs = [reduce_coords(coords_of(x), p) for x in fixed]
+    fixed_cs = [reduce_coords(x, p) for x in fixed]
     if len(fixed_cs) != len(idx):
         raise ValueError("need one fixed vector per index")
     if any(x not in points for x in fixed_cs):

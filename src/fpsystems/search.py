@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import CapExceededError
+from .fplinalg import reduce_coords
 from .linsystem import (
     ClassFilter,
     PointSet,
@@ -198,8 +199,7 @@ def exhaustive_max(
     if point_order is None:
         order = problem.point_order()
     else:
-        order = tuple(tuple(int(c) % problem.sys_spec.p for c in v)
-                      for v in point_order)
+        order = tuple(reduce_coords(v, problem.sys_spec.p) for v in point_order)
         expected = problem.point_order()
         if set(order) != set(expected) or len(order) != len(expected):
             raise ValueError("point order must permute the problem's point space")

@@ -53,7 +53,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
-from .fplinalg import check_prime, coords_of, read_lines, reduce_coords, write_lines
+from .fplinalg import check_prime, read_lines, reduce_coords, write_lines
 from .linsystem import SystemSpec, _Completion, is_solution
 
 DEFAULT_SUPPORT_CAP = 40
@@ -399,7 +399,7 @@ def _candidate_columns(sys_spec: SystemSpec, columns: Sequence[Sequence]) -> lis
     """The k columns reduced mod p, checked for one positive length and one dimension."""
     if len(columns) != sys_spec.k:
         raise ValueError(f"need {sys_spec.k} candidate columns")
-    cols = [[reduce_coords(coords_of(v), sys_spec.p) for v in col] for col in columns]
+    cols = [[reduce_coords(v, sys_spec.p) for v in col] for col in columns]
     lengths = {len(col) for col in cols}
     if len(lengths) != 1:
         raise ValueError("candidate columns have unequal lengths")
@@ -438,8 +438,11 @@ def verify_polynomial_identity(
     ``DEFAULT_IDENTITY_CAP``, otherwise ``samples`` uniformly drawn
     tuples (which needs a seeded rng).  No tensor is built: each checked
     entry of the indicator tensor is decided on its own by
-    ``is_solution``.
+    ``is_solution``.  ``samples`` must be positive on either path, as a
+    sampled check of no tuples would pass vacuously.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     cols = _candidate_columns(sys_spec, columns)
     p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
     n = len(cols[0][0])
@@ -498,7 +501,7 @@ def partitioned_solution_bound(
     blocks = _blocks(partition)
     if sum(len(b) for b in blocks) != sys_spec.k:
         raise ValueError(f"blocks must cover the {sys_spec.k} variable positions")
-    sols = [tuple(reduce_coords(coords_of(x), sys_spec.p) for x in sol)
+    sols = [tuple(reduce_coords(x, sys_spec.p) for x in sol)
             for sol in solutions]
     for sol in sols:
         if not is_solution(sys_spec, sol):

@@ -47,9 +47,9 @@ from typing import Iterator, Sequence
 from .errors import CapExceededError
 from .fplinalg import (
     Subspace,
+    _lead_one,
     check_prime,
-    coords_of,
-    inverse_mod,
+    reduce_coords,
     rref_with_pivots,
 )
 from .linsystem import SystemSpec, is_solution
@@ -61,7 +61,7 @@ _WEIGHT_MEMO_SIZE = 16
 
 
 def _checked_tuple(entries: Sequence, p: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    xs = tuple(tuple(c % p for c in coords_of(x)) for x in entries)
+    xs = tuple(reduce_coords(x, p) for x in entries)
     if not xs:
         raise ValueError("empty tuple has no weight")
     dims = {len(x) for x in xs}
@@ -79,17 +79,6 @@ def _capped_tuple(entries: Sequence, p):
         raise CapExceededError(
             f"admissible listing capped at k <= {ADMISSIBLE_K_CAP}, got {len(xs)}")
     return xs, n, p
-
-
-def _lead_one(v, p: int) -> tuple[int, ...] | None:
-    """v scaled so its first nonzero coordinate is 1; None when v is zero."""
-    lead = next((a for a in v if a), 0)
-    if lead == 0:
-        return None
-    if lead != 1:
-        inv = inverse_mod(lead, p)
-        v = [(inv * a) % p for a in v]
-    return tuple(v)
 
 
 def _extend(res: tuple, i: int, p: int) -> tuple | None:

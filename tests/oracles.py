@@ -41,7 +41,6 @@ import numpy as np
 
 from fpsystems.fplinalg import (
     Subspace,
-    coords_of,
     inverse_mod,
     invert_matrix,
     normalize_line_rep,
@@ -511,7 +510,7 @@ def reference_is_interesting(sys_spec, points, index_set, tuple_entries,
         raise IndexError("index set out of range")
     if not 1 <= ell <= k:
         raise ValueError(f"ell must lie in 1..{k}")
-    xs = [reduce_coords(coords_of(x), sys_spec.p) for x in tuple_entries]
+    xs = [reduce_coords(x, sys_spec.p) for x in tuple_entries]
     if any(x not in points for x in xs):
         raise ValueError("tuple entries must belong to the point set")
     if len(reference_rref_with_pivots(xs, sys_spec.p)[0]) != m + 1:
@@ -542,7 +541,7 @@ def reference_enumerate_solutions(sys_spec, points, flt=None, pinned=None):
         for pos, vec in pinned.items():
             if not 0 <= pos < k:
                 raise IndexError(f"pinned position {pos} out of range")
-            cs = reduce_coords(coords_of(vec), p)
+            cs = reduce_coords(vec, p)
             if len(cs) != n:
                 raise ValueError("pinned vector dimension mismatch")
             pin[pos] = cs
@@ -605,7 +604,7 @@ def reference_partitioned_solution_bound(sys_spec, solutions, partition):
     covered = sorted(i for b in blocks for i in b)
     if covered != list(range(sys_spec.k)):
         raise ValueError("blocks must partition the variable positions")
-    sols = [tuple(reduce_coords(coords_of(x), sys_spec.p) for x in sol)
+    sols = [tuple(reduce_coords(x, sys_spec.p) for x in sol)
             for sol in solutions]
     for sol in sols:
         if not is_solution(sys_spec, sol):

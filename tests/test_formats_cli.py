@@ -577,13 +577,33 @@ class TestExitCodes:
          "--restarts", "-1"],
         ["sample", "containment", "--p", "2", "--n", "4", "--d", "2",
          "--s", "1", "--trials", "-5"],
-    ], ids=["restarts", "trials"])
+        ["solve", "--system", "@ap3", "--n", "1", "--limit", "-1"],
+    ], ids=["restarts", "trials", "limit"])
     def test_negative_count(self, argv, files, capsys):
         argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert not out
+        assert err.startswith("error:")
         assert "must be nonnegative" in err
+
+    def test_zero_limit_lists_nothing(self, files, capsys):
+        code, data, _ = run_json(["solve", "--system", files["ap3"], "--n", "1",
+                                  "--limit", "0"], capsys)
+        assert code == 0
+        assert data["result"]["count"] == 9
+        assert data["result"]["solutions"] == []
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_identity_needs_samples(self, samples, files, capsys):
+        # 81^3 tuples exceed the exhaustive cap, so the sampled path ran
+        # and reported identity_holds: true after checking nothing
+        code, out, err = run_cli(["slicerank", "identity", "--system",
+                                  files["ap3"], "--n", "4", "--samples",
+                                  samples], capsys)
+        assert code == 2
+        assert not out
+        assert err == f"error: samples must be at least 1, got {samples}\n"
 
     def test_weight_prime_checked_before_reduction(self, capsys):
         # the entries were reduced mod 0 first: ZeroDivisionError

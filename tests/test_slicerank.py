@@ -415,6 +415,16 @@ class TestIndicator:
         assert verify_polynomial_identity(sys_ap3, cols, samples=200,
                                           rng=spawn(1, "identity"))
 
+    @pytest.mark.parametrize("cap", [10, 10**6], ids=["sampled", "exhaustive"])
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_must_be_positive(self, sys_ap3, monkeypatch, cap, samples):
+        # a sampled check of no tuples passed without checking anything
+        cols = [list(PointSet.full_space(2, 3))] * 3
+        monkeypatch.setattr(slicerank, "DEFAULT_IDENTITY_CAP", cap)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_polynomial_identity(sys_ap3, cols, samples=samples,
+                                       rng=spawn(0, "identity"))
+
     def test_sampled_needs_rng(self, sys_ap3, monkeypatch):
         cols = [list(PointSet.full_space(2, 3))] * 3
         monkeypatch.setattr(slicerank, "DEFAULT_IDENTITY_CAP", 10)
