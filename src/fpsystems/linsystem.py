@@ -9,8 +9,8 @@ a given point set exactly once, classifies solutions by distinctness and
 span, and counts the extendable independent tuples that the subspace
 deletion steps key on.  One pivot solver, ``_Completion``, does every
 solve: enumeration, the supports of the extremal search and of the
-interesting-tuple test, and the partitioned bound in ``slicerank`` are
-views over its walk.
+interesting-tuple test, and the indicator tensor and partitioned bound
+in ``slicerank`` are views over its walk.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .fplinalg import (
     Subspace,
     _header_fields,
     check_prime,
-    invert_matrix,
     rank,
     read_lines,
     read_vector_file,
@@ -309,20 +308,31 @@ class PointSet:
                         tuple(v for v in self.points if v not in gone))
 
 
+def _echelon(sys_spec: SystemSpec, pinned: Iterable[int] = (),
+             extra: Sequence[Sequence[int]] | None = None) -> tuple[list[int], tuple, tuple]:
+    """One reduced echelon form of the coefficient matrix, its columns
+    in ``order`` (the unpinned ones, then the pinned ones) and row j of
+    ``extra``, if given, appended to row j.  Returns the order, the
+    reduced rows and the pivot columns as positions 0..k-1; raises
+    DegenerateSystemError when fewer than m pivots fall among the
+    coefficients."""
+    pinned = set(pinned)
+    order = [j for j in range(sys_spec.k) if j not in pinned] + sorted(pinned)
+    rows = [[r[j] for j in order] + list(b)
+            for r, b in zip(sys_spec.coeffs, extra or [()] * sys_spec.m)]
+    reduced, pivots = rref_with_pivots(rows, sys_spec.p)
+    if sum(c < sys_spec.k for c in pivots) < sys_spec.m:
+        raise DegenerateSystemError("coefficient rank below the equation count")
+    return order, reduced, tuple(order[c] for c in pivots)
+
+
 def pivot_columns(sys_spec: SystemSpec, pinned: Iterable[int] = ()) -> tuple[int, ...]:
     """Lexicographically first m columns carrying a nonsingular m x m
     minor, trying the columns in ``pinned`` only after all the others;
     these are the echelon pivots of the reordered matrix, so they exist
     exactly when the system has rank m.  A pinned column is a pivot only
     when fewer than m of the other columns are independent."""
-    pinned = set(pinned)
-    order = [j for j in range(sys_spec.k) if j not in pinned] + sorted(pinned)
-    sub = [[r[j] for j in order] for r in sys_spec.coeffs]
-    _, pivots = rref_with_pivots(sub, sys_spec.p)
-    if len(pivots) < sys_spec.m:
-        raise DegenerateSystemError(
-            "coefficient rank below the equation count")
-    return tuple(order[j] for j in pivots)
+    return _echelon(sys_spec, pinned)[2]
 
 
 def _check_same_prime(sys_spec: SystemSpec, points: PointSet) -> None:
@@ -392,13 +402,18 @@ class _Completion:
     pivots avoid the pinned positions as far as the other columns allow;
     when fewer than m of those are independent, the missing pivots are
     pinned positions, whose solved entries must equal the given points.
-    The other positions are free, in increasing order.
+    The other positions are free, in increasing order.  Pivots, constants
+    and weights all come from one reduced echelon form of the
+    coefficients beside the constant terms (see ``_echelon``).
     """
 
     def __init__(self, sys_spec: SystemSpec, n: int, pinned: Sequence[int] = ()):
-        p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
+        p, k = sys_spec.p, sys_spec.k
         self.p, self.pinned = p, tuple(pinned)
-        self.pivots = pivot_columns(sys_spec, pinned=self.pinned)
+        # reduced row r of [A | B] reads x_pivot_r + sum_j a_rj x_j = b_r
+        # over the non-pivot positions j: const_r = b_r, w_rj = -a_rj
+        order, reduced, self.pivots = _echelon(
+            sys_spec, self.pinned, sys_spec.constant_rows(n))
         # (pivot row, index into the pinned points) of each pinned pivot
         self.pinned_pivots = [(r, self.pinned.index(j))
                               for r, j in enumerate(self.pivots) if j in self.pinned]
@@ -406,15 +421,9 @@ class _Completion:
                             if j not in self.pinned]
         self.free = [j for j in range(k)
                      if j not in self.pivots and j not in self.pinned]
-        minv = invert_matrix(
-            [[r[j] for j in self.pivots] for r in sys_spec.coeffs], p)
-        bs = sys_spec.constant_rows(n)
-        self.const = [tuple(sum(row[t] * bs[t][s] for t in range(m)) % p
-                            for s in range(n)) for row in minv]
-        self.weights = {
-            j: [-sum(row[t] * sys_spec.coeffs[t][j] for t in range(m)) % p
-                for row in minv]
-            for j in range(k) if j not in self.pivots}
+        self.const = [row[k:] for row in reduced]
+        self.weights = {j: [-row[c] % p for row in reduced]
+                        for c, j in enumerate(order) if j not in self.pivots}
 
     def walk(self, pools: Sequence[Sequence[tuple]], tables: Sequence[Mapping],
              pins: Sequence[tuple[int, ...]] = ()) -> Iterator[tuple[tuple, list]]:
@@ -532,27 +541,32 @@ def interesting_tuples(
     grouped by index set in ``index_sets`` order, candidate order kept
     within each group.  Each tuple must hold m + 1 members of ``points``
     as reduced coordinate tuples, and is checked and rank-tested once
-    for all index sets; each index set's completion is built once."""
+    for all index sets; each index set's completion is built once.  The
+    rank test stops once no index set can hold an interesting tuple."""
     _check_same_prime(sys_spec, points)
     m, p = sys_spec.m, sys_spec.p
     positions = [_interesting_positions(sys_spec, idx, ell) for idx in index_sets]
     need = max(0, ell - m - 1)
     members = points._members
-    completions = None
+    live = None
     groups: list[list] = [[] for _ in positions]
     for xs in tuples:
         if len(xs) != m + 1:
             raise ValueError(f"need an index set and tuple of size m + 1 = {m + 1}")
         if any(x not in members for x in xs):
             raise ValueError("tuple entries must belong to the point set")
-        if len(rref_with_pivots(xs, p)[0]) != m + 1:
+        if live == [] or len(rref_with_pivots(xs, p)[0]) != m + 1:
             continue
-        if completions is None:
+        if live is None:
             # built at the first independent tuple, as dependent tuples
-            # never need one
+            # never need one.  On a homogeneous system a pinned pivot
+            # with no free position solves to a combination of the other
+            # pins, so no independent tuple extends on that index set.
             completions = [_Completion(sys_spec, points.n, idx) for idx in positions]
+            live = [(c, group) for c, group in zip(completions, groups)
+                    if not (sys_spec.homogeneous and c.pinned_pivots and not c.free)]
             bits = {v: 1 << i for i, v in enumerate(points.points)}
-        for completion, group in zip(completions, groups):
+        for completion, group in live:
             if any(support.bit_count() >= need
                    for support in completion.supports(bits, xs)):
                 group.append(xs)

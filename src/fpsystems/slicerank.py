@@ -411,17 +411,46 @@ def _candidate_columns(sys_spec: SystemSpec, columns: Sequence[Sequence]) -> lis
     return cols
 
 
+def _solving_indices(sys_spec: SystemSpec,
+                     cols: Sequence[Sequence[tuple[int, ...]]]) -> Iterator[tuple[int, ...]]:
+    """Every index tuple (l_1, ..., l_k) whose entries cols[i][l_i],
+    reduced vectors of one dimension, solve the system, once each, in
+    the order of the pivot solver's walk: a free entry is labelled by
+    its index, a pivot entry by the indices holding that point in its
+    column."""
+    completion = _Completion(sys_spec, len(cols[0][0]))
+    pools = [[(x, l) for l, x in enumerate(cols[pos])] for pos in completion.free]
+    tables: list[dict[tuple[int, ...], list[int]]] = [{} for _ in completion.pivots]
+    for table, pos in zip(tables, completion.pivots):
+        for l, x in enumerate(cols[pos]):
+            table.setdefault(x, []).append(l)
+    head, last = completion.free[:-1], completion.free[-1:]
+    idx = [0] * sys_spec.k
+    for prefix, ends in completion.walk(pools, tables):
+        for pos, (_, l) in zip(head, prefix):
+            idx[pos] = l
+        for end in ends:
+            for pos, l in zip(last, end):
+                idx[pos] = l
+            for pivot_choice in product(*end[len(last):]):
+                for pos, l in zip(completion.pivots, pivot_choice):
+                    idx[pos] = l
+                yield tuple(idx)
+
+
 def indicator_tensor(sys_spec: SystemSpec, columns: Sequence[Sequence]) -> Tensor:
     """The 0/1 tensor recording which mixed tuples solve the system.
 
     ``columns`` gives, for each of the k variable positions, a list of L
     candidate vectors; entry (l_1, ..., l_k) is 1 exactly when taking
-    the l_i-th candidate in position i solves the system.
+    the l_i-th candidate in position i solves the system.  The support
+    is read off the pivot solver's walk, after the [L]^k shape cap, so
+    the coefficient rank must be m (DegenerateSystemError otherwise).
     """
     cols = _candidate_columns(sys_spec, columns)
-    return Tensor.from_function(
-        sys_spec.p, len(cols[0]), sys_spec.k,
-        lambda idx: int(is_solution(sys_spec, [cols[i][l] for i, l in enumerate(idx)])))
+    _check_shape(len(cols[0]), sys_spec.k)
+    return Tensor.from_entries(sys_spec.p, len(cols[0]), sys_spec.k,
+                               dict.fromkeys(_solving_indices(sys_spec, cols), 1))
 
 
 def verify_polynomial_identity(
@@ -439,10 +468,14 @@ def verify_polynomial_identity(
     tuples (which needs a seeded rng).  No tensor is built: each checked
     entry of the indicator tensor is decided on its own by
     ``is_solution``.  ``samples`` must be positive on either path, as a
-    sampled check of no tuples would pass vacuously.
+    sampled check of no tuples would pass vacuously, and within the
+    dense tensor cap, so a sampled check does no more work than the
+    largest [L]^k tensor (CapExceededError otherwise).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > _TENSOR_SIZE_CAP:
+        raise CapExceededError(f"{samples} samples exceed the cap {_TENSOR_SIZE_CAP}")
     cols = _candidate_columns(sys_spec, columns)
     p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
     n = len(cols[0][0])
@@ -513,33 +546,8 @@ def partitioned_solution_bound(
     if length**k > DEFAULT_CROSS_CAP:
         raise CapExceededError(f"{length}^{k} cross tuples exceed the cap {DEFAULT_CROSS_CAP}")
     n = len(sols[0][0])
-    # free entries are labelled by their family index, pivot entries by
-    # the family indices holding that point at that position
-    completion = _Completion(sys_spec, n)
-    pools = [[(sol[pos], l) for l, sol in enumerate(sols)] for pos in completion.free]
-    tables: list[dict[tuple[int, ...], list[int]]] = []
-    for r in completion.open_pivots:
-        table: dict[tuple[int, ...], list[int]] = {}
-        for l, sol in enumerate(sols):
-            table.setdefault(sol[completion.pivots[r]], []).append(l)
-        tables.append(table)
-    head = completion.free[:-1]
-    last = completion.free[-1:]
-
-    def cross_tuples() -> Iterator[tuple[int, ...]]:
-        idx = [0] * k
-        for prefix, ends in completion.walk(pools, tables):
-            for pos, (_, l) in zip(head, prefix):
-                idx[pos] = l
-            for end in ends:
-                for pos, l in zip(last, end):
-                    idx[pos] = l
-                for pivot_choice in product(*end[len(last):]):
-                    for pos, l in zip(completion.pivots, pivot_choice):
-                        idx[pos] = l
-                    yield tuple(idx)
-
-    witness = next((idx for idx in cross_tuples()
+    # the family's entries at position i make up column i
+    witness = next((idx for idx in _solving_indices(sys_spec, list(zip(*sols)))
                     if any(len({idx[i] for i in b}) > 1 for b in blocks)), None)
     if witness is not None:
         return PartitionedBoundReport(False, witness, length, None, None)

@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Nine exceptions sit at the end.  The earlier weight, which checks all
+Eleven exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -28,6 +28,12 @@ a share ordering and a greedy bound, is the reference for the
 hitting-set search on supports too large for the unpruned recursion.
 The earlier mean phi(z), summed directly over the p powers of z, is
 the reference for the closed form with its series and tail branches.
+The earlier set-up of the pivot solver, one elimination for the pivots
+and a second for the inverse pivot minor, then that inverse times the
+constants and times each non-pivot column, is the reference for the
+one reduced echelon form that gives all of it.  The earlier indicator
+tensor, a scan of all L^k index tuples with ``is_solution``, is the
+reference for the support read off the solver's walk.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from fpsystems.errors import DegenerateSystemError
 from fpsystems.fplinalg import (
     Subspace,
     inverse_mod,
@@ -714,3 +721,41 @@ def reference_phi(z: float, p: int) -> float:
     for _ in range(p - 1):
         powers.append(powers[-1] * z)
     return sum(j * powers[j] for j in range(p)) / sum(powers)
+
+
+def reference_completion_setup(sys_spec, n: int, pinned=()) -> dict:
+    """The pivot solver's set-up as the package built it before one
+    reduced echelon form gave all of it: the pivots from an elimination
+    of the coefficient columns, unpinned ones first, then the inverse
+    pivot minor times the constants and times each non-pivot column."""
+    p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
+    pinned = tuple(pinned)
+    order = [j for j in range(k) if j not in pinned] + sorted(set(pinned))
+    _, cols = reference_rref_with_pivots(
+        [[r[j] for j in order] for r in sys_spec.coeffs], p)
+    if len(cols) < m:
+        raise DegenerateSystemError("coefficient rank below the equation count")
+    pivots = tuple(order[c] for c in cols)
+    minv = invert_matrix([[r[j] for j in pivots] for r in sys_spec.coeffs], p)
+    bs = sys_spec.constant_rows(n)
+    return {
+        "pivots": pivots,
+        "free": [j for j in range(k) if j not in pivots and j not in pinned],
+        "open_pivots": [r for r, j in enumerate(pivots) if j not in pinned],
+        "pinned_pivots": [(r, pinned.index(j))
+                          for r, j in enumerate(pivots) if j in pinned],
+        "const": [tuple(sum(row[t] * bs[t][s] for t in range(m)) % p
+                        for s in range(n)) for row in minv],
+        "weights": {j: [-sum(row[t] * sys_spec.coeffs[t][j] for t in range(m)) % p
+                        for row in minv]
+                    for j in range(k) if j not in pivots},
+    }
+
+
+def reference_indicator_support(sys_spec, columns) -> list[tuple[int, ...]]:
+    """The index tuples (l_1, ..., l_k), in lexicographic order, whose
+    entries columns[i][l_i] solve the system, each decided on its own by
+    ``is_solution`` over all L^k tuples."""
+    length = len(columns[0])
+    return [idx for idx in product(range(length), repeat=sys_spec.k)
+            if is_solution(sys_spec, [columns[i][l] for i, l in enumerate(idx)])]

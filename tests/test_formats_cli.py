@@ -605,6 +605,16 @@ class TestExitCodes:
         assert not out
         assert err == f"error: samples must be at least 1, got {samples}\n"
 
+    def test_identity_samples_capped(self, files, capsys, deadline):
+        # --samples had no cap: a billion samples ran for hours
+        with deadline(2):
+            code, out, err = run_cli(["slicerank", "identity", "--system",
+                                      files["ap3"], "--n", "4", "--samples",
+                                      "2000001"], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: 2000001 samples exceed the cap 2000000\n"
+
     def test_weight_prime_checked_before_reduction(self, capsys):
         # the entries were reduced mod 0 first: ZeroDivisionError
         code, out, err = run_cli(["weight", "--tuple", "1,0", "--p", "0"],

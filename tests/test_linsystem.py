@@ -22,9 +22,11 @@ from fpsystems import (
     validate,
     write_system_file,
 )
+from fpsystems import fplinalg, linsystem
 from .oracles import (
     brute_solutions,
     rank_by_minors,
+    reference_completion_setup,
     reference_enumerate_solutions,
     reference_is_interesting,
 )
@@ -441,6 +443,94 @@ class TestFewUnpinnedColumns:
                 assert sorted(ours) == sorted(expected)
                 found += len(expected)
         assert found
+
+    def test_hopeless_index_sets_skip_the_rank_test(self, deadline):
+        # homogeneous, k < 2m + 1: every index set has a pinned pivot and
+        # no free position, so no independent triple is interesting and
+        # the 17,576 triples need no rank test past the first
+        spec = SystemSpec.make(self.ROWS, 3)
+        points = PointSet.full_space(3, 3, include_zero=False)
+        index_sets = list(combinations(range(4), 3))
+        with deadline(0.3):
+            found = interesting_tuples(spec, points, index_sets, 3,
+                                       product(points.points, repeat=3))
+        assert found == []
+
+    def test_hopeless_index_sets_still_check_every_tuple(self):
+        spec = SystemSpec.make(self.ROWS, 3)
+        points = PointSet.full_space(3, 3, include_zero=False)
+        independent = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for bad in [((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0), (0, 0, 0))]:
+            with pytest.raises(ValueError):
+                interesting_tuples(spec, points, [(0, 1, 2)], 3,
+                                   [independent, bad])
+
+
+@st.composite
+def completion_cases(draw):
+    """A system over p in {2, 3, 5, 7} with m <= 3 and k <= 6, affine or
+    not, an ambient dimension n in 0..3 and a pinned position list in
+    drawn order."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(0, 3))
+    coord = st.integers(0, p - 1)
+    coeffs = draw(st.lists(st.lists(coord, min_size=k, max_size=k),
+                           min_size=m, max_size=m))
+    constants = draw(st.none() | st.lists(st.tuples(*[coord] * n),
+                                          min_size=m, max_size=m))
+    pinned = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
+    return SystemSpec.make(coeffs, p, constants), n, pinned
+
+
+_SETUP_FIELDS = ("pivots", "free", "open_pivots", "pinned_pivots", "const",
+                 "weights")
+
+
+def _setup(build):
+    try:
+        return build()
+    except DegenerateSystemError as exc:
+        return str(exc)
+
+
+class TestCompletionSetup:
+    """The pivot solver's set-up from one reduced echelon form against
+    the earlier pivots, inverse minor and products
+    (``tests/oracles.py``)."""
+
+    @settings(max_examples=200)
+    @given(completion_cases())
+    def test_same_setup(self, case):
+        spec, n, pinned = case
+
+        def ours():
+            completion = linsystem._Completion(spec, n, pinned)
+            return {name: getattr(completion, name) for name in _SETUP_FIELDS}
+
+        expected = _setup(lambda: reference_completion_setup(spec, n, pinned))
+        assert _setup(ours) == expected
+        if isinstance(expected, str):
+            assert rank_by_minors([list(r) for r in spec.coeffs], spec.p) < spec.m
+
+    def test_one_elimination_per_completion(self, sys_m2, monkeypatch):
+        affine = SystemSpec.make(sys_m2.coeffs, 5, [(1, 2), (3, 4)])
+        calls = []
+        original = fplinalg.rref_with_pivots
+
+        def spy(rows, p):
+            calls.append(1)
+            return original(rows, p)
+
+        monkeypatch.setattr(fplinalg, "rref_with_pivots", spy)
+        monkeypatch.setattr(linsystem, "rref_with_pivots", spy)
+        built = 0
+        for spec in (sys_m2, affine):
+            for pinned in [(), (0,), (4, 1), (0, 1, 2, 4), (3, 2, 1, 0, 4)]:
+                linsystem._Completion(spec, 2, pinned)
+                built += 1
+        assert len(calls) == built
 
 
 REFERENCE_CASES_FOR_ENUMERATION = REFERENCE_CASES + [

@@ -5,11 +5,12 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsystems import (
     CapExceededError,
+    DegenerateSystemError,
     OrderFamily,
     PointSet,
     SystemSpec,
@@ -33,6 +34,8 @@ from .oracles import (
     brute_monomial_count,
     brute_solutions,
     grid_min_ratio,
+    rank_by_minors,
+    reference_indicator_support,
     reference_monomial_count,
     random_antichain,
     reference_antichain_slice_rank,
@@ -381,6 +384,27 @@ class TestSliceRank:
         assert antichain_slice_rank(t, OrderFamily.all_increasing(6, 3)) == 6
 
 
+@st.composite
+def indicator_cases(draw):
+    """A system with m in {1, 2} and k <= 4, affine or not, and k
+    columns of up to four vectors drawn from at most three points, so
+    columns repeat points."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 2))
+    k = draw(st.integers(max(2, m), 4))
+    n = draw(st.integers(1, 2))
+    coord = st.integers(0, p - 1)
+    vec = st.tuples(*[coord] * n)
+    coeffs = draw(st.lists(st.lists(coord, min_size=k, max_size=k),
+                           min_size=m, max_size=m))
+    constants = draw(st.none() | st.lists(vec, min_size=m, max_size=m))
+    pool = draw(st.lists(vec, min_size=1, max_size=3))
+    length = draw(st.integers(1, 4))
+    cols = [draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+            for _ in range(k)]
+    return SystemSpec.make(coeffs, p, constants), cols
+
+
 class TestIndicator:
     def test_entries_match_direct_check(self, sys_ap3):
         cols = [[(0,), (1,), (2,)]] * 3
@@ -388,6 +412,41 @@ class TestIndicator:
         for idx in product(range(3), repeat=3):
             entries = tuple(cols[pos][i] for pos, i in enumerate(idx))
             assert t.entry(idx) == (1 if is_solution(sys_ap3, entries) else 0)
+
+    @settings(max_examples=150)
+    @given(indicator_cases())
+    def test_support_matches_dense_scan(self, case):
+        spec, cols = case
+        try:
+            tensor = indicator_tensor(spec, cols)
+        except DegenerateSystemError:
+            assert rank_by_minors([list(r) for r in spec.coeffs], spec.p) < spec.m
+            return
+        expected = reference_indicator_support(spec, cols)
+        assert tensor.entries == tuple((idx, 1) for idx in expected)
+
+    def test_rank_below_m_raises(self):
+        # the dense scan gave a 9-entry tensor here
+        spec = SystemSpec.make([(1, 1, 1), (2, 2, 2)], 3)
+        with pytest.raises(DegenerateSystemError, match="rank below"):
+            indicator_tensor(spec, [[(0,), (1,), (2,)]] * 3)
+
+    def test_eighty_points_within_a_second(self, sys_ap3, deadline):
+        # x+y+z=0 over the 80 nonzero points of F_3^4: x, y nonzero with
+        # x + y nonzero, 80 * 79 solving index tuples
+        cols = [list(PointSet.full_space(4, 3, include_zero=False))] * 3
+        with deadline(1):
+            tensor = indicator_tensor(sys_ap3, cols)
+        assert len(tensor.support) == 6320
+
+    def test_shape_capped_before_the_walk(self, sys_ap3, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the solver walked")
+
+        monkeypatch.setattr(slicerank, "_Completion", no_walk)
+        cols = [list(PointSet.full_space(7, 3))] * 3
+        with pytest.raises(CapExceededError):
+            indicator_tensor(sys_ap3, cols)
 
     def test_identity_exhaustive(self, sys_ap3, sys_531):
         cols3 = [list(PointSet.full_space(1, 3))] * 3
@@ -423,6 +482,25 @@ class TestIndicator:
         monkeypatch.setattr(slicerank, "DEFAULT_IDENTITY_CAP", cap)
         with pytest.raises(ValueError, match="samples must be at least 1"):
             verify_polynomial_identity(sys_ap3, cols, samples=samples,
+                                       rng=spawn(0, "identity"))
+
+    @pytest.mark.parametrize("cap", [10, 10**6], ids=["sampled", "exhaustive"])
+    def test_samples_capped(self, sys_ap3, monkeypatch, cap, deadline):
+        # a billion samples ran for hours at about 17 us each
+        cols = [list(PointSet.full_space(2, 3))] * 3
+        monkeypatch.setattr(slicerank, "DEFAULT_IDENTITY_CAP", cap)
+        with deadline(1), pytest.raises(CapExceededError, match="samples"):
+            verify_polynomial_identity(sys_ap3, cols, samples=10**9,
+                                       rng=spawn(0, "identity"))
+
+    def test_samples_cap_is_inclusive(self, sys_ap3, monkeypatch):
+        cols = [list(PointSet.full_space(2, 3))] * 3
+        monkeypatch.setattr(slicerank, "DEFAULT_IDENTITY_CAP", 10)
+        monkeypatch.setattr(slicerank, "_TENSOR_SIZE_CAP", 200)
+        assert verify_polynomial_identity(sys_ap3, cols, samples=200,
+                                          rng=spawn(0, "identity"))
+        with pytest.raises(CapExceededError, match="201 samples exceed the cap 200"):
+            verify_polynomial_identity(sys_ap3, cols, samples=201,
                                        rng=spawn(0, "identity"))
 
     def test_sampled_needs_rng(self, sys_ap3, monkeypatch):
