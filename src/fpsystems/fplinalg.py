@@ -13,9 +13,10 @@ and tensor file formats.
 
 Each object has one canonical form, decided here: a vector is the tuple
 ``reduce_coords`` returns, a line is that tuple scaled to lead 1, and a
-subspace is what ``span`` returns.  Every public entry point that takes
-vectors reduces them through ``reduce_coords``, so (4,) and (1,) are
-the same point of F_3^1.
+subspace is what ``span`` returns (the ``Subspace`` constructor refuses
+any other basis).  Every public entry point that takes vectors reduces
+them through ``reduce_coords``, so (4,) and (1,) are the same point of
+F_3^1.
 """
 
 from __future__ import annotations
@@ -100,6 +101,14 @@ def rref_with_pivots(
     ncols = len(work[0]) if work else 0
     if any(len(r) != ncols for r in work):
         raise ValueError("rows have unequal lengths")
+    return _rref(work, ncols, p)
+
+
+def _rref(work: list[list[int]], ncols: int, p: int
+          ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The elimination behind ``rref_with_pivots``: ``work`` holds rows
+    of length ncols with entries already in range(p), and is
+    overwritten."""
     nrows = len(work)
     pivots: list[int] = []
     row = 0
@@ -111,8 +120,9 @@ def rref_with_pivots(
             continue
         piv = work[sel]
         work[sel] = work[row]
-        inv = inverse_mod(piv[col], p)
-        if inv != 1:
+        c = piv[col]
+        if c != 1:
+            inv = pow(c, -1, p)
             piv = [inv * v % p for v in piv]
         work[row] = piv
         for r in range(nrows):
@@ -151,12 +161,33 @@ class Subspace:
 
     ``basis`` is the reduced row echelon basis (possibly empty for the
     zero subspace).  Equality and hashing follow from the dataclass
-    fields, which is sound because the basis is canonical.
+    fields, which is sound because the basis is canonical.  The
+    constructor enforces that form: it raises ValueError unless p is
+    prime, every row has ambient_dim entries and the basis is its own
+    reduced row echelon form.  ``span`` builds one from any vectors.
     """
 
     basis: tuple[tuple[int, ...], ...]
     ambient_dim: int
     p: int
+
+    def __post_init__(self):
+        check_prime(self.p)
+        if any(len(r) != self.ambient_dim for r in self.basis):
+            raise ValueError(f"basis rows must have {self.ambient_dim} entries")
+        if rref_with_pivots(self.basis, self.p)[0] != self.basis:
+            raise ValueError("basis is not a tuple of rows in reduced row echelon form")
+
+    @classmethod
+    def _from_rref(cls, basis: tuple[tuple[int, ...], ...], ambient_dim: int,
+                   p: int) -> Subspace:
+        """The subspace with this basis, trusted to be the reduced row
+        echelon form over the prime p of rows of length ambient_dim."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "p", p)
+        return self
 
     @property
     def dim(self) -> int:
@@ -210,7 +241,7 @@ def span(vectors: Sequence, p=None, ambient_dim: int | None = None) -> Subspace:
     if not vs:
         if p is None or ambient_dim is None:
             raise ValueError("empty span needs explicit p and ambient_dim")
-        return Subspace((), ambient_dim, check_prime(p))
+        return Subspace._from_rref((), ambient_dim, check_prime(p))
     if p is None:
         raise ValueError("span needs p")
     p = check_prime(p)
@@ -221,7 +252,7 @@ def span(vectors: Sequence, p=None, ambient_dim: int | None = None) -> Subspace:
     n = dims.pop()
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("vectors do not match the requested ambient dimension")
-    return Subspace(rref_with_pivots(vs, p)[0], n, p)
+    return Subspace._from_rref(rref_with_pivots(vs, p)[0], n, p)
 
 
 def normalize_line_rep(coords: Sequence[int], p: int) -> tuple[int, ...]:
@@ -270,7 +301,7 @@ def enumerate_subspaces(n: int, d: int, p, cap: int = DEFAULT_SUBSPACE_CAP) -> l
                 rows[i][pivots[i]] = 1
             for (i, j), val in zip(free_cells, assignment):
                 rows[i][j] = val
-            out.append(Subspace(tuple(tuple(r) for r in rows), n, p))
+            out.append(Subspace._from_rref(tuple(tuple(r) for r in rows), n, p))
     return out
 
 
@@ -280,17 +311,34 @@ def random_subspace(n: int, d: int, p, rng: random.Random) -> Subspace:
     Samples a d x n matrix with uniform entries and rejects until it has
     full rank; every d-dimensional subspace is the row space of equally
     many full-rank matrices, so the row space is uniform.
+
+    The draws are those of ``rng.randint(0, p - 1)`` on a
+    ``random.Random``: each entry, row by row, takes
+    ``getrandbits(p.bit_length())`` again while it is at least p, and a
+    rank-deficient matrix is redrawn whole.  So the result and the
+    generator's state afterwards are those of a loop filling the matrix
+    entry by entry with the standard library's uniform integer below p.
     """
     p = check_prime(p)
     if d < 0 or d > n:
         raise ValueError(f"dimension {d} out of range for ambient {n}")
     if d == 0:
-        return Subspace((), n, p)
+        return Subspace._from_rref((), n, p)
+    draw = rng.getrandbits
+    bits = p.bit_length()
     while True:
-        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
-        basis, _ = rref_with_pivots(rows, p)
+        rows = []
+        for _ in range(d):
+            row = []
+            for _ in range(n):
+                x = draw(bits)
+                while x >= p:
+                    x = draw(bits)
+                row.append(x)
+            rows.append(row)
+        basis, _ = _rref(rows, n, p)
         if len(basis) == d:
-            return Subspace(basis, n, p)
+            return Subspace._from_rref(basis, n, p)
 
 
 def read_lines(src, what: str) -> list[str]:

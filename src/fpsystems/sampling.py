@@ -105,9 +105,11 @@ def verify_containment(
     The s fixed vectors are the first s standard basis vectors (s <= n).
     Exhaustive mode scans every d-dimensional subspace and must match
     the exact value; Monte Carlo mode samples ``trials`` subspaces with
-    per-trial generators derived from the seed, and flags a frequency
-    further than three binomial standard deviations from the mean; auto
-    mode scans exhaustively up to ``DEFAULT_ENUM_CAP`` subspaces.
+    per-trial generators derived from the seed (at most
+    ``DEFAULT_WORK_CAP`` trials, else CapExceededError before any is
+    run), and flags a frequency further than three binomial standard
+    deviations from the mean; auto mode scans exhaustively up to
+    ``DEFAULT_ENUM_CAP`` subspaces.
     A standard basis vector e_i lies in a subspace exactly when it is
     a row of the reduced echelon basis (its coordinates in that basis
     are its entries at the pivot columns), so that is the test.
@@ -133,6 +135,8 @@ def verify_containment(
                                 total, hits, float(freq), 0.0, freq == prob.exact)
     if trials < 1:
         raise ValueError("Monte Carlo needs at least one trial")
+    if trials > DEFAULT_WORK_CAP:
+        raise CapExceededError(f"{trials} trials exceed the cap {DEFAULT_WORK_CAP}")
     hits = 0
     trial_rng = spawner(seed, "containment")
     for i in range(trials):

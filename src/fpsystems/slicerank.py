@@ -524,8 +524,9 @@ def partitioned_solution_bound(
     members within a block, and apply the k * Gamma^n ceiling when none
     exist.
 
-    ``solutions`` is a list of L solution k-tuples and ``partition``
-    splits the k positions into blocks of size at least two.  If every
+    ``solutions`` is a list of L solution k-tuples, all in one F_p^n
+    (ValueError otherwise), and ``partition`` splits the k positions
+    into blocks of size at least two.  If every
     mixed index tuple (l_1, ..., l_k) solving the system is constant on
     each block, the family size L is certified to be at most
     k * Gamma^n; otherwise the first violating index tuple is reported
@@ -543,11 +544,12 @@ def partitioned_solution_bound(
     k = sys_spec.k
     if length == 0:
         return PartitionedBoundReport(True, None, 0, None, True)
+    # the family's entries at position i make up column i
+    cols = _candidate_columns(sys_spec, list(zip(*sols)))
     if length**k > DEFAULT_CROSS_CAP:
         raise CapExceededError(f"{length}^{k} cross tuples exceed the cap {DEFAULT_CROSS_CAP}")
-    n = len(sols[0][0])
-    # the family's entries at position i make up column i
-    witness = next((idx for idx in _solving_indices(sys_spec, list(zip(*sols)))
+    n = len(cols[0][0])
+    witness = next((idx for idx in _solving_indices(sys_spec, cols)
                     if any(len({idx[i] for i in b}) > 1 for b in blocks)), None)
     if witness is not None:
         return PartitionedBoundReport(False, witness, length, None, None)

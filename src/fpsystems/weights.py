@@ -117,7 +117,7 @@ def _admissible_family(xs, p: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
 
 
 def _span(xs, idx, n: int, p: int) -> Subspace:
-    return Subspace(rref_with_pivots([xs[i] for i in idx], p)[0], n, p)
+    return Subspace._from_rref(rref_with_pivots([xs[i] for i in idx], p)[0], n, p)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Eleven exceptions sit at the end.  The earlier weight, which checks all
+Twelve exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -33,7 +33,10 @@ and a second for the inverse pivot minor, then that inverse times the
 constants and times each non-pivot column, is the reference for the
 one reduced echelon form that gives all of it.  The earlier indicator
 tensor, a scan of all L^k index tuples with ``is_solution``, is the
-reference for the support read off the solver's walk.
+reference for the support read off the solver's walk.  The earlier
+subspace sampler, ``randrange`` per entry and ``rref_with_pivots`` per
+matrix, is the reference that ``random_subspace`` must reproduce draw
+for draw.
 """
 
 from __future__ import annotations
@@ -759,3 +762,16 @@ def reference_indicator_support(sys_spec, columns) -> list[tuple[int, ...]]:
     length = len(columns[0])
     return [idx for idx in product(range(length), repeat=sys_spec.k)
             if is_solution(sys_spec, [columns[i][l] for i, l in enumerate(idx)])]
+
+
+def reference_random_subspace(n: int, d: int, p: int, rng) -> Subspace:
+    """A uniformly random d-dimensional subspace of F_p^n, sampled as
+    the package did before it drew with ``getrandbits``: a d x n matrix
+    of ``randrange(p)`` entries, row by row, redrawn until full rank."""
+    if d == 0:
+        return Subspace((), n, p)
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
+        basis, _ = rref_with_pivots(rows, p)
+        if len(basis) == d:
+            return Subspace(basis, n, p)

@@ -615,6 +615,17 @@ class TestExitCodes:
         assert not out
         assert err == "error: 2000001 samples exceed the cap 2000000\n"
 
+    def test_containment_trials_capped(self, capsys, deadline):
+        # --trials had no cap: a billion trials ran for hours
+        with deadline(2):
+            code, out, err = run_cli(["sample", "containment", "--p", "3",
+                                      "--n", "4", "--d", "2", "--s", "1",
+                                      "--method", "monte-carlo", "--trials",
+                                      "1000001"], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: 1000001 trials exceed the cap 1000000\n"
+
     def test_weight_prime_checked_before_reduction(self, capsys):
         # the entries were reduced mod 0 first: ZeroDivisionError
         code, out, err = run_cli(["weight", "--tuple", "1,0", "--p", "0"],

@@ -21,9 +21,12 @@ from fpsystems import (
     span,
     write_vector_file,
 )
+from fpsystems import fplinalg
 from fpsystems.fplinalg import check_prime
+from fpsystems.weights import _span
 from .oracles import (
     rank_by_minors,
+    reference_random_subspace,
     reference_rref_with_pivots,
     span_table,
     subspaces_as_sets,
@@ -174,6 +177,37 @@ class TestSubspace:
         with pytest.raises(ValueError):
             normalize_line_rep(u.reduce((1, 0, 0)), 3)
 
+    @pytest.mark.parametrize("basis,n,p", [
+        (((2, 0),), 2, 3),            # pivot entry not 1
+        (((4, 0),), 2, 3),            # entry not reduced mod p
+        (((1, 1), (0, 1)), 2, 3),     # pivot column not cleared
+        (((0, 1), (1, 0)), 2, 3),     # pivots not increasing
+        (((0, 0),), 2, 3),            # zero row
+        (((1, 0),), 3, 3),            # row shorter than the ambient space
+        (((1, 0),), 2, 4),            # p not prime
+    ])
+    def test_constructor_rejects_noncanonical_basis(self, basis, n, p):
+        # Subspace(((2, 0),), 2, 3) was accepted, unequal to span([(1, 0)], 3)
+        with pytest.raises(ValueError):
+            Subspace(basis, n, p)
+
+    def test_constructor_accepts_canonical_basis(self):
+        assert Subspace(((1, 0),), 2, 3) == span([(2, 0)], 3)
+        assert Subspace(((1, 0, 2), (0, 1, 1)), 3, 3) == span([(1, 1, 0), (2, 0, 1)], 3)
+        assert Subspace((), 2, 3) == span([], 3, 2)
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (3, 3)])
+    def test_constructor_paths_agree(self, p, n):
+        rng = random.Random(p * 10 + n)
+        for d in range(n + 1):
+            listed = enumerate_subspaces(n, d, p)
+            for sp in listed:
+                via = [Subspace(sp.basis, n, p), span(sp.basis, p, n),
+                       span(list(sp.vectors()), p, n),
+                       _span(sp.basis, range(d), n, p)]
+                assert all(u == sp and hash(u) == hash(sp) for u in via)
+            assert {random_subspace(n, d, p, rng) for _ in range(20)} <= set(listed)
+
     @given(PRIMES, st.integers(0, 3))
     def test_line_rep_leading_one(self, p, pad):
         coords = (0,) * pad + (2 % p if p > 2 else 1, 1)
@@ -208,6 +242,42 @@ class TestEnumeration:
             sp = random_subspace(4, d, 3, rng)
             assert sp.dim == d
             assert sp.ambient_dim == 4
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 1009, (1 << 31) - 1])
+    def test_random_subspace_matches_randrange_reference(self, p):
+        for n in range(1, 6):
+            for d in range(n + 1):
+                for seed in range(4):
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    assert (random_subspace(n, d, p, ours)
+                            == reference_random_subspace(n, d, p, theirs))
+                    assert ours.getstate() == theirs.getstate()
+
+    def test_random_subspace_rejections_match_reference(self, monkeypatch):
+        # over F_2 half the draws are >= 2 and most 5 x 5 matrices are
+        # singular, so both rejection loops run
+        class Counting(random.Random):
+            draws = 0
+
+            def getrandbits(self, k):
+                self.draws += 1
+                return super().getrandbits(k)
+
+        eliminations = []
+        kernel = fplinalg._rref
+        monkeypatch.setattr(fplinalg, "_rref",
+                            lambda *args: eliminations.append(1) or kernel(*args))
+        entry_rejections = matrix_rejections = 0
+        for seed in range(10):
+            ours, theirs = Counting(seed), random.Random(seed)
+            before = len(eliminations)
+            sampled = random_subspace(5, 5, 2, ours)
+            matrices = len(eliminations) - before
+            assert sampled == reference_random_subspace(5, 5, 2, theirs)
+            assert ours.getstate() == theirs.getstate()
+            matrix_rejections += matrices - 1
+            entry_rejections += ours.draws - 25 * matrices
+        assert matrix_rejections > 0 and entry_rejections > 0
 
     def test_gaussian_binomial_symmetry(self):
         for n in range(6):

@@ -115,6 +115,22 @@ class TestVerifyContainment:
         check = verify_containment(2, 5, 2, 1, trials=200, seed=0)
         assert check.method == "monte-carlo"
 
+    def test_trials_capped(self, deadline):
+        # a billion trials ran for hours at about 25 us each
+        with deadline(1), pytest.raises(CapExceededError,
+                                        match="1000001 trials exceed the cap 1000000"):
+            verify_containment(3, 4, 2, 1, trials=10**6 + 1, method="monte-carlo")
+
+    def test_trials_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(sampling, "DEFAULT_WORK_CAP", 10)
+        assert verify_containment(3, 4, 2, 1, trials=10, method="monte-carlo").trials == 10
+        with pytest.raises(CapExceededError, match="11 trials exceed the cap 10"):
+            verify_containment(3, 4, 2, 1, trials=11, method="monte-carlo")
+
+    def test_trials_ignored_when_exhaustive(self):
+        check = verify_containment(2, 3, 2, 1, trials=10**9, method="exhaustive")
+        assert (check.method, check.trials) == ("exhaustive", 7)
+
     def test_too_many_fixed_rejected(self):
         with pytest.raises(ValueError):
             verify_containment(2, 3, 2, 4)
@@ -139,6 +155,15 @@ CONTAINMENT_FROZEN = [
     ((3, 3, 0, 1), 7, 0, 0.0),
     ((2, 3, 3, 2), 0, 300, 1.0),
     ((2, 3, 3, 2), 7, 300, 1.0),
+    # three- and four-bit draws, whose rejection rates differ from p = 2, 3, 5
+    ((7, 3, 2, 1), 0, 43, 0.14333333333333334),
+    ((7, 3, 2, 1), 7, 42, 0.14),
+    ((7, 3, 2, 2), 0, 6, 0.02),
+    ((7, 3, 2, 2), 7, 9, 0.03),
+    ((11, 3, 2, 1), 0, 28, 0.09333333333333334),
+    ((11, 3, 2, 1), 7, 18, 0.06),
+    ((11, 2, 1, 1), 0, 21, 0.07),
+    ((11, 2, 1, 1), 7, 19, 0.06333333333333334),
 ]
 EXHAUSTIVE_FROZEN = [
     ((2, 4, 2, 2), 35, 1),

@@ -559,6 +559,12 @@ class TestPartitionedBound:
             partitioned_solution_bound(sys_ap3, [(((1,),) * 2 + ((2,),))],
                                        [(0, 1, 2)])
 
+    def test_mixed_dimensions_rejected(self, sys_k4):
+        # reported witness (2, 0, 0, 1), whose entries mix F_3^1 and F_3^2
+        family = [((0,),) * 4, ((1, 1),) * 4, ((1,), (2,), (1,), (2,))]
+        with pytest.raises(ValueError, match="candidate vectors have mixed dimensions"):
+            partitioned_solution_bound(sys_k4, family, [(0, 1), (2, 3)])
+
     def test_bad_partition_rejected(self, sys_ap3):
         sols = [(((1,),) * 3)]
         with pytest.raises(ValueError):
