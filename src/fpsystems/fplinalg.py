@@ -104,12 +104,15 @@ def rref_with_pivots(
     return _rref(work, ncols, p)
 
 
-def _rref(work: list[list[int]], ncols: int, p: int
+def _rref(work: list[list[int]], ncols: int, p: int, limit: int | None = None
           ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The elimination behind ``rref_with_pivots``: ``work`` holds rows
     of length ncols with entries already in range(p), and is
-    overwritten."""
+    overwritten.  With a ``limit`` it stops after that many pivots: the
+    pivots are then the first ``limit`` of the full form, and the rows
+    are not yet reduced against the later ones."""
     nrows = len(work)
+    stop = nrows if limit is None else min(nrows, limit)
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
@@ -132,7 +135,7 @@ def _rref(work: list[list[int]], ncols: int, p: int
                 work[r] = [(a - c * b) % p for a, b in zip(wr, piv)]
         pivots.append(col)
         row += 1
-        if row == nrows:
+        if row == stop:
             break
     return tuple(map(tuple, work[:row])), tuple(pivots)
 

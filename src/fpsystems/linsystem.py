@@ -24,6 +24,7 @@ from .errors import CapExceededError, DegenerateSystemError
 from .fplinalg import (
     Subspace,
     _header_fields,
+    _rref,
     check_prime,
     rank,
     read_lines,
@@ -216,8 +217,12 @@ class ClassFilter:
         if self.mode == "distinct-count":
             return distinct >= self.ell
         # the span dimension never exceeds the distinct count, so the
-        # rank test runs only where it can succeed
-        return distinct >= self.r and len(rref_with_pivots(rows, p)[0]) >= self.r
+        # rank test runs only where it can succeed, and stops at the
+        # r-th pivot
+        if distinct < self.r:
+            return False
+        work = [[c % p for c in row] for row in rows]
+        return len(_rref(work, len(work[0]), p, self.r)[1]) == self.r
 
     @classmethod
     def any(cls) -> "ClassFilter":

@@ -28,23 +28,40 @@ nonzero point of the order; with symmetry reduction on, that point is
 forced into the set and the only sets considered separately are those
 inside {0}.
 
-The greedy bound runs on point spaces far too large for an index, so
-it checks each point x against the members kept so far: for each
-position in turn it pins x there and ranges the other free positions
-over the members and x, at a cost set by the member count, not by the
-space.  A position whose column lies in every pivot basis cannot be
-pinned; it stays a pivot, and its solved entry must equal x.  Positions
-with equal coefficient columns are pinned once, at the first of them:
-swapping the entries at two such positions maps solutions to solutions
-with the same support, and admission depends on the support alone, so
-x completes an admitted solution at one of them exactly when it does at
-the first.
+The greedy bound runs on point spaces far too large for an index.  It
+scans the points in order and keeps a point unless it completes an
+admitted solution with the members kept so far.  A point x is decided
+by a walk: for each position in turn it pins x there and ranges the
+other free positions over the members and x, at a cost set by the
+member count, not by the space.  A position whose column lies in every
+pivot basis cannot be pinned; it stays a pivot, and its solved entry
+must equal x.  Positions with equal coefficient columns are pinned
+once, at the first of them: swapping the entries at two such positions
+maps solutions to solutions with the same support, and admission
+depends on the support alone, so x completes an admitted solution at
+one of them exactly when it does at the first.
+
+The same walks fill a blocked set, so a rejected point often needs no
+walk.  Where a pinned position leaves exactly one open pivot, that
+pivot is looked up in the whole space rather than among the members
+and x, so each solution the walk finds either lies in the members and
+x, and rejects x, or has one point z outside them, at the pivot.  When
+x is kept, each such z whose support with z is admitted is blocked:
+its solution lies in the members and z, and members only grow, so z
+would be rejected whenever it comes.  When x is rejected those
+solutions use a point that is not kept, so they block nothing.  Where
+more pivots are open they are looked up among the members and x alone,
+as a whole-space lookup would find solutions with several points
+outside, which block nothing.  A blocked point is rejected without a
+walk, and every other point still gets the full walk, so the kept
+members, the witness and the node count are those of the plain scan.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import CapExceededError
@@ -80,16 +97,20 @@ class AvoidanceProblem:
         if self.mode.mode == "distinct-count" and not 2 <= self.mode.ell <= k:
             raise ValueError(f"need 2 <= ell <= {k}")
 
-    def check_point_cap(self, cap_points: int) -> None:
-        """Raise CapExceededError, before the point space is built, when it
-        holds more than ``cap_points`` points."""
+    def check_point_cap(self, cap_points: int) -> int:
+        """The number of points in the space; raise CapExceededError,
+        before the space is built, when it exceeds ``cap_points``."""
         count = self.sys_spec.p ** self.n - self.exclude_zero
         if count > cap_points:
             raise CapExceededError(f"{count} points exceed the cap {cap_points}")
+        return count
+
+    def _space(self) -> PointSet:
+        return PointSet.full_space(self.n, self.sys_spec.p,
+                                   include_zero=not self.exclude_zero)
 
     def point_order(self) -> tuple[tuple[int, ...], ...]:
-        return PointSet.full_space(self.n, self.sys_spec.p,
-                                   include_zero=not self.exclude_zero).points
+        return self._space().points
 
 
 @dataclass(frozen=True)
@@ -239,14 +260,31 @@ def greedy_lower_bound(
 
     With restarts > 0 the order is reshuffled per restart (rng needed)
     and the largest set wins.  Lower bound only, never claimed optimal.
-    Point spaces above ``GREEDY_POINT_CAP`` points are refused.
+    Point spaces above ``GREEDY_POINT_CAP`` points, and more than
+    ``GREEDY_POINT_CAP`` point scans over all passes, are refused
+    before the space is built.
+
+    Each pass keeps a blocked set: points z with an admitted solution
+    whose support lies in the kept members and z.  Members only grow,
+    so a blocked point is rejected without a walk.  Every other point x
+    is decided by its walk, which looks a check's open pivot up in the
+    whole space when it is the only one, and so also finds the points z
+    that complete a solution with the members and x at that pivot; they
+    join the blocked set when x is kept.  Kept members, witness and
+    nodes are those of the plain scan (see the module notes).
     """
-    problem.check_point_cap(GREEDY_POINT_CAP)
-    order = list(problem.point_order())
+    count = problem.check_point_cap(GREEDY_POINT_CAP)
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if restarts > 0 and rng is None:
         raise ValueError("restarts need a seeded rng")
+    scans = (restarts + 1) * count
+    if scans > GREEDY_POINT_CAP:
+        raise CapExceededError(f"{restarts + 1} passes over {count} points: "
+                               f"{scans} point scans exceed the cap "
+                               f"{GREEDY_POINT_CAP}")
+    space = problem._space()
+    order = list(space.points)
     sys_spec = problem.sys_spec
     # one check per distinct coefficient column, at its first position
     columns = list(zip(*sys_spec.coeffs))
@@ -255,24 +293,64 @@ def greedy_lower_bound(
     mode, k, p = problem.mode, sys_spec.k, sys_spec.p
     nodes = 0
 
+    def rejects(x, xbit: int, pool: list, bits: dict, blocked: set,
+                found: set) -> bool:
+        """Whether x completes an admitted solution with the pool, the
+        members and then x as ``bits`` numbers them.  Otherwise ``found``
+        has gained every point z outside the pool and not yet blocked
+        that completes one with the pool and z, as a check's open pivot."""
+        for check in checks:
+            # a single open pivot is looked up in the whole space, each
+            # point its own label; more of them in the pool, by bit
+            one_open = len(check.open_pivots) == 1
+            tables = ([space._members] if one_open
+                      else [bits] * len(check.open_pivots))
+            for prefix, ends in check.walk([bits.items()] * len(check.free),
+                                           tables, (x,)):
+                mask = xbit
+                for _, bit in prefix:
+                    mask |= bit
+                for end in ends:
+                    support = mask
+                    for bit in end[:-1] if one_open else end:
+                        support |= bit
+                    if one_open:
+                        z = end[-1]
+                        zbit = bits.get(z)
+                        if zbit is None:
+                            if (z not in found and z not in blocked
+                                    and mode.admits_support(
+                                        k, support.bit_count() + 1,
+                                        chain(_selected(pool, support), (z,)),
+                                        p)):
+                                found.add(z)
+                            continue
+                        support |= zbit
+                    if mode.admits_support(k, support.bit_count(),
+                                           _selected(pool, support), p):
+                        return True
+        return False
+
     def one_pass(pts: Sequence[tuple[int, ...]]) -> list:
-        """Keep each point unless it completes an admitted solution with
-        the points kept so far; bits number the kept points."""
+        """Keep each point unless it is blocked or completes an admitted
+        solution with the points kept so far; bits number the kept
+        points."""
         nonlocal nodes
         members: list = []
         bits: dict = {}
+        blocked: set = set()
         for x in pts:
             nodes += 1
-            bits[x] = 1 << len(members)
-            pool, xbit = members + [x], bits[x]
+            if x in blocked:
+                continue
+            xbit = bits[x] = 1 << len(members)
+            found: set = set()
             # bits, in insertion order, is the pool: the members, then x
-            if any(mode.admits_support(k, (support | xbit).bit_count(),
-                                       _selected(pool, support | xbit), p)
-                   for check in checks
-                   for support in check.supports(bits, pins=(x,))):
+            if rejects(x, xbit, members + [x], bits, blocked, found):
                 del bits[x]
             else:
                 members.append(x)
+                blocked |= found
         return members
 
     best = one_pass(order)

@@ -427,30 +427,34 @@ def reference_exhaustive_max(problem, symmetry=None, point_order=None):
     return best["size"], best["members"], nodes
 
 
-def reference_greedy(problem, restarts: int = 0, rng=None):
-    """(size, points, nodes) of the reference greedy pass with seeded
-    restarts."""
+def reference_greedy_passes(problem, restarts: int = 0, rng=None) -> list:
+    """The points the reference greedy keeps in each pass: the natural
+    order, then one shuffle of it per seeded restart."""
     order = list(problem.point_order())
     checker = ReferenceChecker(problem.sys_spec, problem.mode, problem.n)
-    nodes = 0
 
     def one_pass(pts) -> list:
-        nonlocal nodes
         members: list = []
         for x in pts:
-            nodes += 1
             if not checker.violates_with(members, x):
                 members.append(x)
         return members
 
-    best = one_pass(order)
+    passes = [one_pass(order)]
     for _ in range(restarts):
         shuffled = list(order)
         rng.shuffle(shuffled)
-        cand = one_pass(shuffled)
-        if len(cand) > len(best):
-            best = cand
-    return len(best), tuple(best), nodes
+        passes.append(one_pass(shuffled))
+    return passes
+
+
+def reference_greedy(problem, restarts: int = 0, rng=None):
+    """(size, points, nodes) of the reference greedy pass with seeded
+    restarts: the first largest pass wins, and every point scanned is a
+    node."""
+    passes = reference_greedy_passes(problem, restarts, rng)
+    best = max(passes, key=len)
+    return len(best), tuple(best), len(passes) * len(problem.point_order())
 
 
 @lru_cache(maxsize=None)

@@ -502,6 +502,17 @@ class TestExitCodes:
         assert not out
         assert err == f"error: {3**18} assignments exceed the cap {10**6}\n"
 
+    def test_greedy_restarts_capped(self, files, capsys, deadline):
+        # a billion restarts ran without end
+        with deadline(2):
+            code, out, err = run_cli(["extremal", "--system", files["ap3"],
+                                      "--n", "2", "--greedy", "--restarts",
+                                      str(10**9)], capsys)
+        assert code == 2
+        assert not out
+        assert err == (f"error: {10**9 + 1} passes over 9 points: "
+                       f"{9 * (10**9 + 1)} point scans exceed the cap {10**6}\n")
+
     def test_step_weight_needs_w(self, files, capsys):
         code, _, err = run_cli(["sample", "step-weight", "--system",
                                 files["ap3"], "--n", "2", "--exclude-zero",

@@ -15,11 +15,15 @@ from fpsystems import (
     greedy_lower_bound,
     verify_theorem_bound,
 )
-from fpsystems import search
+from fpsystems import linsystem, search
 from fpsystems.fplinalg import rref_with_pivots
 from fpsystems.seeds import spawn
 
-from .oracles import reference_exhaustive_max, reference_greedy
+from .oracles import (
+    reference_exhaustive_max,
+    reference_greedy,
+    reference_greedy_passes,
+)
 
 
 def subset_avoids(sys_spec, flt, subset, n):
@@ -100,6 +104,34 @@ class TestAgainstReference:
                 reference_greedy(problem, 2, random.Random(seed))
 
 
+# greedy-only cases, larger than the grid above, on which the greedy's
+# blocked set skips points (all but the m = 2 system, whose checks each
+# have two open pivots and so block nothing): affine, exclude-zero, six
+# positions in one column class, and a row not summing to zero, where
+# points that are walked and rejected find points they must not block
+GREEDY_GRID = [
+    ([(1, 1, 1)], 3, None, ClassFilter.not_all_equal(), 3, False),
+    ([(1, 1, 2)], 3, None, ClassFilter.distinct(), 2, False),
+    ([(1, 1, 1)], 3, [(1, 0)], ClassFilter.not_all_equal(), 2, False),
+    ([(1, 3, 1)], 5, None, ClassFilter.distinct(), 2, True),
+    ([(1,) * 6], 3, None, ClassFilter.distinct(), 2, False),
+    ([(1, 1, 1, 0), (0, 1, 2, 2)], 3, None, ClassFilter.not_all_equal(), 3,
+     False),
+]
+
+
+@pytest.mark.parametrize("case", GREEDY_GRID,
+                         ids=lambda c: f"{c[0]}-p{c[1]}-{c[3].mode}-n{c[4]}")
+@pytest.mark.parametrize("restarts", [0, 2])
+def test_greedy_against_reference(case, restarts):
+    problem = grid_problem(*case)
+    for seed in range(3 if restarts else 1):
+        got = greedy_lower_bound(problem, restarts=restarts,
+                                 rng=random.Random(seed))
+        assert (got.best_size, got.witness.points, got.nodes) == \
+            reference_greedy(problem, restarts, random.Random(seed))
+
+
 def untouched_rows():
     """Rows that fail the test if the filter reads them."""
     raise AssertionError("rows read outside the span test")
@@ -121,6 +153,22 @@ class TestSupportFilter:
                 for r in range(1, 4):
                     flt = ClassFilter.span_at_least(r)
                     assert flt.admits_support(4, size, iter(rows), p) == (dim >= r)
+
+    def test_span_test_stops_at_the_rth_pivot(self, monkeypatch):
+        pivots = []
+        rref = linsystem._rref
+
+        def spy(work, ncols, p, limit=None):
+            out = rref(work, ncols, p, limit)
+            pivots.append(out[1])
+            return out
+
+        monkeypatch.setattr(linsystem, "_rref", spy)
+        # rank 3: full elimination would reach the pivot in column 2
+        rows = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
+        assert ClassFilter.span_at_least(2).admits_support(3, 3, iter(rows), 3)
+        assert ClassFilter.span_at_least(3).admits_support(3, 3, iter(rows), 3)
+        assert pivots == [(0, 1), (0, 1, 2)]
 
     def test_zero_point_spans_nothing(self):
         flt = ClassFilter.span_at_least(1)
@@ -282,6 +330,44 @@ class TestGreedy:
         monkeypatch.setattr(search, "GREEDY_POINT_CAP", 3)
         with pytest.raises(CapExceededError):
             greedy_lower_bound(problem)
+
+    def test_point_scans_capped_before_the_space(self, sys_ap3, monkeypatch):
+        problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 2)
+        monkeypatch.setattr(search, "GREEDY_POINT_CAP", 27)
+        assert greedy_lower_bound(problem, restarts=2,
+                                  rng=random.Random(0)).nodes == 27
+
+        def no_space(*args, **kwargs):
+            raise AssertionError("the point space was built")
+
+        monkeypatch.setattr(PointSet, "full_space", no_space)
+        monkeypatch.setattr(search, "GREEDY_POINT_CAP", 26)
+        with pytest.raises(CapExceededError, match="^3 passes over 9 points: "
+                           "27 point scans exceed the cap 26$"):
+            greedy_lower_bound(problem, restarts=2, rng=random.Random(0))
+        monkeypatch.setattr(search, "GREEDY_POINT_CAP", 8)
+        with pytest.raises(CapExceededError,
+                           match="^9 points exceed the cap 8$"):
+            greedy_lower_bound(problem)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_walk_per_kept_point(self, sys_ap3, n, monkeypatch):
+        # every rejection of a cap-set pass is a blocked point, so only
+        # the points that are kept are walked
+        walks = []
+        walk = search._Completion.walk
+
+        def counted(self, pools, tables, pins=()):
+            if pins:
+                walks.append(pins)
+            return walk(self, pools, tables, pins)
+
+        monkeypatch.setattr(search._Completion, "walk", counted)
+        problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), n)
+        result = greedy_lower_bound(problem, restarts=1, rng=random.Random(0))
+        kept = sum(map(len, reference_greedy_passes(problem, 1,
+                                                    random.Random(0))))
+        assert len(walks) == kept < result.nodes
 
     @pytest.mark.parametrize("coeffs, pins", [((1, 1, 1), [(0,)]),
                                               ((1, 1, 2, 2), [(0,), (2,)])],
