@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceededError, DegenerateSystemError
@@ -126,22 +127,34 @@ def validate(sys_spec: SystemSpec) -> ValidationReport:
     )
 
 
-def is_solution(sys_spec: SystemSpec, entries: Sequence) -> bool:
-    """Whether the k vectors satisfy every equation of the system."""
-    p = sys_spec.p
-    xs = [reduce_coords(x, p) for x in entries]
+def _solution_dim(sys_spec: SystemSpec, xs: Sequence[tuple[int, ...]]) -> int:
+    """The common dimension of k reduced vectors, checked against the
+    system's k."""
     if len(xs) != sys_spec.k:
         raise ValueError(f"expected {sys_spec.k} vectors, got {len(xs)}")
     dims = {len(x) for x in xs}
     if len(dims) != 1:
         raise ValueError("solution entries have mixed dimensions")
-    n = dims.pop()
-    bs = sys_spec.constant_rows(n)
-    for row, target in zip(sys_spec.coeffs, bs):
-        for s in range(n):
-            if sum(c * x[s] for c, x in zip(row, xs)) % p != target[s]:
-                return False
+    return dims.pop()
+
+
+def _solves(sys_spec: SystemSpec, xs: Sequence[tuple[int, ...]], n: int) -> bool:
+    """Whether k reduced vectors in F_p^n, p the system's prime, satisfy
+    every equation.  Nothing is checked here: the caller has checked the
+    prime, the length k and the dimension n, since the sums zip rows
+    with coordinate columns and would silently truncate."""
+    p = sys_spec.p
+    cols = tuple(zip(*xs))
+    for row, target in zip(sys_spec.coeffs, sys_spec.constant_rows(n)):
+        if tuple([sum(map(mul, row, col)) % p for col in cols]) != target:
+            return False
     return True
+
+
+def is_solution(sys_spec: SystemSpec, entries: Sequence) -> bool:
+    """Whether the k vectors satisfy every equation of the system."""
+    xs = [reduce_coords(x, sys_spec.p) for x in entries]
+    return _solves(sys_spec, xs, _solution_dim(sys_spec, xs))
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,7 @@ class SolutionTuple:
     def create(cls, sys_spec: SystemSpec, entries: Sequence) -> "SolutionTuple":
         """Check that the entries solve the system, then classify them."""
         xs = tuple(reduce_coords(x, sys_spec.p) for x in entries)
-        if not is_solution(sys_spec, xs):
+        if not _solves(sys_spec, xs, _solution_dim(sys_spec, xs)):
             raise ValueError("entries do not solve the system")
         return cls._of(xs, sys_spec.p)
 

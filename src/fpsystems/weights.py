@@ -30,7 +30,11 @@ counted.
 Each public operation validates its input once per call and weighs the
 checked tuple through a small least-recently-used memo keyed on the
 reduced tuple, because several flows weigh one tuple more than once (the
-weight facts, then the partition structure, of each solution).
+weight facts, then the partition structure, of each solution).  The
+walk also gives the rank of the whole tuple: the chosen entries are
+independent and every other entry lies on its quotient line, so the
+rank is |I| plus the rank of those lines.  A supplied system is checked
+against the validated tuple by one unchecked solve.
 
 These definitions never look at any linear system, so every operation
 here accepts an arbitrary tuple of nonzero vectors; the operations tied
@@ -45,14 +49,8 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import CapExceededError
-from .fplinalg import (
-    Subspace,
-    _lead_one,
-    check_prime,
-    reduce_coords,
-    rref_with_pivots,
-)
-from .linsystem import SystemSpec, is_solution
+from .fplinalg import Subspace, _lead_one, _rref, check_prime, reduce_coords
+from .linsystem import SystemSpec, _solution_dim, _solves
 
 ADMISSIBLE_K_CAP = 20
 # reports are frozen, so callers can share them; the flows that weigh a
@@ -85,17 +83,21 @@ def _extend(res: tuple, i: int, p: int) -> tuple | None:
     """The residues once x_i joins the set, or None when an outside
     entry falls in the larger span."""
     b = res[i]
-    c = next(col for col, v in enumerate(b) if v)
-    out = []
+    c = b.index(1)  # residues lead with 1, so this is the lead column
+    out = list(res)
+    out[i] = None
     for j, v in enumerate(res):
-        if j == i:
-            v = None
-        elif v is not None and v[c]:
-            t = v[c]
-            v = _lead_one([(a - t * e) % p for a, e in zip(v, b)], p)
-            if v is None:
-                return None
-        out.append(v)
+        if j == i or v is None or not v[c]:
+            continue
+        t = v[c]
+        w = [(a - t * e) % p for a, e in zip(v, b)]
+        lead = next((a for a in w if a), 0)
+        if not lead:
+            return None
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            w = [inv * a % p for a in w]
+        out[j] = tuple(w)
     return tuple(out)
 
 
@@ -117,7 +119,7 @@ def _admissible_family(xs, p: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
 
 
 def _span(xs, idx, n: int, p: int) -> Subspace:
-    return Subspace._from_rref(rref_with_pivots([xs[i] for i in idx], p)[0], n, p)
+    return Subspace._from_rref(_rref([list(xs[i]) for i in idx], n, p)[0], n, p)
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,27 @@ def _weigh(xs, n: int, p: int) -> WeightReport:
     )
 
 
+def _tuple_rank(rep: WeightReport, n: int, p: int) -> int:
+    """The rank of the weighed tuple: dim U plus the rank of the
+    quotient lines of the outside entries in V/U.  Distinct lines are
+    pairwise independent, so only three or more need an elimination."""
+    lines = rep.lines
+    if len(lines) > 2:
+        return len(rep.chosen) + len(_rref([list(v) for v in lines], n, p)[0])
+    return len(rep.chosen) + len(lines)
+
+
+def _check_witness(sys_spec: SystemSpec, xs, p: int) -> None:
+    """Raise unless the checked tuple solves the system over F_p.  The
+    solve kernel zips rows with columns and checks nothing, so the
+    prime and the length k are checked first."""
+    if sys_spec.p != p:
+        raise ValueError(
+            f"tuple is over F_{p} but the system is over F_{sys_spec.p}")
+    if not _solves(sys_spec, xs, _solution_dim(sys_spec, xs)):
+        raise ValueError("tuple does not solve the supplied system")
+
+
 @dataclass(frozen=True)
 class WeightPropertyReport:
     omega: int
@@ -219,20 +242,20 @@ def verify_weight_properties(
     omega is never 0 and never one of the multiples (k+1), 2(k+1), ...,
     (k-1)(k+1); the chosen maximizer has exactly floor(omega / (k+1))
     elements; and the span of the whole tuple has dimension at least
-    omega / (k+1).  When a system is supplied the tuple must solve it.
+    omega / (k+1), that dimension read off the walk.  When a system is
+    supplied it must be over the same prime and the tuple must solve it.
     """
     xs, n, p = _capped_tuple(entries, p)
     k = len(xs)
     if sys_spec is not None:
         if sys_spec.constants is not None:
             raise ValueError("property check expects a homogeneous system")
-        if not is_solution(sys_spec, xs):
-            raise ValueError("tuple does not solve the supplied system")
+        _check_witness(sys_spec, xs, p)
     rep = _weigh(xs, n, p)
     forbidden = {0} | {(k + 1) * t for t in range(1, k)}
     omega_valid = rep.omega not in forbidden
     size_valid = len(rep.chosen) == rep.omega // (k + 1)
-    span_dim = len(rref_with_pivots(xs, p)[0])
+    span_dim = _tuple_rank(rep, n, p)
     span_valid = span_dim * (k + 1) >= rep.omega
     return WeightPropertyReport(rep.omega, len(rep.chosen), span_dim,
                                 omega_valid, size_valid, span_valid)
@@ -263,8 +286,7 @@ def partition_structure(entries: Sequence, sys_spec: SystemSpec) -> PartitionRep
     if not sys_spec.rows_sum_zero:
         raise ValueError("partition structure expects rows summing to zero")
     xs, n, p = _capped_tuple(entries, sys_spec.p)
-    if not is_solution(sys_spec, xs):
-        raise ValueError("tuple does not solve the supplied system")
+    _check_witness(sys_spec, xs, p)
     rep = _weigh(xs, n, p)
     sizes = [len(b) for b in rep.partition]
     min_size = min(sizes) if sizes else 0

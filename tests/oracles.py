@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Twelve exceptions sit at the end.  The earlier weight, which checks all
+Thirteen exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -36,7 +36,9 @@ tensor, a scan of all L^k index tuples with ``is_solution``, is the
 reference for the support read off the solver's walk.  The earlier
 subspace sampler, ``randrange`` per entry and ``rref_with_pivots`` per
 matrix, is the reference that ``random_subspace`` must reproduce draw
-for draw.
+for draw.  The earlier solution test, one sum per equation and
+coordinate, is the reference for the column-wise solve kernel behind
+``is_solution``.
 """
 
 from __future__ import annotations
@@ -779,3 +781,23 @@ def reference_random_subspace(n: int, d: int, p: int, rng) -> Subspace:
         basis, _ = rref_with_pivots(rows, p)
         if len(basis) == d:
             return Subspace(basis, n, p)
+
+
+def reference_is_solution(sys_spec, entries) -> bool:
+    """Whether the k vectors satisfy every equation, one sum per
+    equation and coordinate, as ``is_solution`` computed it before the
+    column-wise kernel."""
+    p = sys_spec.p
+    xs = [reduce_coords(x, p) for x in entries]
+    if len(xs) != sys_spec.k:
+        raise ValueError(f"expected {sys_spec.k} vectors, got {len(xs)}")
+    dims = {len(x) for x in xs}
+    if len(dims) != 1:
+        raise ValueError("solution entries have mixed dimensions")
+    n = dims.pop()
+    bs = sys_spec.constant_rows(n)
+    for row, target in zip(sys_spec.coeffs, bs):
+        for s in range(n):
+            if sum(c * x[s] for c, x in zip(row, xs)) % p != target[s]:
+                return False
+    return True

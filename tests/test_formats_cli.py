@@ -524,6 +524,24 @@ class TestExitCodes:
                                 "--check-partition"], capsys)
         assert code == 2
 
+    def test_weight_system_over_another_prime(self, files, capsys):
+        # (1,0) three times solves x+y+z=0 over F_3, not over F_5
+        code, out, err = run_cli(["weight", "--tuple", "1,0;1,0;1,0", "--p",
+                                  "5", "--system", files["ap3"],
+                                  "--check-properties"], capsys)
+        assert code == 2
+        assert not out
+        assert "F_5" in err and "F_3" in err
+
+    @pytest.mark.parametrize("flag", ["--check-properties", "--check-partition"])
+    def test_weight_tuple_longer_than_the_system(self, files, capsys, flag):
+        # the first three entries solve x+y+z=0, the fourth is extra
+        code, out, err = run_cli(["weight", "--tuple", "1;1;1;2", "--p", "3",
+                                  "--system", files["ap3"], flag], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: expected 3 vectors, got 4\n"
+
     def test_non_antichain_tensor(self, files, capsys):
         code, _, err = run_cli(["slicerank", "rank", "--tensor",
                                 files["diag"]], capsys)

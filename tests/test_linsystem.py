@@ -29,6 +29,7 @@ from .oracles import (
     reference_completion_setup,
     reference_enumerate_solutions,
     reference_is_interesting,
+    reference_is_solution,
 )
 
 PRIMES = st.sampled_from([2, 3, 5])
@@ -117,6 +118,33 @@ class TestIsSolution:
             is_solution(sys_ap3, ((0,), (1,)))
         with pytest.raises(ValueError):
             is_solution(sys_ap3, ((0,), (1,), (1, 0)))
+
+    @given(st.data())
+    def test_matches_reference(self, data):
+        # m in {1, 2}, homogeneous or affine; half the affine draws take
+        # the tuple's own sums as constants, so true answers occur too
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        m = data.draw(st.integers(1, 2))
+        k = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(1, 3))
+        entry = st.integers(-p, 2 * p)
+        vec = st.lists(entry, min_size=n, max_size=n)
+        coeffs = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                                    min_size=m, max_size=m))
+        xs = data.draw(st.lists(vec, min_size=k, max_size=k))
+        kind = data.draw(st.sampled_from(["homogeneous", "own sums", "random"]))
+        if kind == "homogeneous":
+            constants = None
+        elif kind == "own sums":
+            constants = [[sum(c * x[s] for c, x in zip(row, xs)) for s in range(n)]
+                         for row in coeffs]
+        else:
+            constants = data.draw(st.lists(vec, min_size=m, max_size=m))
+        spec = SystemSpec.make(coeffs, p, constants=constants)
+        want = reference_is_solution(spec, xs)
+        assert is_solution(spec, xs) == want
+        if kind == "own sums":
+            assert want
 
 
 class TestEnumerate:
@@ -209,6 +237,19 @@ class TestSolutionTuple:
         assert sol.distinct_count == 3
         with pytest.raises(ValueError):
             SolutionTuple.create(sys_ap3, ((0,), (1,), (1,)))
+
+    def test_create_reduces_once_and_checks_shape(self, sys_ap3, monkeypatch):
+        calls = []
+        reduce = linsystem.reduce_coords
+        monkeypatch.setattr(linsystem, "reduce_coords",
+                            lambda x, p: calls.append(x) or reduce(x, p))
+        sol = SolutionTuple.create(sys_ap3, ((3,), (4,), (-1,)))
+        assert sol.entries == ((0,), (1,), (2,))
+        assert calls == [(3,), (4,), (-1,)]
+        with pytest.raises(ValueError, match="expected 3 vectors"):
+            SolutionTuple.create(sys_ap3, ((1,), (1,), (1,), (2,)))
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            SolutionTuple.create(sys_ap3, ((0,), (1,), (1, 0)))
 
 
 class TestPointSet:

@@ -16,10 +16,28 @@ from fpsystems import (
 )
 from fpsystems import weights
 from .oracles import (
+    rank_by_minors,
     reference_admissible_sets,
     reference_weight,
     weight_by_definition,
 )
+
+
+def repeating_tuples():
+    """(p, tuple) with k <= 6 entries drawn from a pool of at most
+    three nonzero vectors in F_p^n, n <= 4, so entries repeat, several
+    quotient lines occur, and a pool of one gives an all-equal tuple."""
+    def build(t):
+        p, n = t
+        vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n) \
+            .map(tuple).filter(any)
+        pools = st.lists(vec, min_size=1, max_size=3)
+        entries = pools.flatmap(lambda pool: st.lists(
+            st.sampled_from(pool), min_size=2, max_size=6).map(tuple))
+        return st.tuples(st.just(p), entries)
+
+    return st.tuples(st.sampled_from([2, 3, 5, 7]),
+                     st.integers(1, 4)).flatmap(build)
 
 
 def nonzero_tuples():
@@ -172,6 +190,42 @@ class TestProperties:
             verify_weight_properties([(1,), (1,), (2,)], 3, sys_spec=sys_ap3)
         rep = verify_weight_properties([(1,), (1,), (1,)], 3, sys_spec=sys_ap3)
         assert rep.ok
+
+    @given(st.one_of(nonzero_tuples(), repeating_tuples()))
+    def test_span_dim_is_the_rank(self, case):
+        p, entries = case
+        rep = verify_weight_properties(entries, p)
+        assert rep.span_dim == rank_by_minors([list(x) for x in entries], p)
+
+    @pytest.mark.parametrize("entries,p,lines,rank", [
+        # three lines outside an empty chosen set, independent or not
+        ([(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 1)],
+         3, 3, 3),
+        ([(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (2, 2)], 3, 3, 2),
+        ([(1, 2, 0, 0)] * 4, 5, 1, 1),
+    ])
+    def test_span_dim_from_the_lines(self, entries, p, lines, rank):
+        assert len(weight(entries, p).lines) == lines
+        rep = verify_weight_properties(entries, p)
+        assert rep.span_dim == rank == rank_by_minors(entries, p)
+        assert rep.ok
+
+    def test_system_prime_must_match(self):
+        spec = SystemSpec.make([(1, 1, 1)], 3)
+        # (1, 0) three times solves x+y+z=0 over F_3 but not over F_5
+        with pytest.raises(ValueError, match="F_5.*F_3"):
+            verify_weight_properties([(1, 0)] * 3, 5, sys_spec=spec)
+        assert verify_weight_properties([(1, 0)] * 3, 3, sys_spec=spec).ok
+
+    def test_system_length_must_match(self, sys_ap3):
+        # the first three entries solve x+y+z=0, the fourth is extra
+        entries = [(1,), (1,), (1,), (2,)]
+        with pytest.raises(ValueError, match="expected 3 vectors, got 4"):
+            verify_weight_properties(entries, 3, sys_spec=sys_ap3)
+        with pytest.raises(ValueError, match="expected 3 vectors, got 4"):
+            partition_structure(entries, sys_ap3)
+        with pytest.raises(ValueError, match="expected 3 vectors, got 2"):
+            partition_structure(entries[:2], sys_ap3)
 
     def test_enumerated_solutions_all_pass(self, sys_ap3):
         points = PointSet.full_space(2, 3, include_zero=False)
