@@ -86,6 +86,17 @@ def _lead_one(v, p: int) -> tuple[int, ...] | None:
     return tuple(v)
 
 
+def _matrix(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], int]:
+    """The rows reduced mod p as a fresh work matrix, with its column
+    count; a ValueError when the rows have unequal lengths."""
+    # mutable rows, so not built by reduce_coords
+    work = [[int(c) % p for c in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    if any(len(r) != ncols for r in work):
+        raise ValueError("rows have unequal lengths")
+    return work, ncols
+
+
 def rref_with_pivots(
     rows: Iterable[Sequence[int]], p: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -96,23 +107,15 @@ def rref_with_pivots(
     pivot column indices.  The output rows are a canonical basis of the
     row space, so identical row spaces give identical outputs.
     """
-    # mutable rows, so not built by reduce_coords
-    work = [[int(c) % p for c in r] for r in rows]
-    ncols = len(work[0]) if work else 0
-    if any(len(r) != ncols for r in work):
-        raise ValueError("rows have unequal lengths")
-    return _rref(work, ncols, p)
+    return _rref(*_matrix(rows, p), p)
 
 
-def _rref(work: list[list[int]], ncols: int, p: int, limit: int | None = None
+def _rref(work: list, ncols: int, p: int
           ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The elimination behind ``rref_with_pivots``: ``work`` holds rows
-    of length ncols with entries already in range(p), and is
-    overwritten.  With a ``limit`` it stops after that many pivots: the
-    pivots are then the first ``limit`` of the full form, and the rows
-    are not yet reduced against the later ones."""
+    """The elimination behind ``rref_with_pivots``: ``work`` lists rows
+    of length ncols with entries already in range(p).  The list is
+    overwritten; the rows themselves are only read."""
     nrows = len(work)
-    stop = nrows if limit is None else min(nrows, limit)
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
@@ -135,14 +138,53 @@ def _rref(work: list[list[int]], ncols: int, p: int, limit: int | None = None
                 work[r] = [(a - c * b) % p for a, b in zip(wr, piv)]
         pivots.append(col)
         row += 1
-        if row == stop:
+        if row == nrows:
             break
     return tuple(map(tuple, work[:row])), tuple(pivots)
 
 
+def _pivots(work: list, ncols: int, p: int, limit: int | None = None
+            ) -> tuple[int, ...]:
+    """The pivot columns of the row echelon form of ``work``, which is
+    as for ``_rref`` and is overwritten the same way.  The elimination
+    only runs forward: it clears below each pivot, never above, and
+    scales no row, so it answers rank questions and nothing more.  With
+    a ``limit`` it stops after that many pivots, which are then the
+    first ``limit`` of the full list."""
+    nrows = len(work)
+    stop = nrows if limit is None else min(nrows, limit)
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        if row >= stop:
+            break
+        sel = row
+        while sel < nrows and not work[sel][col]:
+            sel += 1
+        if sel == nrows:
+            continue
+        piv = work[sel]
+        # the rows from ``row`` to ``sel`` are zero in this column, so
+        # only those after ``sel`` need clearing
+        work[sel] = work[row]
+        work[row] = piv
+        c = piv[col]
+        neg = p - (1 if c == 1 else pow(c, -1, p))
+        for r in range(sel + 1, nrows):
+            wr = work[r]
+            c = wr[col]
+            if c:
+                f = neg * c
+                work[r] = [(a + f * b) % p for a, b in zip(wr, piv)]
+        pivots.append(col)
+        row += 1
+    return tuple(pivots)
+
+
 def rank(rows, p) -> int:
     """Rank over F_p of the given rows."""
-    return len(rref_with_pivots(rows, check_prime(p))[0])
+    p = check_prime(p)
+    return len(_pivots(*_matrix(rows, p), p))
 
 
 def invert_matrix(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
@@ -271,12 +313,27 @@ def gaussian_binomial(n: int, d: int, p: int) -> int:
     p = check_prime(p)
     if d < 0 or d > n:
         return 0
+    # the count is symmetric in d and n - d, so the shorter product serves
+    d = min(d, n - d)
     num = 1
     den = 1
     for i in range(d):
         num *= p**n - p**i
         den *= p**d - p**i
     return num // den
+
+
+def _subspace_count(n: int, d: int, p: int, cap: int) -> int | None:
+    """``gaussian_binomial(n, d, p)`` when it is at most cap, else None.
+
+    The count is at least p^(d(n-d)), and that power exceeds the cap
+    once its exponent reaches the cap's bit length, so a count far
+    above the cap is refused before its huge product is formed."""
+    e = d * (n - d)
+    if e >= cap.bit_length() or p**e > cap:
+        return None
+    total = gaussian_binomial(n, d, p)
+    return total if total <= cap else None
 
 
 def enumerate_subspaces(n: int, d: int, p, cap: int = DEFAULT_SUBSPACE_CAP) -> list[Subspace]:
@@ -290,9 +347,9 @@ def enumerate_subspaces(n: int, d: int, p, cap: int = DEFAULT_SUBSPACE_CAP) -> l
     p = check_prime(p)
     if d < 0 or d > n:
         raise ValueError(f"dimension {d} out of range for ambient {n}")
-    total = gaussian_binomial(n, d, p)
-    if total > cap:
-        raise CapExceededError(f"{total} subspaces exceed the cap {cap}")
+    if _subspace_count(n, d, p, cap) is None:
+        raise CapExceededError(
+            f"the {d}-dimensional subspaces of F_{p}^{n} exceed the cap {cap}")
     out: list[Subspace] = []
     for pivots in combinations(range(n), d):
         pivot_set = set(pivots)
@@ -328,20 +385,28 @@ def random_subspace(n: int, d: int, p, rng: random.Random) -> Subspace:
     if d == 0:
         return Subspace._from_rref((), n, p)
     draw = rng.getrandbits
-    bits = p.bit_length()
     while True:
-        rows = []
-        for _ in range(d):
-            row = []
-            for _ in range(n):
-                x = draw(bits)
-                while x >= p:
-                    x = draw(bits)
-                row.append(x)
-            rows.append(row)
-        basis, _ = _rref(rows, n, p)
+        basis, _ = _rref(_draw_rows(n, d, p, draw), n, p)
         if len(basis) == d:
             return Subspace._from_rref(basis, n, p)
+
+
+def _draw_rows(n: int, d: int, p: int, draw) -> list[list[int]]:
+    """A d x n matrix of uniform entries below p, drawn row by row: each
+    entry takes ``draw(p.bit_length())`` again while it is at least p,
+    which is what ``random.Random.randint(0, p - 1)`` does with its
+    ``getrandbits``."""
+    bits = p.bit_length()
+    rows = []
+    for _ in range(d):
+        row = []
+        for _ in range(n):
+            x = draw(bits)
+            while x >= p:
+                x = draw(bits)
+            row.append(x)
+        rows.append(row)
+    return rows
 
 
 def read_lines(src, what: str) -> list[str]:

@@ -25,7 +25,7 @@ from .errors import CapExceededError, DegenerateSystemError
 from .fplinalg import (
     Subspace,
     _header_fields,
-    _rref,
+    _pivots,
     check_prime,
     rank,
     read_lines,
@@ -45,7 +45,7 @@ def _failing_minors(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, .
     """The column sets of the singular m x m minors of the m rows."""
     m, k = len(rows), len(rows[0])
     return tuple(cols for cols in combinations(range(k), m)
-                 if len(rref_with_pivots([[r[j] for j in cols] for r in rows], p)[0]) != m)
+                 if len(_pivots([[r[j] % p for j in cols] for r in rows], m, p)) != m)
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ class ClassFilter:
         if distinct < self.r:
             return False
         work = [[c % p for c in row] for row in rows]
-        return len(_rref(work, len(work[0]), p, self.r)[1]) == self.r
+        return len(_pivots(work, len(work[0]), p, self.r)) == self.r
 
     @classmethod
     def any(cls) -> "ClassFilter":
@@ -573,7 +573,7 @@ def interesting_tuples(
             raise ValueError(f"need an index set and tuple of size m + 1 = {m + 1}")
         if any(x not in members for x in xs):
             raise ValueError("tuple entries must belong to the point set")
-        if live == [] or len(rref_with_pivots(xs, p)[0]) != m + 1:
+        if live == [] or len(_pivots(list(xs), points.n, p)) != m + 1:
             continue
         if live is None:
             # built at the first independent tuple, as dependent tuples

@@ -27,9 +27,11 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import CapExceededError
 from .fplinalg import (
+    _draw_rows,
+    _pivots,
+    _subspace_count,
     check_prime,
     enumerate_subspaces,
-    gaussian_binomial,
     random_subspace,
     reduce_coords,
 )
@@ -46,6 +48,12 @@ from .slicerank import ceiling
 from .weights import weight
 
 DEFAULT_ENUM_CAP = 10**5
+# entries (subspaces times d * n) an exhaustive containment scan lists
+DEFAULT_ENUM_ENTRY_CAP = 10**7
+# trials times d^2 * n, the elimination work of a Monte-Carlo check
+DEFAULT_TRIAL_WORK_CAP = 4 * 10**7
+# bits in the numerator or denominator of a containment probability
+PROBABILITY_BIT_CAP = 2 * 10**5
 
 
 @dataclass(frozen=True)
@@ -59,20 +67,32 @@ def containment_probability(p, n: int, d: int, s: int) -> ContainmentProbability
     contains s fixed independent vectors, with its (p^d / p^n)^s ceiling.
 
     Exact rational arithmetic throughout; the exact value is zero
-    exactly when s > d.
+    exactly when s > d.  Dividing p^i out of factor i leaves
+    (p^(d-i) - 1) / (p^(n-i) - 1), and the factors p^j - 1 common to
+    the numerator and the denominator cancel, so each keeps
+    min(s, n - d) of them.  Both values then have at most
+    min(s, n - d) * max(s, n) * ceil(log2 p) bits above and below;
+    CapExceededError is raised before any arithmetic when that exceeds
+    ``PROBABILITY_BIT_CAP``.
     """
     p = check_prime(p)
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     if s < 1:
         raise ValueError("need s >= 1")
-    upper = Fraction(p**d, p**n) ** s
+    bits = min(s, n - d) * max(s, n) * (p - 1).bit_length()
+    if bits > PROBABILITY_BIT_CAP:
+        raise CapExceededError(f"containment probability needs {bits} bits, "
+                               f"over the cap {PROBABILITY_BIT_CAP}")
+    upper = Fraction(1, p ** ((n - d) * s))
     if s > d:
         return ContainmentProbability(Fraction(0), upper)
-    exact = Fraction(1)
-    for i in range(s):
-        exact *= Fraction(p**d - p**i, p**n - p**i)
-    return ContainmentProbability(exact, upper)
+    num = den = 1
+    for j in range(d - s + 1, min(d, n - s) + 1):
+        num *= p**j - 1
+    for j in range(max(d, n - s) + 1, n + 1):
+        den *= p**j - 1
+    return ContainmentProbability(Fraction(num, den), upper)
 
 
 @dataclass(frozen=True)
@@ -104,15 +124,20 @@ def verify_containment(
 
     The s fixed vectors are the first s standard basis vectors (s <= n).
     Exhaustive mode scans every d-dimensional subspace and must match
-    the exact value; Monte Carlo mode samples ``trials`` subspaces with
-    per-trial generators derived from the seed (at most
-    ``DEFAULT_WORK_CAP`` trials, else CapExceededError before any is
-    run), and flags a frequency further than three binomial standard
-    deviations from the mean; auto mode scans exhaustively up to
-    ``DEFAULT_ENUM_CAP`` subspaces.
-    A standard basis vector e_i lies in a subspace exactly when it is
-    a row of the reduced echelon basis (its coordinates in that basis
-    are its entries at the pivot columns), so that is the test.
+    the exact value.  A subspace contains e_1, ..., e_s exactly when
+    they are the first s rows of its reduced echelon basis (the rows
+    are ordered by pivot column), so that is its test.  It lists at most
+    ``DEFAULT_ENUM_CAP`` subspaces and ``DEFAULT_ENUM_ENTRY_CAP``
+    entries, else CapExceededError.  Auto mode scans exhaustively
+    within those caps and samples otherwise.
+
+    Monte Carlo mode samples ``trials`` subspaces, each from its own
+    reseeding of one ``spawner`` generator, and flags a frequency
+    further than three binomial standard deviations from the mean.  At
+    most ``DEFAULT_WORK_CAP`` trials, and at most
+    ``DEFAULT_TRIAL_WORK_CAP`` for trials * d^2 * n, are run; either
+    cap, checked in that order, raises CapExceededError before any
+    trial.  See ``_contains_first`` for what a trial decides.
     """
     p = check_prime(p)
     if s > n:
@@ -120,15 +145,19 @@ def verify_containment(
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     prob = containment_probability(p, n, d, s)
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(s)]
     if method not in ("auto", "exhaustive", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")
+    total = _subspace_count(n, d, p, DEFAULT_ENUM_CAP)
+    listed = total is not None and total * d * n <= DEFAULT_ENUM_ENTRY_CAP
     if method == "auto":
-        method = ("exhaustive" if gaussian_binomial(n, d, p) <= DEFAULT_ENUM_CAP
-                  else "monte-carlo")
+        method = "exhaustive" if listed else "monte-carlo"
     if method == "exhaustive":
+        if total is not None and not listed:
+            raise CapExceededError(f"{total * d * n} subspace entries exceed "
+                                   f"the cap {DEFAULT_ENUM_ENTRY_CAP}")
         subspaces = enumerate_subspaces(n, d, p, cap=DEFAULT_ENUM_CAP)
-        hits = sum(1 for v in subspaces if all(e in v.basis for e in basis))
+        fixed = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(s))
+        hits = sum(v.basis[:s] == fixed for v in subspaces)
         total = len(subspaces)
         freq = Fraction(hits, total)
         return ContainmentCheck(p, n, d, s, prob.exact, prob.upper, "exhaustive",
@@ -137,18 +166,39 @@ def verify_containment(
         raise ValueError("Monte Carlo needs at least one trial")
     if trials > DEFAULT_WORK_CAP:
         raise CapExceededError(f"{trials} trials exceed the cap {DEFAULT_WORK_CAP}")
-    hits = 0
+    work = trials * d * d * n
+    if work > DEFAULT_TRIAL_WORK_CAP:
+        raise CapExceededError(f"{trials} trials of {d} x {n} eliminations "
+                               f"exceed the cap {DEFAULT_TRIAL_WORK_CAP} on "
+                               f"trials * d^2 * n")
     trial_rng = spawner(seed, "containment")
-    for i in range(trials):
-        v = random_subspace(n, d, p, trial_rng(i))
-        if all(e in v.basis for e in basis):
-            hits += 1
+    # every trial draws from its own seed, and with s > d none can hit
+    hits = 0 if s > d else sum(_contains_first(n, d, s, p, trial_rng(i).getrandbits)
+                               for i in range(trials))
     freq = hits / trials
     mean = float(prob.exact)
     sigma = math.sqrt(mean * (1 - mean) / trials)
     within = abs(freq - mean) <= 3 * sigma if sigma > 0 else freq == mean
     return ContainmentCheck(p, n, d, s, prob.exact, prob.upper, "monte-carlo",
                             trials, hits, freq, sigma, within)
+
+
+def _contains_first(n: int, d: int, s: int, p: int, draw) -> bool:
+    """Whether the subspace ``random_subspace(n, d, p, rng)`` would
+    return contains e_1, ..., e_s, when ``draw`` is ``rng.getrandbits``;
+    the draws are the same, so the generator ends in the same state.
+
+    With the columns rotated to s..n-1, 0..s-1, a row space V contains
+    span(e_1, ..., e_s) exactly when its projection onto coordinates
+    s..n-1 (whose kernel is V meet that span) has dimension d - s, that
+    is, when d - s of the echelon pivots fall in the first n - s
+    rotated columns.  So one forward elimination decides the trial,
+    and also whether a rank-deficient matrix must be redrawn."""
+    while True:
+        rows = _draw_rows(n, d, p, draw)
+        pivots = _pivots([r[s:] + r[:s] for r in rows], n, p)
+        if len(pivots) == d:
+            return sum(c < n - s for c in pivots) == d - s
 
 
 def expected_intersection_size(set_size: int, n: int, d: int, p) -> Fraction:

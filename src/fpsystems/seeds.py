@@ -48,6 +48,16 @@ def spawn(master: int, *labels: int | str) -> random.Random:
 
 def spawner(master: int, *labels: int | str) -> Callable[[int | str], random.Random]:
     """``spawn(master, *labels, last)`` as a function of the last label,
-    with the common prefix folded once; for per-trial streams."""
+    with the common prefix folded once; for per-trial streams.
+
+    Every call reseeds one and the same generator through its public
+    ``seed`` and returns it, so its stream is that of a fresh
+    ``spawn``; each call therefore invalidates the generator returned
+    before it.  Seeding a kept generator skips building a new one."""
     prefix = derive_seed(master, *labels)
-    return lambda last: random.Random(_fold(prefix, last))
+    rng = random.Random(prefix)
+
+    def reseeded(last: int | str) -> random.Random:
+        rng.seed(_fold(prefix, last))
+        return rng
+    return reseeded

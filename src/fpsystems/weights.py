@@ -49,7 +49,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import CapExceededError
-from .fplinalg import Subspace, _lead_one, _rref, check_prime, reduce_coords
+from .fplinalg import Subspace, _lead_one, _pivots, _rref, check_prime, reduce_coords
 from .linsystem import SystemSpec, _solution_dim, _solves
 
 ADMISSIBLE_K_CAP = 20
@@ -205,7 +205,7 @@ def _tuple_rank(rep: WeightReport, n: int, p: int) -> int:
     pairwise independent, so only three or more need an elimination."""
     lines = rep.lines
     if len(lines) > 2:
-        return len(rep.chosen) + len(_rref([list(v) for v in lines], n, p)[0])
+        return len(rep.chosen) + len(_pivots(list(lines), n, p))
     return len(rep.chosen) + len(lines)
 
 

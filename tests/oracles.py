@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Thirteen exceptions sit at the end.  The earlier weight, which checks all
+Fourteen exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -38,7 +38,8 @@ subspace sampler, ``randrange`` per entry and ``rref_with_pivots`` per
 matrix, is the reference that ``random_subspace`` must reproduce draw
 for draw.  The earlier solution test, one sum per equation and
 coordinate, is the reference for the column-wise solve kernel behind
-``is_solution``.
+``is_solution``.  The earlier containment probability, one fraction
+per factor, is the reference for the telescoped products.
 """
 
 from __future__ import annotations
@@ -801,3 +802,15 @@ def reference_is_solution(sys_spec, entries) -> bool:
             if sum(c * x[s] for c, x in zip(row, xs)) % p != target[s]:
                 return False
     return True
+
+
+def reference_containment_probability(p: int, n: int, d: int,
+                                      s: int) -> tuple[Fraction, Fraction]:
+    """(exact, upper) as ``containment_probability`` computed them
+    before the products were telescoped: the ceiling (p^d / p^n)^s, and
+    prod_{i<s} (p^d - p^i) / (p^n - p^i) one fraction at a time."""
+    upper = Fraction(p**d, p**n) ** s
+    exact = Fraction(int(s <= d))
+    for i in range(s if s <= d else 0):
+        exact *= Fraction(p**d - p**i, p**n - p**i)
+    return exact, upper

@@ -655,6 +655,17 @@ class TestExitCodes:
         assert not out
         assert err == "error: 1000001 trials exceed the cap 1000000\n"
 
+    def test_containment_work_capped(self, capsys, deadline):
+        # 10^4 trials of 100 x 200 eliminations ran for minutes, silent
+        with deadline(2):
+            code, out, err = run_cli(["sample", "containment", "--p", "3",
+                                      "--n", "200", "--d", "100", "--s", "1"],
+                                     capsys)
+        assert code == 2
+        assert not out
+        assert err == ("error: 10000 trials of 100 x 200 eliminations exceed "
+                       "the cap 40000000 on trials * d^2 * n\n")
+
     def test_weight_prime_checked_before_reduction(self, capsys):
         # the entries were reduced mod 0 first: ZeroDivisionError
         code, out, err = run_cli(["weight", "--tuple", "1,0", "--p", "0"],
@@ -900,6 +911,10 @@ FILTER = [("--mode", st.sampled_from(["any", "not-all-equal", "distinct",
                                       "span-dim", "distinct-count"])),
           ("--r", INT), ("--ell", INT)]
 SEED = [("--seed", INT)]
+# containment sizes whose work only the caps bound: a 100 x 200 trial
+# took 0.1 s, and the probability at n = 5000 had a 39.6M-bit ceiling
+CONTAINMENT_DIM = st.one_of(INT, st.sampled_from(["200", "2000", "5000"]))
+TRIALS = st.one_of(INT, st.sampled_from(["10000", "1000000"]))
 TOL = st.sampled_from(["1e-12", "0", "-1", "1e-300", "nan"])
 TENSOR = st.sampled_from(["@tensor", "@diag"])
 COMMON = [("--format", st.sampled_from(["json", "text", "csv"]))]
@@ -924,8 +939,9 @@ FUZZ_GRAMMAR = [
      [("--p", PRIME), ("--cap-support", INT)]),
     (["slicerank", "bound"], [("--system", SYSTEM), ("--n", INT)], []),
     (["sample", "containment"],
-     [("--p", PRIME), ("--n", INT), ("--d", INT), ("--s", INT)],
-     [("--trials", INT),
+     [("--p", PRIME), ("--n", CONTAINMENT_DIM), ("--d", CONTAINMENT_DIM),
+      ("--s", CONTAINMENT_DIM)],
+     [("--trials", TRIALS),
       ("--method", st.sampled_from(["auto", "exhaustive", "monte-carlo"]))]
      + SEED),
     (["sample", "step-distinct"], [("--system", SYSTEM), ("--d", INT)],

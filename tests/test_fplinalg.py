@@ -121,6 +121,26 @@ class TestRref:
             with pytest.raises(ValueError):
                 reference_rref_with_pivots(rows, p)
 
+    def test_rank_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            rank([[1, 2], [1]], 3)
+
+    @given(PRIMES.flatmap(lambda p: st.tuples(
+        st.just(p), st.integers(0, 6).flatmap(lambda ncols: st.lists(
+            st.one_of(st.just([0] * ncols),
+                      st.lists(st.integers(0, p - 1), min_size=ncols,
+                               max_size=ncols)),
+            max_size=5)))), st.integers(0, 6))
+    def test_pivot_kernel_matches_rref(self, case, limit):
+        # zero rows and the empty matrix included; the forward kernel
+        # finds the pivots of the reduced form, or the first ``limit``
+        p, rows = case
+        ncols = len(rows[0]) if rows else 0
+        full = fplinalg._rref([list(r) for r in rows], ncols, p)[1]
+        assert fplinalg._pivots([list(r) for r in rows], ncols, p) == full
+        assert (fplinalg._pivots([list(r) for r in rows], ncols, p, limit)
+                == full[:limit])
+
     def test_invert_roundtrip(self):
         rows = [(1, 2, 0), (0, 1, 4), (3, 0, 2)]
         inv = invert_matrix(rows, 5)
@@ -278,6 +298,21 @@ class TestEnumeration:
             matrix_rejections += matrices - 1
             entry_rejections += ours.draws - 25 * matrices
         assert matrix_rejections > 0 and entry_rejections > 0
+
+    def test_subspace_count_cap_decided_before_the_count(self, deadline):
+        # the Gaussian binomial at (2000, 1000, 3) took 13 s to form
+        with deadline(1), pytest.raises(CapExceededError):
+            enumerate_subspaces(2000, 1000, 3)
+        with deadline(1):
+            assert fplinalg._subspace_count(2000, 1000, 3, 10**5) is None
+            assert fplinalg._subspace_count(5000, 5000, 3, 10**5) == 1
+
+    @given(PRIMES, st.integers(0, 6), st.integers(0, 6), st.integers(0, 60))
+    def test_subspace_count_is_the_capped_gaussian_binomial(self, p, n, d, cap):
+        d = min(d, n)
+        total = gaussian_binomial(n, d, p)
+        assert fplinalg._subspace_count(n, d, p, cap) == (
+            total if total <= cap else None)
 
     def test_gaussian_binomial_symmetry(self):
         for n in range(6):

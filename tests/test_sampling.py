@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fpsystems import (
@@ -31,7 +31,7 @@ from fpsystems import (
 from fpsystems import linsystem, sampling
 from fpsystems.sampling import _delete_per_structure
 from fpsystems.seeds import spawn, spawner
-from .oracles import containment_fraction
+from .oracles import containment_fraction, reference_containment_probability
 
 
 class TestContainmentProbability:
@@ -71,6 +71,30 @@ class TestContainmentProbability:
                 ours = containment_probability(p, n, d, s).exact
                 theirs = containment_fraction(n, d, p, fixed)
                 assert ours == theirs
+
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 8), st.integers(0, 8),
+           st.integers(1, 10))
+    def test_matches_factor_by_factor_reference(self, p, n, d, s):
+        d = min(d, n)
+        prob = containment_probability(p, n, d, s)
+        assert (prob.exact, prob.upper) == reference_containment_probability(p, n, d, s)
+
+    def test_bit_cap(self, deadline):
+        # the ceiling's denominator here has 39.6M bits: 18 s to form
+        with deadline(1), pytest.raises(
+                CapExceededError,
+                match="needs 50000000 bits, over the cap 200000$"):
+            containment_probability(3, 5000, 0, 5000)
+        # a small n - d does not make the exact value small: its
+        # factors p^j - 1 still have up to n * log2(p) bits
+        with deadline(1), pytest.raises(CapExceededError):
+            containment_probability(2, 10**6, 10**6 - 1, 1)
+        with deadline(1):
+            assert containment_probability(3, 5000, 5000, 5000).exact == 1
+        bits = sampling.PROBABILITY_BIT_CAP
+        assert containment_probability(2, bits, bits - 1, 1).upper == Fraction(1, 2)
+        with pytest.raises(CapExceededError):
+            containment_probability(2, bits + 1, bits, 1)
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -126,6 +150,43 @@ class TestVerifyContainment:
         assert verify_containment(3, 4, 2, 1, trials=10, method="monte-carlo").trials == 10
         with pytest.raises(CapExceededError, match="11 trials exceed the cap 10"):
             verify_containment(3, 4, 2, 1, trials=11, method="monte-carlo")
+
+    def test_trial_work_capped(self, deadline):
+        # 10^4 trials of 100 x 200 eliminations: about 19 minutes
+        with deadline(1), pytest.raises(
+                CapExceededError,
+                match=r"10000 trials of 100 x 200 eliminations exceed the cap"):
+            verify_containment(3, 200, 100, 1)
+        # the Gaussian binomial is not formed to pick Monte Carlo here
+        with deadline(1), pytest.raises(CapExceededError):
+            verify_containment(3, 2000, 1000, 1)
+
+    def test_trial_count_cap_checked_first(self, deadline):
+        with deadline(1), pytest.raises(
+                CapExceededError, match="^1000001 trials exceed the cap 1000000$"):
+            verify_containment(3, 200, 100, 1, trials=10**6 + 1,
+                               method="monte-carlo")
+
+    def test_trial_work_cap_is_inclusive(self, monkeypatch):
+        # a million trials at (3, 4, 3, 2) stay within the cap
+        assert 10**6 * 3**2 * 4 <= sampling.DEFAULT_TRIAL_WORK_CAP
+        monkeypatch.setattr(sampling, "DEFAULT_TRIAL_WORK_CAP", 10 * 3**2 * 4)
+        assert verify_containment(3, 4, 3, 2, trials=10,
+                                  method="monte-carlo").trials == 10
+        with pytest.raises(CapExceededError):
+            verify_containment(3, 4, 3, 2, trials=11, method="monte-carlo")
+
+    def test_exhaustive_listing_capped(self, deadline):
+        # one subspace, but its basis would hold 25M entries
+        with deadline(1), pytest.raises(
+                CapExceededError,
+                match="^25000000 subspace entries exceed the cap 10000000$"):
+            verify_containment(3, 5000, 5000, 1, method="exhaustive")
+        with deadline(1), pytest.raises(CapExceededError):
+            verify_containment(3, 2000, 1000, 1, method="exhaustive")
+        # auto mode then samples, and that is refused too
+        with deadline(1), pytest.raises(CapExceededError, match="eliminations"):
+            verify_containment(3, 5000, 5000, 1)
 
     def test_trials_ignored_when_exhaustive(self):
         check = verify_containment(2, 3, 2, 1, trials=10**9, method="exhaustive")
@@ -254,6 +315,25 @@ class TestStreamIdentity:
         assert list(report.removed) == removed
 
 
+class TestTrialKernel:
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(0, 4),
+           st.integers(1, 4), st.integers(0, 2**64))
+    @example(p=2, n=3, d=0, s=1, seed=0)
+    @example(p=3, n=3, d=3, s=2, seed=0)
+    @example(p=5, n=4, d=1, s=3, seed=0)
+    @example(p=2, n=4, d=4, s=4, seed=1)
+    def test_rank_decision_matches_basis_rows(self, p, n, d, s, seed):
+        # covers d = 0, d = n and s > d; the generator ends in the same
+        # state, so the trials after this one see the same stream
+        d, s = min(d, n), min(s, n)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        hit = sampling._contains_first(n, d, s, p, ours.getrandbits)
+        v = random_subspace(n, d, p, theirs)
+        fixed = [tuple(int(j == i) for j in range(n)) for i in range(s)]
+        assert hit == all(e in v.basis for e in fixed)
+        assert ours.getstate() == theirs.getstate()
+
+
 class TestSpawner:
     @pytest.mark.parametrize("master", [0, 7, -1, -(2**70) + 3, 2**64,
                                         2**64 + 5, 2**200 - 1])
@@ -357,16 +437,17 @@ class TestStepDistinct:
 
     def test_each_candidate_rank_tested_once(self, sys_ap3, monkeypatch):
         # kept^2 candidates, each rank-tested once for all three index
-        # sets, plus one pivot_columns per index set's completion
+        # sets; the three completions' pivot_columns reduce their
+        # coefficients through rref_with_pivots, not the rank kernel
         calls = 0
-        counted = linsystem.rref_with_pivots
+        counted = linsystem._pivots
 
-        def counting(rows, p):
+        def counting(work, ncols, p, limit=None):
             nonlocal calls
             calls += 1
-            return counted(rows, p)
+            return counted(work, ncols, p, limit)
 
-        monkeypatch.setattr(linsystem, "rref_with_pivots", counting)
+        monkeypatch.setattr(linsystem, "_pivots", counting)
         points = PointSet.full_space(3, 3, include_zero=False)
         report = sampling_step_distinct(sys_ap3, points, 3, 2,
                                         spawn(0, "step", 0))

@@ -156,14 +156,14 @@ class TestSupportFilter:
 
     def test_span_test_stops_at_the_rth_pivot(self, monkeypatch):
         pivots = []
-        rref = linsystem._rref
+        kernel = linsystem._pivots
 
         def spy(work, ncols, p, limit=None):
-            out = rref(work, ncols, p, limit)
-            pivots.append(out[1])
+            out = kernel(work, ncols, p, limit)
+            pivots.append(out)
             return out
 
-        monkeypatch.setattr(linsystem, "_rref", spy)
+        monkeypatch.setattr(linsystem, "_pivots", spy)
         # rank 3: full elimination would reach the pivot in column 2
         rows = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
         assert ClassFilter.span_at_least(2).admits_support(3, 3, iter(rows), 3)
