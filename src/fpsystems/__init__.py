@@ -17,7 +17,6 @@ from .fplinalg import (
     enumerate_subspaces,
     gaussian_binomial,
     inverse_mod,
-    invert_matrix,
     is_prime,
     normalize_line_rep,
     random_subspace,

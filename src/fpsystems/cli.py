@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import CapExceededError, DegenerateSystemError
@@ -33,6 +34,7 @@ from .linsystem import (
     ClassFilter,
     PointSet,
     _MODES,
+    _check_walk_work,
     enumerate_solutions,
     read_system_file,
     validate,
@@ -45,6 +47,7 @@ from .sampling import (
 from .search import (
     DEFAULT_POINT_CAP,
     AvoidanceProblem,
+    _STATEMENTS,
     exhaustive_max,
     greedy_lower_bound,
     verify_theorem_bound,
@@ -52,15 +55,16 @@ from .search import (
 from .seeds import spawn
 from .slicerank import (
     DEFAULT_SUPPORT_CAP,
+    Ceiling,
     Tensor,
     OrderFamily,
     _check_shape,
     _gamma_power,
+    _monomials,
     antichain_slice_rank,
     ceiling,
     corollary_orders,
     gamma,
-    monomial_count,
     read_tensor_file,
     verify_polynomial_identity,
 )
@@ -80,20 +84,37 @@ def _rendered_names(cls: type) -> tuple[str, ...]:
                     and isinstance(getattr(cls, name, None), property)])
 
 
+def _printable(value: int) -> int:
+    """``value``, unless it has more decimal digits than the interpreter's
+    integer string conversion limit (0: none), which every output
+    format would hit: then a ValueError naming both."""
+    limit = sys.get_int_max_str_digits()
+    # below 3 * limit bits an int has at most 0.91 * limit + 1 digits;
+    # Decimal takes an int whole, not through a decimal string
+    if limit and value.bit_length() > 3 * limit:
+        digits = Decimal(value).adjusted() + 1
+        if digits > limit:
+            raise ValueError(f"an exact integer of {digits} digits exceeds "
+                             f"the limit of {limit} digits for printing it")
+    return value
+
+
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {name: _jsonable(getattr(obj, name))
                 for name in _rendered_names(type(obj))}
     if isinstance(obj, Fraction):
-        return {"numerator": obj.numerator, "denominator": obj.denominator,
-                "value": float(obj)}
+        return _jsonable({"numerator": obj.numerator,
+                          "denominator": obj.denominator, "value": float(obj)})
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, (frozenset, set)):
         return [_jsonable(x) for x in sorted(obj)]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, int):
+        return _printable(obj)
+    if obj is None or isinstance(obj, (float, str)):
         return obj
     return str(obj)
 
@@ -173,11 +194,12 @@ def _cmd_gamma(args) -> tuple:
     res = gamma(args.p, args.m, args.k, tol=args.tol)
     payload = {"p": args.p, "m": args.m, "k": args.k, "gamma": res}
     if args.n is not None:
+        ceil = Ceiling(res, _gamma_power(res.gamma, args.n))
         payload["n"] = args.n
-        payload["power"] = _gamma_power(res.gamma, args.n)
+        payload["power"] = ceil.bound
         payload["set_size_bound"] = _gamma_power(res.gamma, args.n, args.k)
         if not res.at_boundary:
-            payload["monomials"] = monomial_count(args.p, args.m, args.k, args.n)
+            payload["monomials"] = _monomials(ceil, args.p, args.m, args.k, args.n)
     return payload, 0, None
 
 
@@ -201,10 +223,7 @@ def _cmd_solve(args) -> tuple:
     sys_spec = read_system_file(args.system)
     points = _load_points(args, sys_spec.p)
     flt = _make_filter(args, sys_spec.k)
-    work = len(points) ** max(sys_spec.k - sys_spec.m, 0)
-    if work > DEFAULT_WORK_CAP:
-        raise CapExceededError(
-            f"{work} assignments exceed the cap {DEFAULT_WORK_CAP}")
+    _check_walk_work(sys_spec, points, DEFAULT_WORK_CAP)
     count = 0
     listed = []
     for sol in enumerate_solutions(sys_spec, points, flt):
@@ -336,17 +355,9 @@ def _cmd_extremal(args) -> tuple:
     return greedy_lower_bound(problem, restarts=args.restarts, rng=rng), 0, seed
 
 
-# statement -> (filter mode, zero excluded by default)
-_STATEMENTS = {
-    "tao": ("not-all-equal", False),
-    "distinct": ("distinct", True),
-    "rank": ("span-dim", True),
-}
-
-
 def _cmd_verify(args) -> tuple:
     sys_spec = read_system_file(args.system)
-    mode, exclude_zero = _STATEMENTS[args.theorem]
+    mode, exclude_zero, _ = _STATEMENTS[args.theorem]
     if mode == "span-dim" and args.r is None:
         raise ValueError("--theorem rank needs --r")
     if mode != "span-dim" and args.r is not None:

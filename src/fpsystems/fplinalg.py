@@ -187,19 +187,6 @@ def rank(rows, p) -> int:
     return len(_pivots(*_matrix(rows, p), p))
 
 
-def invert_matrix(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse of a square matrix over F_p, by Gauss-Jordan on [M | I]."""
-    size = len(rows)
-    aug = [list(reduce_coords(r, p)) + [1 if i == j else 0 for j in range(size)]
-           for i, r in enumerate(rows)]
-    if any(len(r) != 2 * size for r in aug):
-        raise ValueError("matrix is not square")
-    reduced, pivots = rref_with_pivots(aug, p)
-    if pivots != tuple(range(size)):
-        raise ValueError("matrix is singular")
-    return tuple(r[size:] for r in reduced)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_p^n held in canonical form.

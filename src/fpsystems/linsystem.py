@@ -358,6 +358,14 @@ def _check_same_prime(sys_spec: SystemSpec, points: PointSet) -> None:
         raise ValueError("point set prime differs from system prime")
 
 
+def _check_walk_work(sys_spec: SystemSpec, points: PointSet, cap: int) -> None:
+    """Raise CapExceededError when the |points|^(k - m) assignments of
+    the free positions that a solution walk may scan exceed ``cap``."""
+    work = len(points) ** max(sys_spec.k - sys_spec.m, 0)
+    if work > cap:
+        raise CapExceededError(f"{work} assignments exceed the cap {cap}")
+
+
 def enumerate_solutions(
     sys_spec: SystemSpec,
     points: PointSet,

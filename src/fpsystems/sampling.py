@@ -40,12 +40,13 @@ from .linsystem import (
     PointSet,
     SystemSpec,
     _check_same_prime,
+    _check_walk_work,
     enumerate_solutions,
     interesting_tuples,
 )
 from .seeds import spawner
 from .slicerank import ceiling
-from .weights import weight
+from .weights import _check_k, _weigh, _weight_facts
 
 DEFAULT_ENUM_CAP = 10**5
 # entries (subspaces times d * n) an exhaustive containment scan lists
@@ -236,16 +237,30 @@ def _delete_per_structure(structures: Sequence[Sequence[tuple[int, ...]]]) -> se
     return removed
 
 
+def _step_report(d: int, inside: PointSet,
+                 offending: Sequence[Sequence[tuple[int, ...]]]) -> SamplingStepReport:
+    """The report of a deletion step that found ``offending``, in
+    enumeration order, among the points ``inside`` the sampled subspace."""
+    removed = _delete_per_structure(offending)
+    survivors = inside.without(removed)
+    return SamplingStepReport(d, len(inside), len(offending), len(survivors),
+                              survivors, tuple(sorted(removed)))
+
+
 def _weight_class(sys_spec: SystemSpec, points: PointSet, w: int,
                   pinned: Mapping | None = None) -> Iterator[tuple]:
     """(solution, weight report) for every solution of weight w with
     entries in ``points`` and the ``pinned`` entries, in enumeration
-    order.  The point set is checked when called, not when iterated."""
+    order.  The point set and k are checked when called, not when
+    iterated; enumerated entries are reduced, nonzero and in F_p^n, so
+    each solution goes to the weight walk unchecked."""
     if (0,) * points.n in points:
         raise ValueError("weight machinery needs a point set without zero")
+    _check_k(sys_spec.k)
+    n, p = points.n, sys_spec.p
     return ((sol, rep)
             for sol in enumerate_solutions(sys_spec, points, pinned=pinned)
-            for rep in [weight(sol.entries, sys_spec.p)] if rep.omega == w)
+            for rep in [_weigh(sol.entries, n, p)] if rep.omega == w)
 
 
 def sampling_step_distinct(
@@ -275,10 +290,7 @@ def sampling_step_distinct(
         raise CapExceededError(f"{work} candidate tuples exceed the cap {cap}")
     offending = interesting_tuples(sys_spec, points, index_sets, ell,
                                    product(inside.points, repeat=m + 1))
-    removed = _delete_per_structure(offending)
-    survivors = inside.without(removed)
-    return SamplingStepReport(d, len(inside), len(offending), len(survivors),
-                              survivors, tuple(sorted(removed)))
+    return _step_report(d, inside, offending)
 
 
 def sampling_step_weight(
@@ -296,14 +308,8 @@ def sampling_step_weight(
     inside = points.restrict_to(v)
     # a subspace holds zero, so inside has zero exactly when points has
     stream = _weight_class(sys_spec, inside, w)
-    work = len(inside) ** (sys_spec.k - sys_spec.m)
-    if work > cap:
-        raise CapExceededError(f"{work} assignments exceed the cap {cap}")
-    offending = [sol.entries for sol, _ in stream]
-    removed = _delete_per_structure(offending)
-    survivors = inside.without(removed)
-    return SamplingStepReport(d, len(inside), len(offending), len(survivors),
-                              survivors, tuple(sorted(removed)))
+    _check_walk_work(sys_spec, inside, cap)
+    return _step_report(d, inside, [sol.entries for sol, _ in stream])
 
 
 @dataclass(frozen=True)
@@ -324,7 +330,11 @@ def count_weight_solutions(sys_spec: SystemSpec, points: PointSet, w: int, r: in
     Gamma here is taken at k - floor(w / (k+1)) variable positions.
     Along the way every weight-w solution is checked for the structural
     claims: its chosen maximizer has floor(w / (k+1)) elements and its
-    span dimension lies strictly above that, at most k.
+    span dimension lies strictly above that, at most k.  Both are the
+    weight facts of ``verify_weight_properties``, read off the weight
+    walk with the span dimension: the rank of k vectors is at most k,
+    and the range of r keeps w below k(k+1), where no weight is a
+    multiple of k+1, so rank >= w / (k+1) is the strict bound.
     """
     solutions = _weight_class(sys_spec, points, w)
     k, m, p = sys_spec.k, sys_spec.m, sys_spec.p
@@ -336,13 +346,11 @@ def count_weight_solutions(sys_spec: SystemSpec, points: PointSet, w: int, r: in
     count = 0
     dim_ok = True
     sizes_ok = True
-    for sol, rep in solutions:
-        if len(rep.chosen) != floor_w:
-            sizes_ok = False
-        if not floor_w + 1 <= sol.span_dim <= k:
-            dim_ok = False
-        if sol.span_dim == r:
-            count += 1
+    for _, rep in solutions:
+        facts = _weight_facts(rep, k, points.n, p)
+        sizes_ok = sizes_ok and facts.size_valid
+        dim_ok = dim_ok and facts.span_valid
+        count += facts.span_dim == r
     return WeightCountReport(w, r, count, ceil.bound, ceil.holds(count), dim_ok, sizes_ok)
 
 

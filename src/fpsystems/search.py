@@ -77,6 +77,12 @@ from .slicerank import ceiling
 
 DEFAULT_POINT_CAP = 81
 GREEDY_POINT_CAP = 10**6
+# statement -> (filter mode, zero excluded by default, what it is about)
+_STATEMENTS = {
+    "tao": ("not-all-equal", False, "not-all-equal solutions"),
+    "distinct": ("distinct", True, "fully distinct solutions"),
+    "rank": ("span-dim", True, "span dimension"),
+}
 
 
 @dataclass(frozen=True)
@@ -394,35 +400,34 @@ def verify_theorem_bound(
     fully distinct solution.
 
     ``rank``: same shape for span dimension >= r with k >= 2m + r - 1.
+
+    The problem's filter mode must be the statement's, as ``_STATEMENTS``
+    lists it.
     """
+    if theorem not in _STATEMENTS:
+        raise ValueError(f"unknown statement {theorem!r}")
+    mode, _, subject = _STATEMENTS[theorem]
     sys_spec = problem.sys_spec
     k, m, p = sys_spec.k, sys_spec.m, sys_spec.p
     if theorem == "tao":
         ceil = ceiling(p, m, k, problem.n, factor=k)
         if not sys_spec.rows_sum_zero:
             raise ValueError("rows must sum to zero")
-        if problem.mode.mode != "not-all-equal":
-            raise ValueError("this statement is about not-all-equal solutions")
-        result = exhaustive_max(problem, cap_points=cap_points)
-        return BoundReport("tao", result.best_size, ceil.bound,
-                           ceil.holds(result.best_size),
-                           ceil.bound - result.best_size, None,
-                           "exhaustive maximum against k * Gamma^n")
-    if theorem == "distinct":
+    elif theorem == "distinct":
         if k < 3 * m:
             raise ValueError("need k >= 3m")
         if not sys_spec.generic_minors:
             raise ValueError("all m x m minors must be nonsingular")
-        if problem.mode.mode != "distinct":
-            raise ValueError("this statement is about fully distinct solutions")
-    elif theorem == "rank":
-        if problem.mode.mode != "span-dim":
-            raise ValueError("this statement is about span dimension")
-        if k < 2 * m + problem.mode.r - 1:
-            raise ValueError("need k >= 2m + r - 1")
-    else:
-        raise ValueError(f"unknown statement {theorem!r}")
+    if problem.mode.mode != mode:
+        raise ValueError(f"this statement is about {subject}")
+    if theorem == "rank" and k < 2 * m + problem.mode.r - 1:
+        raise ValueError("need k >= 2m + r - 1")
     result = exhaustive_max(problem, cap_points=cap_points)
+    if theorem == "tao":
+        return BoundReport("tao", result.best_size, ceil.bound,
+                           ceil.holds(result.best_size),
+                           ceil.bound - result.best_size, None,
+                           "exhaustive maximum against k * Gamma^n")
     full = PointSet.full_space(problem.n, p, include_zero=False)
     witness_found = next(
         (True for _ in enumerate_solutions(sys_spec, full, problem.mode)), False)

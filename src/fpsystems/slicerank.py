@@ -180,8 +180,12 @@ def monomial_count(p, m: int, k: int, n: int) -> MonomialCountResult:
     count is sum_{j=0}^{min(n, T // p)} (-1)^j C(n, j) C(T - jp + n, n),
     exact in integers for every n with O(n) binomials.
     """
-    ceil = ceiling(p, m, k, n)
-    p = int(p)
+    return _monomials(ceiling(p, m, k, n), int(p), m, k, n)
+
+
+def _monomials(ceil: Ceiling, p: int, m: int, k: int, n: int) -> MonomialCountResult:
+    """The monomial count at (p, m, k, n) against a built ceiling Gamma^n,
+    so a caller holding Gamma evaluates it once."""
     threshold = (m * n * (p - 1)) // k
     count = sum((-1)**j * comb(n, j) * comb(threshold - j * p + n, n)
                 for j in range(min(n, threshold // p) + 1))

@@ -33,8 +33,10 @@ reduced tuple, because several flows weigh one tuple more than once (the
 weight facts, then the partition structure, of each solution).  The
 walk also gives the rank of the whole tuple: the chosen entries are
 independent and every other entry lies on its quotient line, so the
-rank is |I| plus the rank of those lines.  A supplied system is checked
-against the validated tuple by one unchecked solve.
+rank is |I| plus the rank of those lines, and ``_weight_facts`` is the
+one place that ranks a weighed tuple and checks omega, its chosen size
+and its rank.  A supplied system is checked against the validated tuple
+by one unchecked solve.
 
 These definitions never look at any linear system, so every operation
 here accepts an arbitrary tuple of nonzero vectors; the operations tied
@@ -70,12 +72,16 @@ def _checked_tuple(entries: Sequence, p: int) -> tuple[tuple[tuple[int, ...], ..
     return xs, dims.pop()
 
 
+def _check_k(k: int) -> None:
+    if k > ADMISSIBLE_K_CAP:
+        raise CapExceededError(
+            f"admissible listing capped at k <= {ADMISSIBLE_K_CAP}, got {k}")
+
+
 def _capped_tuple(entries: Sequence, p):
     p = check_prime(p)
     xs, n = _checked_tuple(entries, p)
-    if len(xs) > ADMISSIBLE_K_CAP:
-        raise CapExceededError(
-            f"admissible listing capped at k <= {ADMISSIBLE_K_CAP}, got {len(xs)}")
+    _check_k(len(xs))
     return xs, n, p
 
 
@@ -199,16 +205,6 @@ def _weigh(xs, n: int, p: int) -> WeightReport:
     )
 
 
-def _tuple_rank(rep: WeightReport, n: int, p: int) -> int:
-    """The rank of the weighed tuple: dim U plus the rank of the
-    quotient lines of the outside entries in V/U.  Distinct lines are
-    pairwise independent, so only three or more need an elimination."""
-    lines = rep.lines
-    if len(lines) > 2:
-        return len(rep.chosen) + len(_pivots(list(lines), n, p))
-    return len(rep.chosen) + len(lines)
-
-
 def _check_witness(sys_spec: SystemSpec, xs, p: int) -> None:
     """Raise unless the checked tuple solves the system over F_p.  The
     solve kernel zips rows with columns and checks nothing, so the
@@ -234,6 +230,21 @@ class WeightPropertyReport:
         return self.omega_valid and self.size_valid and self.span_valid
 
 
+def _weight_facts(rep: WeightReport, k: int, n: int, p: int) -> WeightPropertyReport:
+    """The three facts about omega for a weighed k-tuple in F_p^n.  Its
+    span dimension is dim U plus the rank of the quotient lines of the
+    outside entries in V/U; distinct lines are pairwise independent, so
+    only three or more need an elimination."""
+    lines = rep.lines
+    span_dim = len(rep.chosen) + (len(_pivots(list(lines), n, p)) if len(lines) > 2
+                                  else len(lines))
+    forbidden = {0} | {(k + 1) * t for t in range(1, k)}
+    return WeightPropertyReport(rep.omega, len(rep.chosen), span_dim,
+                                rep.omega not in forbidden,
+                                len(rep.chosen) == rep.omega // (k + 1),
+                                span_dim * (k + 1) >= rep.omega)
+
+
 def verify_weight_properties(
     entries: Sequence, p, sys_spec: SystemSpec | None = None
 ) -> WeightPropertyReport:
@@ -246,19 +257,11 @@ def verify_weight_properties(
     supplied it must be over the same prime and the tuple must solve it.
     """
     xs, n, p = _capped_tuple(entries, p)
-    k = len(xs)
     if sys_spec is not None:
         if sys_spec.constants is not None:
             raise ValueError("property check expects a homogeneous system")
         _check_witness(sys_spec, xs, p)
-    rep = _weigh(xs, n, p)
-    forbidden = {0} | {(k + 1) * t for t in range(1, k)}
-    omega_valid = rep.omega not in forbidden
-    size_valid = len(rep.chosen) == rep.omega // (k + 1)
-    span_dim = _tuple_rank(rep, n, p)
-    span_valid = span_dim * (k + 1) >= rep.omega
-    return WeightPropertyReport(rep.omega, len(rep.chosen), span_dim,
-                                omega_valid, size_valid, span_valid)
+    return _weight_facts(_weigh(xs, n, p), len(xs), n, p)
 
 
 @dataclass(frozen=True)
@@ -290,12 +293,11 @@ def partition_structure(entries: Sequence, sys_spec: SystemSpec) -> PartitionRep
     rep = _weigh(xs, n, p)
     sizes = [len(b) for b in rep.partition]
     min_size = min(sizes) if sizes else 0
-    distinct_lines = len(set(rep.lines)) == len(rep.lines)
     return PartitionReport(
         omega=rep.omega,
         chosen=rep.chosen,
         blocks=rep.partition,
         lines=rep.lines,
         min_block_size=min_size,
-        lemma_ok=distinct_lines and (not sizes or min_size >= 2),
+        lemma_ok=not sizes or min_size >= 2,
     )

@@ -1,4 +1,5 @@
 import signal
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -33,6 +34,27 @@ def deadline():
     """``with deadline(s):`` raises TimeoutError after s seconds, so a
     loop that never ends fails its test instead of stalling the run."""
     return _deadline
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(fn)`` swaps every reference an fpsystems module holds to
+    ``fn`` for a wrapper and returns the list that gathers the
+    arguments of each call."""
+    def install(fn):
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "fpsystems" or name.startswith("fpsystems."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+        return calls
+    return install
 
 
 @pytest.fixture

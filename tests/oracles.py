@@ -55,7 +55,6 @@ from fpsystems.errors import DegenerateSystemError
 from fpsystems.fplinalg import (
     Subspace,
     inverse_mod,
-    invert_matrix,
     normalize_line_rep,
     reduce_coords,
     rref_with_pivots,
@@ -294,8 +293,7 @@ class ReferenceChecker:
         self.m = sys_spec.m
         self.pivots = pivot_columns(sys_spec)
         self.free = [i for i in range(self.k) if i not in self.pivots]
-        self.minv = invert_matrix(
-            [[r[j] for j in self.pivots] for r in sys_spec.coeffs], self.p)
+        self.minv = reference_minor_inverse(sys_spec, self.pivots)
         self.bs = sys_spec.constant_rows(n)
 
     def _admits(self, entries: Sequence[tuple[int, ...]]) -> bool:
@@ -514,6 +512,18 @@ def reference_rref_with_pivots(rows, p: int):
     return tuple(tuple(r) for r in work[:row]), tuple(pivots)
 
 
+def reference_minor_inverse(sys_spec, pivots):
+    """Inverse of the m x m coefficient minor on the pivot columns, the
+    right half of the reduced form of [M | I]."""
+    m = sys_spec.m
+    aug = [[row[j] for j in pivots] + [int(i == t) for t in range(m)]
+           for i, row in enumerate(sys_spec.coeffs)]
+    reduced, cols = reference_rref_with_pivots(aug, sys_spec.p)
+    if cols != tuple(range(m)):
+        raise ValueError("pivot minor is singular")
+    return tuple(r[m:] for r in reduced)
+
+
 def reference_is_interesting(sys_spec, points, index_set, tuple_entries,
                              ell: int) -> bool:
     """The interesting-tuple test as the package ran it before the
@@ -565,7 +575,7 @@ def reference_enumerate_solutions(sys_spec, points, flt=None, pinned=None):
     pivots = pivot_columns(sys_spec, pinned=pin.keys())
     free = [i for i in range(k) if i not in pivots and i not in pin]
     fixed = [(pos, vec) for pos, vec in pin.items() if pos not in pivots]
-    minv = invert_matrix([[r[j] for j in pivots] for r in sys_spec.coeffs], p)
+    minv = reference_minor_inverse(sys_spec, pivots)
     bs = sys_spec.constant_rows(n)
     base_rhs = []
     for t in range(m):
@@ -633,7 +643,7 @@ def reference_partitioned_solution_bound(sys_spec, solutions, partition):
     n = len(sols[0][0])
     pivots = pivot_columns(sys_spec)
     free = [i for i in range(k) if i not in pivots]
-    minv = invert_matrix([[r[j] for j in pivots] for r in sys_spec.coeffs], p)
+    minv = reference_minor_inverse(sys_spec, pivots)
     bs = sys_spec.constant_rows(n)
     by_position = []
     for pos in range(k):
@@ -746,7 +756,7 @@ def reference_completion_setup(sys_spec, n: int, pinned=()) -> dict:
     if len(cols) < m:
         raise DegenerateSystemError("coefficient rank below the equation count")
     pivots = tuple(order[c] for c in cols)
-    minv = invert_matrix([[r[j] for j in pivots] for r in sys_spec.coeffs], p)
+    minv = reference_minor_inverse(sys_spec, pivots)
     bs = sys_spec.constant_rows(n)
     return {
         "pivots": pivots,

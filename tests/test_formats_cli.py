@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpsystems import cli
+from fpsystems import cli, search, slicerank
 from fpsystems.cli import build_parser, main
 
 AP3 = "p=3 m=1 k=3\n1 1 1\n"
@@ -42,6 +44,16 @@ def files(tmp_path_factory):
         " ".join(map(str, v)) + "\n" for v in SPARSE_F3_3))
     paths["sparse"] = str(sparse)
     return paths
+
+
+@pytest.fixture
+def int_digits_4300():
+    """The interpreter's default limit on decimal digits of a printed
+    int, set for one test whatever the environment set."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)
 
 
 def run_cli(argv, capsys):
@@ -98,6 +110,13 @@ class TestParser:
             main(argv + ["--system", files["ap3"], "--threads", "2"])
         assert excinfo.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_theorem_choices_are_the_statement_table(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        theorem = next(a for a in sub.choices["verify"]._actions
+                       if a.dest == "theorem")
+        assert tuple(theorem.choices) == tuple(search._STATEMENTS)
 
 
 def fresh_process(argv):
@@ -218,6 +237,21 @@ class TestGamma:
         assert code == 2
         assert not out
         assert err.strip() == "error: n must be nonnegative"
+
+    def test_monomial_bound_at_the_given_tolerance(self, capsys):
+        # the monomial bound took Gamma at the default tolerance: 396.2359
+        # against the power 397.0101 of the same report
+        code, data, _ = run_json(["gamma", "--p", "5", "--m", "1", "--k", "3",
+                                  "--n", "4", "--tol", "0.2"], capsys)
+        assert code == 0
+        assert data["result"]["monomials"]["bound"] == data["result"]["power"]
+
+    def test_gamma_evaluated_once_per_report(self, capsys, spy):
+        calls = spy(slicerank.gamma)
+        code, _, _ = run_json(["gamma", "--p", "5", "--m", "1", "--k", "3",
+                               "--n", "4"], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_boundary_case_skips_monomials(self, capsys):
         code, data, _ = run_json(["gamma", "--p", "3", "--m", "1", "--k", "2",
@@ -519,6 +553,19 @@ class TestExitCodes:
                                 "--d", "1", "--seed", "0"], capsys)
         assert code == 2
 
+    def test_step_weight_with_more_equations_than_variables(self, tmp_path,
+                                                            capsys):
+        # the walk-work cap took |inside|^(k - m) = 0 ** -1 on the empty
+        # nonzero part of the zero subspace: a ZeroDivisionError traceback
+        path = tmp_path / "m3k2.system"
+        path.write_text("p=3 m=3 k=2\n1 1\n1 2\n1 0\n")
+        code, out, err = run_cli(["sample", "step-weight", "--system",
+                                  str(path), "--n", "2", "--exclude-zero",
+                                  "--d", "0", "--w", "1"], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: coefficient rank below the equation count\n"
+
     def test_partition_check_needs_system(self, capsys):
         code, _, err = run_cli(["weight", "--tuple", "1;1;1", "--p", "3",
                                 "--check-partition"], capsys)
@@ -680,6 +727,26 @@ class TestExitCodes:
         assert code == 2
         assert not out
         assert err == "error: n must be nonnegative\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_unprintable_exact_integer(self, fmt, capsys, deadline,
+                                       int_digits_4300):
+        # the probability's denominator has 9,543 digits: rendering it
+        # raised the interpreter's own conversion error
+        with deadline(5):
+            code, out, err = run_cli(["sample", "containment", "--p", "3",
+                                      "--n", "20000", "--d", "1", "--s", "1",
+                                      "--method", "monte-carlo", "--trials",
+                                      "1", "--format", fmt], capsys)
+        assert code == 2
+        assert not out
+        assert err == ("error: an exact integer of 9543 digits exceeds the "
+                       "limit of 4300 digits for printing it\n")
+
+    def test_printable_digit_limit_is_exact(self, int_digits_4300):
+        assert cli._printable(-(10**4300 - 1)) == -(10**4300 - 1)
+        with pytest.raises(ValueError, match="of 4301 digits"):
+            cli._printable(10**4300)
 
     def test_diagonal_order_capped_at_length_one(self, capsys, deadline):
         # L = 1 keeps L^k under the size cap for every k
@@ -915,7 +982,7 @@ SEED = [("--seed", INT)]
 # took 0.1 s, and the probability at n = 5000 had a 39.6M-bit ceiling
 CONTAINMENT_DIM = st.one_of(INT, st.sampled_from(["200", "2000", "5000"]))
 TRIALS = st.one_of(INT, st.sampled_from(["10000", "1000000"]))
-TOL = st.sampled_from(["1e-12", "0", "-1", "1e-300", "nan"])
+TOL = st.sampled_from(["1e-12", "0.2", "0", "-1", "1e-300", "nan"])
 TENSOR = st.sampled_from(["@tensor", "@diag"])
 COMMON = [("--format", st.sampled_from(["json", "text", "csv"]))]
 # phi costs O(1) per bisection step, so Gamma takes large primes too
@@ -959,6 +1026,19 @@ FUZZ_GRAMMAR = [
 ]
 
 
+def _flat_report(argv, out):
+    """A printed report as a map from dotted key to value text, in
+    whichever --format it was printed."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if fmt == "json":
+        rows = []
+        cli._flatten(json.loads(out), "", rows)
+        return {key: str(value) for key, value in rows}
+    if fmt == "csv":
+        return dict(list(csv.reader(io.StringIO(out)))[1:])
+    return dict(line.split(" = ", 1) for line in out.splitlines())
+
+
 @st.composite
 def fuzz_argv(draw):
     words, required, optional = draw(st.sampled_from(FUZZ_GRAMMAR))
@@ -983,6 +1063,14 @@ class TestFuzz:
                 code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue(), argv
+        if argv[0] == "gamma" and "--n" in argv and code == 0:
+            report = _flat_report(argv, out.getvalue())
+            if "result.monomials.bound" in report:
+                # one Gamma per report, at the given tolerance
+                power = float(report["result.power"])
+                k = int(argv[argv.index("--k") + 1])
+                assert float(report["result.monomials.bound"]) == power, argv
+                assert float(report["result.set_size_bound"]) == k * power, argv
 
 
 class TestModuleEntry:

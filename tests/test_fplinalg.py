@@ -11,7 +11,6 @@ from fpsystems import (
     enumerate_subspaces,
     gaussian_binomial,
     inverse_mod,
-    invert_matrix,
     is_prime,
     normalize_line_rep,
     random_subspace,
@@ -140,17 +139,6 @@ class TestRref:
         assert fplinalg._pivots([list(r) for r in rows], ncols, p) == full
         assert (fplinalg._pivots([list(r) for r in rows], ncols, p, limit)
                 == full[:limit])
-
-    def test_invert_roundtrip(self):
-        rows = [(1, 2, 0), (0, 1, 4), (3, 0, 2)]
-        inv = invert_matrix(rows, 5)
-        prod = [[sum(inv[i][t] * rows[t][j] for t in range(3)) % 5
-                 for j in range(3)] for i in range(3)]
-        assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-    def test_invert_singular_rejected(self):
-        with pytest.raises(ValueError):
-            invert_matrix([(1, 2), (2, 4)], 5)
 
 
 class TestSubspace:

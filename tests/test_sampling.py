@@ -28,7 +28,7 @@ from fpsystems import (
     verify_containment,
     weight,
 )
-from fpsystems import linsystem, sampling
+from fpsystems import fplinalg, linsystem, sampling, weights
 from fpsystems.sampling import _delete_per_structure
 from fpsystems.seeds import spawn, spawner
 from .oracles import containment_fraction, reference_containment_probability
@@ -507,6 +507,18 @@ class TestStepWeight:
         points = PointSet.full_space(3, 3, include_zero=False)
         with pytest.raises(CapExceededError):
             sampling_step_weight(sys_ap3, points, 1, 3, spawn(0, "x"), cap=10)
+
+
+class TestWeighedOnTheWalk:
+    def test_neither_weight_nor_rank_runs(self, sys_ap3, spy):
+        # enumerated solutions go to the weight walk unchecked, and the
+        # walk gives their rank: the public weight and rank never run
+        weighed, ranked = spy(weights.weight), spy(fplinalg.rank)
+        points = PointSet.full_space(2, 3, include_zero=False)
+        step = sampling_step_weight(sys_ap3, points, 1, 2, spawn(0, "wstep", 0))
+        assert step.deleted == 8
+        assert count_weight_solutions(sys_ap3, points, 1, 1).count == 8
+        assert weighed == ranked == []
 
 
 class TestWeightCounts:
