@@ -15,6 +15,7 @@ in ``slicerank`` are views over its walk.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -358,12 +359,23 @@ def _check_same_prime(sys_spec: SystemSpec, points: PointSet) -> None:
         raise ValueError("point set prime differs from system prime")
 
 
+def _check_power_work(base: int, exp: int, cap: int, what: str) -> None:
+    """Raise CapExceededError when base^exp units of work, ``what``,
+    exceed ``cap``.  The message gives the number in full unless it has
+    more decimal digits than the interpreter prints (its integer string
+    conversion limit, 0: none), and the power otherwise."""
+    work = base ** exp
+    if work > cap:
+        limit = sys.get_int_max_str_digits()
+        shown = f"{base}^{exp}" if limit and work >= 10 ** limit else work
+        raise CapExceededError(f"{shown} {what} exceed the cap {cap}")
+
+
 def _check_walk_work(sys_spec: SystemSpec, points: PointSet, cap: int) -> None:
     """Raise CapExceededError when the |points|^(k - m) assignments of
     the free positions that a solution walk may scan exceed ``cap``."""
-    work = len(points) ** max(sys_spec.k - sys_spec.m, 0)
-    if work > cap:
-        raise CapExceededError(f"{work} assignments exceed the cap {cap}")
+    _check_power_work(len(points), max(sys_spec.k - sys_spec.m, 0), cap,
+                      "assignments")
 
 
 def enumerate_solutions(
@@ -633,10 +645,7 @@ def count_interesting_tuples(
     when the |A|^(m+1) candidate tuples exceed ``DEFAULT_WORK_CAP``."""
     m = sys_spec.m
     idx = _interesting_positions(sys_spec, index_set, ell)
-    work = len(points) ** (m + 1)
-    if work > DEFAULT_WORK_CAP:
-        raise CapExceededError(
-            f"{work} candidate tuples exceed the cap {DEFAULT_WORK_CAP}")
+    _check_power_work(len(points), m + 1, DEFAULT_WORK_CAP, "candidate tuples")
     count = len(interesting_tuples(sys_spec, points, [idx], ell,
                                    product(points.points, repeat=m + 1)))
     bound = sys_spec.k**2 * sys_spec.p ** (m * points.n)

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product, repeat
-from math import comb, expm1, isinf, log
+from math import comb, expm1, inf, isinf, log
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -87,8 +87,10 @@ def _phi(z: float, p: int) -> float:
 
 def _objective(z: float, p: int, alpha: float) -> float:
     """(1 + z + ... + z^(p-1)) / z^alpha, each power one product from the
-    last and the sum taken left to right, in O(1) memory."""
-    return sum(accumulate(repeat(z, p - 1), mul, initial=1.0)) / z**alpha
+    last and the sum taken left to right, in O(1) memory; inf when it
+    leaves the float range."""
+    den = z**alpha
+    return sum(accumulate(repeat(z, p - 1), mul, initial=1.0)) / den if den else inf
 
 
 def gamma(p, m: int, k: int, tol: float = 1e-12) -> GammaResult:
@@ -99,7 +101,9 @@ def gamma(p, m: int, k: int, tol: float = 1e-12) -> GammaResult:
     not raised.  Otherwise the interior minimizer is bracketed by
     bisection on the monotone mean phi until the bracket width drops
     below tol, or until its ends are adjacent floats; ``tolerance`` is
-    the half-width actually reached.
+    the half-width actually reached.  A ValueError when the objective at
+    the bracket's midpoint leaves the float range, as a coarse tol can
+    make it.
     """
     p = check_prime(p)
     if m < 1 or k < 1:
@@ -121,8 +125,13 @@ def gamma(p, m: int, k: int, tol: float = 1e-12) -> GammaResult:
             hi = mid
         iterations += 1
     z_star = (lo + hi) / 2
-    return GammaResult(_objective(z_star, p, alpha), z_star, iterations,
-                       (hi - lo) / 2, False)
+    value = _objective(z_star, p, alpha)
+    # a coarse bracket can leave z_star so far below the minimizer that
+    # z_star^alpha underflows
+    if isinf(value):
+        raise ValueError(f"the Gamma objective at z = {z_star} overflows "
+                         f"a float at tolerance {tol}")
+    return GammaResult(value, z_star, iterations, (hi - lo) / 2, False)
 
 
 @dataclass(frozen=True)

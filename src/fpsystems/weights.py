@@ -27,16 +27,30 @@ k - |I| < k + 1 lines remain outside I, so omega is attained only on
 admissible sets of the largest size, and only those get their lines
 counted.
 
+Admissibility and the equality of two quotient lines are statements
+about the linear relations among the entries, and a linear map that is
+injective on span(x_1, ..., x_k) keeps every such relation.  So omega,
+the chosen maximizer and its blocks depend only on the tuple's relation
+shape: the row space of its n x k coordinate matrix (one row per
+coordinate, one column per entry).  The r nonzero rows of that matrix's
+reduced row echelon form are canonical for the row space, and their k
+columns are the images of the entries in F_p^r under a map injective on
+their span.  The walk runs on those columns, memoised per shape and
+prime.  The span U of the chosen entries and the line of each block are
+computed per tuple in V: a block's line is its first member reduced by
+U's echelon basis and scaled to lead 1, which is the walk's residue.
+``admissible_sets`` needs a span and lines for every set, so it walks
+the entries themselves.
+
 Each public operation validates its input once per call and weighs the
-checked tuple through a small least-recently-used memo keyed on the
-reduced tuple, because several flows weigh one tuple more than once (the
-weight facts, then the partition structure, of each solution).  The
-walk also gives the rank of the whole tuple: the chosen entries are
-independent and every other entry lies on its quotient line, so the
-rank is |I| plus the rank of those lines, and ``_weight_facts`` is the
-one place that ranks a weighed tuple and checks omega, its chosen size
-and its rank.  A supplied system is checked against the validated tuple
-by one unchecked solve.
+checked tuple through a small memo keyed on the reduced tuple, because
+the census flow weighs each solution twice in a row (the weight facts,
+then the partition structure).  The walk also gives the rank of the
+whole tuple: the chosen entries are independent and every other entry
+lies on its quotient line, so the rank is |I| plus the rank of those
+lines, and ``_weight_facts`` is the one place that ranks a weighed tuple
+and checks omega, its chosen size and its rank.  A supplied system is
+checked against the validated tuple by one unchecked solve.
 
 These definitions never look at any linear system, so every operation
 here accepts an arbitrary tuple of nonzero vectors; the operations tied
@@ -55,8 +69,13 @@ from .fplinalg import Subspace, _lead_one, _pivots, _rref, check_prime, reduce_c
 from .linsystem import SystemSpec, _solution_dim, _solves
 
 ADMISSIBLE_K_CAP = 20
-# reports are frozen, so callers can share them; the flows that weigh a
-# tuple again do so at once, so a few entries catch every repeat
+# shapes are few (the 7,490 solutions of x+y+z=0 over nonzero F_3^n,
+# n <= 4, and of x+y+2z+2w=0, n <= 2, have 14), so the bound only stops
+# a stream of new shapes from growing the memo without end
+_SHAPE_MEMO_SIZE = 1024
+# reports are frozen, so callers can share them; a few entries catch a
+# tuple weighed twice in a row, and repeats further apart, as across
+# sampling steps, reuse the shape memo
 _WEIGHT_MEMO_SIZE = 16
 
 
@@ -177,10 +196,12 @@ def weight(entries: Sequence, p) -> WeightReport:
     return _weigh(xs, n, p)
 
 
-@lru_cache(maxsize=_WEIGHT_MEMO_SIZE)
-def _weigh(xs, n: int, p: int) -> WeightReport:
+@lru_cache(maxsize=_SHAPE_MEMO_SIZE)
+def _weigh_shape(cols, p: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """omega, the chosen maximizer and the blocks of every tuple whose
+    relation shape has the columns ``cols``, one per entry."""
     top, widest = 0, []
-    for idx, res in _admissible_family(xs, p):
+    for idx, res in _admissible_family(cols, p):
         if len(idx) > top:
             top, widest = len(idx), []
         if len(idx) == top:
@@ -196,12 +217,23 @@ def _weigh(xs, n: int, p: int) -> WeightReport:
         if best is None or len(by_line) > len(best[1]):
             best = (idx, by_line)
     chosen, by_line = best
+    return ((len(cols) + 1) * top + len(by_line), chosen,
+            tuple(tuple(members) for members in by_line.values()))
+
+
+@lru_cache(maxsize=_WEIGHT_MEMO_SIZE)
+def _weigh(xs, n: int, p: int) -> WeightReport:
+    # the nonzero rows of the row reduced coordinate matrix; their
+    # columns are the relation shape
+    rows = _rref(list(zip(*xs)), len(xs), p)[0]
+    omega, chosen, partition = _weigh_shape(tuple(zip(*rows)), p)
+    span_u = _span(xs, chosen, n, p)
     return WeightReport(
-        omega=(len(xs) + 1) * top + len(by_line),
+        omega=omega,
         chosen=chosen,
-        span_u=_span(xs, chosen, n, p),
-        partition=tuple(tuple(members) for members in by_line.values()),
-        lines=tuple(by_line),
+        span_u=span_u,
+        partition=partition,
+        lines=tuple(_lead_one(span_u.reduce(xs[b[0]]), p) for b in partition),
     )
 
 

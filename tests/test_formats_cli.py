@@ -536,6 +536,19 @@ class TestExitCodes:
         assert not out
         assert err == f"error: {3**18} assignments exceed the cap {10**6}\n"
 
+    def test_solve_work_cap_names_unprintable_power(self, tmp_path, capsys,
+                                                   deadline, int_digits_4300):
+        # 19683^1099 has 4,719 digits: printing it in the cap's message
+        # raised the interpreter's own conversion error
+        system = tmp_path / "wide.system"
+        system.write_text("p=3 m=1 k=1100\n" + " ".join(["1"] * 1100) + "\n")
+        with deadline(5):
+            code, out, err = run_cli(["solve", "--system", str(system),
+                                      "--n", "9", "--count-only"], capsys)
+        assert code == 2
+        assert not out
+        assert err == f"error: 19683^1099 assignments exceed the cap {10**6}\n"
+
     def test_greedy_restarts_capped(self, files, capsys, deadline):
         # a billion restarts ran without end
         with deadline(2):
@@ -614,6 +627,17 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "Gamma^n" in err
         assert "n = 2000" in err
+
+    def test_gamma_coarse_tolerance_overflow(self, capsys):
+        # at tolerance 0.2 the bracket ends at z = 0.9375, where
+        # z^333334 underflows: dividing by it raised ZeroDivisionError
+        code, out, err = run_cli(["gamma", "--p", "1000003", "--m", "1",
+                                  "--k", "3", "--n", "0", "--tol", "0.2"],
+                                 capsys)
+        assert code == 2
+        assert not out
+        assert err == ("error: the Gamma objective at z = 0.9375 overflows "
+                       "a float at tolerance 0.2\n")
 
     def test_slicerank_bound_overflow(self, files, capsys):
         code, out, err = run_cli(["slicerank", "bound", "--system",

@@ -11,6 +11,7 @@ from fpsystems import (
     admissible_sets,
     enumerate_solutions,
     partition_structure,
+    rref_with_pivots,
     verify_weight_properties,
     weight,
 )
@@ -38,6 +39,27 @@ def repeating_tuples():
 
     return st.tuples(st.sampled_from([2, 3, 5, 7]),
                      st.integers(1, 4)).flatmap(build)
+
+
+def invertible_matrices(n, p):
+    """n x n matrices over F_p drawn as P L U: a permutation, a unit
+    lower triangular and an upper triangular factor with nonzero
+    diagonal, so every draw is invertible."""
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    diagonal = st.lists(st.integers(1, p - 1), min_size=n, max_size=n)
+
+    def build(parts):
+        perm, low, up, diag = parts
+        lower = [[1 if i == j else low[i * n + j] if j < i else 0
+                  for j in range(n)] for i in range(n)]
+        upper = [[diag[i] if i == j else up[i * n + j] if j > i else 0
+                  for j in range(n)] for i in range(n)]
+        lu = [[sum(a * b for a, b in zip(row, col)) % p
+               for col in zip(*upper)] for row in lower]
+        return [lu[i] for i in perm]
+
+    return st.tuples(st.permutations(range(n)), entries, entries,
+                     diagonal).map(build)
 
 
 def nonzero_tuples():
@@ -127,11 +149,23 @@ class TestWeight:
         assert weight(entries, p).omega == weight_by_definition(
             list(entries), p)
 
-    @given(nonzero_tuples())
-    def test_ambient_embedding_irrelevant(self, case):
+    @given(st.one_of(nonzero_tuples(), repeating_tuples()), st.data())
+    def test_invariant_under_injective_maps(self, case, data):
+        # omega, the maximizer and the blocks depend only on the linear
+        # relations among the entries, which a map injective on their
+        # span keeps: an invertible g, or zero padding into F_p^(n+2)
         p, entries = case
-        padded = tuple(v + (0, 0) for v in entries)
-        assert weight(entries, p).omega == weight(padded, p).omega
+        g = data.draw(invertible_matrices(len(entries[0]), p))
+        moved = [tuple(sum(a * b for a, b in zip(row, v)) % p for row in g)
+                 for v in entries]
+        padded = [v + (0, 0) for v in entries]
+        rep = weight(entries, p)
+        for image in (moved, padded):
+            other = weight(image, p)
+            assert (other.omega, other.chosen, other.partition) == \
+                (rep.omega, rep.chosen, rep.partition)
+            assert other == reference_weight(image, p)
+        assert rep == reference_weight(entries, p)
 
     @given(nonzero_tuples())
     def test_chosen_is_smallest_then_lex(self, case):
@@ -156,6 +190,34 @@ class TestWeight:
         assert (weight(coords, 3).omega, weight(coords, 3).chosen) == (1, ())
         assert (weight(coords, 5).omega, weight(coords, 5).chosen) == (5, (2,))
         assert weight(padded, 5).span_u.ambient_dim == 3
+        # the shape memo too, whichever prime comes first: (1, 2), (2, 1)
+        # are dependent mod 3 only, and the longer tuple is row reduced
+        # under both primes, so both give it one relation shape
+        for entries in ([(1, 2), (2, 1)],
+                        [(1, 0), (0, 1), (1, 2), (2, 1), (1, 0), (0, 1)]):
+            for primes in ((3, 5), (5, 3)):
+                weights._weigh.cache_clear()
+                weights._weigh_shape.cache_clear()
+                for p in primes:
+                    assert weight(entries, p) == reference_weight(entries, p)
+
+    def test_one_walk_per_relation_shape(self, sys_ap3, sys_k4, spy):
+        # the census flow: weight facts, then the partition, of every
+        # solution; the walk runs once per row space of the coordinate
+        # matrix, not once per tuple
+        weights._weigh.cache_clear()
+        weights._weigh_shape.cache_clear()
+        walks = spy(weights._admissible_family)
+        shapes = set()
+        for spec, dims in ((sys_ap3, (1, 2, 3, 4)), (sys_k4, (1, 2))):
+            for n in dims:
+                points = PointSet.full_space(n, 3, include_zero=False)
+                for sol in enumerate_solutions(spec, points):
+                    assert verify_weight_properties(sol.entries, 3,
+                                                    sys_spec=spec).ok
+                    assert partition_structure(sol.entries, spec).lemma_ok
+                    shapes.add(rref_with_pivots(list(zip(*sol.entries)), 3))
+        assert len(walks) == len(shapes) == 14
 
     def test_partition_groups_equal_lines(self):
         entries = [(1, 0), (2, 0), (0, 1), (0, 2)]
