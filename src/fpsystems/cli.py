@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import CapExceededError, DegenerateSystemError
+from .errors import CapExceededError, DegenerateSystemError, _unprintable
 from .fplinalg import check_prime, reduce_coords
 from .linsystem import (
     DEFAULT_WORK_CAP,
@@ -85,17 +85,14 @@ def _rendered_names(cls: type) -> tuple[str, ...]:
 
 
 def _printable(value: int) -> int:
-    """``value``, unless it has more decimal digits than the interpreter's
-    integer string conversion limit (0: none), which every output
-    format would hit: then a ValueError naming both."""
-    limit = sys.get_int_max_str_digits()
-    # below 3 * limit bits an int has at most 0.91 * limit + 1 digits;
-    # Decimal takes an int whole, not through a decimal string
-    if limit and value.bit_length() > 3 * limit:
-        digits = Decimal(value).adjusted() + 1
-        if digits > limit:
-            raise ValueError(f"an exact integer of {digits} digits exceeds "
-                             f"the limit of {limit} digits for printing it")
+    """``value``, unless it has more decimal digits than the interpreter
+    prints, which every output format would hit: then a ValueError
+    naming both."""
+    if _unprintable(value):
+        # Decimal takes an int whole, not through a decimal string
+        raise ValueError(f"an exact integer of {Decimal(value).adjusted() + 1} "
+                         f"digits exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()} digits for printing it")
     return value
 
 

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError
+from .errors import _capped
 
 MAX_PRIME = (1 << 31) - 1
 DEFAULT_SUBSPACE_CAP = 10**6
@@ -310,17 +310,16 @@ def gaussian_binomial(n: int, d: int, p: int) -> int:
     return num // den
 
 
-def _subspace_count(n: int, d: int, p: int, cap: int) -> int | None:
-    """``gaussian_binomial(n, d, p)`` when it is at most cap, else None.
+def _subspace_count(n: int, d: int, p: int, cap: int,
+                    phrase: str | None = None) -> int | None:
+    """``gaussian_binomial(n, d, p)`` when it is at most cap; over it,
+    None, or CapExceededError with ``phrase`` when one is given.
 
-    The count is at least p^(d(n-d)), and that power exceeds the cap
-    once its exponent reaches the cap's bit length, so a count far
-    above the cap is refused before its huge product is formed."""
-    e = d * (n - d)
-    if e >= cap.bit_length() or p**e > cap:
+    The count is at least p^(d(n-d)), so that power refuses a count far
+    above the cap before its huge product is formed."""
+    if _capped(p, cap, phrase, d * (n - d)) is None:
         return None
-    total = gaussian_binomial(n, d, p)
-    return total if total <= cap else None
+    return _capped(gaussian_binomial(n, d, p), cap, phrase)
 
 
 def enumerate_subspaces(n: int, d: int, p, cap: int = DEFAULT_SUBSPACE_CAP) -> list[Subspace]:
@@ -334,9 +333,8 @@ def enumerate_subspaces(n: int, d: int, p, cap: int = DEFAULT_SUBSPACE_CAP) -> l
     p = check_prime(p)
     if d < 0 or d > n:
         raise ValueError(f"dimension {d} out of range for ambient {n}")
-    if _subspace_count(n, d, p, cap) is None:
-        raise CapExceededError(
-            f"the {d}-dimensional subspaces of F_{p}^{n} exceed the cap {cap}")
+    _subspace_count(n, d, p, cap, f"the {d}-dimensional subspaces of "
+                    f"F_{p}^{n} exceed the cap {{cap}}")
     out: list[Subspace] = []
     for pivots in combinations(range(n), d):
         pivot_set = set(pivots)

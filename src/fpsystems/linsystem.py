@@ -15,14 +15,14 @@ in ``slicerank`` are views over its walk.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapExceededError, DegenerateSystemError
+from .errors import DegenerateSystemError, _capped
 from .fplinalg import (
     Subspace,
     _header_fields,
@@ -36,7 +36,8 @@ from .fplinalg import (
     write_lines,
 )
 
-# candidate tuples or assignments a count or deletion step scans at most
+# points of a full space, minors of a system, and candidate tuples or
+# assignments a count or deletion step scans, each at most
 DEFAULT_WORK_CAP = 10**6
 # completed last-position entries a solution walk keeps for reuse
 _MEMO_CAP = 1 << 16
@@ -57,7 +58,8 @@ class SystemSpec:
     trusted from input: ``rows_sum_zero`` means every coefficient row
     sums to 0 mod p (so constant tuples solve the homogeneous system),
     and ``generic_minors`` means every m x m minor of the coefficient
-    matrix is nonsingular.
+    matrix is nonsingular.  A system with more than ``DEFAULT_WORK_CAP``
+    such minors is refused before any is checked.
     """
 
     p: int
@@ -88,6 +90,8 @@ class SystemSpec:
             if len({len(b) for b in consts}) > 1:
                 raise ValueError("constant vectors have mixed dimensions")
         rows_sum_zero = all(sum(r) % p == 0 for r in rows)
+        _capped(comb(k, m), DEFAULT_WORK_CAP,
+                "{} coefficient minors exceed the cap {cap}")
         generic = m <= k and not _failing_minors(rows, p)
         return cls(p, m, k, rows, consts, rows_sum_zero, generic)
 
@@ -291,9 +295,13 @@ class PointSet:
 
     @classmethod
     def full_space(cls, n: int, p, include_zero: bool = True) -> "PointSet":
+        """All of F_p^n, or its nonzero points; more than
+        ``DEFAULT_WORK_CAP`` points are refused before any is built."""
         p = check_prime(p)
         if n < 0:
             raise ValueError("n must be nonnegative")
+        _capped(p, DEFAULT_WORK_CAP, "{} points exceed the cap {cap}", n,
+                0 if include_zero else 1)
         pts = (v for v in product(range(p), repeat=n) if include_zero or any(v))
         return cls(p, n, tuple(pts))
 
@@ -359,23 +367,11 @@ def _check_same_prime(sys_spec: SystemSpec, points: PointSet) -> None:
         raise ValueError("point set prime differs from system prime")
 
 
-def _check_power_work(base: int, exp: int, cap: int, what: str) -> None:
-    """Raise CapExceededError when base^exp units of work, ``what``,
-    exceed ``cap``.  The message gives the number in full unless it has
-    more decimal digits than the interpreter prints (its integer string
-    conversion limit, 0: none), and the power otherwise."""
-    work = base ** exp
-    if work > cap:
-        limit = sys.get_int_max_str_digits()
-        shown = f"{base}^{exp}" if limit and work >= 10 ** limit else work
-        raise CapExceededError(f"{shown} {what} exceed the cap {cap}")
-
-
 def _check_walk_work(sys_spec: SystemSpec, points: PointSet, cap: int) -> None:
     """Raise CapExceededError when the |points|^(k - m) assignments of
     the free positions that a solution walk may scan exceed ``cap``."""
-    _check_power_work(len(points), max(sys_spec.k - sys_spec.m, 0), cap,
-                      "assignments")
+    _capped(len(points), cap, "{} assignments exceed the cap {cap}",
+            max(sys_spec.k - sys_spec.m, 0))
 
 
 def enumerate_solutions(
@@ -645,7 +641,8 @@ def count_interesting_tuples(
     when the |A|^(m+1) candidate tuples exceed ``DEFAULT_WORK_CAP``."""
     m = sys_spec.m
     idx = _interesting_positions(sys_spec, index_set, ell)
-    _check_power_work(len(points), m + 1, DEFAULT_WORK_CAP, "candidate tuples")
+    _capped(len(points), DEFAULT_WORK_CAP,
+            "{} candidate tuples exceed the cap {cap}", m + 1)
     count = len(interesting_tuples(sys_spec, points, [idx], ell,
                                    product(points.points, repeat=m + 1)))
     bound = sys_spec.k**2 * sys_spec.p ** (m * points.n)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Mapping, Sequence
 
-from .errors import CapExceededError
+from .errors import _capped
 from .fplinalg import (
     _draw_rows,
     _pivots,
@@ -81,10 +81,8 @@ def containment_probability(p, n: int, d: int, s: int) -> ContainmentProbability
         raise ValueError("need 0 <= d <= n")
     if s < 1:
         raise ValueError("need s >= 1")
-    bits = min(s, n - d) * max(s, n) * (p - 1).bit_length()
-    if bits > PROBABILITY_BIT_CAP:
-        raise CapExceededError(f"containment probability needs {bits} bits, "
-                               f"over the cap {PROBABILITY_BIT_CAP}")
+    _capped(min(s, n - d) * max(s, n) * (p - 1).bit_length(), PROBABILITY_BIT_CAP,
+            "containment probability needs {} bits, over the cap {cap}")
     upper = Fraction(1, p ** ((n - d) * s))
     if s > d:
         return ContainmentProbability(Fraction(0), upper)
@@ -149,13 +147,14 @@ def verify_containment(
     if method not in ("auto", "exhaustive", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")
     total = _subspace_count(n, d, p, DEFAULT_ENUM_CAP)
-    listed = total is not None and total * d * n <= DEFAULT_ENUM_ENTRY_CAP
+    # an exhaustive scan is refused by its entry count; auto mode samples
+    phrase = ("{} subspace entries exceed the cap {cap}"
+              if method == "exhaustive" else None)
+    listed = total is not None and _capped(
+        total * d * n, DEFAULT_ENUM_ENTRY_CAP, phrase) is not None
     if method == "auto":
         method = "exhaustive" if listed else "monte-carlo"
     if method == "exhaustive":
-        if total is not None and not listed:
-            raise CapExceededError(f"{total * d * n} subspace entries exceed "
-                                   f"the cap {DEFAULT_ENUM_ENTRY_CAP}")
         subspaces = enumerate_subspaces(n, d, p, cap=DEFAULT_ENUM_CAP)
         fixed = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(s))
         hits = sum(v.basis[:s] == fixed for v in subspaces)
@@ -165,13 +164,10 @@ def verify_containment(
                                 total, hits, float(freq), 0.0, freq == prob.exact)
     if trials < 1:
         raise ValueError("Monte Carlo needs at least one trial")
-    if trials > DEFAULT_WORK_CAP:
-        raise CapExceededError(f"{trials} trials exceed the cap {DEFAULT_WORK_CAP}")
-    work = trials * d * d * n
-    if work > DEFAULT_TRIAL_WORK_CAP:
-        raise CapExceededError(f"{trials} trials of {d} x {n} eliminations "
-                               f"exceed the cap {DEFAULT_TRIAL_WORK_CAP} on "
-                               f"trials * d^2 * n")
+    _capped(trials, DEFAULT_WORK_CAP, "{} trials exceed the cap {cap}")
+    _capped(trials * d * d * n, DEFAULT_TRIAL_WORK_CAP,
+            f"{trials} trials of {d} x {n} eliminations exceed the cap "
+            f"{{cap}} on trials * d^2 * n")
     trial_rng = spawner(seed, "containment")
     # every trial draws from its own seed, and with s > d none can hit
     hits = 0 if s > d else sum(_contains_first(n, d, s, p, trial_rng(i).getrandbits)
@@ -284,11 +280,10 @@ def sampling_step_distinct(
     m, k = sys_spec.m, sys_spec.k
     v = random_subspace(points.n, d, sys_spec.p, rng)
     inside = points.restrict_to(v)
-    index_sets = list(combinations(range(k), m + 1))
-    work = len(index_sets) * len(inside) ** (m + 1)
-    if work > cap:
-        raise CapExceededError(f"{work} candidate tuples exceed the cap {cap}")
-    offending = interesting_tuples(sys_spec, points, index_sets, ell,
+    _capped(math.comb(k, m + 1) * len(inside) ** (m + 1), cap,
+            "{} candidate tuples exceed the cap {cap}")
+    offending = interesting_tuples(sys_spec, points,
+                                   list(combinations(range(k), m + 1)), ell,
                                    product(inside.points, repeat=m + 1))
     return _step_report(d, inside, offending)
 

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .errors import CapExceededError
+from .errors import _capped
 from .fplinalg import reduce_coords
 from .linsystem import (
     ClassFilter,
@@ -106,10 +106,9 @@ class AvoidanceProblem:
     def check_point_cap(self, cap_points: int) -> int:
         """The number of points in the space; raise CapExceededError,
         before the space is built, when it exceeds ``cap_points``."""
-        count = self.sys_spec.p ** self.n - self.exclude_zero
-        if count > cap_points:
-            raise CapExceededError(f"{count} points exceed the cap {cap_points}")
-        return count
+        return _capped(self.sys_spec.p, cap_points,
+                       "{} points exceed the cap {cap}", self.n,
+                       int(self.exclude_zero))
 
     def _space(self) -> PointSet:
         return PointSet.full_space(self.n, self.sys_spec.p,
@@ -284,11 +283,9 @@ def greedy_lower_bound(
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if restarts > 0 and rng is None:
         raise ValueError("restarts need a seeded rng")
-    scans = (restarts + 1) * count
-    if scans > GREEDY_POINT_CAP:
-        raise CapExceededError(f"{restarts + 1} passes over {count} points: "
-                               f"{scans} point scans exceed the cap "
-                               f"{GREEDY_POINT_CAP}")
+    _capped((restarts + 1) * count, GREEDY_POINT_CAP,
+            f"{restarts + 1} passes over {count} points: {{}} point scans "
+            f"exceed the cap {{cap}}")
     space = problem._space()
     order = list(space.points)
     sys_spec = problem.sys_spec
@@ -431,8 +428,7 @@ def verify_theorem_bound(
     full = PointSet.full_space(problem.n, p, include_zero=False)
     witness_found = next(
         (True for _ in enumerate_solutions(sys_spec, full, problem.mode)), False)
-    space = p**problem.n - 1
-    margin = space - result.best_size
+    margin = len(full) - result.best_size
     return BoundReport(theorem, result.best_size, None, None, margin,
                        witness_found,
                        "constants are not effective; margin is against p^n - 1")

@@ -52,7 +52,7 @@ from math import comb, expm1, inf, isinf, log
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapExceededError
+from .errors import _capped
 from .fplinalg import check_prime, read_lines, reduce_coords, write_lines
 from .linsystem import SystemSpec, _Completion, is_solution
 
@@ -206,11 +206,10 @@ def _check_shape(length: int, k: int) -> None:
     if length < 1 or k < 2:
         raise ValueError("need L >= 1 and k >= 2")
     # L = 1 counts as 2: its index tuples, order family and rank search
-    # still grow with k; the bit-length test spares the power for huge k
-    if (k > _TENSOR_SIZE_CAP.bit_length()
-            or max(length, 2)**k > _TENSOR_SIZE_CAP):
-        raise CapExceededError(f"dense tensor [{length}]^{k} exceeds the "
-                               f"cap {_TENSOR_SIZE_CAP} on max(L, 2)^k")
+    # still grow with k
+    _capped(max(length, 2), _TENSOR_SIZE_CAP,
+            f"dense tensor [{length}]^{k} exceeds the cap {{cap}} on "
+            f"max(L, 2)^k", k)
 
 
 def _check_index(idx: Sequence[int], length: int, k: int) -> None:
@@ -373,9 +372,7 @@ def antichain_slice_rank(tensor: Tensor, orders: OrderFamily,
     if orders.k != tensor.k or orders.length != tensor.length:
         raise ValueError("order family does not match the tensor shape")
     support = tensor.support
-    size = len(support)
-    if size > cap:
-        raise CapExceededError(f"support size {size} exceeds the cap {cap}")
+    _capped(len(support), cap, "support size {} exceeds the cap {cap}")
     if not is_antichain(support, orders):
         raise ValueError("tensor support is not an antichain under these orders")
     axes = range(tensor.k)
@@ -487,8 +484,7 @@ def verify_polynomial_identity(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if samples > _TENSOR_SIZE_CAP:
-        raise CapExceededError(f"{samples} samples exceed the cap {_TENSOR_SIZE_CAP}")
+    _capped(samples, _TENSOR_SIZE_CAP, "{} samples exceed the cap {cap}")
     cols = _candidate_columns(sys_spec, columns)
     p, k, m = sys_spec.p, sys_spec.k, sys_spec.m
     n = len(cols[0][0])
@@ -559,8 +555,8 @@ def partitioned_solution_bound(
         return PartitionedBoundReport(True, None, 0, None, True)
     # the family's entries at position i make up column i
     cols = _candidate_columns(sys_spec, list(zip(*sols)))
-    if length**k > DEFAULT_CROSS_CAP:
-        raise CapExceededError(f"{length}^{k} cross tuples exceed the cap {DEFAULT_CROSS_CAP}")
+    _capped(length, DEFAULT_CROSS_CAP,
+            f"{length}^{k} cross tuples exceed the cap {{cap}}", k)
     n = len(cols[0][0])
     witness = next((idx for idx in _solving_indices(sys_spec, cols)
                     if any(len({idx[i] for i in b}) > 1 for b in blocks)), None)

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import CapExceededError
+from .errors import _capped
 from .fplinalg import Subspace, _lead_one, _pivots, _rref, check_prime, reduce_coords
 from .linsystem import SystemSpec, _solution_dim, _solves
 
@@ -92,9 +92,7 @@ def _checked_tuple(entries: Sequence, p: int) -> tuple[tuple[tuple[int, ...], ..
 
 
 def _check_k(k: int) -> None:
-    if k > ADMISSIBLE_K_CAP:
-        raise CapExceededError(
-            f"admissible listing capped at k <= {ADMISSIBLE_K_CAP}, got {k}")
+    _capped(k, ADMISSIBLE_K_CAP, "admissible listing capped at k <= {cap}, got {}")
 
 
 def _capped_tuple(entries: Sequence, p):

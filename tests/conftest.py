@@ -37,6 +37,16 @@ def deadline():
 
 
 @pytest.fixture
+def int_digits_4300():
+    """The interpreter's default limit on decimal digits of a printed
+    int, set for one test whatever the environment set."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.fixture
 def spy(monkeypatch):
     """``spy(fn)`` swaps every reference an fpsystems module holds to
     ``fn`` for a wrapper and returns the list that gathers the

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -44,16 +45,6 @@ def files(tmp_path_factory):
         " ".join(map(str, v)) + "\n" for v in SPARSE_F3_3))
     paths["sparse"] = str(sparse)
     return paths
-
-
-@pytest.fixture
-def int_digits_4300():
-    """The interpreter's default limit on decimal digits of a printed
-    int, set for one test whatever the environment set."""
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(previous)
 
 
 def run_cli(argv, capsys):
@@ -549,6 +540,60 @@ class TestExitCodes:
         assert not out
         assert err == f"error: 19683^1099 assignments exceed the cap {10**6}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--count-only"],
+        ["sample", "step-weight", "--d", "1", "--w", "5"],
+        ["sample", "step-distinct", "--d", "1"],
+        ["slicerank", "identity"],
+    ], ids=["solve", "step-weight", "step-distinct", "identity"])
+    def test_full_space_capped_before_it_is_built(self, argv, files, capsys,
+                                                  deadline):
+        # all 3^25 points were built first: a MemoryError traceback
+        with deadline(2):
+            code, out, err = run_cli(argv + ["--system", files["ap3"],
+                                             "--n", "25"], capsys)
+        assert code == 2
+        assert not out
+        assert err == f"error: {3**25} points exceed the cap {10**6}\n"
+
+    def test_extremal_point_cap_decided_before_the_power(
+            self, files, capsys, deadline, int_digits_4300):
+        # 3^(10^8) was formed first: no answer in a minute
+        with deadline(2):
+            code, out, err = run_cli(["extremal", "--system", files["ap3"],
+                                      "--n", "100000000"], capsys)
+        assert code == 2
+        assert not out
+        assert err.endswith("points exceed the cap 81\n")
+
+    def test_step_distinct_counts_index_sets_before_listing(self, tmp_path,
+                                                            capsys, deadline):
+        # the 17,997,000 index sets of 6,000 ones were listed first
+        system = tmp_path / "ones.system"
+        system.write_text("p=3 m=1 k=6000\n" + " ".join(["1"] * 6000) + "\n")
+        with deadline(1):
+            code, out, err = run_cli(["sample", "step-distinct", "--system",
+                                      str(system), "--n", "2", "--d", "1",
+                                      "--seed", "0"], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: 161973000 candidate tuples exceed the cap 1000000\n"
+
+    def test_validate_minor_count_capped(self, tmp_path, capsys, deadline):
+        # the C(30, 15) = 155,117,520 minors were each eliminated
+        rng = random.Random(0)
+        system = tmp_path / "wide.system"
+        system.write_text("p=5 m=15 k=30\n" + "".join(
+            " ".join(str(rng.randrange(5)) for _ in range(30)) + "\n"
+            for _ in range(15)))
+        with deadline(2):
+            code, out, err = run_cli(["validate", "--system", str(system)],
+                                     capsys)
+        assert code == 2
+        assert not out
+        assert err == ("error: 155117520 coefficient minors exceed the cap "
+                       "1000000\n")
+
     def test_greedy_restarts_capped(self, files, capsys, deadline):
         # a billion restarts ran without end
         with deadline(2):
@@ -986,8 +1031,11 @@ class TestCommands:
 
 
 INT = st.integers(-2, 5).map(str)
-# point spaces F_p^n stop at n = 2 (at most 25 points), so no run is long
-DIM = st.integers(-2, 2).map(str)
+# point spaces F_p^n up to n = 2 (at most 25 points) are searched; the
+# larger sizes are answered only by a cap: 3^25 points were built, and
+# 3^(10^8) was formed, before any refusal
+DIM = st.one_of(st.integers(-2, 2).map(str),
+                st.sampled_from(["25", "100000000"]))
 PRIME = st.integers(0, 7).map(str)
 # blocks like '1,0;2,1' of one width, or short text with stray characters
 BLOCKS = st.one_of(

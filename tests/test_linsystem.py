@@ -98,6 +98,19 @@ class TestValidate:
         assert not rep.generic_minors and not spec.generic_minors
         assert not rep.ok
 
+    def test_minor_count_capped_before_any_elimination(self, monkeypatch):
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("a minor was eliminated")
+
+        rows = [(1, 1, 1, 1, 1), (1, 2, 3, 4, 0)]
+        monkeypatch.setattr(linsystem, "DEFAULT_WORK_CAP", 10)
+        assert SystemSpec.make(rows, 5).generic_minors
+        monkeypatch.setattr(linsystem, "DEFAULT_WORK_CAP", 9)
+        monkeypatch.setattr(linsystem, "_pivots", no_elimination)
+        with pytest.raises(CapExceededError,
+                           match="^10 coefficient minors exceed the cap 9$"):
+            SystemSpec.make(rows, 5)
+
 
 class TestIsSolution:
     def test_constant_tuples_solve_rows_sum_zero(self, sys_ap3):
@@ -262,6 +275,19 @@ class TestPointSet:
     def test_full_space(self):
         assert len(PointSet.full_space(2, 3)) == 9
         assert len(PointSet.full_space(2, 3, include_zero=False)) == 8
+
+    def test_full_space_capped_before_any_point(self, monkeypatch, deadline,
+                                                int_digits_4300):
+        # 3^(10^8) points were built one by one
+        with deadline(1), pytest.raises(
+                CapExceededError,
+                match=r"^3\^100000000 points exceed the cap 1000000$"):
+            PointSet.full_space(10**8, 3)
+        monkeypatch.setattr(linsystem, "DEFAULT_WORK_CAP", 8)
+        assert len(PointSet.full_space(2, 3, include_zero=False)) == 8
+        with pytest.raises(CapExceededError,
+                           match="^9 points exceed the cap 8$"):
+            PointSet.full_space(2, 3)
 
     def test_without(self):
         ps = PointSet.full_space(1, 3)

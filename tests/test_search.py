@@ -285,6 +285,16 @@ class TestExhaustive:
         with pytest.raises(CapExceededError, match="242 points"):
             verify_theorem_bound(problem, "distinct")
 
+    def test_point_cap_decided_before_the_power(self, sys_ap3, deadline,
+                                                int_digits_4300):
+        # 3^(10^7) took 3.8 s to form, and its message could not print
+        problem = AvoidanceProblem(sys_ap3, ClassFilter.distinct(), 10**7,
+                                   exclude_zero=True)
+        with deadline(1), pytest.raises(
+                CapExceededError,
+                match=r"^3\^10000000 - 1 points exceed the cap 81$"):
+            problem.check_point_cap(81)
+
     def test_symmetry_needs_homogeneous(self):
         spec = SystemSpec.make([(1, 1, 1)], 3, constants=[(1,)])
         problem = AvoidanceProblem(spec, ClassFilter.not_all_equal(), 1)
