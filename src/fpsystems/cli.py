@@ -28,7 +28,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .errors import CapExceededError, DegenerateSystemError, _unprintable
-from .fplinalg import check_prime, reduce_coords
+from .fplinalg import check_prime, reduce_vectors
 from .linsystem import (
     DEFAULT_WORK_CAP,
     ClassFilter,
@@ -243,8 +243,7 @@ def _cmd_solve(args) -> tuple:
 
 def _cmd_weight(args) -> tuple:
     p = check_prime(args.p)
-    entries = tuple(reduce_coords(row, p)
-                    for row in _parse_blocks(args.tuple, "tuple"))
+    entries = reduce_vectors(_parse_blocks(args.tuple, "tuple"), p)
     report = weight(entries, p)
     rendered = _jsonable(report)
     rendered["lines"] = ["".join(str(c) for c in line)

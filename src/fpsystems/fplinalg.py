@@ -15,15 +15,15 @@ Each object has one canonical form, decided here: a vector is the tuple
 ``reduce_coords`` returns, a line is that tuple scaled to lead 1, and a
 subspace is what ``span`` returns (the ``Subspace`` constructor refuses
 any other basis).  Every public entry point that takes vectors reduces
-them through ``reduce_coords``, so (4,) and (1,) are the same point of
-F_3^1.
+them through ``reduce_coords``, or ``reduce_vectors`` for a sequence of
+vectors, so (4,) and (1,) are the same point of F_3^1.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -72,6 +72,11 @@ def reduce_coords(coords, p: int) -> tuple[int, ...]:
     """The point of F_p^n with these coordinates: each entry of the int
     sequence as an int reduced mod p.  The one normaliser of vectors."""
     return tuple([int(c) % p for c in coords])
+
+
+def reduce_vectors(vectors, p: int) -> tuple[tuple[int, ...], ...]:
+    """``reduce_coords`` of each vector in the sequence, in one pass."""
+    return tuple([tuple([int(c) % p for c in v]) for v in vectors])
 
 
 def _lead_one(v, p: int) -> tuple[int, ...] | None:
@@ -181,6 +186,17 @@ def _pivots(work: list, ncols: int, p: int, limit: int | None = None
     return tuple(pivots)
 
 
+def _coset_rep(y: Sequence[int], basis, pivots, p: int) -> Sequence[int]:
+    """The reduced vector y less the combination of the reduced row
+    echelon rows ``basis``, with pivot columns ``pivots``, that clears
+    y on those columns; no check is made."""
+    for row, col in zip(basis, pivots):
+        c = y[col]
+        if c:
+            y = [(a - c * b) % p for a, b in zip(y, row)]
+    return y
+
+
 def rank(rows, p) -> int:
     """Rank over F_p of the given rows."""
     p = check_prime(p)
@@ -197,6 +213,8 @@ class Subspace:
     constructor enforces that form: it raises ValueError unless p is
     prime, every row has ambient_dim entries and the basis is its own
     reduced row echelon form.  ``span`` builds one from any vectors.
+    ``pivots`` holds the pivot column of each basis row; it is set with
+    the basis and is not a field, so it takes no part in equality.
     """
 
     basis: tuple[tuple[int, ...], ...]
@@ -207,16 +225,20 @@ class Subspace:
         check_prime(self.p)
         if any(len(r) != self.ambient_dim for r in self.basis):
             raise ValueError(f"basis rows must have {self.ambient_dim} entries")
-        if rref_with_pivots(self.basis, self.p)[0] != self.basis:
+        basis, pivots = rref_with_pivots(self.basis, self.p)
+        if basis != self.basis:
             raise ValueError("basis is not a tuple of rows in reduced row echelon form")
+        object.__setattr__(self, "pivots", pivots)
 
     @classmethod
-    def _from_rref(cls, basis: tuple[tuple[int, ...], ...], ambient_dim: int,
-                   p: int) -> Subspace:
-        """The subspace with this basis, trusted to be the reduced row
-        echelon form over the prime p of rows of length ambient_dim."""
+    def _from_rref(cls, basis: tuple[tuple[int, ...], ...],
+                   pivots: tuple[int, ...], ambient_dim: int, p: int) -> Subspace:
+        """The subspace with this basis and these pivot columns, trusted
+        to be the reduced row echelon form over the prime p of rows of
+        length ambient_dim, as ``_rref`` returns them."""
         self = object.__new__(cls)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "p", p)
         return self
@@ -225,25 +247,16 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, v in enumerate(row) if v) for row in self.basis)
-
     def reduce(self, v) -> tuple[int, ...]:
         """Canonical coset representative of v modulo this subspace.
 
         The representative vanishes on every pivot column of the basis;
         it is zero exactly when v lies in the subspace.
         """
-        y = list(reduce_coords(v, self.p))
+        y = reduce_coords(v, self.p)
         if len(y) != self.ambient_dim:
             raise ValueError("vector dimension differs from ambient dimension")
-        p = self.p
-        for row, pc in zip(self.basis, self.pivots):
-            c = y[pc]
-            if c:
-                y = [(y[j] - c * row[j]) % p for j in range(len(y))]
-        return tuple(y)
+        return tuple(_coset_rep(y, self.basis, self.pivots, self.p))
 
     def contains(self, v) -> bool:
         return not any(self.reduce(v))
@@ -273,18 +286,18 @@ def span(vectors: Sequence, p=None, ambient_dim: int | None = None) -> Subspace:
     if not vs:
         if p is None or ambient_dim is None:
             raise ValueError("empty span needs explicit p and ambient_dim")
-        return Subspace._from_rref((), ambient_dim, check_prime(p))
+        return Subspace._from_rref((), (), ambient_dim, check_prime(p))
     if p is None:
         raise ValueError("span needs p")
     p = check_prime(p)
-    vs = [reduce_coords(v, p) for v in vs]
+    vs = reduce_vectors(vs, p)
     dims = {len(v) for v in vs}
     if len(dims) != 1:
         raise ValueError("vectors have mixed ambient dimensions")
     n = dims.pop()
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("vectors do not match the requested ambient dimension")
-    return Subspace._from_rref(rref_with_pivots(vs, p)[0], n, p)
+    return Subspace._from_rref(*rref_with_pivots(vs, p), n, p)
 
 
 def normalize_line_rep(coords: Sequence[int], p: int) -> tuple[int, ...]:
@@ -346,7 +359,8 @@ def enumerate_subspaces(n: int, d: int, p, cap: int = DEFAULT_SUBSPACE_CAP) -> l
                 rows[i][pivots[i]] = 1
             for (i, j), val in zip(free_cells, assignment):
                 rows[i][j] = val
-            out.append(Subspace._from_rref(tuple(tuple(r) for r in rows), n, p))
+            out.append(Subspace._from_rref(tuple(tuple(r) for r in rows),
+                                           pivots, n, p))
     return out
 
 
@@ -368,12 +382,12 @@ def random_subspace(n: int, d: int, p, rng: random.Random) -> Subspace:
     if d < 0 or d > n:
         raise ValueError(f"dimension {d} out of range for ambient {n}")
     if d == 0:
-        return Subspace._from_rref((), n, p)
+        return Subspace._from_rref((), (), n, p)
     draw = rng.getrandbits
     while True:
-        basis, _ = _rref(_draw_rows(n, d, p, draw), n, p)
+        basis, pivots = _rref(_draw_rows(n, d, p, draw), n, p)
         if len(basis) == d:
-            return Subspace._from_rref(basis, n, p)
+            return Subspace._from_rref(basis, pivots, n, p)
 
 
 def _draw_rows(n: int, d: int, p: int, draw) -> list[list[int]]:

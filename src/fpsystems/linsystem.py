@@ -32,6 +32,7 @@ from .fplinalg import (
     read_lines,
     read_vector_file,
     reduce_coords,
+    reduce_vectors,
     rref_with_pivots,
     write_lines,
 )
@@ -73,7 +74,7 @@ class SystemSpec:
     @classmethod
     def make(cls, coeffs: Sequence[Sequence[int]], p, constants=None) -> "SystemSpec":
         p = check_prime(p)
-        rows = tuple(reduce_coords(r, p) for r in coeffs)
+        rows = reduce_vectors(coeffs, p)
         m = len(rows)
         if m < 1:
             raise ValueError("a system needs at least one equation")
@@ -84,7 +85,7 @@ class SystemSpec:
             raise ValueError("a system needs at least two variables")
         consts = None
         if constants is not None:
-            consts = tuple(reduce_coords(b, p) for b in constants)
+            consts = reduce_vectors(constants, p)
             if len(consts) != m:
                 raise ValueError("need one constant vector per equation")
             if len({len(b) for b in consts}) > 1:
@@ -132,11 +133,16 @@ def validate(sys_spec: SystemSpec) -> ValidationReport:
     )
 
 
+def _check_count(sys_spec: SystemSpec, xs: Sequence) -> None:
+    """Raise unless there is one vector per variable of the system."""
+    if len(xs) != sys_spec.k:
+        raise ValueError(f"expected {sys_spec.k} vectors, got {len(xs)}")
+
+
 def _solution_dim(sys_spec: SystemSpec, xs: Sequence[tuple[int, ...]]) -> int:
     """The common dimension of k reduced vectors, checked against the
     system's k."""
-    if len(xs) != sys_spec.k:
-        raise ValueError(f"expected {sys_spec.k} vectors, got {len(xs)}")
+    _check_count(sys_spec, xs)
     dims = {len(x) for x in xs}
     if len(dims) != 1:
         raise ValueError("solution entries have mixed dimensions")
@@ -150,6 +156,9 @@ def _solves(sys_spec: SystemSpec, xs: Sequence[tuple[int, ...]], n: int) -> bool
     with coordinate columns and would silently truncate."""
     p = sys_spec.p
     cols = tuple(zip(*xs))
+    if sys_spec.constants is None:
+        return not any(sum(map(mul, row, col)) % p
+                       for row in sys_spec.coeffs for col in cols)
     for row, target in zip(sys_spec.coeffs, sys_spec.constant_rows(n)):
         if tuple([sum(map(mul, row, col)) % p for col in cols]) != target:
             return False
@@ -158,7 +167,7 @@ def _solves(sys_spec: SystemSpec, xs: Sequence[tuple[int, ...]], n: int) -> bool
 
 def is_solution(sys_spec: SystemSpec, entries: Sequence) -> bool:
     """Whether the k vectors satisfy every equation of the system."""
-    xs = [reduce_coords(x, sys_spec.p) for x in entries]
+    xs = reduce_vectors(entries, sys_spec.p)
     return _solves(sys_spec, xs, _solution_dim(sys_spec, xs))
 
 
@@ -175,7 +184,7 @@ class SolutionTuple:
     @classmethod
     def create(cls, sys_spec: SystemSpec, entries: Sequence) -> "SolutionTuple":
         """Check that the entries solve the system, then classify them."""
-        xs = tuple(reduce_coords(x, sys_spec.p) for x in entries)
+        xs = reduce_vectors(entries, sys_spec.p)
         if not _solves(sys_spec, xs, _solution_dim(sys_spec, xs)):
             raise ValueError("entries do not solve the system")
         return cls._of(xs, sys_spec.p)
@@ -620,7 +629,7 @@ def is_interesting(
     if len(tuple_entries) != sys_spec.m + 1:
         raise ValueError(
             f"need an index set and tuple of size m + 1 = {sys_spec.m + 1}")
-    xs = [reduce_coords(x, sys_spec.p) for x in tuple_entries]
+    xs = reduce_vectors(tuple_entries, sys_spec.p)
     return bool(interesting_tuples(sys_spec, points, [index_set], ell, [xs]))
 
 

@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import _capped
@@ -33,7 +33,7 @@ from .fplinalg import (
     check_prime,
     enumerate_subspaces,
     random_subspace,
-    reduce_coords,
+    reduce_vectors,
 )
 from .linsystem import (
     DEFAULT_WORK_CAP,
@@ -282,8 +282,12 @@ def sampling_step_distinct(
     inside = points.restrict_to(v)
     _capped(math.comb(k, m + 1) * len(inside) ** (m + 1), cap,
             "{} candidate tuples exceed the cap {cap}")
-    offending = interesting_tuples(sys_spec, points,
-                                   list(combinations(range(k), m + 1)), ell,
+    index_sets = combinations(range(k), m + 1)
+    if not inside.points:
+        # no tuple lies in V, so the C(k, m+1) index sets go unlisted and
+        # the first one alone checks ell
+        index_sets = islice(index_sets, 1)
+    offending = interesting_tuples(sys_spec, points, list(index_sets), ell,
                                    product(inside.points, repeat=m + 1))
     return _step_report(d, inside, offending)
 
@@ -381,7 +385,7 @@ def max_disjoint_span_family(
     if len(idx) != w // (k + 1):
         raise ValueError("index set size must equal floor(w / (k+1))")
     ceil = ceiling(p, m, k - len(idx), points.n, factor=k ** (k + 1))
-    fixed_cs = [reduce_coords(x, p) for x in fixed]
+    fixed_cs = reduce_vectors(fixed, p)
     if len(fixed_cs) != len(idx):
         raise ValueError("need one fixed vector per index")
     if any(x not in points for x in fixed_cs):

@@ -65,7 +65,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import _capped
-from .fplinalg import reduce_coords
+from .fplinalg import reduce_vectors
 from .linsystem import (
     ClassFilter,
     PointSet,
@@ -225,7 +225,7 @@ def exhaustive_max(
     if point_order is None:
         order = problem.point_order()
     else:
-        order = tuple(reduce_coords(v, problem.sys_spec.p) for v in point_order)
+        order = reduce_vectors(point_order, problem.sys_spec.p)
         expected = problem.point_order()
         if set(order) != set(expected) or len(order) != len(expected):
             raise ValueError("point order must permute the problem's point space")

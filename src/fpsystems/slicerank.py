@@ -53,7 +53,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import _capped
-from .fplinalg import check_prime, read_lines, reduce_coords, write_lines
+from .fplinalg import check_prime, read_lines, reduce_coords, reduce_vectors, write_lines
 from .linsystem import SystemSpec, _Completion, is_solution
 
 DEFAULT_SUPPORT_CAP = 40
@@ -544,8 +544,7 @@ def partitioned_solution_bound(
     blocks = _blocks(partition)
     if sum(len(b) for b in blocks) != sys_spec.k:
         raise ValueError(f"blocks must cover the {sys_spec.k} variable positions")
-    sols = [tuple(reduce_coords(x, sys_spec.p) for x in sol)
-            for sol in solutions]
+    sols = [reduce_vectors(sol, sys_spec.p) for sol in solutions]
     for sol in sols:
         if not is_solution(sys_spec, sol):
             raise ValueError("family contains a non-solution")

@@ -42,15 +42,22 @@ U's echelon basis and scaled to lead 1, which is the walk's residue.
 ``admissible_sets`` needs a span and lines for every set, so it walks
 the entries themselves.
 
-Each public operation validates its input once per call and weighs the
-checked tuple through a small memo keyed on the reduced tuple, because
-the census flow weighs each solution twice in a row (the weight facts,
-then the partition structure).  The walk also gives the rank of the
-whole tuple: the chosen entries are independent and every other entry
-lies on its quotient line, so the rank is |I| plus the rank of those
-lines, and ``_weight_facts`` is the one place that ranks a weighed tuple
-and checks omega, its chosen size and its rank.  A supplied system is
-checked against the validated tuple by one unchecked solve.
+Each public operation validates its input once per call, at the cost
+of the definition and no more: one normalising pass over the entries
+(``reduce_vectors``), one pass each over their dimensions and their
+zero entries, and, when a system is supplied, its prime and k and one
+unchecked solve over the validated tuple.  Then the checked tuple is
+weighed through a small memo keyed on the reduced tuple, because the
+census flow weighs each solution twice in a row (the weight facts, then
+the partition structure).  A tuple the memo has not seen costs two
+eliminations: one row reduces its coordinate matrix to find the shape,
+and one gives the echelon basis and pivots of U, against which each
+block's first member is reduced inline.  The walk also gives the rank
+of the whole tuple: the chosen entries are independent and every other
+entry lies on its quotient line, so the rank is |I| plus the rank of
+those lines, which needs a forward elimination only when there are
+three or more of them; ``_weight_facts`` is the one place that ranks a
+weighed tuple and checks omega, its chosen size and its rank.
 
 These definitions never look at any linear system, so every operation
 here accepts an arbitrary tuple of nonzero vectors; the operations tied
@@ -65,8 +72,9 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import _capped
-from .fplinalg import Subspace, _lead_one, _pivots, _rref, check_prime, reduce_coords
-from .linsystem import SystemSpec, _solution_dim, _solves
+from .fplinalg import (Subspace, _coset_rep, _lead_one, _pivots, _rref, check_prime,
+                       reduce_vectors)
+from .linsystem import SystemSpec, _check_count, _solves
 
 ADMISSIBLE_K_CAP = 20
 # shapes are few (the 7,490 solutions of x+y+z=0 over nonzero F_3^n,
@@ -80,15 +88,15 @@ _WEIGHT_MEMO_SIZE = 16
 
 
 def _checked_tuple(entries: Sequence, p: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    xs = tuple(reduce_coords(x, p) for x in entries)
+    xs = reduce_vectors(entries, p)
     if not xs:
         raise ValueError("empty tuple has no weight")
-    dims = {len(x) for x in xs}
-    if len(dims) != 1:
+    n = len(xs[0])
+    if any(len(x) != n for x in xs):
         raise ValueError("tuple entries have mixed dimensions")
-    if any(not any(x) for x in xs):
+    if not all(map(any, xs)):
         raise ValueError("tuple entries must be nonzero")
-    return xs, dims.pop()
+    return xs, n
 
 
 def _check_k(k: int) -> None:
@@ -142,7 +150,8 @@ def _admissible_family(xs, p: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
 
 
 def _span(xs, idx, n: int, p: int) -> Subspace:
-    return Subspace._from_rref(_rref([list(xs[i]) for i in idx], n, p)[0], n, p)
+    # _rref only reads the rows, so the entries go in as they are
+    return Subspace._from_rref(*_rref([xs[i] for i in idx], n, p), n, p)
 
 
 @dataclass(frozen=True)
@@ -226,23 +235,24 @@ def _weigh(xs, n: int, p: int) -> WeightReport:
     rows = _rref(list(zip(*xs)), len(xs), p)[0]
     omega, chosen, partition = _weigh_shape(tuple(zip(*rows)), p)
     span_u = _span(xs, chosen, n, p)
-    return WeightReport(
-        omega=omega,
-        chosen=chosen,
-        span_u=span_u,
-        partition=partition,
-        lines=tuple(_lead_one(span_u.reduce(xs[b[0]]), p) for b in partition),
-    )
+    basis, pivots = span_u.basis, span_u.pivots
+    # each block's line: its first member, already checked, reduced by
+    # U's echelon basis as ``Subspace.reduce`` does it, and scaled to lead 1
+    lines = tuple(_lead_one(_coset_rep(xs[b[0]], basis, pivots, p), p)
+                  for b in partition)
+    return WeightReport(omega=omega, chosen=chosen, span_u=span_u,
+                        partition=partition, lines=lines)
 
 
-def _check_witness(sys_spec: SystemSpec, xs, p: int) -> None:
-    """Raise unless the checked tuple solves the system over F_p.  The
-    solve kernel zips rows with columns and checks nothing, so the
-    prime and the length k are checked first."""
+def _check_witness(sys_spec: SystemSpec, xs, n: int, p: int) -> None:
+    """Raise unless the checked tuple, k vectors in F_p^n, solves the
+    system over F_p.  The solve kernel zips rows with columns and checks
+    nothing, so the prime and the length k are checked first."""
     if sys_spec.p != p:
         raise ValueError(
             f"tuple is over F_{p} but the system is over F_{sys_spec.p}")
-    if not _solves(sys_spec, xs, _solution_dim(sys_spec, xs)):
+    _check_count(sys_spec, xs)
+    if not _solves(sys_spec, xs, n):
         raise ValueError("tuple does not solve the supplied system")
 
 
@@ -268,10 +278,12 @@ def _weight_facts(rep: WeightReport, k: int, n: int, p: int) -> WeightPropertyRe
     lines = rep.lines
     span_dim = len(rep.chosen) + (len(_pivots(list(lines), n, p)) if len(lines) > 2
                                   else len(lines))
-    forbidden = {0} | {(k + 1) * t for t in range(1, k)}
+    # the forbidden values 0, (k+1), ..., (k-1)(k+1) are the multiples
+    # t(k+1) with t < k
+    t, r = divmod(rep.omega, k + 1)
     return WeightPropertyReport(rep.omega, len(rep.chosen), span_dim,
-                                rep.omega not in forbidden,
-                                len(rep.chosen) == rep.omega // (k + 1),
+                                r != 0 or t >= k,
+                                len(rep.chosen) == t,
                                 span_dim * (k + 1) >= rep.omega)
 
 
@@ -290,7 +302,7 @@ def verify_weight_properties(
     if sys_spec is not None:
         if sys_spec.constants is not None:
             raise ValueError("property check expects a homogeneous system")
-        _check_witness(sys_spec, xs, p)
+        _check_witness(sys_spec, xs, n, p)
     return _weight_facts(_weigh(xs, n, p), len(xs), n, p)
 
 
@@ -319,7 +331,7 @@ def partition_structure(entries: Sequence, sys_spec: SystemSpec) -> PartitionRep
     if not sys_spec.rows_sum_zero:
         raise ValueError("partition structure expects rows summing to zero")
     xs, n, p = _capped_tuple(entries, sys_spec.p)
-    _check_witness(sys_spec, xs, p)
+    _check_witness(sys_spec, xs, n, p)
     rep = _weigh(xs, n, p)
     sizes = [len(b) for b in rep.partition]
     min_size = min(sizes) if sizes else 0

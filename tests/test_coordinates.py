@@ -12,12 +12,14 @@ from fpsystems import (
     PointSet,
     SolutionTuple,
     SystemSpec,
+    admissible_sets,
     enumerate_solutions,
     exhaustive_max,
     is_interesting,
     is_solution,
     max_disjoint_span_family,
     normalize_line_rep,
+    partition_structure,
     partitioned_solution_bound,
     rank,
     span,
@@ -60,6 +62,8 @@ CASES = {
     "weight": (SOL, lambda vs: weight(vs, P)),
     "verify_weight_properties": (
         SOL, lambda vs: verify_weight_properties(vs, P, sys_spec=AP3)),
+    "partition_structure": (SOL, lambda vs: partition_structure(vs, AP3)),
+    "admissible_sets": (SOL, lambda vs: admissible_sets(vs, P)),
     "span": (((1, 2), (2, 1)), lambda vs: span(vs, P)),
     "Subspace.reduce": (((1, 0), (2, 2), (0, 1)),
                         lambda vs: [LINE.reduce(v) for v in vs]),

@@ -579,6 +579,24 @@ class TestExitCodes:
         assert not out
         assert err == "error: 161973000 candidate tuples exceed the cap 1000000\n"
 
+    def test_step_distinct_lists_nothing_for_an_empty_sample(
+            self, tmp_path, capsys, deadline):
+        # V = {0} holds no nonzero point, so the cap counts 0 tuples; the
+        # 17,997,000 index sets were listed anyway: a MemoryError traceback
+        system = tmp_path / "ones.system"
+        system.write_text("p=3 m=1 k=6000\n" + " ".join(["1"] * 6000) + "\n")
+        argv = ["sample", "step-distinct", "--system", str(system), "--n", "2",
+                "--exclude-zero", "--d", "0", "--seed", "0"]
+        with deadline(1):
+            code, data, err = run_json(argv, capsys)
+        assert code == 0
+        assert (data["result"]["kept"], data["result"]["deleted"]) == (0, 0)
+        with deadline(1):
+            code, out, err = run_cli(argv + ["--ell", "0"], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: ell must lie in 1..6000\n"
+
     def test_validate_minor_count_capped(self, tmp_path, capsys, deadline):
         # the C(30, 15) = 155,117,520 minors were each eliminated
         rng = random.Random(0)

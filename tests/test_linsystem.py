@@ -253,12 +253,12 @@ class TestSolutionTuple:
 
     def test_create_reduces_once_and_checks_shape(self, sys_ap3, monkeypatch):
         calls = []
-        reduce = linsystem.reduce_coords
-        monkeypatch.setattr(linsystem, "reduce_coords",
-                            lambda x, p: calls.append(x) or reduce(x, p))
+        reduce = linsystem.reduce_vectors
+        monkeypatch.setattr(linsystem, "reduce_vectors",
+                            lambda xs, p: calls.append(xs) or reduce(xs, p))
         sol = SolutionTuple.create(sys_ap3, ((3,), (4,), (-1,)))
         assert sol.entries == ((0,), (1,), (2,))
-        assert calls == [(3,), (4,), (-1,)]
+        assert calls == [((3,), (4,), (-1,))]
         with pytest.raises(ValueError, match="expected 3 vectors"):
             SolutionTuple.create(sys_ap3, ((1,), (1,), (1,), (2,)))
         with pytest.raises(ValueError, match="mixed dimensions"):

@@ -407,6 +407,18 @@ class TestStepDistinct:
             sampling_step_distinct(sys_ap3, points, 3, 2, rng, cap=1000)
         assert rng.getstate() == state
 
+    def test_empty_sample_lists_no_index_sets(self, deadline):
+        # d = 0 samples V = {0}, which holds no point of A, so no tuple is
+        # a candidate; the C(1500, 2) index sets were listed anyway
+        ones = SystemSpec.make([(1,) * 1500], 3)
+        points = PointSet.full_space(2, 3, include_zero=False)
+        with deadline(1):
+            report = sampling_step_distinct(ones, points, 1500, 0,
+                                            random.Random(0))
+            assert (report.kept, report.deleted, report.removed) == (0, 0, ())
+            with pytest.raises(ValueError, match=r"^ell must lie in 1\.\.1500$"):
+                sampling_step_distinct(ones, points, 0, 0, random.Random(0))
+
     def test_certificate_on_survivors(self, sys_ap3):
         points = PointSet.full_space(3, 3, include_zero=False)
         for i in range(5):

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 from fpsystems import (
     CapExceededError,
     PointSet,
+    Subspace,
     SystemSpec,
     admissible_sets,
     enumerate_solutions,
     partition_structure,
+    random_subspace,
     rref_with_pivots,
     verify_weight_properties,
     weight,
@@ -358,3 +361,112 @@ class TestAgainstReference:
         adm = reference_admissible_sets(entries, p)
         assert admissible_sets(entries, p) == adm
         assert weight(entries, p) == reference_weight(entries, p, adm)
+
+
+_AP3 = SystemSpec.make([(1, 1, 1)], 3)
+_AFFINE = SystemSpec.make([(1, 1, 1)], 3, constants=[(0, 0)])
+_ONES21 = SystemSpec.make([(1,) * 21], 3)
+_SOL = ((1, 0), (2, 1), (0, 2))
+_EMPTY = (ValueError, "empty tuple has no weight")
+_MIXED = (ValueError, "tuple entries have mixed dimensions")
+_ZERO = (ValueError, "tuple entries must be nonzero")
+_NOT_INT = (ValueError, "invalid literal for int() with base 10: 'x'")
+_CAP = (CapExceededError, "admissible listing capped at k <= 20, got 21")
+_NOT_PRIME = (ValueError, "4 is not prime")
+_NO_SOLVE = (ValueError, "tuple does not solve the supplied system")
+_CHECKS = {
+    "weight": lambda entries, p, sys_spec: weight(entries, p),
+    "admissible_sets": lambda entries, p, sys_spec: admissible_sets(entries, p),
+    "verify_weight_properties": lambda entries, p, sys_spec:
+        verify_weight_properties(entries, p, sys_spec=sys_spec),
+    "partition_structure": lambda entries, p, sys_spec:
+        partition_structure(entries, sys_spec),
+}
+# name -> (entries, p, system, and the outcome of each check in _CHECKS
+# order: an exception type and message, or None for a return)
+BAD_INPUTS = {
+    "empty-tuple": ((), 3, _AP3, [_EMPTY] * 4),
+    "mixed-dimensions": (((1, 0), (1,), (1, 1)), 3, _AP3, [_MIXED] * 4),
+    "zero-entry": (((1, 0), (0, 0), (2, 0)), 3, _AP3, [_ZERO] * 4),
+    "non-integer-string": (((1, "x"), (2, 1), (0, 2)), 3, _AP3, [_NOT_INT] * 4),
+    "k-21": (((1,),) * 21, 3, _ONES21, [_CAP] * 4),
+    "non-prime-p": (_SOL, 4, _AP3, [_NOT_PRIME] * 3 + [None]),
+    # partition_structure takes the system's prime, over which the
+    # tuple solves nothing
+    "system-over-another-prime": (
+        _SOL, 3, SystemSpec.make([(1, 1, 3)], 5),
+        [None, None, (ValueError, "tuple is over F_3 but the system is over F_5"),
+         _NO_SOLVE]),
+    "wrong-k": (((1,), (1,), (1,), (2,)), 3, _AP3,
+                [None, None] + [(ValueError, "expected 3 vectors, got 4")] * 2),
+    "non-solution": (((1, 0), (1, 0), (2, 0)), 3, _AP3,
+                     [None, None, _NO_SOLVE, _NO_SOLVE]),
+    "affine-system": (
+        _SOL, 3, _AFFINE,
+        [None, None, (ValueError, "property check expects a homogeneous system"),
+         (ValueError, "partition structure expects a homogeneous system")]),
+    "rows-not-summing-to-zero": (
+        ((1, 0), (1, 0), (2, 0)), 3, SystemSpec.make([(1, 1, 2)], 3),
+        [None, None, None,
+         (ValueError, "partition structure expects rows summing to zero")]),
+    # two faults each: the one reported is the one checked first
+    "mixed-dimensions-and-zero-entry": (((1, 0), (0,), (1, 1)), 3, _AP3,
+                                        [_MIXED] * 4),
+    "zero-entry-and-wrong-k": (((1, 0), (0, 0), (2, 0), (1, 1)), 3, _AP3,
+                               [_ZERO] * 4),
+    "empty-tuple-and-affine-system": (
+        (), 3, _AFFINE,
+        [_EMPTY] * 3
+        + [(ValueError, "partition structure expects a homogeneous system")]),
+    "non-integer-string-and-non-prime-p": (((1, "x"), (2, 1), (0, 2)), 4, _AP3,
+                                           [_NOT_PRIME] * 3 + [_NOT_INT]),
+    "k-21-and-non-solution": (((1,),) * 20 + ((2,),), 3, _ONES21, [_CAP] * 4),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_errors_and_their_precedence(name):
+    entries, p, sys_spec, outcomes = BAD_INPUTS[name]
+    for (check, call), outcome in zip(_CHECKS.items(), outcomes):
+        if outcome is None:
+            call(entries, p, sys_spec)
+            continue
+        with pytest.raises(Exception) as info:
+            call(entries, p, sys_spec)
+        assert (type(info.value), str(info.value)) == outcome, check
+
+
+class TestWorkPerCall:
+    def test_census_pair_costs(self, sys_k4, spy, monkeypatch):
+        # the weight facts, then the partition, of a tuple not weighed
+        # before: one elimination ranks its relation shape and one spans
+        # its chosen entries; each call solves the system once; the block
+        # lines are reduced inline
+        weights._weigh.cache_clear()
+        eliminations = spy(weights._rref)
+        solves = spy(weights._solves)
+        reduces = []
+        reduce = Subspace.reduce
+        monkeypatch.setattr(Subspace, "reduce",
+                            lambda self, v: reduces.append(v) or reduce(self, v))
+        entries = ((0, 1, 1), (0, 0, 1), (0, 0, 2), (0, 1, 0))
+        assert verify_weight_properties(entries, 3, sys_spec=sys_k4).ok
+        rep = partition_structure(entries, sys_k4)
+        assert (rep.chosen, rep.blocks, rep.lines) == ((0,), ((1, 2, 3),),
+                                                       ((0, 0, 1),))
+        assert (len(eliminations), len(solves), len(reduces)) == (2, 2, 0)
+
+    def test_spans_keep_their_pivots(self):
+        spans = [weight([(0, 2, 1, 0), (0, 1, 0, 2), (0, 0, 0, 1), (0, 2, 0, 0)],
+                        3).span_u,
+                 random_subspace(5, 3, 3, random.Random(0)),
+                 random_subspace(4, 0, 5, random.Random(0))]
+        assert [sub.dim for sub in spans] == [2, 3, 0]
+        for sub in spans:
+            # in echelon form each row leads with its pivot
+            assert sub.pivots == tuple(
+                next(j for j, v in enumerate(row) if v) for row in sub.basis)
+            again = Subspace(sub.basis, sub.ambient_dim, sub.p)
+            assert again == sub
+            assert hash(again) == hash(sub)
+            assert again.pivots == sub.pivots
