@@ -15,7 +15,7 @@ in ``slicerank`` are views over its walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
@@ -44,23 +44,18 @@ DEFAULT_WORK_CAP = 10**6
 _MEMO_CAP = 1 << 16
 
 
-def _failing_minors(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
-    """The column sets of the singular m x m minors of the m rows."""
-    m, k = len(rows), len(rows[0])
-    return tuple(cols for cols in combinations(range(k), m)
-                 if len(_pivots([[r[j] % p for j in cols] for r in rows], m, p)) != m)
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """An m x k coefficient matrix over F_p plus optional constant terms.
 
-    The two hypothesis flags are computed at construction and never
-    trusted from input: ``rows_sum_zero`` means every coefficient row
-    sums to 0 mod p (so constant tuples solve the homogeneous system),
-    and ``generic_minors`` means every m x m minor of the coefficient
-    matrix is nonsingular.  A system with more than ``DEFAULT_WORK_CAP``
-    such minors is refused before any is checked.
+    The two hypothesis flags are derived from the coefficients on first
+    read and kept, never trusted from input: ``rows_sum_zero`` means
+    every coefficient row sums to 0 mod p (so constant tuples solve the
+    homogeneous system), and ``generic_minors`` means m <= k and every
+    m x m minor of the coefficient matrix is nonsingular.  ``make``
+    refuses a system with more than ``DEFAULT_WORK_CAP`` such minors,
+    so the one scan of them stays bounded; it runs only when
+    ``generic_minors`` or ``validate`` first needs it.
     """
 
     p: int
@@ -68,8 +63,11 @@ class SystemSpec:
     k: int
     coeffs: tuple[tuple[int, ...], ...]
     constants: tuple[tuple[int, ...], ...] | None
-    rows_sum_zero: bool
-    generic_minors: bool
+    # the facts behind the flags, set on first read; declared as fields
+    # so that setting one keeps every instance's attribute layout, and
+    # with it the interpreter's fast reads of the fields above
+    _sums_zero: bool | None = field(default=None, init=False, repr=False, compare=False)
+    _failing: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, coeffs: Sequence[Sequence[int]], p, constants=None) -> "SystemSpec":
@@ -90,11 +88,32 @@ class SystemSpec:
                 raise ValueError("need one constant vector per equation")
             if len({len(b) for b in consts}) > 1:
                 raise ValueError("constant vectors have mixed dimensions")
-        rows_sum_zero = all(sum(r) % p == 0 for r in rows)
         _capped(comb(k, m), DEFAULT_WORK_CAP,
                 "{} coefficient minors exceed the cap {cap}")
-        generic = m <= k and not _failing_minors(rows, p)
-        return cls(p, m, k, rows, consts, rows_sum_zero, generic)
+        return cls(p, m, k, rows, consts)
+
+    @property
+    def rows_sum_zero(self) -> bool:
+        if self._sums_zero is None:
+            object.__setattr__(self, "_sums_zero",
+                               all(sum(r) % self.p == 0 for r in self.coeffs))
+        return self._sums_zero
+
+    @property
+    def _failing_minors(self) -> tuple[tuple[int, ...], ...]:
+        """The column sets of the singular m x m minors, in
+        lexicographic order; each minor is eliminated as its transpose,
+        the m columns as rows, which ``_pivots`` reads without copying."""
+        if self._failing is None:
+            m, columns = self.m, tuple(zip(*self.coeffs))
+            object.__setattr__(self, "_failing", tuple(
+                cols for cols in combinations(range(self.k), m)
+                if len(_pivots([columns[j] for j in cols], m, self.p)) != m))
+        return self._failing
+
+    @property
+    def generic_minors(self) -> bool:
+        return self.m <= self.k and not self._failing_minors
 
     @property
     def homogeneous(self) -> bool:
@@ -122,15 +141,11 @@ class ValidationReport:
 
 
 def validate(sys_spec: SystemSpec) -> ValidationReport:
-    """Recheck both structural hypotheses, listing every failing minor."""
-    row_sums = tuple(sum(r) % sys_spec.p for r in sys_spec.coeffs)
-    failing = _failing_minors(sys_spec.coeffs, sys_spec.p)
-    return ValidationReport(
-        rows_sum_zero=not any(row_sums),
-        generic_minors=sys_spec.m <= sys_spec.k and not failing,
-        row_sums=row_sums,
-        failing_minors=failing,
-    )
+    """Both structural hypotheses of the system, with its row sums mod
+    p and every failing minor."""
+    return ValidationReport(sys_spec.rows_sum_zero, sys_spec.generic_minors,
+                            tuple(sum(r) % sys_spec.p for r in sys_spec.coeffs),
+                            sys_spec._failing_minors)
 
 
 def _check_count(sys_spec: SystemSpec, xs: Sequence) -> None:
@@ -585,13 +600,24 @@ def interesting_tuples(
     within each group.  Each tuple must hold m + 1 members of ``points``
     as reduced coordinate tuples, and is checked and rank-tested once
     for all index sets; each index set's completion is built once.  The
-    rank test stops once no index set can hold an interesting tuple."""
+    rank test stops once no index set can hold an interesting tuple.
+    CapExceededError once the completions walked, over all tuples and
+    index sets, pass ``DEFAULT_WORK_CAP``."""
+    return _interesting_tuples(sys_spec, points, index_sets, ell, tuples, DEFAULT_WORK_CAP)
+
+
+def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
+                        index_sets: Sequence[Sequence[int]], ell: int,
+                        tuples: Iterable[Sequence[tuple[int, ...]]],
+                        cap: int) -> list:
+    """``interesting_tuples`` with at most ``cap`` completions walked."""
     _check_same_prime(sys_spec, points)
     m, p = sys_spec.m, sys_spec.p
     positions = [_interesting_positions(sys_spec, idx, ell) for idx in index_sets]
     need = max(0, ell - m - 1)
     members = points._members
     live = None
+    left = cap
     groups: list[list] = [[] for _ in positions]
     for xs in tuples:
         if len(xs) != m + 1:
@@ -610,9 +636,14 @@ def interesting_tuples(
                     if not (sys_spec.homogeneous and c.pinned_pivots and not c.free)]
             bits = {v: 1 << i for i, v in enumerate(points.points)}
         for completion, group in live:
-            if any(support.bit_count() >= need
-                   for support in completion.supports(bits, xs)):
-                group.append(xs)
+            for support in completion.supports(bits, xs):
+                left -= 1
+                if left < 0:
+                    # a count, not a clock, so a refusal is reproducible
+                    _capped(cap + 1, cap, "{} tuple completions exceed the cap {cap}")
+                if support.bit_count() >= need:
+                    group.append(xs)
+                    break
     return [xs for group in groups for xs in group]
 
 
@@ -647,7 +678,8 @@ def count_interesting_tuples(
 ) -> InterestingCountReport:
     """Exact count of interesting tuples on ``index_set``, against the
     k^2 * p^(m n) ceiling.  Raises CapExceededError, before any work,
-    when the |A|^(m+1) candidate tuples exceed ``DEFAULT_WORK_CAP``."""
+    when the |A|^(m+1) candidate tuples exceed ``DEFAULT_WORK_CAP``, and
+    once the completions walked pass it."""
     m = sys_spec.m
     idx = _interesting_positions(sys_spec, index_set, ell)
     _capped(len(points), DEFAULT_WORK_CAP,

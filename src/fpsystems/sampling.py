@@ -41,8 +41,8 @@ from .linsystem import (
     SystemSpec,
     _check_same_prime,
     _check_walk_work,
+    _interesting_tuples,
     enumerate_solutions,
-    interesting_tuples,
 )
 from .seeds import spawner
 from .slicerank import ceiling
@@ -272,7 +272,10 @@ def sampling_step_distinct(
 
     Offending structures are the (m+1)-position tuples from A that are
     interesting with respect to the full set A and lie entirely in the
-    sampled subspace; the survivors contain none.
+    sampled subspace; the survivors contain none.  CapExceededError
+    when the C(k, m+1) * |A ∩ V|^(m+1) candidate tuples exceed ``cap``,
+    before any is tested, and once the completions their tests walk
+    pass it.
     """
     if not sys_spec.generic_minors:
         raise ValueError("deletion step expects a system with generic minors")
@@ -287,8 +290,8 @@ def sampling_step_distinct(
         # no tuple lies in V, so the C(k, m+1) index sets go unlisted and
         # the first one alone checks ell
         index_sets = islice(index_sets, 1)
-    offending = interesting_tuples(sys_spec, points, list(index_sets), ell,
-                                   product(inside.points, repeat=m + 1))
+    offending = _interesting_tuples(sys_spec, points, list(index_sets), ell,
+                                    product(inside.points, repeat=m + 1), cap)
     return _step_report(d, inside, offending)
 
 

@@ -375,34 +375,30 @@ def antichain_slice_rank(tensor: Tensor, orders: OrderFamily,
     _capped(len(support), cap, "support size {} exceeds the cap {cap}")
     if not is_antichain(support, orders):
         raise ValueError("tensor support is not an antichain under these orders")
-    axes = range(tensor.k)
-    taken: list[set[int]] = [set() for _ in axes]
-    best = min(len({e[ax] for e in support}) for ax in axes)
+    # bit ax * L + i stands for projection i on axis ax, so an element's
+    # k bits run in axis order and the projections taken are one int
+    masks = [sum(1 << (ax * tensor.length + i) for ax, i in enumerate(e))
+             for e in support]
 
-    def walk(count: int) -> None:
-        nonlocal best
-        uncovered = [e for e in support
-                     if not any(e[ax] in taken[ax] for ax in axes)]
-        if not uncovered:
-            best = count
-            return
-        seen: list[set[int]] = [set() for _ in axes]
-        bound = 0
-        for e in uncovered:
-            if not any(e[ax] in seen[ax] for ax in axes):
-                bound += 1
-                for ax in axes:
-                    seen[ax].add(e[ax])
-        if count + bound >= best:
-            return
-        e = uncovered[0]
-        for ax in axes:
-            taken[ax].add(e[ax])
-            walk(count + 1)
-            taken[ax].remove(e[ax])
+    def walk(taken: int, count: int, best: int) -> int:
+        """The incumbent after searching below the projections taken."""
+        first = seen = bound = 0
+        for mask in masks:
+            if not mask & taken:
+                first = first or mask
+                if not mask & seen:
+                    bound += 1
+                    seen |= mask
+        if not first:
+            return count
+        if count + bound < best:
+            while first:
+                bit = first & -first
+                best = walk(taken | bit, count + 1, best)
+                first ^= bit
+        return best
 
-    walk(0)
-    return best
+    return walk(0, 0, min(len({e[ax] for e in support}) for ax in range(tensor.k)))
 
 
 def _candidate_columns(sys_spec: SystemSpec, columns: Sequence[Sequence]) -> list[list[tuple]]:

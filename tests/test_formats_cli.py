@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpsystems import cli, search, slicerank
+from fpsystems import cli, fplinalg, search, slicerank
 from fpsystems.cli import build_parser, main
 
 AP3 = "p=3 m=1 k=3\n1 1 1\n"
@@ -596,6 +596,38 @@ class TestExitCodes:
         assert code == 2
         assert not out
         assert err == "error: ell must lie in 1..6000\n"
+
+    def test_step_distinct_completions_capped(self, tmp_path, capsys,
+                                              deadline):
+        # eight ones: 1,792 candidates under the cap, whose completion
+        # walks ran for 18 s
+        system = tmp_path / "ones.system"
+        system.write_text("p=3 m=1 k=8\n" + " ".join(["1"] * 8) + "\n")
+        with deadline(2):
+            code, out, err = run_cli(["sample", "step-distinct", "--system",
+                                      str(system), "--n", "3", "--exclude-zero",
+                                      "--d", "2", "--seed", "0"], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: 1000001 tuple completions exceed the cap 1000000\n"
+
+    def test_solve_refused_before_any_minor(self, tmp_path, capsys, deadline,
+                                            spy):
+        # make eliminated the C(20, 8) = 125,970 minors that solve never
+        # reads before its walk-work cap: 9.6 s
+        rng = random.Random(1)
+        system = tmp_path / "wide.system"
+        system.write_text("p=11 m=8 k=20\n" + "".join(
+            " ".join(str(rng.randrange(1, 11)) for _ in range(20)) + "\n"
+            for _ in range(8)))
+        calls = spy(fplinalg._pivots)
+        with deadline(2):
+            code, out, err = run_cli(["solve", "--system", str(system),
+                                      "--n", "1", "--count-only"], capsys)
+        assert code == 2
+        assert not out
+        assert err == f"error: {11**12} assignments exceed the cap 1000000\n"
+        assert calls == []
 
     def test_validate_minor_count_capped(self, tmp_path, capsys, deadline):
         # the C(30, 15) = 155,117,520 minors were each eliminated

@@ -98,6 +98,21 @@ class TestValidate:
         assert not rep.generic_minors and not spec.generic_minors
         assert not rep.ok
 
+    def test_make_eliminates_no_minor(self, spy):
+        calls = spy(fplinalg._pivots)
+        spec = SystemSpec.make([(1, 1, 1, 1, 1), (1, 2, 3, 4, 0)], 5)
+        assert calls == []
+        assert spec.rows_sum_zero and calls == []
+
+    def test_each_minor_eliminated_once(self, spy):
+        # one 2 x 2 minor of the ten is singular: columns 0 and 4
+        calls = spy(fplinalg._pivots)
+        spec = SystemSpec.make([(1, 1, 1, 1, 1), (1, 2, 3, 4, 1)], 5)
+        assert not spec.generic_minors
+        rep = validate(spec)
+        assert rep.failing_minors == ((0, 4),) and not rep.generic_minors
+        assert len(calls) == 10
+
     def test_minor_count_capped_before_any_elimination(self, monkeypatch):
         def no_elimination(*args, **kwargs):
             raise AssertionError("a minor was eliminated")
@@ -344,6 +359,24 @@ class TestInteresting:
         points = PointSet.full_space(2, 5, include_zero=False)
         with pytest.raises(ValueError, match="point set prime differs"):
             count_interesting_tuples(sys_ap3, points, (0, 1), 3)
+
+    def test_completions_capped(self, monkeypatch, deadline):
+        # the 676 candidate pairs of eight ones walked 5 s of completions
+        points = PointSet.full_space(3, 3, include_zero=False)
+        with deadline(2):
+            with pytest.raises(CapExceededError, match=(
+                    "^1000001 tuple completions exceed the cap 1000000$")):
+                count_interesting_tuples(SystemSpec.make([(1,) * 8], 3),
+                                         points, (0, 1), 8)
+        # six ones over nonzero F_3^2 walk 522 completions in all
+        spec = SystemSpec.make([(1,) * 6], 3)
+        points = PointSet.full_space(2, 3, include_zero=False)
+        monkeypatch.setattr(linsystem, "DEFAULT_WORK_CAP", 522)
+        assert count_interesting_tuples(spec, points, (0, 1), 6).count == 48
+        monkeypatch.setattr(linsystem, "DEFAULT_WORK_CAP", 521)
+        with pytest.raises(CapExceededError,
+                           match="^522 tuple completions exceed the cap 521$"):
+            count_interesting_tuples(spec, points, (0, 1), 6)
 
     def test_count_cap_raises_before_any_work(self, monkeypatch):
         import fpsystems.linsystem as linsystem

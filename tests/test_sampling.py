@@ -478,6 +478,24 @@ class TestStepDistinct:
             sampling_step_distinct(sys_ap3, points, 3, 3, spawn(0, "x"),
                                    cap=10)
 
+    def test_completion_walks_capped(self, deadline):
+        # the 1,792 candidates of eight ones start 24.6 M completions
+        # under a cap of 10^6 on the candidates alone: 18 s
+        points = PointSet.full_space(3, 3, include_zero=False)
+
+        def step(ones):
+            return sampling_step_distinct(SystemSpec.make([(1,) * ones], 3),
+                                          points, ones, 2, random.Random(0))
+
+        with deadline(2):
+            with pytest.raises(CapExceededError, match=(
+                    "^1000001 tuple completions exceed the cap 1000000$")):
+                step(8)
+        # 710,640 and 20,340 completions stay under the cap
+        seven, six = step(7), step(6)
+        assert (seven.kept, seven.deleted) == (8, 1008)
+        assert (six.kept, six.deleted) == (8, 720)
+
 
 class TestStepWeight:
     def test_certificate_on_survivors(self, sys_ap3):
