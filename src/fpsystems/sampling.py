@@ -170,8 +170,11 @@ def verify_containment(
             f"{{cap}} on trials * d^2 * n")
     trial_rng = spawner(seed, "containment")
     # every trial draws from its own seed, and with s > d none can hit
-    hits = 0 if s > d else sum(_contains_first(n, d, s, p, trial_rng(i).getrandbits)
-                               for i in range(trials))
+    hits = 0
+    if s <= d:
+        order = _trial_order(n, s)
+        for i in range(trials):
+            hits += _contains_first(n, d, s, p, trial_rng(i).getrandbits, order)
     freq = hits / trials
     mean = float(prob.exact)
     sigma = math.sqrt(mean * (1 - mean) / trials)
@@ -180,22 +183,31 @@ def verify_containment(
                             trials, hits, freq, sigma, within)
 
 
-def _contains_first(n: int, d: int, s: int, p: int, draw) -> bool:
+def _trial_order(n: int, s: int) -> list[int]:
+    """The columns s..n-1, 0..s-1: the order a containment trial
+    eliminates them in."""
+    return [*range(s, n), *range(s)]
+
+
+def _contains_first(n: int, d: int, s: int, p: int, draw,
+                    order: Sequence[int] | None = None) -> bool:
     """Whether the subspace ``random_subspace(n, d, p, rng)`` would
     return contains e_1, ..., e_s, when ``draw`` is ``rng.getrandbits``;
     the draws are the same, so the generator ends in the same state.
 
-    With the columns rotated to s..n-1, 0..s-1, a row space V contains
-    span(e_1, ..., e_s) exactly when its projection onto coordinates
-    s..n-1 (whose kernel is V meet that span) has dimension d - s, that
-    is, when d - s of the echelon pivots fall in the first n - s
-    rotated columns.  So one forward elimination decides the trial,
-    and also whether a rank-deficient matrix must be redrawn."""
+    A row space V contains span(e_1, ..., e_s) exactly when its
+    projection onto coordinates s..n-1 (whose kernel is V meet that
+    span) has dimension d - s.  So the drawn rows are eliminated in
+    place over the columns in ``order``, ``_trial_order(n, s)`` by
+    default, and the trial hits when d - s of the pivots are columns
+    s..n-1, which come first.  One forward elimination decides the
+    trial, and also whether a rank-deficient matrix must be redrawn."""
+    if order is None:
+        order = _trial_order(n, s)
     while True:
-        rows = _draw_rows(n, d, p, draw)
-        pivots = _pivots([r[s:] + r[:s] for r in rows], n, p)
+        pivots = _pivots(_draw_rows(n, d, p, draw), n, p, order=order)
         if len(pivots) == d:
-            return sum(c < n - s for c in pivots) == d - s
+            return sum(c >= s for c in pivots) == d - s
 
 
 def expected_intersection_size(set_size: int, n: int, d: int, p) -> Fraction:

@@ -50,14 +50,19 @@ def spawner(master: int, *labels: int | str) -> Callable[[int | str], random.Ran
     """``spawn(master, *labels, last)`` as a function of the last label,
     with the common prefix folded once; for per-trial streams.
 
-    Every call reseeds one and the same generator through its public
-    ``seed`` and returns it, so its stream is that of a fresh
-    ``spawn``; each call therefore invalidates the generator returned
-    before it.  Seeding a kept generator skips building a new one."""
+    Every call reseeds one and the same generator and returns it, so
+    each call invalidates the generator returned before it.  The reseed
+    is the base generator's C ``seed`` followed by clearing
+    ``gauss_next``, which is all that ``random.Random.seed`` does with
+    an int, so the state is that of a fresh ``spawn`` without the
+    Python-level wrapper; seeding a kept generator skips building a new
+    one."""
     prefix = derive_seed(master, *labels)
     rng = random.Random(prefix)
+    seed = super(random.Random, rng).seed
 
     def reseeded(last: int | str) -> random.Random:
-        rng.seed(_fold(prefix, last))
+        seed(_fold(prefix, last))
+        rng.gauss_next = None
         return rng
     return reseeded

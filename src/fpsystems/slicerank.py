@@ -46,10 +46,10 @@ what the branch still has to take.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, product, repeat
 from math import comb, expm1, inf, isinf, log
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import _capped
@@ -88,9 +88,12 @@ def _phi(z: float, p: int) -> float:
 def _objective(z: float, p: int, alpha: float) -> float:
     """(1 + z + ... + z^(p-1)) / z^alpha, each power one product from the
     last and the sum taken left to right, in O(1) memory; inf when it
-    leaves the float range."""
+    leaves the float range.  The sum is a ``reduce``, not ``sum``, which
+    compensates float sums from Python 3.12 on and so would change Γ's
+    last bits with the interpreter."""
     den = z**alpha
-    return sum(accumulate(repeat(z, p - 1), mul, initial=1.0)) / den if den else inf
+    return (reduce(add, accumulate(repeat(z, p - 1), mul, initial=1.0)) / den
+            if den else inf)
 
 
 def gamma(p, m: int, k: int, tol: float = 1e-12) -> GammaResult:

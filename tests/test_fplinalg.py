@@ -140,6 +140,23 @@ class TestRref:
         assert (fplinalg._pivots([list(r) for r in rows], ncols, p, limit)
                 == full[:limit])
 
+    @given(PRIMES.flatmap(lambda p: st.tuples(
+        st.just(p), st.integers(0, 5).flatmap(lambda ncols: st.tuples(
+            st.lists(st.lists(st.integers(0, p - 1), min_size=ncols,
+                              max_size=ncols), max_size=4),
+            st.permutations(range(ncols)))))),
+        st.one_of(st.none(), st.integers(0, 5)))
+    def test_pivot_order_matches_permuted_copy(self, case, limit):
+        # eliminating in a column order finds the pivots of the copy with
+        # its columns so permuted, named by their original columns
+        p, (rows, order) = case
+        ncols = len(order)
+        permuted = [[r[c] for c in order] for r in rows]
+        expected = tuple(order[c]
+                         for c in fplinalg._pivots(permuted, ncols, p, limit))
+        assert fplinalg._pivots([list(r) for r in rows], ncols, p, limit,
+                                order) == expected
+
 
 class TestSubspace:
     @given(matrices(3))

@@ -346,6 +346,13 @@ class TestSpawner:
             assert ours.getstate() == theirs.getstate()
             assert ours.random() == theirs.random()
 
+    def test_reseed_clears_gauss_next(self):
+        # gauss keeps its second normal in gauss_next, which getstate
+        # reports; the next reseed must drop it as a fresh spawn has none
+        trial = spawner(7, "containment")
+        trial(0).gauss(0, 1)
+        assert trial(1).getstate() == spawn(7, "containment", 1).getstate()
+
 
 class TestExpectedIntersection:
     def test_formula(self):

@@ -128,6 +128,21 @@ class TestGamma:
         assert 0 <= res.z_star < 1
         assert 0 <= res.tolerance <= max(tol, math.ulp(res.z_star))
 
+    @given(st.floats(1e-3, 1.0), st.sampled_from(PRIMES_BELOW_50 + [101, 1009]),
+           st.floats(0, 50))
+    def test_objective_sums_left_to_right(self, z, p, alpha):
+        # the same bits on every interpreter: sum() over floats is
+        # compensated from Python 3.12 on, a plain loop never is
+        total = power = 1.0
+        for _ in range(p - 1):
+            power *= z
+            total += power
+        assert slicerank._objective(z, p, alpha) == total / z**alpha
+
+    def test_frozen_bits(self):
+        # the value a compensated sum changes in its last bit
+        assert gamma(47, 1, 3).gamma == 39.84293254975882
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             gamma(3, 0, 3)
