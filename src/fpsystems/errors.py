@@ -3,7 +3,7 @@
 Every object here is exponential in its parameters, so each place that
 could start unbounded work asks ``_capped`` first, or, where the total
 is known only as the work runs (the completions of the interesting-tuple
-walks), as soon as the running count passes the cap.  The count is
+walks, and their prefixes that complete nothing), as soon as the running count passes the cap.  The count is
 compared with the cap inclusively; a huge power is decided without
 being formed; and a refusal names the count in full, or as a power when
 it has more digits than the interpreter prints.

@@ -11,13 +11,19 @@ deletion steps key on.  One pivot solver, ``_Completion``, does every
 solve: enumeration, the supports of the extremal search and of the
 interesting-tuple test, and the indicator tensor and partitioned bound
 in ``slicerank`` are views over its walk.
+
+Inside the walk a point of F_p^n is its integer code, its base-p number
+with the first coordinate most significant (``_PointCodes``): pools are
+(code, label) pairs, lookup tables are indexed by code, and each pivot
+entry is read from a sum row and a scale row.  Points are coordinate
+tuples everywhere else: in the API, the file formats and the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations, product
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, product
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -42,6 +48,12 @@ from .fplinalg import (
 DEFAULT_WORK_CAP = 10**6
 # completed last-position entries a solution walk keeps for reuse
 _MEMO_CAP = 1 << 16
+# entries of the sum table of F_p^n's point codes, p^n rows of p^n
+# codes, and of a lookup table indexed by code.  A sum table within it
+# has p^n <= 256, so every code in it is one of the interpreter's shared
+# small ints.  On a 2-core Xeon, F_2^8's tables build in about 3 ms and
+# F_2^10's 2^20 sum entries in 60 ms
+_TABLE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -287,6 +299,136 @@ class ClassFilter:
         return cls("distinct-count", ell=ell)
 
 
+class _Sparse(dict):
+    """A lookup table indexed by code where a list would be too long:
+    an absent code reads None, as in a list table."""
+
+    def __missing__(self, code):
+        return None
+
+
+class _SplitRow:
+    """A row of a sum or scale table over split coordinates: the code
+    h * size + l maps to hi[h] * size + lo[l], each half by its own row."""
+
+    __slots__ = ("hi", "lo", "size")
+
+    def __init__(self, hi, lo, size: int):
+        self.hi, self.lo, self.size = hi, lo, size
+
+    def __getitem__(self, x: int) -> int:
+        h, l = divmod(x, self.size)
+        return self.hi[h] * self.size + self.lo[l]
+
+
+class _ModRow:
+    """The map x -> (a + w*x) mod p on F_p, a row of the sum (w = 1) or
+    scale (a = 0) table of F_p where its p^2 entries are over the cap."""
+
+    __slots__ = ("a", "w", "p")
+
+    def __init__(self, a: int, w: int, p: int):
+        self.a, self.w, self.p = a, w, p
+
+    def __getitem__(self, x: int) -> int:
+        return (self.a + self.w * x) % self.p
+
+
+class _Rows:
+    """Rows made on demand: ``rows[a]`` is ``make(a)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __getitem__(self, a):
+        return self.make(a)
+
+
+def _sum_table(p: int, n: int) -> list[list[int]]:
+    """Row a of the sum table of F_p^n lists the code of a + b at index
+    b, built one leading coordinate at a time: with h as the new leading
+    digit, a code c of the shorter space becomes h * size + c."""
+    rows, size = [[0]], 1
+    for _ in range(n):
+        lead = [[h * size + c for c in row] for h in range(p) for row in rows]
+        rows = [list(chain.from_iterable(lead[(ah + bh) % p * size + al]
+                                         for bh in range(p)))
+                for ah in range(p) for al in range(size)]
+        size *= p
+    return rows
+
+
+class _PointCodes:
+    """Integer codes of the points of F_p^n, the one point representation
+    of the solution walks.
+
+    A point's code is its base-p number, first coordinate most
+    significant, so it is the point's index in ``PointSet.full_space``
+    order.  ``add[a][b]`` is the code of a + b and ``scale[w][x]`` that
+    of w x.  The layout is chosen once per (p, n): where the p^(2n) sum
+    entries fit ``_TABLE_CAP`` both are lists of lists; above it a
+    single coordinate works modulo p, and more coordinates split into a
+    leading and a trailing half, each laid out the same way.
+    ``table()`` is an empty lookup table indexed by code: a list of p^n
+    Nones within the cap, else a dict that reads None where a code is
+    absent.
+    """
+
+    def __init__(self, p: int, n: int):
+        self.p, self.n = p, n
+
+    def encode(self, v: Iterable[int]) -> int:
+        code, p = 0, self.p
+        for c in v:
+            code = code * p + c
+        return code
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        digits = []
+        for _ in range(self.n):
+            code, d = divmod(code, self.p)
+            digits.append(d)
+        return tuple(reversed(digits))
+
+    def table(self) -> list | _Sparse:
+        if _capped(self.p, _TABLE_CAP, None, self.n) is None:
+            return _Sparse()
+        return [None] * self.p**self.n
+
+    @cached_property
+    def _rows(self) -> tuple:
+        p, n = self.p, self.n
+        if _capped(p, _TABLE_CAP, None, 2 * n) is not None:
+            add = _sum_table(p, n)
+            scale = [[0] * len(add)]
+            for _ in range(1, p):
+                # (w + 1) x = w x + x
+                scale.append([add[wx][x] for x, wx in enumerate(scale[-1])])
+            return add, scale
+        if n == 1:
+            return _Rows(lambda a: _ModRow(a, 1, p)), _Rows(lambda w: _ModRow(0, w, p))
+        hi, lo = _point_codes(p, n - n // 2), _point_codes(p, n // 2)
+        size = p ** (n // 2)
+        return (_Rows(lambda a: _SplitRow(hi.add[a // size], lo.add[a % size], size)),
+                _Rows(lambda w: _SplitRow(hi.scale[w], lo.scale[w], size)))
+
+    @property
+    def add(self):
+        return self._rows[0]
+
+    @property
+    def scale(self):
+        return self._rows[1]
+
+
+@lru_cache(maxsize=32)
+def _point_codes(p: int, n: int) -> _PointCodes:
+    """The codes of F_p^n, their rows built once per (p, n)."""
+    return _PointCodes(p, n)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered set of distinct points of F_p^n."""
@@ -335,12 +477,23 @@ class PointSet:
         return cls.make(vectors, p, n)
 
     @cached_property
-    def _members(self) -> dict:
-        # each point maps to itself: the membership table of a solution walk
-        return {v: v for v in self.points}
+    def _codes(self) -> dict:
+        """Each point's code (see ``_PointCodes``), in point order."""
+        encode = _point_codes(self.p, self.n).encode
+        return {v: encode(v) for v in self.points}
+
+    @cached_property
+    def _walk_view(self) -> tuple[list, list | _Sparse]:
+        """The set as a solution walk reads it, each point its own label:
+        the (code, point) pool in point order, and the table from each
+        member's code to the point."""
+        table = _point_codes(self.p, self.n).table()
+        for v, code in self._codes.items():
+            table[code] = v
+        return [(code, v) for v, code in self._codes.items()], table
 
     def __contains__(self, v) -> bool:
-        return reduce_coords(v, self.p) in self._members
+        return reduce_coords(v, self.p) in self._codes
 
     def __len__(self) -> int:
         return len(self.points)
@@ -430,17 +583,16 @@ def enumerate_solutions(
                 raise ValueError("pinned vector dimension mismatch")
             pin[pos] = cs
     completion = _Completion(sys_spec, n, tuple(pin))
-    # every point is its own label
-    pool = points._members.items()
-    tables = [points._members] * len(completion.open_pivots)
+    pool, table = points._walk_view
+    pins = tuple(map(completion.codes.encode, pin.values()))
     head = completion.free[:-1]
     # positions of an end's labels: the last free one, then the open pivots
     tail = completion.free[-1:] + [completion.pivots[r]
                                    for r in completion.open_pivots]
     entries = [pin.get(j) for j in range(sys_spec.k)]
     for prefix, ends in completion.walk([pool] * len(completion.free),
-                                        tables, tuple(pin.values())):
-        for j, (x, _) in zip(head, prefix):
+                                        [table] * len(completion.open_pivots), pins):
+        for j, (_, x) in zip(head, prefix):
             entries[j] = x
         for end in ends:
             for j, x in zip(tail, end):
@@ -462,12 +614,14 @@ class _Completion:
     pinned positions, whose solved entries must equal the given points.
     The other positions are free, in increasing order.  Pivots, constants
     and weights all come from one reduced echelon form of the
-    coefficients beside the constant terms (see ``_echelon``).
+    coefficients beside the constant terms (see ``_echelon``).  The walk
+    takes and solves points as their codes in ``codes``, so each pivot
+    entry is a lookup in the sum and scale rows.
     """
 
     def __init__(self, sys_spec: SystemSpec, n: int, pinned: Sequence[int] = ()):
         p, k = sys_spec.p, sys_spec.k
-        self.p, self.pinned = p, tuple(pinned)
+        self.pinned = tuple(pinned)
         # reduced row r of [A | B] reads x_pivot_r + sum_j a_rj x_j = b_r
         # over the non-pivot positions j: const_r = b_r, w_rj = -a_rj
         order, reduced, self.pivots = _echelon(
@@ -482,13 +636,17 @@ class _Completion:
         self.const = [row[k:] for row in reduced]
         self.weights = {j: [-row[c] % p for row in reduced]
                         for c, j in enumerate(order) if j not in self.pivots}
+        self.codes = _point_codes(p, n)
+        self._const_codes = list(map(self.codes.encode, self.const))
 
-    def walk(self, pools: Sequence[Sequence[tuple]], tables: Sequence[Mapping],
-             pins: Sequence[tuple[int, ...]] = ()) -> Iterator[tuple[tuple, list]]:
-        """Every solution whose pinned entries are ``pins``, whose entry
-        at the free position ``free[i]`` comes from ``pools[i]`` (an
-        iterable of (point, label) pairs) and whose entry at the open
-        pivot ``pivots[open_pivots[i]]`` is a key of ``tables[i]``.
+    def walk(self, pools: Sequence[Sequence[tuple]], tables: Sequence,
+             pins: Sequence[int] = ()) -> Iterator[tuple[tuple, list]]:
+        """Every solution whose pinned entries have the codes ``pins``,
+        whose entry at the free position ``free[i]`` comes from
+        ``pools[i]`` (an iterable of (code, label) pairs) and whose entry
+        at the open pivot ``pivots[open_pivots[i]]`` has a label in
+        ``tables[i]``, a table indexed by code (see ``_PointCodes``) that
+        holds None where a point is absent.
 
         Yields (prefix, ends) for each choice of the entries at all free
         positions but the last, in lexicographic pool order: prefix is
@@ -497,59 +655,72 @@ class _Completion:
         of each choice of the last free entry that completes a solution
         (no last label when there is no free position).
         """
-        p, weights = self.p, self.weights
-        consts = self.const
+        add, scale = self.codes.add, self.codes.scale
+        weights = self.weights
+        consts = self._const_codes
         for j, x in zip(self.pinned, pins):
             if j in weights:
-                consts = [tuple([c + w * v for c, v in zip(const, x)])
-                          for const, w in zip(consts, weights[j])]
-        head = [weights[j] for j in self.free[:-1]]
-        last_weights = weights[self.free[-1]] if self.free else None
-        *head_pools, last_pool = pools or [[(None, None)]]
+                consts = [add[c][scale[w][x]] for c, w in zip(consts, weights[j])]
+        head = [[scale[w] for w in weights[j]] for j in self.free[:-1]]
+        last = [scale[w] for w in weights[self.free[-1]]] if self.free else None
+        *head_pools, last_pool = pools or [None]
+        # the last head position varies fastest, so the sum rows of the
+        # partials before it are read once per choice of the others
+        inner = head.pop() if head else None
+        inner_pool = head_pools.pop() if head_pools else [None]
         # the entries solved from the last free position depend on the
         # others only through the partial sums, which repeat, so each
         # distinct partial is completed once (up to a bounded store)
         memo: dict = {}
         stored = 0
-        for prefix in product(*head_pools):
+        for outer in product(*head_pools):
             partial = consts
-            for ws, (x, _) in zip(head, prefix):
-                partial = [[a + w * c for a, c in zip(base, x)]
-                           for base, w in zip(partial, ws)]
-            key = tuple([tuple([a % p for a in base]) for base in partial])
-            ends = memo.get(key)
-            if ends is None:
-                ends = self._ends(key, last_weights, last_pool, tables, pins)
-                if stored < _MEMO_CAP:
-                    memo[key] = ends
-                    stored += len(ends) + 1
-            yield prefix, ends
+            for scales, (x, _) in zip(head, outer):
+                partial = [add[base][sc[x]] for base, sc in zip(partial, scales)]
+            rows = [add[base] for base in partial] if inner else None
+            for pair in inner_pool:
+                if pair is None:
+                    prefix, key = outer, tuple(partial)
+                else:
+                    prefix, x = outer + (pair,), pair[0]
+                    key = tuple([row[sc[x]] for row, sc in zip(rows, inner)])
+                ends = memo.get(key)
+                if ends is None:
+                    ends = self._ends(key, last, last_pool, tables, pins)
+                    if stored < _MEMO_CAP:
+                        memo[key] = ends
+                        stored += len(ends) + 1
+                yield prefix, ends
 
-    def _ends(self, partial, last_weights, pool, tables, pins) -> list[tuple]:
-        if last_weights is None:
+    def _ends(self, partial, last, pool, tables, pins) -> list[tuple]:
+        if last is None:
             # no free position: the pivots are solved outright
             if any(partial[r] != pins[i] for r, i in self.pinned_pivots):
                 return []
-            labels = [table.get(partial[r])
+            labels = [table[partial[r]]
                       for r, table in zip(self.open_pivots, tables)]
             return [] if None in labels else [tuple(labels)]
-        p, out = self.p, []
-        # (base, weight, pinned point) per pinned pivot and (base,
-        # weight, table) per open pivot: pivot r solves to
-        # base + weight * x for the last free entry x
-        fixed = [(partial[r], last_weights[r], pins[i])
+        add, out = self.codes.add, []
+        # (sum row, scale row, pinned code) per pinned pivot and (sum
+        # row, scale row, table) per open pivot: pivot r solves to
+        # partial_r + w_r * x for the last free entry x
+        fixed = [(add[partial[r]], last[r], pins[i])
                  for r, i in self.pinned_pivots]
-        solved = [(partial[r], last_weights[r], table)
+        solved = [(add[partial[r]], last[r], table)
                   for r, table in zip(self.open_pivots, tables)]
+        if not fixed and len(solved) == 1:
+            # the common shape, one pivot looked up, as one comprehension
+            [(row, sc, table)] = solved
+            return [(label, value) for x, label in pool
+                    if (value := table[row[sc[x]]]) is not None]
         for x, label in pool:
-            for base, w, want in fixed:
-                if tuple([(a + w * c) % p for a, c in zip(base, x)]) != want:
+            for row, sc, want in fixed:
+                if row[sc[x]] != want:
                     break
             else:
                 labels = [label]
-                for base, w, table in solved:
-                    value = table.get(tuple([(a + w * c) % p
-                                             for a, c in zip(base, x)]))
+                for row, sc, table in solved:
+                    value = table[row[sc[x]]]
                     if value is None:
                         break
                     labels.append(value)
@@ -557,22 +728,26 @@ class _Completion:
                     out.append(tuple(labels))
         return out
 
-    def supports(self, bits: dict,
-                 pins: Sequence[tuple[int, ...]] = ()) -> Iterator[int]:
-        """The support, as an OR of ``bits`` values, of the entries off
-        the pinned positions of every solution whose pinned entries are
-        ``pins`` and whose other entries are keys of ``bits`` (the pool,
-        in its order); once per solution."""
-        tables = [bits] * len(self.open_pivots)
-        for prefix, ends in self.walk([bits.items()] * len(self.free), tables, pins):
+    def supports(self, pool: Sequence[tuple[int, int]], table,
+                 pins: Sequence[int] = ()) -> Iterator[list[int]]:
+        """The supports, as ORs of bits, of the entries off the pinned
+        positions of every solution whose pinned entries have the codes
+        ``pins`` and whose other entries come from ``pool``, (code, bit)
+        pairs that ``table`` indexes by code.  One list per prefix of
+        the walk, empty when the prefix completes nothing; once per
+        solution."""
+        tables = [table] * len(self.open_pivots)
+        for prefix, ends in self.walk([pool] * len(self.free), tables, pins):
             mask = 0
             for _, bit in prefix:
                 mask |= bit
+            out = []
             for end in ends:
                 support = mask
                 for bit in end:
                     support |= bit
-                yield support
+                out.append(support)
+            yield out
 
 
 def _interesting_positions(sys_spec: SystemSpec, index_set: Sequence[int],
@@ -601,8 +776,9 @@ def interesting_tuples(
     as reduced coordinate tuples, and is checked and rank-tested once
     for all index sets; each index set's completion is built once.  The
     rank test stops once no index set can hold an interesting tuple.
-    CapExceededError once the completions walked, over all tuples and
-    index sets, pass ``DEFAULT_WORK_CAP``."""
+    CapExceededError once the completions walked, and the walked
+    prefixes that complete nothing, over all tuples and index sets,
+    pass ``DEFAULT_WORK_CAP``."""
     return _interesting_tuples(sys_spec, points, index_sets, ell, tuples, DEFAULT_WORK_CAP)
 
 
@@ -610,19 +786,21 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
                         index_sets: Sequence[Sequence[int]], ell: int,
                         tuples: Iterable[Sequence[tuple[int, ...]]],
                         cap: int) -> list:
-    """``interesting_tuples`` with at most ``cap`` completions walked."""
+    """``interesting_tuples`` with at most ``cap`` completions and
+    empty prefixes walked."""
     _check_same_prime(sys_spec, points)
     m, p = sys_spec.m, sys_spec.p
     positions = [_interesting_positions(sys_spec, idx, ell) for idx in index_sets]
     need = max(0, ell - m - 1)
-    members = points._members
+    codes = points._codes
     live = None
     left = cap
     groups: list[list] = [[] for _ in positions]
     for xs in tuples:
         if len(xs) != m + 1:
             raise ValueError(f"need an index set and tuple of size m + 1 = {m + 1}")
-        if any(x not in members for x in xs):
+        pins = tuple([codes.get(x) for x in xs])
+        if None in pins:
             raise ValueError("tuple entries must belong to the point set")
         if live == [] or len(_pivots(list(xs), points.n, p)) != m + 1:
             continue
@@ -634,14 +812,21 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
             completions = [_Completion(sys_spec, points.n, idx) for idx in positions]
             live = [(c, group) for c, group in zip(completions, groups)
                     if not (sys_spec.homogeneous and c.pinned_pivots and not c.free)]
-            bits = {v: 1 << i for i, v in enumerate(points.points)}
+            pool = [(code, 1 << i) for i, code in enumerate(codes.values())]
+            table = _point_codes(p, points.n).table()
+            for code, bit in pool:
+                table[code] = bit
         for completion, group in live:
-            for support in completion.supports(bits, xs):
-                left -= 1
+            for supports in completion.supports(pool, table, pins):
+                hit = next((i for i, support in enumerate(supports)
+                            if support.bit_count() >= need), None)
+                # the completions walked up to a hit, or one step for a
+                # prefix that completes nothing: a count, not a clock,
+                # so a refusal is reproducible
+                left -= (len(supports) or 1) if hit is None else hit + 1
                 if left < 0:
-                    # a count, not a clock, so a refusal is reproducible
                     _capped(cap + 1, cap, "{} tuple completions exceed the cap {cap}")
-                if support.bit_count() >= need:
+                if hit is not None:
                     group.append(xs)
                     break
     return [xs for group in groups for xs in group]

@@ -286,8 +286,8 @@ def sampling_step_distinct(
     interesting with respect to the full set A and lie entirely in the
     sampled subspace; the survivors contain none.  CapExceededError
     when the C(k, m+1) * |A ∩ V|^(m+1) candidate tuples exceed ``cap``,
-    before any is tested, and once the completions their tests walk
-    pass it.
+    before any is tested, and once the completions their tests walk,
+    with the walked prefixes that complete nothing, pass it.
     """
     if not sys_spec.generic_minors:
         raise ValueError("deletion step expects a system with generic minors")

@@ -8,9 +8,10 @@ it uses, so the exhaustive search runs on a support index that each
 call builds once.  Every point is numbered by its position in the point
 order.  Every solution in the point space is enumerated once, with the
 free positions ranging over the space and the pivot positions solved
-from them, and its support is kept as an int bitmask, listed under each
-point it uses.  The filter (``ClassFilter.admits_support``) is applied
-per support, not per tuple, and only admitted supports are kept.
+from them on point codes (see ``linsystem``), and its support is kept
+as an int bitmask, listed under each point it uses.  The filter
+(``ClassFilter.admits_support``) is applied per support, not per tuple,
+and only admitted supports are kept.
 
 The search is a depth first scan over points in order, carrying the
 current set and the candidates that can still join it, both as
@@ -30,9 +31,11 @@ inside {0}.
 
 The greedy bound runs on point spaces far too large for an index.  It
 scans the points in order and keeps a point unless it completes an
-admitted solution with the members kept so far.  A point x is decided
-by a walk: for each position in turn it pins x there and ranges the
-other free positions over the members and x, at a cost set by the
+admitted solution with the members kept so far.  It holds points as
+their codes, which number the space in its order, and decodes them
+only for the span-dimension filter and the witness.  A point x is
+decided by a walk: for each position in turn it pins x there and ranges
+the other free positions over the members and x, at a cost set by the
 member count, not by the space.  A position whose column lies in every
 pivot basis cannot be pinned; it stays a pivot, and its solved entry
 must equal x.  Positions with equal coefficient columns are pinned
@@ -142,13 +145,18 @@ class _SupportIndex:
                  order: Sequence[tuple[int, ...]]):
         sys_spec, mode = problem.sys_spec, problem.mode
         k, p = sys_spec.k, sys_spec.p
-        bits = {v: 1 << i for i, v in enumerate(order)}
+        completion = _Completion(sys_spec, problem.n)
+        pool = [(completion.codes.encode(v), 1 << i) for i, v in enumerate(order)]
+        table = completion.codes.table()
+        for code, bit in pool:
+            table[code] = bit
         positions = range(len(order))
         # per point x, the admitted supports through x without x's own bit
         self.through: list[list[int]] = [[] for _ in order]
         # points whose all-equal tuple is an admitted solution
         self.singles = 0
-        for support in set(_Completion(sys_spec, problem.n).supports(bits)):
+        for support in {support for supports in completion.supports(pool, table)
+                        for support in supports}:
             if not mode.admits_support(k, support.bit_count(),
                                        _selected(order, support), p):
                 continue
@@ -286,30 +294,40 @@ def greedy_lower_bound(
     _capped((restarts + 1) * count, GREEDY_POINT_CAP,
             f"{restarts + 1} passes over {count} points: {{}} point scans "
             f"exceed the cap {{cap}}")
-    space = problem._space()
-    order = list(space.points)
     sys_spec = problem.sys_spec
     # one check per distinct coefficient column, at its first position
     columns = list(zip(*sys_spec.coeffs))
     checks = [_Completion(sys_spec, problem.n, pinned=(pos,))
               for pos, col in enumerate(columns) if col not in columns[:pos]]
+    codes = checks[0].codes
+    # the space in its order: the codes from 0, or from 1 without zero
+    first = int(problem.exclude_zero)
+    order = list(range(first, count + first))
+    # a single open pivot is looked up in the whole space, each point
+    # its own label; more of them among the pool, by bit
+    space = codes.table()
+    for z in order:
+        space[z] = z
     mode, k, p = problem.mode, sys_spec.k, sys_spec.p
     nodes = 0
 
-    def rejects(x, xbit: int, pool: list, bits: dict, blocked: set,
+    def rows(pool: list, support: int, *more: int) -> Iterator[tuple[int, ...]]:
+        """The points at the bits of ``support`` in the pool, then
+        ``more``, decoded as they are read."""
+        return map(codes.decode, chain((z for z, _ in _selected(pool, support)), more))
+
+    def rejects(x: int, pool: list, bits: list | dict, blocked: set,
                 found: set) -> bool:
         """Whether x completes an admitted solution with the pool, the
-        members and then x as ``bits`` numbers them.  Otherwise ``found``
-        has gained every point z outside the pool and not yet blocked
-        that completes one with the pool and z, as a check's open pivot."""
+        (code, bit) pairs of the members and then x, which ``bits``
+        indexes by code.  Otherwise ``found`` has gained every point z
+        outside the pool and not yet blocked that completes one with the
+        pool and z, as a check's open pivot."""
+        xbit = pool[-1][1]
         for check in checks:
-            # a single open pivot is looked up in the whole space, each
-            # point its own label; more of them in the pool, by bit
             one_open = len(check.open_pivots) == 1
-            tables = ([space._members] if one_open
-                      else [bits] * len(check.open_pivots))
-            for prefix, ends in check.walk([bits.items()] * len(check.free),
-                                           tables, (x,)):
+            tables = [space] if one_open else [bits] * len(check.open_pivots)
+            for prefix, ends in check.walk([pool] * len(check.free), tables, (x,)):
                 mask = xbit
                 for _, bit in prefix:
                     mask |= bit
@@ -319,42 +337,41 @@ def greedy_lower_bound(
                         support |= bit
                     if one_open:
                         z = end[-1]
-                        zbit = bits.get(z)
+                        zbit = bits[z]
                         if zbit is None:
                             if (z not in found and z not in blocked
                                     and mode.admits_support(
                                         k, support.bit_count() + 1,
-                                        chain(_selected(pool, support), (z,)),
-                                        p)):
+                                        rows(pool, support, z), p)):
                                 found.add(z)
                             continue
                         support |= zbit
                     if mode.admits_support(k, support.bit_count(),
-                                           _selected(pool, support), p):
+                                           rows(pool, support), p):
                         return True
         return False
 
-    def one_pass(pts: Sequence[tuple[int, ...]]) -> list:
+    def one_pass(pts: Sequence[int]) -> list:
         """Keep each point unless it is blocked or completes an admitted
         solution with the points kept so far; bits number the kept
         points."""
         nonlocal nodes
-        members: list = []
-        bits: dict = {}
+        pool: list = []
+        bits = codes.table()
         blocked: set = set()
         for x in pts:
             nodes += 1
             if x in blocked:
                 continue
-            xbit = bits[x] = 1 << len(members)
+            bits[x] = 1 << len(pool)
+            pool.append((x, bits[x]))
             found: set = set()
-            # bits, in insertion order, is the pool: the members, then x
-            if rejects(x, xbit, members + [x], bits, blocked, found):
-                del bits[x]
+            if rejects(x, pool, bits, blocked, found):
+                pool.pop()
+                bits[x] = None
             else:
-                members.append(x)
                 blocked |= found
-        return members
+        return [z for z, _ in pool]
 
     best = one_pass(order)
     for _ in range(restarts):
@@ -363,7 +380,7 @@ def greedy_lower_bound(
         cand = one_pass(shuffled)
         if len(cand) > len(best):
             best = cand
-    witness = _verify_witness(problem, best)
+    witness = _verify_witness(problem, list(map(codes.decode, best)))
     return SearchResult(len(best), witness, False, nodes)
 
 

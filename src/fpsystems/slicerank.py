@@ -428,11 +428,15 @@ def _solving_indices(sys_spec: SystemSpec,
     its index, a pivot entry by the indices holding that point in its
     column."""
     completion = _Completion(sys_spec, len(cols[0][0]))
-    pools = [[(x, l) for l, x in enumerate(cols[pos])] for pos in completion.free]
-    tables: list[dict[tuple[int, ...], list[int]]] = [{} for _ in completion.pivots]
+    coded = [list(map(completion.codes.encode, col)) for col in cols]
+    pools = [[(code, l) for l, code in enumerate(coded[pos])] for pos in completion.free]
+    tables = [completion.codes.table() for _ in completion.pivots]
     for table, pos in zip(tables, completion.pivots):
-        for l, x in enumerate(cols[pos]):
-            table.setdefault(x, []).append(l)
+        for l, code in enumerate(coded[pos]):
+            if table[code] is None:
+                table[code] = [l]
+            else:
+                table[code].append(l)
     head, last = completion.free[:-1], completion.free[-1:]
     idx = [0] * sys_spec.k
     for prefix, ends in completion.walk(pools, tables):

@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Fourteen exceptions sit at the end.  The earlier weight, which checks all
+Fifteen exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -39,7 +39,10 @@ matrix, is the reference that ``random_subspace`` must reproduce draw
 for draw.  The earlier solution test, one sum per equation and
 coordinate, is the reference for the column-wise solve kernel behind
 ``is_solution``.  The earlier containment probability, one fraction
-per factor, is the reference for the telescoped products.
+per factor, is the reference for the telescoped products.  The earlier
+walk of the pivot solver, on coordinate tuples with every pivot entry
+a comprehension over the n coordinates, is the reference for the walk
+on point codes.
 """
 
 from __future__ import annotations
@@ -824,3 +827,48 @@ def reference_containment_probability(p: int, n: int, d: int,
     for i in range(s if s <= d else 0):
         exact *= Fraction(p**d - p**i, p**n - p**i)
     return exact, upper
+
+
+def reference_walk(completion, pools, tables, pins=()):
+    """The pivot solver's walk as the package ran it on coordinate
+    tuples: ``pools`` of (point, label) pairs, ``tables`` from points to
+    labels, ``pins`` as points, and every pivot entry summed coordinate
+    by coordinate.  Yields what ``_Completion.walk`` yields, with the
+    points of each prefix in place of their codes; no partial sum is
+    memoised."""
+    p, weights = completion.codes.p, completion.weights
+    consts = [tuple(c) for c in completion.const]
+    for j, x in zip(completion.pinned, pins):
+        if j in weights:
+            consts = [tuple((c + w * v) % p for c, v in zip(const, x))
+                      for const, w in zip(consts, weights[j])]
+    head = [weights[j] for j in completion.free[:-1]]
+    *head_pools, last_pool = pools or [[(None, None)]]
+    for prefix in product(*head_pools):
+        partial = consts
+        for ws, (x, _) in zip(head, prefix):
+            partial = [tuple((a + w * c) % p for a, c in zip(base, x))
+                       for base, w in zip(partial, ws)]
+        if not completion.free:
+            ends = []
+            if all(partial[r] == pins[i] for r, i in completion.pinned_pivots):
+                labels = [table.get(partial[r])
+                          for r, table in zip(completion.open_pivots, tables)]
+                if None not in labels:
+                    ends.append(tuple(labels))
+            yield prefix, ends
+            continue
+        last = weights[completion.free[-1]]
+
+        def solved(r, x):
+            return tuple((a + last[r] * c) % p for a, c in zip(partial[r], x))
+
+        ends = []
+        for x, label in last_pool:
+            if any(solved(r, x) != pins[i] for r, i in completion.pinned_pivots):
+                continue
+            labels = [label] + [table.get(solved(r, x))
+                                for r, table in zip(completion.open_pivots, tables)]
+            if None not in labels:
+                ends.append(tuple(labels))
+        yield prefix, ends

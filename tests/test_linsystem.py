@@ -1,8 +1,9 @@
 import io
+import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fpsystems import (
@@ -30,6 +31,7 @@ from .oracles import (
     reference_enumerate_solutions,
     reference_is_interesting,
     reference_is_solution,
+    reference_walk,
 )
 
 PRIMES = st.sampled_from([2, 3, 5])
@@ -631,6 +633,119 @@ class TestCompletionSetup:
                 linsystem._Completion(spec, 2, pinned)
                 built += 1
         assert len(calls) == built
+
+
+@pytest.fixture(params=[None, 49, 1], ids=["tables", "split", "mod"])
+def table_cap(request, monkeypatch):
+    """The point-code layouts: the default cap, under which F_p^n has
+    full tables while p^(2n) fits; 49, where a space of p <= 7 over two
+    or more coordinates (but F_2^2) splits into halves with tables; and
+    1, where every coordinate works modulo p."""
+    if request.param is not None:
+        monkeypatch.setattr(linsystem, "_TABLE_CAP", request.param)
+    linsystem._point_codes.cache_clear()
+    yield request.param
+    linsystem._point_codes.cache_clear()
+
+
+def _coded_table(codes, table: dict):
+    out = codes.table()
+    for v, label in table.items():
+        out[codes.encode(v)] = label
+    return out
+
+
+@st.composite
+def walk_cases(draw):
+    """A completion case of rank m <= 2 over n >= 1 coordinates, with a
+    labelled pool drawn from F_p^n per free position, a labelled table
+    per open pivot and a pinned point per pinned position."""
+    spec, n, pinned = draw(completion_cases().filter(
+        lambda case: case[0].m <= 2 and case[1] >= 1))
+    try:
+        setup = reference_completion_setup(spec, n, pinned)
+    except DegenerateSystemError:
+        assume(False)
+    point = st.tuples(*[st.integers(0, spec.p - 1)] * n)
+    points = st.lists(point, unique=True, max_size=4)
+    pools = [[(v, (pos, i)) for i, v in enumerate(draw(points))]
+             for pos in setup["free"]]
+    tables = [{v: ("pivot", r, i) for i, v in enumerate(draw(points))}
+              for r in setup["open_pivots"]]
+    pins = [draw(point) for _ in pinned]
+    return spec, n, pinned, pools, tables, pins
+
+
+class TestPointCodes:
+    """Point codes against coordinate arithmetic, in every layout."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_sums_and_multiples(self, table_cap, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        n = data.draw(st.integers(1, 4))
+        point = st.tuples(*[st.integers(0, p - 1)] * n)
+        u, v, w = data.draw(point), data.draw(point), data.draw(st.integers(0, p - 1))
+        codes = linsystem._point_codes(p, n)
+        assert isinstance(codes.add, list) == (p ** (2 * n) <= linsystem._TABLE_CAP)
+        a, b = codes.encode(u), codes.encode(v)
+        assert a == list(product(range(p), repeat=n)).index(u)
+        assert codes.decode(a) == u
+        assert codes.decode(codes.add[a][b]) == tuple((x + y) % p for x, y in zip(u, v))
+        assert codes.decode(codes.scale[w][b]) == tuple(w * y % p for y in v)
+
+
+class TestCodedWalk:
+    """The walk on point codes against the walk on coordinate tuples
+    (``tests/oracles.py``), decoded prefix for prefix."""
+
+    @settings(max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.filter_too_much])
+    @given(walk_cases())
+    def test_same_prefixes_and_ends(self, table_cap, case):
+        spec, n, pinned, pools, tables, pins = case
+        completion = linsystem._Completion(spec, n, pinned)
+        codes = completion.codes
+        walked = completion.walk(
+            [[(codes.encode(v), label) for v, label in pool] for pool in pools],
+            [_coded_table(codes, table) for table in tables],
+            [codes.encode(v) for v in pins])
+        ours = [(tuple((codes.decode(x), label) for x, label in prefix), ends)
+                for prefix, ends in walked]
+        assert ours == list(reference_walk(completion, pools, tables, pins))
+
+
+class TestLargePrimes:
+    """Primes whose one-coordinate sum table is over the table cap."""
+
+    @pytest.mark.parametrize("p, n", [(1009, 2), (10007, 2), (65537, 1)])
+    @pytest.mark.parametrize("affine", [False, True], ids=["homogeneous", "affine"])
+    def test_enumeration_matches_brute_force(self, p, n, affine):
+        # x + y = 2z on three progressions a, a + d, a + 2d and three
+        # more points; the affine system takes its constant from them
+        rng = random.Random(p)
+
+        def rand():
+            return tuple(rng.randrange(p) for _ in range(n))
+
+        pts = []
+        for _ in range(3):
+            a, d = rand(), rand()
+            pts += [tuple((x + i * y) % p for x, y in zip(a, d)) for i in range(3)]
+        pts += [rand() for _ in range(3)]
+        constants = None
+        if affine:
+            x, y, z = pts[0], pts[4], pts[9]
+            constants = [tuple((a + b - 2 * c) % p for a, b, c in zip(x, y, z))]
+        spec = SystemSpec.make([(1, 1, p - 2)], p, constants)
+        points = PointSet.make(pts, p)
+        ours = [sol.entries for sol in enumerate_solutions(spec, points)]
+        expected = brute_solutions(spec.coeffs, constants, p, list(points), n)
+        assert len(ours) == len(set(ours))
+        assert sorted(ours) == sorted(expected)
+        # the constant tuples, or the chosen solution and its swap
+        assert len(expected) >= (2 if affine else len(points))
 
 
 REFERENCE_CASES_FOR_ENUMERATION = REFERENCE_CASES + [

@@ -503,6 +503,18 @@ class TestStepDistinct:
         assert (seven.kept, seven.deleted) == (8, 1008)
         assert (six.kept, six.deleted) == (8, 720)
 
+    def test_sparse_completion_walks_capped(self, deadline):
+        # nine ones on 14 nonzero points of F_3^6, where few prefixes of
+        # a walk complete: counting completions alone, no answer came in
+        # 25 s; the prefixes that complete nothing count too
+        space = PointSet.full_space(6, 3, include_zero=False)
+        points = PointSet.make(random.Random(2).sample(space.points, 14), 3)
+        with deadline(20):
+            with pytest.raises(CapExceededError, match=(
+                    "^1000001 tuple completions exceed the cap 1000000$")):
+                sampling_step_distinct(SystemSpec.make([(1,) * 9], 3), points,
+                                       9, 6, random.Random(0))
+
 
 class TestStepWeight:
     def test_certificate_on_survivors(self, sys_ap3):

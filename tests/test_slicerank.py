@@ -440,6 +440,21 @@ class TestIndicator:
         expected = reference_indicator_support(spec, cols)
         assert tensor.entries == tuple((idx, 1) for idx in expected)
 
+    @pytest.mark.parametrize("p, n", [(10007, 1), (1009, 2)])
+    def test_large_prime_matches_dense_scan(self, p, n):
+        # x + y = 2z: each column repeats a point, and the progressions
+        # a, a + d, a + 2d give solutions beyond the constant ones
+        rng = random.Random(p)
+        a, d = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
+        prog = [tuple((x + i * y) % p for x, y in zip(a, d)) for i in range(3)]
+        cols = [prog + [prog[0], tuple(rng.randrange(p) for _ in range(n))]
+                for _ in range(3)]
+        spec = SystemSpec.make([(1, 1, p - 2)], p)
+        tensor = indicator_tensor(spec, cols)
+        expected = reference_indicator_support(spec, cols)
+        assert tensor.entries == tuple((idx, 1) for idx in expected)
+        assert len(expected) > 5
+
     def test_rank_below_m_raises(self):
         # the dense scan gave a 9-entry tensor here
         spec = SystemSpec.make([(1, 1, 1), (2, 2, 2)], 3)
