@@ -114,13 +114,10 @@ class SystemSpec:
     @property
     def _failing_minors(self) -> tuple[tuple[int, ...], ...]:
         """The column sets of the singular m x m minors, in
-        lexicographic order; each minor is eliminated as its transpose,
-        the m columns as rows, which ``_pivots`` reads without copying."""
+        lexicographic order."""
         if self._failing is None:
-            m, columns = self.m, tuple(zip(*self.coeffs))
-            object.__setattr__(self, "_failing", tuple(
-                cols for cols in combinations(range(self.k), m)
-                if len(_pivots([columns[j] for j in cols], m, self.p)) != m))
+            object.__setattr__(self, "_failing", _singular_minors(
+                tuple(zip(*self.coeffs)), self.m, self.p))
         return self._failing
 
     @property
@@ -138,6 +135,54 @@ class SystemSpec:
         if any(len(b) != n for b in self.constants):
             raise ValueError("constants do not match the ambient dimension")
         return self.constants
+
+
+def _singular_minors(columns: Sequence[Sequence[int]], m: int,
+                     p: int) -> tuple[tuple[int, ...], ...]:
+    """The m-sets of ``columns``, vectors of F_p^m, that are linearly
+    dependent, in lexicographic order: the column sets of the singular
+    m x m minors.
+
+    The sets grow one column at a time, so sets in lexicographic order
+    share the work on their common prefix.  A prefix of d independent
+    columns is held as a basis of the m - d vectors orthogonal to it.  A
+    next column orthogonal to all of them lies in the prefix's span, and
+    every set that extends the prefix with it is singular.  Otherwise
+    one basis vector with a nonzero product is spent to clear that
+    product from the others, which leaves the basis for the longer
+    prefix.  With m - 1 columns chosen one vector is left, so each last
+    column costs one product.
+    """
+    k = len(columns)
+    found: list[tuple[int, ...]] = []
+    # one frame per prefix on the path: the next column to try after
+    # it, the prefix and its orthogonal basis
+    frames = [[0, (), [[int(i == j) for j in range(m)] for i in range(m)]]]
+    while frames:
+        frame = frames[-1]
+        j, chosen, normals = frame
+        rest = m - len(chosen) - 1
+        if not rest:
+            [u] = normals
+            found.extend(chosen + (last,) for last in range(j, k)
+                         if not sum(map(mul, u, columns[last])) % p)
+        if not rest or j >= k - rest:
+            frames.pop()
+            continue
+        frame[0] = j + 1
+        dots = [sum(map(mul, u, columns[j])) % p for u in normals]
+        spent = next((i for i, t in enumerate(dots) if t), None)
+        if spent is None:
+            found.extend(chosen + (j,) + more
+                         for more in combinations(range(j + 1, k), rest))
+        else:
+            u0 = normals[spent]
+            f = p - pow(dots[spent], -1, p)
+            frames.append([j + 1, chosen + (j,),
+                           [[(a + f * t * b) % p for a, b in zip(u, u0)] if t else u
+                            for i, (u, t) in enumerate(zip(normals, dots))
+                            if i != spent]])
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -748,6 +793,13 @@ class _Completion:
                     support |= bit
                 out.append(support)
             yield out
+
+
+@lru_cache(maxsize=32)
+def _unpinned(sys_spec: SystemSpec, n: int) -> _Completion:
+    """The completion of the system over F_p^n with no position pinned,
+    built once per (system, n): a walk reads it and never changes it."""
+    return _Completion(sys_spec, n)
 
 
 def _interesting_positions(sys_spec: SystemSpec, index_set: Sequence[int],

@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Fifteen exceptions sit at the end.  The earlier weight, which checks all
+Sixteen exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -42,7 +42,9 @@ coordinate, is the reference for the column-wise solve kernel behind
 per factor, is the reference for the telescoped products.  The earlier
 walk of the pivot solver, on coordinate tuples with every pivot entry
 a comprehension over the n coordinates, is the reference for the walk
-on point codes.
+on point codes.  The earlier minor scan, which eliminates each of the
+C(k, m) minors from scratch, is the reference for the scan that shares
+the work on a common prefix of columns.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import numpy as np
 from fpsystems.errors import DegenerateSystemError
 from fpsystems.fplinalg import (
     Subspace,
+    _pivots,
     inverse_mod,
     normalize_line_rep,
     reduce_coords,
@@ -872,3 +875,12 @@ def reference_walk(completion, pools, tables, pins=()):
             if None not in labels:
                 ends.append(tuple(labels))
         yield prefix, ends
+
+
+def reference_failing_minors(sys_spec) -> tuple[tuple[int, ...], ...]:
+    """The column sets of the singular m x m minors, in lexicographic
+    order, each minor eliminated from scratch as its transpose, the m
+    columns as rows."""
+    m, columns = sys_spec.m, tuple(zip(*sys_spec.coeffs))
+    return tuple(cols for cols in combinations(range(sys_spec.k), m)
+                 if len(_pivots([columns[j] for j in cols], m, sys_spec.p)) != m)

@@ -29,6 +29,7 @@ from .oracles import (
     rank_by_minors,
     reference_completion_setup,
     reference_enumerate_solutions,
+    reference_failing_minors,
     reference_is_interesting,
     reference_is_solution,
     reference_walk,
@@ -101,19 +102,45 @@ class TestValidate:
         assert not rep.ok
 
     def test_make_eliminates_no_minor(self, spy):
-        calls = spy(fplinalg._pivots)
+        calls = spy(linsystem._singular_minors)
         spec = SystemSpec.make([(1, 1, 1, 1, 1), (1, 2, 3, 4, 0)], 5)
         assert calls == []
         assert spec.rows_sum_zero and calls == []
 
     def test_each_minor_eliminated_once(self, spy):
-        # one 2 x 2 minor of the ten is singular: columns 0 and 4
-        calls = spy(fplinalg._pivots)
+        # one 2 x 2 minor of the ten is singular: columns 0 and 4.  The
+        # flag and the report share one scan
+        calls = spy(linsystem._singular_minors)
         spec = SystemSpec.make([(1, 1, 1, 1, 1), (1, 2, 3, 4, 1)], 5)
         assert not spec.generic_minors
         rep = validate(spec)
         assert rep.failing_minors == ((0, 4),) and not rep.generic_minors
-        assert len(calls) == 10
+        assert len(calls) == 1
+
+    def test_failing_minors_match_the_scan_from_scratch(self):
+        # small primes and repeated or zero columns make singular minors
+        # common, and with them prefixes that every extension fails on
+        rng = random.Random(5)
+        for p in (2, 3, 5, 7, 11):
+            for _ in range(30):
+                m, k = rng.randint(1, 4), rng.randint(2, 9)
+                columns = [[rng.randrange(p) for _ in range(m)]
+                           for _ in range(k)]
+                for j in rng.sample(range(k), rng.randint(0, k // 2)):
+                    columns[j] = list(rng.choice(columns)) if rng.random() < 0.7 \
+                        else [0] * m
+                spec = SystemSpec.make(list(zip(*columns)), p)
+                assert spec._failing_minors == reference_failing_minors(spec)
+
+    def test_large_validate_in_time(self, deadline):
+        # C(20, 8) = 125,970 minors of size 8: each eliminated from
+        # scratch, the scan took 5 to 7 s on a 2-core Xeon
+        rng = random.Random(1)
+        spec = SystemSpec.make([[rng.randrange(11) for _ in range(20)]
+                                for _ in range(8)], 11)
+        with deadline(3):
+            rep = validate(spec)
+        assert len(rep.failing_minors) == 12_160
 
     def test_minor_count_capped_before_any_elimination(self, monkeypatch):
         def no_elimination(*args, **kwargs):
@@ -123,7 +150,7 @@ class TestValidate:
         monkeypatch.setattr(linsystem, "DEFAULT_WORK_CAP", 10)
         assert SystemSpec.make(rows, 5).generic_minors
         monkeypatch.setattr(linsystem, "DEFAULT_WORK_CAP", 9)
-        monkeypatch.setattr(linsystem, "_pivots", no_elimination)
+        monkeypatch.setattr(linsystem, "_singular_minors", no_elimination)
         with pytest.raises(CapExceededError,
                            match="^10 coefficient minors exceed the cap 9$"):
             SystemSpec.make(rows, 5)

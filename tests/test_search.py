@@ -65,6 +65,10 @@ REFERENCE_GRID = [
     ([(1, 1, 1, 0), (0, 1, 1, 1)], 3, None, ClassFilter.not_all_equal(), 2,
      False),
     ([(1,) * 6], 3, None, ClassFilter.distinct(), 1, False),
+    # k >= 5 beyond n = 1: long support lists, which each subtree of the
+    # exhaustive search filters down to its live points
+    ([(1,) * 5], 3, None, ClassFilter.distinct(), 2, False),
+    ([(1, 1, 2, 2)], 3, None, ClassFilter.distinct(), 2, False),
 ]
 
 
@@ -130,6 +134,49 @@ def test_greedy_against_reference(case, restarts):
                                  rng=random.Random(seed))
         assert (got.best_size, got.witness.points, got.nodes) == \
             reference_greedy(problem, restarts, random.Random(seed))
+
+
+# (coeffs, p, constants, n): random subsets of F_3^2 and F_2^3 under
+# every filter mode, for the witness check against the enumeration
+WITNESS_CASES = [
+    ([(1, 1, 1)], 3, None, 2),
+    ([(1, 1, 2, 2)], 3, None, 2),
+    ([(1, 1, 1)], 3, [(1, 0)], 2),
+    ([(1, 1, 1)], 2, None, 3),
+    ([(1, 1, 1, 1)], 2, None, 3),
+    ([(1, 1, 1, 0), (0, 1, 1, 1)], 2, None, 3),
+]
+WITNESS_FILTERS = [ClassFilter.any(), ClassFilter.not_all_equal(),
+                   ClassFilter.distinct(), ClassFilter.span_at_least(2),
+                   ClassFilter.span_at_least(3), ClassFilter.distinct_at_least(2),
+                   ClassFilter.distinct_at_least(3)]
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES,
+                         ids=lambda c: f"{c[0]}-p{c[1]}-b{c[2]}-n{c[3]}")
+def test_witness_check_matches_enumeration(case):
+    """The witness check walks the supports inside the set once; it
+    raises exactly where the enumeration yields an admitted solution."""
+    coeffs, p, constants, n = case
+    spec = SystemSpec.make(coeffs, p, constants=constants)
+    completion = linsystem._unpinned(spec, n)
+    space = list(product(range(p), repeat=n))
+    rng = random.Random(3)
+    outcomes = set()
+    for flt in WITNESS_FILTERS:
+        problem = AvoidanceProblem(spec, flt, n)
+        for _ in range(30):
+            subset = rng.sample(space, rng.randint(0, len(space)))
+            points = PointSet.make(subset, p, n)
+            admitted = next(iter(enumerate_solutions(spec, points, flt)), None)
+            outcomes.add(admitted is None)
+            if admitted is None:
+                assert search._verify_witness(completion, problem,
+                                              subset).points == points.points
+            else:
+                with pytest.raises(AssertionError, match="re-verification"):
+                    search._verify_witness(completion, problem, subset)
+    assert outcomes == {True, False}
 
 
 def untouched_rows():
@@ -240,6 +287,28 @@ class TestExhaustive:
         problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 1)
         with pytest.raises(ValueError):
             exhaustive_max(problem, point_order=[(0,), (1,)])
+
+    def test_point_order_checked_without_the_space(self, sys_ap3,
+                                                   monkeypatch):
+        problem = AvoidanceProblem(sys_ap3, ClassFilter.distinct(), 2,
+                                   exclude_zero=True)
+        order = list(problem.point_order())
+
+        def no_space(*args, **kwargs):
+            raise AssertionError("the point space was built")
+
+        monkeypatch.setattr(PointSet, "full_space", no_space)
+        assert exhaustive_max(problem, point_order=order[::-1]).best_size == \
+            brute_max_avoiding(sys_ap3, problem.mode, 2, exclude_zero=True)
+        # a point repeated, zero in place of a nonzero point, a point of
+        # another dimension, a point missing, a point too many
+        for bad in ([order[0]] + order[1:-1] + [order[0]],
+                    [(0, 0)] + order[1:],
+                    [(1, 0, 0)] + order[1:],
+                    order[1:],
+                    order + [(0, 0)]):
+            with pytest.raises(ValueError, match="point order"):
+                exhaustive_max(problem, point_order=bad)
 
     def test_symmetry_off_agrees(self, sys_ap3):
         problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 2)
