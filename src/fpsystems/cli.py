@@ -499,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--restarts", type=int, default=0)
     e.add_argument("--seed", type=int)
     e.add_argument("--no-symmetry", action="store_true",
-                   help="disable the linear-symmetry reduction")
+                   help="disable the symmetry reduction (the affine root "
+                   "where the rows sum to zero, else the linear anchor)")
     e.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP,
                    help="largest point space the exhaustive search "
                         "takes (--greedy ignores it)")

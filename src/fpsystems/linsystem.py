@@ -794,6 +794,101 @@ class _Completion:
                 out.append(support)
             yield out
 
+    @cached_property
+    def _orbit_plan(self) -> tuple[list, list]:
+        """Per free position, the nearest earlier free position with the
+        same weight column (None if there is none), and the scale rows of
+        its weights."""
+        scale = self.codes.scale
+        previous, scales, last = [], [], {}
+        for t, j in enumerate(self.free):
+            column = tuple(self.weights[j])
+            previous.append(last.get(column))
+            last[column] = t
+            scales.append([scale[w] for w in column])
+        return previous, scales
+
+    def _orbit_prefixes(self, pool: Sequence[tuple[int, int]], chosen: list,
+                        depth: int, t: int, partial: list,
+                        mask: int) -> Iterator[tuple[list, int]]:
+        """(partial sums, OR of the bits) of each choice of the entries at
+        the first ``depth`` free positions from ``pool``, in lexicographic
+        order, each position taking a pool index no smaller than the one
+        at the nearest earlier position with its weight column.  The
+        indices of a choice are in ``chosen[:depth]`` when it is yielded;
+        the first ``t`` of them are given, with their sums and bits."""
+        if t == depth:
+            yield partial, mask
+            return
+        add = self.codes.add
+        previous, scales = self._orbit_plan
+        for i in range(0 if previous[t] is None else chosen[previous[t]], len(pool)):
+            chosen[t] = i
+            x, bit = pool[i]
+            yield from self._orbit_prefixes(
+                pool, chosen, depth, t + 1,
+                [add[base][sc[x]] for base, sc in zip(partial, scales[t])], mask | bit)
+
+    def orbit_supports(self, pool: Sequence[tuple[int, int]], table) -> set[int]:
+        """The distinct supports of ``supports`` with no position pinned,
+        where the bits of ``pool`` increase in pool order, from one
+        solution per orbit of swaps at equal weight columns.
+
+        Free positions whose weight columns are equal enter every pivot
+        alike, so swapping their entries maps a solution to one with the
+        same support.  Such positions take nondecreasing pool indices,
+        and each support is still reached.  The ends of the last free
+        position are completed once per partial sum and cut at the first
+        pool index its class allows: from that index on when the sum is
+        first met, and over the whole pool, kept for every later start,
+        when it is met again with an earlier start."""
+        if len(self.free) < 2:
+            return {support for supports in self.supports(pool, table)
+                    for support in supports}
+        add = self.codes.add
+        previous, scales = self._orbit_plan
+        # the last free position but one varies fastest, as in ``walk``
+        inner = len(scales) - 2
+        row, last = scales[inner], scales[-1]
+        inner_previous, last_previous = previous[inner], previous[-1]
+        tables = [table] * len(self.open_pivots)
+        pairs = len(self.open_pivots) == 1
+        size = len(pool)
+        chosen = [0] * (inner + 1)
+        found: set[int] = set()
+        # partial sums -> (first pool index covered, the ends from there)
+        memo: dict = {}
+        stored = 0
+        for partial, mask in self._orbit_prefixes(pool, chosen, inner, 0,
+                                                  self._const_codes, 0):
+            rows = [add[base] for base in partial]
+            for i in range(0 if inner_previous is None else chosen[inner_previous], size):
+                x, bit = pool[i]
+                chosen[inner] = i
+                key = tuple([r[sc[x]] for r, sc in zip(rows, row)])
+                start = 0 if last_previous is None else chosen[last_previous]
+                entry = memo.get(key)
+                if entry is None or entry[0] > start:
+                    covered = 0 if entry else start
+                    ends = self._ends(key, last, pool[covered:], tables, ())
+                    if stored < _MEMO_CAP:
+                        memo[key] = covered, ends
+                        stored += len(ends) + 1
+                else:
+                    covered, ends = entry
+                here = mask | bit
+                least = pool[start][1] if start > covered else 0
+                if pairs:
+                    found.update([here | a | b for a, b in ends if a >= least])
+                    continue
+                for end in ends:
+                    if end[0] >= least:
+                        support = here
+                        for b in end:
+                            support |= b
+                        found.add(support)
+        return found
+
 
 @lru_cache(maxsize=32)
 def _unpinned(sys_spec: SystemSpec, n: int) -> _Completion:

@@ -397,41 +397,49 @@ class ReferenceDepthFirst:
 
 def reference_exhaustive_max(problem, symmetry=None, point_order=None):
     """(best_size, witness points, nodes) of the reference search, with
-    the same root handling, pruning and symmetry anchor."""
+    the same root handling, pruning and symmetry anchors.  Under the
+    affine root, zero and the anchor are forced, and the scan runs once
+    on the anchor's line and once with the first point off it forced
+    too; the incumbent carries from the first run to the second."""
     order = problem.point_order() if point_order is None else tuple(point_order)
     if symmetry is None:
         symmetry = problem.sys_spec.homogeneous
     checker = ReferenceChecker(problem.sys_spec, problem.mode, problem.n)
-    best = {"size": -1, "members": ()}
+    walker = ReferenceDepthFirst(checker)
+    best: tuple = ()
 
-    def record(members) -> None:
-        if len(members) > best["size"]:
-            best["size"] = len(members)
-            best["members"] = tuple(members)
+    def joins(base: list, z) -> bool:
+        return z not in base and not checker.violates_with(base, z)
 
-    def search_from(base: list, candidates: list) -> int:
-        walker = ReferenceDepthFirst(checker)
-        walker.run(list(base), list(candidates))
-        record(walker.best_members)
-        return walker.nodes
-
-    record(())
-    nodes = 0
-    if symmetry:
-        zero = (0,) * problem.n
-        if zero in set(order) and not checker.violates_with([], zero):
-            record((zero,))
-        anchor = next((v for v in order if any(v)), None)
-        if anchor is not None and not checker.violates_with([], anchor):
-            candidates = [z for z in order
-                          if z != anchor
-                          and not checker.violates_with([], z)
-                          and not checker.violates_pair([], anchor, z)]
-            nodes += search_from([anchor], candidates)
+    zero = (0,) * problem.n
+    anchor = next((v for v in order if any(v)), None)
+    sys_spec = problem.sys_spec
+    affine = (sys_spec.homogeneous and not problem.exclude_zero
+              and not any(sum(row) % sys_spec.p for row in sys_spec.coeffs)
+              and problem.mode.mode != "span-dim")
+    if not symmetry:
+        walker.run([], [z for z in order if joins([], z)])
+    elif affine:
+        if joins([], zero):
+            best = (zero,)
+            if joins([zero], anchor):
+                base = [zero, anchor]
+                candidates = [z for z in order if joins(base, z)]
+                line = {tuple(t * c % sys_spec.p for c in anchor)
+                        for t in range(sys_spec.p)}
+                walker.run(base, [z for z in candidates if z in line])
+                off = next((v for v in order if v not in line), None)
+                if off in candidates:
+                    base.append(off)
+                    walker.run(base, [z for z in candidates if joins(base, z)])
     else:
-        candidates = [z for z in order if not checker.violates_with([], z)]
-        nodes += search_from([], candidates)
-    return best["size"], best["members"], nodes
+        if zero in set(order) and joins([], zero):
+            best = (zero,)
+        if anchor is not None and joins([], anchor):
+            walker.run([anchor], [z for z in order if joins([anchor], z)])
+    if len(walker.best_members) > len(best):
+        best = walker.best_members
+    return len(best), best, walker.nodes
 
 
 def reference_greedy_passes(problem, restarts: int = 0, rng=None) -> list:

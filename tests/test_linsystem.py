@@ -743,6 +743,70 @@ class TestCodedWalk:
         assert ours == list(reference_walk(completion, pools, tables, pins))
 
 
+# (coeffs, p, constants, n): free positions in one column class, two
+# classes, equal columns split by a pivot (position 0 of 1 1 2 2 is the
+# pivot, position 1 its equal column), two equations, affine constants,
+# one free position and none
+ORBIT_CASES = [
+    ([(1,) * 6], 3, None, 2),
+    ([(1, 1, 2, 2)], 3, None, 2),
+    ([(2, 1, 1, 2, 2)], 3, None, 2),
+    ([(1, 1, 1, 0), (0, 1, 1, 1)], 3, None, 2),
+    ([(1, 2, 2, 1, 1), (0, 1, 1, 2, 2)], 3, [(1, 0), (0, 1)], 2),
+    ([(1, 1, 2, 2, 1)], 5, [(2,)], 1),
+    ([(1, 1, 1, 1)], 2, [(1, 0, 1)], 3),
+    ([(1, 3, 1, 3)], 5, None, 1),
+    ([(1, 1)], 3, [(1, 2)], 2),
+    ([(1, 0), (0, 1)], 3, [(1, 0), (0, 2)], 2),
+]
+
+
+class TestOrbitSupports:
+    """The walk over one solution per orbit of equal weight columns
+    reaches the supports of the plain walk, on random pools."""
+
+    @pytest.mark.parametrize("case", ORBIT_CASES,
+                             ids=lambda c: f"{c[0]}-p{c[1]}-b{c[2]}-n{c[3]}")
+    def test_same_supports_as_the_plain_walk(self, table_cap, case):
+        coeffs, p, constants, n = case
+        completion = linsystem._Completion(SystemSpec.make(coeffs, p, constants), n)
+        codes = completion.codes
+        space = list(product(range(p), repeat=n))
+        rng = random.Random(4)
+        for _ in range(12):
+            points = rng.sample(space, rng.randint(0, len(space)))
+            pool = [(codes.encode(v), 1 << i) for i, v in enumerate(points)]
+            table = _coded_table(codes, {v: 1 << i for i, v in enumerate(points)})
+            assert completion.orbit_supports(pool, table) == {
+                support for supports in completion.supports(pool, table)
+                for support in supports}
+
+    def test_at_most_two_completions_per_partial_sum(self, monkeypatch):
+        # six ones over F_3^2: the four head entries sum to one of the 9
+        # points.  A sum is completed from its first start on, and once
+        # more, over the whole pool, if it comes back with an earlier one,
+        # which some sums do
+        spec = SystemSpec.make([(1,) * 6], 3)
+        completion = linsystem._Completion(spec, 2)
+        codes = completion.codes
+        pool = [(codes.encode(v), 1 << i)
+                for i, v in enumerate(product(range(3), repeat=2))]
+        table = _coded_table(codes, {codes.decode(x): bit for x, bit in pool})
+        completed: dict = {}
+        ends = linsystem._Completion._ends
+
+        def spy(self, partial, last, tail, *args):
+            completed.setdefault(partial, []).append(len(tail))
+            return ends(self, partial, last, tail, *args)
+
+        monkeypatch.setattr(linsystem._Completion, "_ends", spy)
+        completion.orbit_supports(pool, table)
+        assert len(completed) == 9
+        assert all(len(sizes) == 1 or sizes[0] < sizes[1] == 9
+                   for sizes in completed.values())
+        assert any(len(sizes) == 2 for sizes in completed.values())
+
+
 class TestLargePrimes:
     """Primes whose one-coordinate sum table is over the table cap."""
 

@@ -7,6 +7,7 @@ from fpsystems import (
     AvoidanceProblem,
     CapExceededError,
     ClassFilter,
+    DegenerateSystemError,
     PointSet,
     SystemSpec,
     enumerate_solutions,
@@ -69,6 +70,9 @@ REFERENCE_GRID = [
     # exhaustive search filters down to its live points
     ([(1,) * 5], 3, None, ClassFilter.distinct(), 2, False),
     ([(1, 1, 2, 2)], 3, None, ClassFilter.distinct(), 2, False),
+    # rows summing to zero over F_5^2: the affine root's line holds five
+    # points, so its first run has three candidates
+    ([(1, 2, 2)], 5, None, ClassFilter.not_all_equal(), 2, False),
 ]
 
 
@@ -245,7 +249,7 @@ class TestExhaustive:
         problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 3)
         result = exhaustive_max(problem)
         assert result.best_size == 9
-        assert result.nodes == 10_504
+        assert result.nodes == 682
         assert subset_avoids(sys_ap3, problem.mode, result.witness.points, 3)
 
     def test_known_values(self, sys_ap3):
@@ -315,6 +319,14 @@ class TestExhaustive:
         on = exhaustive_max(problem, symmetry=True)
         off = exhaustive_max(problem, symmetry=False)
         assert on.best_size == off.best_size
+
+    def test_six_ones_distinct_in_three_dimensions(self, deadline):
+        # 126,740 nodes under the linear anchor, and 4 to 5 s of support
+        # walk over every ordering of the five free entries
+        spec = SystemSpec.make([(1,) * 6], 3)
+        with deadline(3):
+            result = exhaustive_max(AvoidanceProblem(spec, ClassFilter.distinct(), 3))
+        assert result.best_size == 9 and result.optimal
 
     def test_distinct_impossible_when_space_too_small(self):
         # three pairwise distinct entries cannot fit in F_2, so the
@@ -523,3 +535,156 @@ class TestTheoremBounds:
             verify_theorem_bound(
                 AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 1),
                 "nonsense")
+
+
+def root_members(monkeypatch, problem):
+    """The members each top-level run of the exhaustive search starts
+    from: the points its root forces, in order."""
+    roots = []
+    depth = 0
+    run = search._DepthFirst.run
+
+    def spy(self, members, *args):
+        nonlocal depth
+        if not depth:
+            roots.append(tuple(members))
+        depth += 1
+        run(self, members, *args)
+        depth -= 1
+
+    monkeypatch.setattr(search._DepthFirst, "run", spy)
+    result = exhaustive_max(problem)
+    monkeypatch.undo()
+    order = problem.point_order()
+    return [tuple(order[i] for i in members) for members in roots], result
+
+
+class TestAffineRoot:
+    """Zero, the first nonzero point and the first point off its line are
+    forced exactly where every affine bijection keeps the problem."""
+
+    @pytest.mark.parametrize("coeffs,p,flt,n,exclude_zero", [
+        ([(1, 1, 1)], 3, ClassFilter.span_at_least(2), 2, False),
+        ([(1, 1, 1)], 3, ClassFilter.distinct(), 2, True),
+        ([(1, 1, 1)], 2, ClassFilter.not_all_equal(), 3, False),
+        ([(1,) * 5], 3, ClassFilter.distinct(), 2, False),
+    ], ids=["span-dim", "exclude-zero", "x+y+z-F2", "five-ones-F3"])
+    def test_linear_anchor_where_translations_break(self, monkeypatch, coeffs,
+                                                    p, flt, n, exclude_zero):
+        spec = SystemSpec.make(coeffs, p)
+        problem = AvoidanceProblem(spec, flt, n, exclude_zero=exclude_zero)
+        assert not search._affine_root(problem)
+        roots, result = root_members(monkeypatch, problem)
+        anchor = next(v for v in problem.point_order() if any(v))
+        assert roots == [(anchor,)]
+        assert result.best_size == brute_max_avoiding(spec, flt, n, exclude_zero)
+
+    def test_affine_constants_search_without_symmetry(self, monkeypatch):
+        spec = SystemSpec.make([(1, 1, 1)], 3, constants=[(1, 0)])
+        problem = AvoidanceProblem(spec, ClassFilter.not_all_equal(), 2)
+        assert not search._affine_root(problem)
+        roots, result = root_members(monkeypatch, problem)
+        assert roots == [()]
+        assert result.best_size == brute_max_avoiding(spec, problem.mode, 2)
+
+    @pytest.mark.parametrize("coeffs,p,flt,n", [
+        ([(1, 1, 1)], 3, ClassFilter.not_all_equal(), 2),
+        ([(1, 1, 2, 2)], 3, ClassFilter.distinct_at_least(3), 2),
+        ([(1, 2, 2)], 5, ClassFilter.distinct(), 2),
+        ([(1, 1, 1, 1)], 2, ClassFilter.distinct(), 3),
+        ([(1,) * 6], 3, ClassFilter.distinct(), 1),
+    ])
+    def test_two_runs_from_the_forced_points(self, monkeypatch, coeffs, p, flt,
+                                             n):
+        spec = SystemSpec.make(coeffs, p)
+        problem = AvoidanceProblem(spec, flt, n)
+        assert search._affine_root(problem)
+        roots, result = root_members(monkeypatch, problem)
+        zero, anchor = problem.point_order()[:2]
+        # the anchor's line is the first p points of the natural order,
+        # the whole space over F_p^1
+        off = problem.point_order()[p:p + 1]
+        assert roots == [(zero, anchor), (zero, anchor) + off][:1 + len(off)]
+        assert result.best_size == exhaustive_max(problem, symmetry=False).best_size
+
+    def test_any_filter_avoids_only_the_empty_set(self, monkeypatch):
+        # constant tuples solve a system whose rows sum to zero, so every
+        # point is a solution on its own
+        spec = SystemSpec.make([(1, 1, 1)], 3)
+        roots, result = root_members(
+            monkeypatch, AvoidanceProblem(spec, ClassFilter.any(), 2))
+        assert roots == [] and result.best_size == 0 and result.nodes == 0
+
+    def test_same_maxima_as_without_symmetry(self):
+        # random systems whose rows sum to zero, the last coefficient of
+        # each row set so, over spaces of up to 25 points; rank-deficient
+        # draws are skipped
+        rng = random.Random(11)
+        filters = [ClassFilter.any(), ClassFilter.not_all_equal(),
+                   ClassFilter.distinct(), ClassFilter.distinct_at_least(2),
+                   ClassFilter.distinct_at_least(3)]
+        spaces = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2)]
+        checked = 0
+        while checked < 40:
+            p, n = rng.choice(spaces)
+            k, m = rng.randint(3, 5), rng.randint(1, 2)
+            rows = []
+            for _ in range(m):
+                row = [rng.randrange(p) for _ in range(k - 1)]
+                rows.append(row + [-sum(row) % p])
+            spec = SystemSpec.make(rows, p)
+            try:
+                linsystem.pivot_columns(spec)
+            except DegenerateSystemError:
+                continue
+            problem = AvoidanceProblem(spec, rng.choice(filters), n)
+            assert search._affine_root(problem)
+            for seed in range(2):
+                order = list(problem.point_order())
+                random.Random(seed).shuffle(order)
+                on = exhaustive_max(problem, symmetry=True, point_order=order)
+                off = exhaustive_max(problem, symmetry=False, point_order=order)
+                assert on.best_size == off.best_size, (rows, p, problem.mode, n)
+            checked += 1
+
+
+# (coeffs, p, constants, filter, n) -> the node count and the witness
+# that the search without symmetry reduction gives in the natural point
+# order, and the node count under the order of random.Random(5)
+UNREDUCED_TREES = [
+    (([(1, 1, 1)], 3, None, ClassFilter.not_all_equal(), 3), 37_787,
+     ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1),
+      (1, 1, 2), (1, 2, 2), (2, 1, 2)), 48_965),
+    (([(1,) * 6], 3, None, ClassFilter.distinct(), 2), 77,
+     ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)), 77),
+    (([(1, 1, 2, 2)], 3, None, ClassFilter.distinct(), 2), 87,
+     ((0, 0), (0, 1), (0, 2), (1, 0)), 83),
+    (([(1, 1, 1)], 3, [(1, 0)], ClassFilter.not_all_equal(), 2), 23,
+     ((0, 0), (0, 1), (0, 2)), 22),
+    (([(1, 1, 1, 0), (0, 1, 2, 2)], 3, None, ClassFilter.not_all_equal(), 2), 16,
+     ((0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)), 16),
+    (([(1, 1, 1, 1)], 2, None, ClassFilter.span_at_least(3), 3), 42,
+     ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)), 42),
+    (([(1, 1, 1)], 2, None, ClassFilter.not_all_equal(), 3), 18,
+     ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)), 18),
+    (([(1, 2, 2)], 5, None, ClassFilter.distinct(), 2), 4_441,
+     ((0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (4, 3)), 4_903),
+]
+
+
+@pytest.mark.parametrize("case,nodes,witness,shuffled_nodes", UNREDUCED_TREES,
+                         ids=[f"{c[0]}-p{c[1]}-{c[3].mode}-n{c[4]}"
+                              for c, *_ in UNREDUCED_TREES])
+def test_unreduced_tree_unchanged(case, nodes, witness, shuffled_nodes):
+    """Without symmetry reduction the node counts and the witness are
+    pinned: the support walk over orbits of equal columns gives the index
+    the supports of the walk over every ordering, so the tree is the
+    same."""
+    coeffs, p, constants, flt, n = case
+    problem = AvoidanceProblem(SystemSpec.make(coeffs, p, constants), flt, n)
+    result = exhaustive_max(problem, symmetry=False)
+    assert (result.nodes, result.witness.points) == (nodes, witness)
+    order = list(problem.point_order())
+    random.Random(5).shuffle(order)
+    assert exhaustive_max(problem, symmetry=False, point_order=order).nodes == \
+        shuffled_nodes
