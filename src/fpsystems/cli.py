@@ -26,6 +26,7 @@ import time
 from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import CapExceededError, DegenerateSystemError, _unprintable
 from .fplinalg import check_prime, reduce_vectors
@@ -96,7 +97,23 @@ def _printable(value: int) -> int:
     return value
 
 
+# The digit limit is 0 (none) or at least 640, so an int of at most 18
+# digits always prints.
+_PRINTS = 10**18
+
+
 def _jsonable(obj):
+    """``obj`` as a tree of str-keyed dicts, lists, strs, ints, floats,
+    bools and None; exact types come first, then the generic chain."""
+    t = type(obj)
+    if t is int:
+        return obj if -_PRINTS < obj < _PRINTS else _printable(obj)
+    if t is str or t is float or t is bool or obj is None:
+        return obj
+    if t is tuple or t is list:
+        return [_jsonable(x) for x in obj]
+    if t is dict:
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {name: _jsonable(getattr(obj, name))
                 for name in _rendered_names(type(obj))}
@@ -126,9 +143,77 @@ def _flatten(obj, prefix: str, out: list) -> None:
         out.append((prefix, obj))
 
 
+# json writes these float values by their JavaScript names
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_NAMES.get(text, text)
+
+
+def _json_text(obj, pad: str) -> str:
+    """``obj``, a tree from ``_jsonable``, as json.dumps(obj, indent=2,
+    sort_keys=True) writes it at the nesting of ``pad``."""
+    t = type(obj)
+    if t is str:
+        return _json_string(obj)
+    if t is int:
+        return str(obj)
+    if t is float:
+        return _json_float(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return ("{\n" + inner + (",\n" + inner).join(
+            [_json_string(k) + ": " + _json_text(obj[k], inner)
+             for k in sorted(obj)]) + "\n" + pad + "}")
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return ("[\n" + inner + (",\n" + inner).join(
+            [str(x) if type(x) is int else _json_text(x, inner)
+             for x in obj]) + "\n" + pad + "]")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    # subclasses, which json writes as their base type
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return _json_float(obj)
+
+
+def _write_json(obj, write, pad: str = "") -> None:
+    """``_json_text(obj, pad)`` through ``write``, one dict key or list
+    item at a time, so a long listing is never held as one string."""
+    t = type(obj)
+    if t is dict and obj:
+        inner = pad + "  "
+        lead = "{\n" + inner
+        for key in sorted(obj):
+            write(lead + _json_string(key) + ": ")
+            _write_json(obj[key], write, inner)
+            lead = ",\n" + inner
+        write("\n" + pad + "}")
+    elif t is list and obj:
+        inner = pad + "  "
+        lead = "[\n" + inner
+        for item in obj:
+            write(lead + _json_text(item, inner))
+            lead = ",\n" + inner
+        write("\n" + pad + "]")
+    else:
+        write(_json_text(obj, pad))
+
+
 def _render(envelope: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     rows: list = []
     _flatten(envelope, "", rows)
     if fmt == "csv":
@@ -245,10 +330,11 @@ def _cmd_weight(args) -> tuple:
     p = check_prime(args.p)
     entries = reduce_vectors(_parse_blocks(args.tuple, "tuple"), p)
     report = weight(entries, p)
-    rendered = _jsonable(report)
+    rendered = {name: getattr(report, name)
+                for name in _rendered_names(type(report))}
     rendered["lines"] = ["".join(str(c) for c in line)
                          for line in report.lines]
-    rendered["admissible"] = _jsonable(admissible_sets(entries, p))
+    rendered["admissible"] = admissible_sets(entries, p)
     payload: dict = {"p": p, "entries": entries, "weight": rendered}
     failed = False
     sys_spec = read_system_file(args.system) if args.system else None
@@ -539,7 +625,11 @@ def main(argv=None) -> int:
         if not args.no_timestamp:
             envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
             envelope["elapsed_s"] = round(time.perf_counter() - started, 6)
-        sys.stdout.write(_render(envelope, args.format))
+        if args.format == "json":
+            _write_json(envelope, sys.stdout.write)
+            sys.stdout.write("\n")
+        else:
+            sys.stdout.write(_render(envelope, args.format))
     except (ValueError, OSError, OverflowError, CapExceededError,
             DegenerateSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Sixteen exceptions sit at the end.  The earlier weight, which checks all
+Eighteen exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -44,11 +44,17 @@ walk of the pivot solver, on coordinate tuples with every pivot entry
 a comprehension over the n coordinates, is the reference for the walk
 on point codes.  The earlier minor scan, which eliminates each of the
 C(k, m) minors from scratch, is the reference for the scan that shares
-the work on a common prefix of columns.
+the work on a common prefix of columns.  The earlier report conversion,
+one generic isinstance chain per node, is the reference for the
+conversion with exact-type fast paths, and ``json.dumps`` with
+``indent=2`` and ``sort_keys=True`` is the reference for the command
+line's own JSON writer.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -56,6 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
+from fpsystems.cli import _printable, _rendered_names
 from fpsystems.errors import DegenerateSystemError
 from fpsystems.fplinalg import (
     Subspace,
@@ -892,3 +899,32 @@ def reference_failing_minors(sys_spec) -> tuple[tuple[int, ...], ...]:
     m, columns = sys_spec.m, tuple(zip(*sys_spec.coeffs))
     return tuple(cols for cols in combinations(range(sys_spec.k), m)
                  if len(_pivots([columns[j] for j in cols], m, sys_spec.p)) != m)
+
+
+def reference_jsonable(obj):
+    """A report object as a plain tree: one isinstance chain per node,
+    dataclasses and fractions first, every int through the digit
+    limit."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {name: reference_jsonable(getattr(obj, name))
+                for name in _rendered_names(type(obj))}
+    if isinstance(obj, Fraction):
+        return reference_jsonable({"numerator": obj.numerator,
+                                   "denominator": obj.denominator,
+                                   "value": float(obj)})
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(x) for x in obj]
+    if isinstance(obj, (frozenset, set)):
+        return [reference_jsonable(x) for x in sorted(obj)]
+    if isinstance(obj, int):
+        return _printable(obj)
+    if obj is None or isinstance(obj, (float, str)):
+        return obj
+    return str(obj)
+
+
+def reference_render(tree) -> str:
+    """A plain tree as the command line prints it in JSON."""
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"

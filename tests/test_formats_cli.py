@@ -1,18 +1,26 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
+import math
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fpsystems
 from fpsystems import cli, fplinalg, search, slicerank
 from fpsystems.cli import build_parser, main
+from fpsystems.weights import AdmissibleSet
+
+from .oracles import reference_jsonable, reference_render
 
 AP3 = "p=3 m=1 k=3\n1 1 1\n"
 BAD_MINOR = "p=3 m=1 k=3\n1 2 0\n"
@@ -862,6 +870,28 @@ class TestExitCodes:
         assert err == ("error: an exact integer of 9543 digits exceeds the "
                        "limit of 4300 digits for printing it\n")
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_digit_limit_at_its_floor(self, fmt, capsys):
+        # 640, the lowest limit the interpreter takes: at n = 1342 the
+        # probability's denominator has 640 digits and prints, at
+        # n = 1343 it has 641; ints below 10^18 skip the digit check
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            runs = [run_cli(["sample", "containment", "--p", "3", "--n", n,
+                             "--d", "1", "--s", "1", "--method",
+                             "monte-carlo", "--trials", "1", "--format", fmt],
+                            capsys) for n in ("1342", "1343")]
+        finally:
+            sys.set_int_max_str_digits(previous)
+        (code, out, err), (code_over, out_over, err_over) = runs
+        assert (code, err) == (0, "")
+        assert max(len(digits) for digits in re.findall(r"\d+", out)) == 640
+        assert code_over == 2
+        assert not out_over
+        assert err_over == ("error: an exact integer of 641 digits exceeds "
+                            "the limit of 640 digits for printing it\n")
+
     def test_printable_digit_limit_is_exact(self, int_digits_4300):
         assert cli._printable(-(10**4300 - 1)) == -(10**4300 - 1)
         with pytest.raises(ValueError, match="of 4301 digits"):
@@ -912,6 +942,119 @@ class TestFormats:
         assert exact == {"numerator": 3, "denominator": 7,
                          "value": pytest.approx(3 / 7)}
         assert data["result"]["within_3sigma"] is True
+
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int()"
+
+    __str__ = __repr__
+
+
+class _Str(str):
+    def __repr__(self):
+        return "_Str()"
+
+    __str__ = __repr__
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float()"
+
+    __str__ = __repr__
+
+
+TEXT = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x08\x1f\x7f\n\t", "é€", "\U0001F600",
+     "\u2028\u2029", "\ud800"]))
+INTS = st.one_of(st.integers(), st.sampled_from([0, 10**600, -10**600]))
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e16, 1e22]))
+LEAVES = st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXT,
+                   st.builds(_Int, INTS), st.builds(_Str, TEXT),
+                   st.builds(_Float, FLOATS))
+TREES = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.one_of(TEXT, st.builds(_Str, TEXT)), inner,
+                    max_size=4)), max_leaves=24)
+
+
+def _typed(tree):
+    """``tree`` with the exact type beside every node and key."""
+    if type(tree) is dict:
+        return dict, {(type(k), k): _typed(v) for k, v in tree.items()}
+    if type(tree) is list:
+        return list, [_typed(x) for x in tree]
+    return type(tree), tree
+
+
+@pytest.fixture(scope="module")
+def session_results(tmp_path_factory):
+    """The result object of each command of the benchmark's cli-session
+    workload, as its handler returns it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                               / "perfbench"))
+        workloads = importlib.import_module("workloads")
+    inputs = workloads.CliSession.setup(
+        fpsystems, 1, {}, tmp_path_factory.mktemp("session"))
+    parser = build_parser()
+    results = []
+    for template, argv in inputs.commands:
+        args = parser.parse_args(argv)
+        results.append((template, args.func(args)[0]))
+    return results
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(tree=TREES)
+    @example(tree={})
+    @example(tree=[])
+    @example(tree={"a": {}, "b": [], "c": [[], {}, [[]]], "": None})
+    @example(tree=[_Int(7), _Str("x"), _Float(-0.0), True, False, 1e16])
+    def test_matches_json_dumps(self, tree):
+        parts = []
+        cli._write_json(tree, parts.append)
+        assert "".join(parts) + "\n" == reference_render(tree)
+        assert cli._json_text(tree, "") + "\n" == reference_render(tree)
+
+    def test_listing_written_item_by_item(self, files, capsys):
+        # each solution is one write, the listing never one string
+        parts = []
+        args = build_parser().parse_args(["solve", "--system", files["ap3"],
+                                          "--n", "2"])
+        tree = cli._jsonable(args.func(args)[0])
+        cli._write_json(tree, parts.append)
+        assert len(tree["solutions"]) == 81
+        assert max(map(len, parts)) < 300 < len("".join(parts)) / 50
+        assert "".join(parts) + "\n" == reference_render(tree)
+
+
+class TestJsonable:
+    def test_session_results_match_reference(self, session_results):
+        assert len(session_results) == 140
+        for template, result in session_results:
+            assert (_typed(cli._jsonable(result))
+                    == _typed(reference_jsonable(result))), template
+
+    def test_weight_handler_converts_nothing(self, files, spy, capsys):
+        # the handler returns objects; main converts them in one pass
+        calls = spy(cli._jsonable)
+        argv = ["weight", "--tuple", "1,0;0,1;2,2", "--p", "3", "--system",
+                files["ap3"], "--check-properties", "--check-partition"]
+        args = build_parser().parse_args(argv)
+        payload, code, _ = args.func(args)
+        assert calls == []
+        assert code == 0
+        assert all(isinstance(a, AdmissibleSet)
+                   for a in payload["weight"]["admissible"])
+        code, out, _ = run_cli(argv + ["--no-timestamp"], capsys)
+        assert code == 0
+        assert out == reference_render({"command": "weight",
+                                        "result": reference_jsonable(payload)})
 
 
 class TestCommands:
