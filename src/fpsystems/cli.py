@@ -147,52 +147,12 @@ def _flatten(obj, prefix: str, out: list) -> None:
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(x: float) -> str:
-    text = float.__repr__(x)
-    return _FLOAT_NAMES.get(text, text)
-
-
-def _json_text(obj, pad: str) -> str:
-    """``obj``, a tree from ``_jsonable``, as json.dumps(obj, indent=2,
-    sort_keys=True) writes it at the nesting of ``pad``."""
-    t = type(obj)
-    if t is str:
-        return _json_string(obj)
-    if t is int:
-        return str(obj)
-    if t is float:
-        return _json_float(obj)
-    if t is dict:
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        return ("{\n" + inner + (",\n" + inner).join(
-            [_json_string(k) + ": " + _json_text(obj[k], inner)
-             for k in sorted(obj)]) + "\n" + pad + "}")
-    if t is list:
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        return ("[\n" + inner + (",\n" + inner).join(
-            [str(x) if type(x) is int else _json_text(x, inner)
-             for x in obj]) + "\n" + pad + "]")
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    # subclasses, which json writes as their base type
-    if isinstance(obj, str):
-        return _json_string(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    return _json_float(obj)
-
-
 def _write_json(obj, write, pad: str = "") -> None:
-    """``_json_text(obj, pad)`` through ``write``, one dict key or list
-    item at a time, so a long listing is never held as one string."""
+    """``obj``, a tree from ``_jsonable``, through ``write`` as
+    json.dumps(obj, indent=2, sort_keys=True) writes it at the nesting of
+    ``pad``: the one layout of dicts and lists.  A dict key is one write,
+    its value then written in turn; a list item is one write of its whole
+    text, so a long listing is never held as one string."""
     t = type(obj)
     if t is dict and obj:
         inner = pad + "  "
@@ -206,11 +166,33 @@ def _write_json(obj, write, pad: str = "") -> None:
         inner = pad + "  "
         lead = "[\n" + inner
         for item in obj:
-            write(lead + _json_text(item, inner))
+            write(lead + (str(item) if type(item) is int
+                          else _json_text(item, inner)))
             lead = ",\n" + inner
         write("\n" + pad + "]")
+    elif t is str:
+        write(_json_string(obj))
+    elif t is int:
+        write(str(obj))
+    elif t is bool or obj is None:
+        write("null" if obj is None else "true" if obj else "false")
+    # floats, and subclasses, which json writes as their base type
+    elif isinstance(obj, str):
+        write(_json_string(obj))
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        write(_FLOAT_NAMES.get(text, text))
     else:
-        write(_json_text(obj, pad))
+        write("{}" if t is dict else "[]")
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """``obj`` as ``_write_json`` lays it out, joined into one string."""
+    parts: list = []
+    _write_json(obj, parts.append, pad)
+    return "".join(parts)
 
 
 def _render(envelope: dict, fmt: str) -> str:
@@ -425,6 +407,11 @@ def _cmd_sample_step(args) -> tuple:
 
 
 def _cmd_extremal(args) -> tuple:
+    if args.greedy and args.no_symmetry:
+        raise ValueError("--no-symmetry applies only to the exhaustive search")
+    for flag, value in (("--restarts", args.restarts), ("--seed", args.seed)):
+        if value is not None and not args.greedy:
+            raise ValueError(f"{flag} applies only to --greedy")
     sys_spec = read_system_file(args.system)
     problem = AvoidanceProblem(sys_spec, _make_filter(args, sys_spec.k),
                                args.n, exclude_zero=args.exclude_zero)
@@ -433,8 +420,9 @@ def _cmd_extremal(args) -> tuple:
         return exhaustive_max(problem, cap_points=args.cap_points,
                               symmetry=symmetry), 0, None
     seed = _resolve_seed(args)
-    rng = spawn(seed, "greedy") if args.restarts else None
-    return greedy_lower_bound(problem, restarts=args.restarts, rng=rng), 0, seed
+    restarts = args.restarts or 0
+    rng = spawn(seed, "greedy") if restarts else None
+    return greedy_lower_bound(problem, restarts=restarts, rng=rng), 0, seed
 
 
 def _cmd_verify(args) -> tuple:
@@ -582,11 +570,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--greedy", action="store_true",
                    help="randomized greedy lower bound instead of "
                         "exhaustive search")
-    e.add_argument("--restarts", type=int, default=0)
-    e.add_argument("--seed", type=int)
+    e.add_argument("--restarts", type=int,
+                   help="reshuffled greedy passes after the first "
+                        "(--greedy only, default 0)")
+    e.add_argument("--seed", type=int, help="--greedy only")
     e.add_argument("--no-symmetry", action="store_true",
                    help="disable the symmetry reduction (the affine root "
-                   "where the rows sum to zero, else the linear anchor)")
+                   "where the rows sum to zero, else the linear anchor; "
+                   "exhaustive search only)")
     e.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP,
                    help="largest point space the exhaustive search "
                         "takes (--greedy ignores it)")

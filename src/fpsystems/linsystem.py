@@ -251,7 +251,6 @@ class SolutionTuple:
     entries: tuple[tuple[int, ...], ...]
     p: int
     distinct_count: int
-    all_equal: bool
 
     @classmethod
     def create(cls, sys_spec: SystemSpec, entries: Sequence) -> "SolutionTuple":
@@ -263,8 +262,11 @@ class SolutionTuple:
 
     @classmethod
     def _of(cls, entries: tuple[tuple[int, ...], ...], p: int) -> "SolutionTuple":
-        distinct = len(set(entries))
-        return cls(entries, p, distinct, distinct == 1)
+        return cls(entries, p, len(set(entries)))
+
+    @property
+    def all_equal(self) -> bool:
+        return self.distinct_count == 1
 
     @cached_property
     def span_dim(self) -> int:
@@ -283,7 +285,8 @@ class ClassFilter:
     Modes: ``any`` admits everything; ``not-all-equal`` drops constant
     tuples; ``distinct`` requires all k entries pairwise distinct;
     ``span-dim`` requires span dimension >= r; ``distinct-count``
-    requires at least ell distinct entries.
+    requires at least ell distinct entries.  All but ``span-dim`` ask
+    only for a least distinct count (``least``).
     """
 
     mode: str = "any"
@@ -298,6 +301,13 @@ class ClassFilter:
         if self.mode == "distinct-count" and (self.ell is None or self.ell < 1):
             raise ValueError("distinct-count filter needs ell >= 1")
 
+    def least(self, k: int) -> int | None:
+        """The least number of distinct entries of an admitted k-tuple,
+        which alone decides the filter: 1, 2, k or ell; None for
+        ``span-dim``, which reads the entries themselves."""
+        return {"any": 1, "not-all-equal": 2, "distinct": k,
+                "distinct-count": self.ell}.get(self.mode)
+
     def admits(self, sol: SolutionTuple) -> bool:
         return self.admits_support(len(sol.entries), sol.distinct_count,
                                    sol.entries, sol.p)
@@ -307,14 +317,9 @@ class ClassFilter:
         """The filter on a k-tuple over F_p with ``distinct`` distinct
         entries; ``rows`` yields those entries (repeats allowed) and is
         read only by ``span-dim``, at most once."""
-        if self.mode == "any":
-            return True
-        if self.mode == "not-all-equal":
-            return distinct > 1
-        if self.mode == "distinct":
-            return distinct == k
-        if self.mode == "distinct-count":
-            return distinct >= self.ell
+        least = self.least(k)
+        if least is not None:
+            return distinct >= least
         # the span dimension never exceeds the distinct count, so the
         # rank test runs only where it can succeed, and stops at the
         # r-th pivot
@@ -615,6 +620,7 @@ def enumerate_solutions(
     lexicographic order of their free entries, by position.
     """
     flt = flt or ClassFilter.any()
+    least = flt.least(sys_spec.k)
     p = sys_spec.p
     _check_same_prime(sys_spec, points)
     n = points.n
@@ -643,7 +649,8 @@ def enumerate_solutions(
             for j, x in zip(tail, end):
                 entries[j] = x
             sol = SolutionTuple._of(tuple(entries), p)
-            if flt.admits(sol):
+            if (sol.distinct_count >= least if least is not None
+                    else flt.admits(sol)):
                 yield sol
 
 

@@ -56,7 +56,7 @@ anchor.  The linear root forces the anchor, and the only sets it
 considers separately are those inside {0}.
 
 When the rows also sum to zero, a translation maps solutions to
-solutions, and the filters that read only the distinct count (``any``,
+solutions, and the filters that ``ClassFilter.least`` decides (``any``,
 ``not-all-equal``, ``distinct``, ``distinct-count``) admit a solution
 and its translate alike.  With zero in the space the problem is then
 invariant under AGL(n, p), which is transitive on ordered pairs of
@@ -125,9 +125,6 @@ from .slicerank import ceiling
 
 DEFAULT_POINT_CAP = 81
 GREEDY_POINT_CAP = 10**6
-# filter modes decided by the distinct count alone, which a bijection of
-# the points keeps; span-dim reads the points themselves
-_TRANSLATION_INVARIANT = ("any", "not-all-equal", "distinct", "distinct-count")
 # statement -> (filter mode, zero excluded by default, what it is about)
 _STATEMENTS = {
     "tao": ("not-all-equal", False, "not-all-equal solutions"),
@@ -161,12 +158,9 @@ class AvoidanceProblem:
                        "{} points exceed the cap {cap}", self.n,
                        int(self.exclude_zero))
 
-    def _space(self) -> PointSet:
-        return PointSet.full_space(self.n, self.sys_spec.p,
-                                   include_zero=not self.exclude_zero)
-
     def point_order(self) -> tuple[tuple[int, ...], ...]:
-        return self._space().points
+        return PointSet.full_space(self.n, self.sys_spec.p,
+                                   include_zero=not self.exclude_zero).points
 
 
 @dataclass(frozen=True)
@@ -197,30 +191,29 @@ def _admitted_supports(completion: _Completion, problem: AvoidanceProblem,
     for code, bit in pool:
         table[code] = bit
     mode, k, p = problem.mode, problem.sys_spec.k, problem.sys_spec.p
-    span = mode.mode == "span-dim"
+    least = mode.least(k)
     for support in completion.orbit_supports(pool, table):
-        if mode.admits_support(k, support.bit_count(),
-                               _selected(points, support) if span else (), p):
+        count = support.bit_count()
+        if (count >= least if least is not None else
+                mode.admits_support(k, count, _selected(points, support), p)):
             yield support
 
 
-class _SupportIndex:
-    """Supports of every admitted solution in the point space, as
-    bitmasks over positions in the point order."""
-
-    def __init__(self, problem: AvoidanceProblem,
-                 order: Sequence[tuple[int, ...]]):
-        self.completion = _unpinned(problem.sys_spec, problem.n)
-        # per point x, the admitted supports through x without x's own bit
-        self.through: list[list[int]] = [[] for _ in order]
-        # points whose all-equal tuple is an admitted solution
-        self.singles = 0
-        positions = range(len(order))
-        for support in _admitted_supports(self.completion, problem, order):
-            if support & (support - 1) == 0:
-                self.singles |= support
-            for i in _selected(positions, support):
-                self.through[i].append(support ^ (1 << i))
+def _support_index(completion: _Completion, problem: AvoidanceProblem,
+                   order: Sequence[tuple[int, ...]]) -> tuple[list, int]:
+    """The admitted supports of the point space, as bitmasks over
+    positions in the point order: per point x, those through x without
+    x's own bit; and the points whose all-equal tuple is an admitted
+    solution."""
+    through: list[list[int]] = [[] for _ in order]
+    singles = 0
+    positions = range(len(order))
+    for support in _admitted_supports(completion, problem, order):
+        if support & (support - 1) == 0:
+            singles |= support
+        for i in _selected(positions, support):
+            through[i].append(support ^ (1 << i))
+    return through, singles
 
 
 def _blocked(rests: list[int], inside: int) -> int:
@@ -262,18 +255,18 @@ class _Live:
 class _DepthFirst:
     """Depth first scan with an incumbent shared across branches."""
 
-    def __init__(self, index: _SupportIndex):
-        self.size = len(index.through)
+    def __init__(self, size: int):
+        self.size = size
         self.best_size = -1
         self.best_members: tuple = ()
         self.nodes = 0
 
     def run(self, members: list, inside: int, candidates: int,
-            outer: _Live, dead: int) -> None:
+            outer: _Live) -> None:
         """Explore every avoiding superset of ``members`` (bitmask
         ``inside``) within the ``candidates`` bitmask, lowest bit first.
-        ``outer`` is the view of the enclosing subtree and ``dead`` the
-        points outside both masks.  The node's own view is made at its
+        ``outer`` is the view of the enclosing subtree.  The node's own
+        view, less the dead points outside both masks, is made at its
         first candidate, for its children to read.  The node reads a
         candidate's list there when a child has filled it, else from
         ``outer``, whose filled lists its siblings share."""
@@ -282,6 +275,7 @@ class _DepthFirst:
             self.best_size = len(members)
             self.best_members = tuple(members)
         live = None
+        dead = ~(inside | candidates)
         while candidates:
             if len(members) + candidates.bit_count() <= self.best_size:
                 break
@@ -296,11 +290,11 @@ class _DepthFirst:
             here = inside | low
             left = candidates & ~_blocked(rests, here)
             members.append(x)
-            self.run(members, here, left, live, ~(here | left))
+            self.run(members, here, left, live)
             members.pop()
 
 
-def _joined(index: _SupportIndex, state: tuple[int, int],
+def _joined(through: list, state: tuple[int, int],
             x: int) -> tuple[int, int] | None:
     """The (set, candidates) bitmasks after the point x joins the set,
     or None when x is no candidate."""
@@ -308,17 +302,18 @@ def _joined(index: _SupportIndex, state: tuple[int, int],
     if not candidates >> x & 1:
         return None
     here = inside | 1 << x
-    return here, candidates & ~here & ~_blocked(index.through[x], here)
+    return here, candidates & ~here & ~_blocked(through[x], here)
 
 
 def _affine_root(problem: AvoidanceProblem) -> bool:
     """Whether the problem is invariant under every affine bijection of
-    F_p^n: a homogeneous system whose rows sum to zero, a filter that
-    translating every entry leaves alone, and zero in the space."""
+    F_p^n: a homogeneous system whose rows sum to zero, a filter decided
+    by the distinct count alone, which translating every entry keeps,
+    and zero in the space."""
     sys_spec = problem.sys_spec
     return (sys_spec.homogeneous and sys_spec.rows_sum_zero
             and not problem.exclude_zero
-            and problem.mode.mode in _TRANSLATION_INVARIANT)
+            and problem.mode.least(sys_spec.k) is not None)
 
 
 def _verify_witness(completion: _Completion, problem: AvoidanceProblem,
@@ -361,17 +356,14 @@ def exhaustive_max(
     if symmetry and not problem.sys_spec.homogeneous:
         raise ValueError("symmetry reduction needs a homogeneous system")
 
-    index = _SupportIndex(problem, order)
-    walker = _DepthFirst(index)
-    root = _Live(None, 0, index.through)
-
-    def scan(members: list, inside: int, candidates: int) -> None:
-        walker.run(members, inside, candidates, root, ~(inside | candidates))
-
-    state = (0, ((1 << len(order)) - 1) & ~index.singles)
+    completion = _unpinned(problem.sys_spec, problem.n)
+    through, singles = _support_index(completion, problem, order)
+    walker = _DepthFirst(len(order))
+    root = _Live(None, 0, through)
+    state = (0, ((1 << len(order)) - 1) & ~singles)
     best: tuple = ()
     if not symmetry:
-        scan([], *state)
+        walker.run([], *state, root)
     elif _affine_root(problem):
         p = problem.sys_spec.p
         position = {v: i for i, v in enumerate(order)}
@@ -379,28 +371,28 @@ def exhaustive_max(
         anchor = next(i for i, v in enumerate(order) if any(v))
         line = sum(1 << position[tuple(t * c % p for c in order[anchor])]
                    for t in range(p))
-        state = _joined(index, state, zero)
+        state = _joined(through, state, zero)
         if state is not None:
             best = (zero,)
-            state = _joined(index, state, anchor)
+            state = _joined(through, state, anchor)
         if state is not None:
             inside, candidates = state
-            scan([zero, anchor], inside, candidates & line)
+            walker.run([zero, anchor], inside, candidates & line, root)
             off = next((i for i in range(len(order)) if not line >> i & 1), None)
-            state = None if off is None else _joined(index, state, off)
+            state = None if off is None else _joined(through, state, off)
             if state is not None:
-                scan([zero, anchor, off], *state)
+                walker.run([zero, anchor, off], *state, root)
     else:
         zero = (0,) * problem.n
-        if zero in order and _joined(index, state, order.index(zero)):
+        if zero in order and _joined(through, state, order.index(zero)):
             best = (order.index(zero),)
-        anchor = next((i for i, v in enumerate(order) if any(v)), None)
-        state = None if anchor is None else _joined(index, state, anchor)
+        anchor = next(i for i, v in enumerate(order) if any(v))
+        state = _joined(through, state, anchor)
         if state is not None:
-            scan([anchor], *state)
+            walker.run([anchor], *state, root)
     if len(walker.best_members) > len(best):
         best = walker.best_members
-    witness = _verify_witness(index.completion, problem, [order[i] for i in best])
+    witness = _verify_witness(completion, problem, [order[i] for i in best])
     return SearchResult(len(best), witness, True, walker.nodes)
 
 
@@ -449,14 +441,18 @@ def greedy_lower_bound(
     for z in order:
         space[z] = z
     mode, k, p = problem.mode, sys_spec.k, sys_spec.p
-    span = mode.mode == "span-dim"
+    least = mode.least(k)
     nodes = 0
 
-    def rows(pool: list, support: int, *more: int) -> Iterator[tuple[int, ...]]:
-        """The points at the bits of ``support`` in the pool, then
-        ``more``, decoded as they are read; built for ``span-dim``, the
-        one filter that reads them."""
-        return map(codes.decode, chain((z for z, _ in _selected(pool, support)), more))
+    def admitted(pool: list, support: int, *more: int) -> bool:
+        """Whether the filter admits a solution on the points at the bits
+        of ``support`` in the pool, then ``more``; they are decoded only
+        for ``span-dim``, the one filter that reads them."""
+        count = support.bit_count() + len(more)
+        if least is not None:
+            return count >= least
+        return mode.admits_support(k, count, map(codes.decode, chain(
+            (z for z, _ in _selected(pool, support)), more)), p)
 
     def rejects(x: int, pool: list, bits: list | dict, blocked: set,
                 found: set) -> bool:
@@ -482,16 +478,11 @@ def greedy_lower_bound(
                         zbit = bits[z]
                         if zbit is None:
                             if (z not in found and z not in blocked
-                                    and mode.admits_support(
-                                        k, support.bit_count() + 1,
-                                        rows(pool, support, z) if span else (),
-                                        p)):
+                                    and admitted(pool, support, z)):
                                 found.add(z)
                             continue
                         support |= zbit
-                    if mode.admits_support(k, support.bit_count(),
-                                           rows(pool, support) if span else (),
-                                           p):
+                    if admitted(pool, support):
                         return True
         return False
 
@@ -554,9 +545,10 @@ def verify_theorem_bound(
     ``distinct``: for k >= 3m with all maximal minors nonsingular, sets
     avoiding fully distinct solutions are exponentially smaller than
     the whole space; the constants are not effective at this scale, so
-    the report records the exhaustive maximum, its margin below
-    p^n - 1, and whether the nonzero space itself already contains a
-    fully distinct solution.
+    the report records the exhaustive maximum, its margin below the
+    size of the problem's point space (p^n - 1 without zero, p^n with
+    it), and whether that space itself already contains a fully
+    distinct solution.
 
     ``rank``: same shape for span dimension >= r with k >= 2m + r - 1.
 
@@ -587,10 +579,13 @@ def verify_theorem_bound(
                            ceil.holds(result.best_size),
                            ceil.bound - result.best_size, None,
                            "exhaustive maximum against k * Gamma^n")
-    full = PointSet.full_space(problem.n, p, include_zero=False)
+    # the problem's own point space, the one the search ran over
+    full = PointSet.full_space(problem.n, p,
+                               include_zero=not problem.exclude_zero)
     witness_found = next(
         (True for _ in enumerate_solutions(sys_spec, full, problem.mode)), False)
     margin = len(full) - result.best_size
+    space = "p^n - 1" if problem.exclude_zero else "p^n"
     return BoundReport(theorem, result.best_size, None, None, margin,
                        witness_found,
-                       "constants are not effective; margin is against p^n - 1")
+                       f"constants are not effective; margin is against {space}")

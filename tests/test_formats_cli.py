@@ -517,7 +517,15 @@ class TestExitCodes:
           "--ell", "2"], "--ell applies only to --mode distinct-count"),
         (["verify", "--system", "@ap3", "--n", "1", "--theorem", "tao",
           "--r", "2"], "--r applies only to --theorem rank"),
-    ], ids=["solve-r", "solve-ell", "verify-r"])
+        (["extremal", "--system", "@ap3", "--n", "1", "--restarts", "3"],
+         "--restarts applies only to --greedy"),
+        (["extremal", "--system", "@ap3", "--n", "1", "--seed", "5"],
+         "--seed applies only to --greedy"),
+        (["extremal", "--system", "@ap3", "--n", "1", "--greedy",
+          "--no-symmetry"],
+         "--no-symmetry applies only to the exhaustive search"),
+    ], ids=["solve-r", "solve-ell", "verify-r", "extremal-restarts",
+            "extremal-seed", "extremal-greedy-no-symmetry"])
     def test_flag_the_mode_ignores(self, argv, flag, files, capsys):
         # each of these exited 0 with the flag silently ignored
         argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
@@ -1211,6 +1219,25 @@ class TestCommands:
                                   "--r", "2"], capsys)
         assert code == 0
         assert data["result"]["witness_found"] is False
+
+    @pytest.mark.parametrize("zero,best_size,margin,space", [
+        ("--include-zero", 3, 0, "p^n"),
+        ("--exclude-zero", 2, 0, "p^n - 1"),
+    ])
+    def test_verify_margin_over_the_searched_space(self, zero, best_size,
+                                                   margin, space, tmp_path,
+                                                   capsys):
+        # with zero kept the margin read -1, against the nonzero points
+        system = tmp_path / "five.system"
+        system.write_text("p=3 m=1 k=5\n1 1 1 1 1\n")
+        code, data, _ = run_json(["verify", "--system", str(system), "--n",
+                                  "1", "--theorem", "rank", "--r", "3", zero],
+                                 capsys)
+        assert code == 0
+        result = data["result"]
+        assert (result["best_size"], result["margin"]) == (best_size, margin)
+        assert result["notes"] == ("constants are not effective; margin is "
+                                   f"against {space}")
 
     def test_verify_zero_overrides(self, files, capsys):
         code, data, _ = run_json(["verify", "--system", files["s531"],

@@ -2,6 +2,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpsystems import (
     AvoidanceProblem,
@@ -17,7 +19,7 @@ from fpsystems import (
     verify_theorem_bound,
 )
 from fpsystems import linsystem, search
-from fpsystems.fplinalg import rref_with_pivots
+from fpsystems.fplinalg import rank, rref_with_pivots
 from fpsystems.seeds import spawn
 
 from .oracles import (
@@ -189,6 +191,54 @@ def untouched_rows():
     yield
 
 
+# each filter mode as its definition, on a k-tuple with ``distinct``
+# distinct entries ``rows`` over F_p
+DEFINITIONS = {
+    "any": lambda flt, k, distinct, rows, p: True,
+    "not-all-equal": lambda flt, k, distinct, rows, p: distinct > 1,
+    "distinct": lambda flt, k, distinct, rows, p: distinct == k,
+    "distinct-count": lambda flt, k, distinct, rows, p: distinct >= flt.ell,
+    "span-dim": lambda flt, k, distinct, rows, p: rank(rows, p) >= flt.r,
+}
+
+
+@st.composite
+def filtered_tuples(draw):
+    """A filter, built as the command line builds it (``ell`` passed to
+    every mode, ``r`` to ``span-dim``), and a k-tuple over F_p^n with
+    k <= 8 and any distinct count, its entries in any order."""
+    p, n = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 2)]))
+    k = draw(st.integers(1, 8))
+    space = list(product(range(p), repeat=n))
+    distinct = draw(st.integers(1, min(k, len(space))))
+    points = draw(st.lists(st.sampled_from(space), min_size=distinct,
+                           max_size=distinct, unique=True))
+    repeats = draw(st.lists(st.sampled_from(points), min_size=k - distinct,
+                            max_size=k - distinct))
+    rows = draw(st.permutations(points + repeats))
+    mode = draw(st.sampled_from(linsystem._MODES))
+    level = draw(st.integers(1, k + 1))
+    flt = ClassFilter(mode, r=level if mode == "span-dim" else None, ell=level)
+    return flt, k, distinct, rows, p
+
+
+@st.composite
+def affine_problems(draw):
+    """A homogeneous system whose rows sum to zero, the last coefficient
+    of each row set so, a filter of any mode with a threshold the
+    problem accepts, and zero in the space."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 2))
+    rows = [row + [-sum(row) % p] for row in draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=k - 1, max_size=k - 1),
+        min_size=m, max_size=m))]
+    mode = draw(st.sampled_from(linsystem._MODES))
+    level = draw(st.integers(2, k))
+    flt = ClassFilter(mode, r=level if mode == "span-dim" else None, ell=level)
+    return AvoidanceProblem(SystemSpec.make(rows, p), flt, draw(st.integers(1, 3)))
+
+
 class TestSupportFilter:
     """The filter the support index applies to each support's distinct
     points, against the row echelon rank, for every threshold the filter
@@ -238,6 +288,17 @@ class TestSupportFilter:
     def test_rows_read_only_by_a_possible_span_test(self, flt, expected):
         assert tuple(flt.admits_support(3, distinct, untouched_rows(), 3)
                      for distinct in (1, 2)) == expected
+
+    @settings(max_examples=500)
+    @given(case=filtered_tuples())
+    def test_admits_each_mode_by_its_definition(self, case):
+        flt, k, distinct, rows, p = case
+        assert flt.admits_support(k, distinct, iter(rows), p) == \
+            DEFINITIONS[flt.mode](flt, k, distinct, rows, p)
+
+    @given(problem=affine_problems())
+    def test_affine_root_exactly_for_the_count_modes(self, problem):
+        assert search._affine_root(problem) == (problem.mode.mode != "span-dim")
 
     def test_problem_needs_span_threshold_two(self, sys_ap3):
         with pytest.raises(ValueError):
@@ -505,6 +566,28 @@ class TestTheoremBounds:
         assert report.witness_found is False
         assert report.best_size == 2
         assert report.margin == 0
+
+    # (coeffs, filter, statement, zero excluded) -> best size, margin,
+    # witness found.  Five ones over F_3^1 with a span of at least 3: the
+    # whole space avoids, so the margin is 0 with zero too, where it read
+    # -1, taken against the nonzero points.  x + y + z = 0 over F_3^1:
+    # its one fully distinct solution up to order, (0, 1, 2), needs zero.
+    @pytest.mark.parametrize("coeffs,flt,theorem,exclude_zero,expected", [
+        ([(1,) * 5], ClassFilter.span_at_least(3), "rank", False, (3, 0, False)),
+        ([(1,) * 5], ClassFilter.span_at_least(3), "rank", True, (2, 0, False)),
+        ([(1, 1, 1)], ClassFilter.distinct(), "distinct", False, (2, 1, True)),
+        ([(1, 1, 1)], ClassFilter.distinct(), "distinct", True, (2, 0, False)),
+    ], ids=["rank-with-zero", "rank-without-zero", "distinct-with-zero",
+            "distinct-without-zero"])
+    def test_margin_and_witness_over_the_problem_space(
+            self, coeffs, flt, theorem, exclude_zero, expected):
+        problem = AvoidanceProblem(SystemSpec.make(coeffs, 3), flt, 1,
+                                   exclude_zero=exclude_zero)
+        report = verify_theorem_bound(problem, theorem)
+        space = "p^n - 1" if exclude_zero else "p^n"
+        assert (report.best_size, report.margin, report.witness_found) == expected
+        assert report.notes == ("constants are not effective; margin is "
+                                f"against {space}")
 
     def test_hypothesis_checks(self, sys_ap3, sys_531):
         short = SystemSpec.make([(1, 1)], 3)
