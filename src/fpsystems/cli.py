@@ -575,9 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(--greedy only, default 0)")
     e.add_argument("--seed", type=int, help="--greedy only")
     e.add_argument("--no-symmetry", action="store_true",
-                   help="disable the symmetry reduction (the affine root "
-                   "where the rows sum to zero, else the linear anchor; "
-                   "exhaustive search only)")
+                   help="disable the symmetry reduction (the first affine "
+                   "frame where the rows sum to zero, else the first "
+                   "basis; exhaustive search only)")
     e.add_argument("--cap-points", type=int, default=DEFAULT_POINT_CAP,
                    help="largest point space the exhaustive search "
                         "takes (--greedy ignores it)")

@@ -402,50 +402,52 @@ class ReferenceDepthFirst:
             members.pop()
 
 
+def reference_flag(order, p: int, n: int, affine: bool):
+    """(frame point or None, flat as a set of points) per dimension, by
+    tuple arithmetic: the affine frame from the first point of the
+    order, forced, or the linear one from zero, not forced; each later
+    frame point is the first point of the order outside the flat, which
+    grows by its multiples from the origin."""
+    origin = order[0] if affine else (0,) * n
+    flat = {origin}
+    yield (origin if affine else None), flat
+    while len(flat) < p**n:
+        x = next(v for v in order if v not in flat)
+        step = [(a - b) % p for a, b in zip(x, origin)]
+        flat = {tuple((c + t * s) % p for c, s in zip(f, step))
+                for f in flat for t in range(p)}
+        yield x, flat
+
+
 def reference_exhaustive_max(problem, symmetry=None, point_order=None):
     """(best_size, witness points, nodes) of the reference search, with
-    the same root handling, pruning and symmetry anchors.  Under the
-    affine root, zero and the anchor are forced, and the scan runs once
-    on the anchor's line and once with the first point off it forced
-    too; the incumbent carries from the first run to the second."""
+    the same root, pruning and frame.  Flat by flat, the frame point
+    joins the set, the loop stops when it cannot, and the scan runs on
+    the candidates inside the flat when they can beat the incumbent,
+    which carries from flat to flat.  Without symmetry the one flat is
+    the whole space, and nothing is forced."""
     order = problem.point_order() if point_order is None else tuple(point_order)
     if symmetry is None:
         symmetry = problem.sys_spec.homogeneous
     checker = ReferenceChecker(problem.sys_spec, problem.mode, problem.n)
     walker = ReferenceDepthFirst(checker)
-    best: tuple = ()
-
-    def joins(base: list, z) -> bool:
-        return z not in base and not checker.violates_with(base, z)
-
-    zero = (0,) * problem.n
-    anchor = next((v for v in order if any(v)), None)
     sys_spec = problem.sys_spec
     affine = (sys_spec.homogeneous and not problem.exclude_zero
               and not any(sum(row) % sys_spec.p for row in sys_spec.coeffs)
               and problem.mode.mode != "span-dim")
-    if not symmetry:
-        walker.run([], [z for z in order if joins([], z)])
-    elif affine:
-        if joins([], zero):
-            best = (zero,)
-            if joins([zero], anchor):
-                base = [zero, anchor]
-                candidates = [z for z in order if joins(base, z)]
-                line = {tuple(t * c % sys_spec.p for c in anchor)
-                        for t in range(sys_spec.p)}
-                walker.run(base, [z for z in candidates if z in line])
-                off = next((v for v in order if v not in line), None)
-                if off in candidates:
-                    base.append(off)
-                    walker.run(base, [z for z in candidates if joins(base, z)])
-    else:
-        if zero in set(order) and joins([], zero):
-            best = (zero,)
-        if anchor is not None and joins([], anchor):
-            walker.run([anchor], [z for z in order if joins([anchor], z)])
-    if len(walker.best_members) > len(best):
-        best = walker.best_members
+    flag = (reference_flag(order, sys_spec.p, problem.n, affine) if symmetry
+            else [(None, set(order))])
+    members: list = []
+    for x, flat in flag:
+        if x is not None:
+            if checker.violates_with(members, x):
+                break
+            members.append(x)
+        live = [z for z in order if z in flat and z not in members
+                and not checker.violates_with(members, z)]
+        if len(members) + len(live) > walker.best_size:
+            walker.run(members, live)
+    best = walker.best_members
     return len(best), best, walker.nodes
 
 

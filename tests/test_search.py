@@ -24,6 +24,7 @@ from fpsystems.seeds import spawn
 
 from .oracles import (
     reference_exhaustive_max,
+    reference_flag,
     reference_greedy,
     reference_greedy_passes,
 )
@@ -72,9 +73,11 @@ REFERENCE_GRID = [
     # exhaustive search filters down to its live points
     ([(1,) * 5], 3, None, ClassFilter.distinct(), 2, False),
     ([(1, 1, 2, 2)], 3, None, ClassFilter.distinct(), 2, False),
-    # rows summing to zero over F_5^2: the affine root's line holds five
-    # points, so its first run has three candidates
+    # rows summing to zero over F_5^2: the affine frame's line holds five
+    # points, so its run on the line has three candidates
     ([(1, 2, 2)], 5, None, ClassFilter.not_all_equal(), 2, False),
+    # the basis root on F_2^3 without zero, three flats deep
+    ([(1, 1, 1, 1)], 2, None, ClassFilter.distinct(), 3, True),
 ]
 
 
@@ -310,7 +313,7 @@ class TestExhaustive:
         problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 3)
         result = exhaustive_max(problem)
         assert result.best_size == 9
-        assert result.nodes == 682
+        assert result.nodes == 174
         assert subset_avoids(sys_ap3, problem.mode, result.witness.points, 3)
 
     def test_known_values(self, sys_ap3):
@@ -382,12 +385,22 @@ class TestExhaustive:
         assert on.best_size == off.best_size
 
     def test_six_ones_distinct_in_three_dimensions(self, deadline):
-        # 126,740 nodes under the linear anchor, and 4 to 5 s of support
-        # walk over every ordering of the five free entries
+        # 126,740 nodes when only the first nonzero point was forced, and
+        # 4 to 5 s of support walk over every ordering of the five free
+        # entries
         spec = SystemSpec.make([(1,) * 6], 3)
         with deadline(3):
             result = exhaustive_max(AvoidanceProblem(spec, ClassFilter.distinct(), 3))
         assert result.best_size == 9 and result.optimal
+
+    def test_1122_distinct_in_four_dimensions(self, deadline):
+        # 450,358 nodes and 46 s when the affine root forced zero, the
+        # first nonzero point and the first point off its line
+        spec = SystemSpec.make([(1, 1, 2, 2)], 3)
+        with deadline(5):
+            result = exhaustive_max(AvoidanceProblem(spec, ClassFilter.distinct(), 4))
+        assert result.best_size == 9 and result.optimal
+        assert subset_avoids(spec, ClassFilter.distinct(), result.witness.points, 4)
 
     def test_distinct_impossible_when_space_too_small(self):
         # three pairwise distinct entries cannot fit in F_2, so the
@@ -620,31 +633,43 @@ class TestTheoremBounds:
                 "nonsense")
 
 
-def root_members(monkeypatch, problem):
-    """The members each top-level run of the exhaustive search starts
-    from: the points its root forces, in order."""
-    roots = []
+def root_runs(monkeypatch, problem):
+    """Per top-level run of the exhaustive search: the members it starts
+    from, the points its root forces, in order; and the incumbent after
+    it."""
+    runs = []
     depth = 0
     run = search._DepthFirst.run
 
     def spy(self, members, *args):
         nonlocal depth
-        if not depth:
-            roots.append(tuple(members))
+        start = tuple(members)
         depth += 1
         run(self, members, *args)
         depth -= 1
+        if not depth:
+            runs.append((start, self.best_members))
 
     monkeypatch.setattr(search._DepthFirst, "run", spy)
     result = exhaustive_max(problem)
     monkeypatch.undo()
     order = problem.point_order()
-    return [tuple(order[i] for i in members) for members in roots], result
+    return [tuple(tuple(order[i] for i in points) for points in pair)
+            for pair in runs], result
+
+
+def root_members(monkeypatch, problem):
+    """The members each top-level run of the exhaustive search starts
+    from: the points its root forces, in order."""
+    runs, result = root_runs(monkeypatch, problem)
+    return [members for members, _ in runs], result
 
 
 class TestAffineRoot:
-    """Zero, the first nonzero point and the first point off its line are
-    forced exactly where every affine bijection keeps the problem."""
+    """The frame root: flat by flat, the first affine frame the order
+    meets (from its first point) is forced where every affine bijection
+    keeps the problem, and else the first basis (from zero, not
+    forced)."""
 
     @pytest.mark.parametrize("coeffs,p,flt,n,exclude_zero", [
         ([(1, 1, 1)], 3, ClassFilter.span_at_least(2), 2, False),
@@ -658,8 +683,14 @@ class TestAffineRoot:
         problem = AvoidanceProblem(spec, flt, n, exclude_zero=exclude_zero)
         assert not search._affine_root(problem)
         roots, result = root_members(monkeypatch, problem)
-        anchor = next(v for v in problem.point_order() if any(v))
-        assert roots == [(anchor,)]
+        order = problem.point_order()
+        basis = tuple(x for x, _ in reference_flag(order, p, n, False))[1:]
+        # the run inside {0} always starts, as there is no incumbent yet;
+        # each later run forces the basis one vector further
+        assert roots[0] == ()
+        assert all(root == basis[:len(root)] for root in roots)
+        assert [len(root) for root in roots] == \
+            sorted({len(root) for root in roots})
         assert result.best_size == brute_max_avoiding(spec, flt, n, exclude_zero)
 
     def test_affine_constants_search_without_symmetry(self, monkeypatch):
@@ -677,18 +708,29 @@ class TestAffineRoot:
         ([(1, 1, 1, 1)], 2, ClassFilter.distinct(), 3),
         ([(1,) * 6], 3, ClassFilter.distinct(), 1),
     ])
-    def test_two_runs_from_the_forced_points(self, monkeypatch, coeffs, p, flt,
-                                             n):
+    def test_frame_forced_flat_by_flat(self, monkeypatch, coeffs, p, flt, n):
         spec = SystemSpec.make(coeffs, p)
         problem = AvoidanceProblem(spec, flt, n)
         assert search._affine_root(problem)
         roots, result = root_members(monkeypatch, problem)
-        zero, anchor = problem.point_order()[:2]
-        # the anchor's line is the first p points of the natural order,
-        # the whole space over F_p^1
-        off = problem.point_order()[p:p + 1]
-        assert roots == [(zero, anchor), (zero, anchor) + off][:1 + len(off)]
+        order = problem.point_order()
+        # in the natural order the flat of dimension d is the first p^d
+        # points, spanned by zero and order[p^j] for j < d
+        frame = order[:1] + tuple(order[p**j] for j in range(n))
+        assert roots == [frame[:d + 1] for d in range(n + 1)]
         assert result.best_size == exhaustive_max(problem, symmetry=False).best_size
+
+    def test_maximum_in_a_lower_flat(self, monkeypatch):
+        # span dimension 2 keeps the basis root; the maximum is a line
+        # through zero, found by the run that forces the first basis
+        # vector, and the run on the whole plane cannot beat it
+        spec = SystemSpec.make([(1, 1, 2, 2)], 3)
+        problem = AvoidanceProblem(spec, ClassFilter.span_at_least(2), 2)
+        runs, result = root_runs(monkeypatch, problem)
+        witness = ((0, 1), (0, 0), (0, 2))
+        assert runs == [((), ((0, 0),)), (((0, 1),), witness)]
+        assert result.witness.points == witness
+        assert result.best_size == brute_max_avoiding(spec, problem.mode, 2)
 
     def test_any_filter_avoids_only_the_empty_set(self, monkeypatch):
         # constant tuples solve a system whose rows sum to zero, so every
@@ -728,6 +770,43 @@ class TestAffineRoot:
                 on = exhaustive_max(problem, symmetry=True, point_order=order)
                 off = exhaustive_max(problem, symmetry=False, point_order=order)
                 assert on.best_size == off.best_size, (rows, p, problem.mode, n)
+            checked += 1
+
+    def test_same_maxima_under_the_basis_root(self):
+        # random homogeneous systems the affine frame does not cover:
+        # span dimension, zero excluded, or a row that does not sum to
+        # zero; k stays below 5, whose support index over F_5^2 takes
+        # seconds, and rank-deficient draws are skipped
+        rng = random.Random(12)
+        filters = [ClassFilter.any(), ClassFilter.not_all_equal(),
+                   ClassFilter.distinct(), ClassFilter.distinct_at_least(2),
+                   ClassFilter.distinct_at_least(3), ClassFilter.span_at_least(2),
+                   ClassFilter.span_at_least(3)]
+        spaces = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2)]
+        checked = 0
+        while checked < 40:
+            p, n = rng.choice(spaces)
+            k, m = rng.randint(3, 4), rng.randint(1, 2)
+            rows = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+            flt = rng.choice(filters)
+            if flt.mode == "span-dim" and flt.r > k:
+                continue
+            spec = SystemSpec.make(rows, p)
+            try:
+                linsystem.pivot_columns(spec)
+            except DegenerateSystemError:
+                continue
+            problem = AvoidanceProblem(spec, flt, n,
+                                       exclude_zero=rng.random() < 0.5)
+            if search._affine_root(problem):
+                continue
+            for seed in range(2):
+                order = list(problem.point_order())
+                random.Random(seed).shuffle(order)
+                on = exhaustive_max(problem, symmetry=True, point_order=order)
+                off = exhaustive_max(problem, symmetry=False, point_order=order)
+                assert on.best_size == off.best_size, \
+                    (rows, p, problem.mode, n, problem.exclude_zero)
             checked += 1
 
 
