@@ -9,7 +9,10 @@ Exit codes: 0 on success, 1 when a requested check or hypothesis fails,
 Each leaf subcommand has one handler that returns (result, exit code,
 seed), the seed None when the command draws no randomness; ``main``
 alone owns timing, the report envelope, writing it to stdout and the
-exit code.
+exit code.  The result stays as objects until ``_write_json``, the one
+conversion, writes it as JSON text; ``main`` holds that text until the
+whole report is converted, and text and CSV flatten the JSON document
+it parses back.
 """
 
 from __future__ import annotations
@@ -102,37 +105,6 @@ def _printable(value: int) -> int:
 _PRINTS = 10**18
 
 
-def _jsonable(obj):
-    """``obj`` as a tree of str-keyed dicts, lists, strs, ints, floats,
-    bools and None; exact types come first, then the generic chain."""
-    t = type(obj)
-    if t is int:
-        return obj if -_PRINTS < obj < _PRINTS else _printable(obj)
-    if t is str or t is float or t is bool or obj is None:
-        return obj
-    if t is tuple or t is list:
-        return [_jsonable(x) for x in obj]
-    if t is dict:
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {name: _jsonable(getattr(obj, name))
-                for name in _rendered_names(type(obj))}
-    if isinstance(obj, Fraction):
-        return _jsonable({"numerator": obj.numerator,
-                          "denominator": obj.denominator, "value": float(obj)})
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, (frozenset, set)):
-        return [_jsonable(x) for x in sorted(obj)]
-    if isinstance(obj, int):
-        return _printable(obj)
-    if obj is None or isinstance(obj, (float, str)):
-        return obj
-    return str(obj)
-
-
 def _flatten(obj, prefix: str, out: list) -> None:
     if isinstance(obj, dict):
         for key in sorted(obj):
@@ -148,48 +120,70 @@ _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _write_json(obj, write, pad: str = "") -> None:
-    """``obj``, a tree from ``_jsonable``, through ``write`` as
-    json.dumps(obj, indent=2, sort_keys=True) writes it at the nesting of
-    ``pad``: the one layout of dicts and lists.  A dict key is one write,
-    its value then written in turn; a list item is one write of its whole
-    text, so a long listing is never held as one string."""
+    """``obj``, a handler's result as it is, through ``write`` as
+    json.dumps(tree, indent=2, sort_keys=True) writes its plain tree at
+    the nesting of ``pad``: the one conversion and the one layout.
+    Exact types come first, then the generic chain: a dataclass by its
+    rendered names, a Fraction as numerator, denominator and value, dict,
+    list and tuple subclasses, sets sorted, int, float and str
+    subclasses by their base value, anything else as its str; dict keys
+    go through str.  A dict key is one write, its value then written in
+    turn; a list item is one write of its whole text, so a long listing
+    is never held as one string."""
     t = type(obj)
-    if t is dict and obj:
-        inner = pad + "  "
-        lead = "{\n" + inner
-        for key in sorted(obj):
-            write(lead + _json_string(key) + ": ")
-            _write_json(obj[key], write, inner)
-            lead = ",\n" + inner
-        write("\n" + pad + "}")
-    elif t is list and obj:
-        inner = pad + "  "
-        lead = "[\n" + inner
-        for item in obj:
-            write(lead + (str(item) if type(item) is int
-                          else _json_text(item, inner)))
-            lead = ",\n" + inner
-        write("\n" + pad + "]")
+    members = items = None
+    if t is int:
+        write(str(obj if -_PRINTS < obj < _PRINTS else _printable(obj)))
     elif t is str:
         write(_json_string(obj))
-    elif t is int:
-        write(str(obj))
-    elif t is bool or obj is None:
-        write("null" if obj is None else "true" if obj else "false")
-    # floats, and subclasses, which json writes as their base type
-    elif isinstance(obj, str):
-        write(_json_string(obj))
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, float):
+    elif t is float:
         text = float.__repr__(obj)
         write(_FLOAT_NAMES.get(text, text))
+    elif t is bool or obj is None:
+        write("null" if obj is None else "true" if obj else "false")
+    elif t is list or t is tuple:
+        items = obj
+    elif t is dict:
+        members = obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        members = {name: getattr(obj, name) for name in _rendered_names(t)}
+    elif isinstance(obj, Fraction):
+        members = {"numerator": obj.numerator,
+                   "denominator": obj.denominator, "value": float(obj)}
+    elif isinstance(obj, dict):
+        members = obj
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif isinstance(obj, (frozenset, set)):
+        items = sorted(obj)
+    elif isinstance(obj, int):
+        write(int.__repr__(_printable(obj)))
+    elif isinstance(obj, float):
+        _write_json(float.__float__(obj), write)
     else:
-        write("{}" if t is dict else "[]")
+        write(_json_string(obj if isinstance(obj, str) else str(obj)))
+    inner = pad + "  "
+    if members is not None:
+        # equal key texts keep the last value, as a dict built on them does
+        members = {str(k): v for k, v in members.items()}
+        lead = "{\n" + inner
+        for key in sorted(members):
+            write(lead + _json_string(key) + ": ")
+            _write_json(members[key], write, inner)
+            lead = ",\n" + inner
+        write("\n" + pad + "}" if members else "{}")
+    elif items is not None:
+        lead = "[\n" + inner
+        for item in items:
+            write(lead + (str(item) if type(item) is int
+                          and -_PRINTS < item < _PRINTS
+                          else _json_text(item, inner)))
+            lead = ",\n" + inner
+        write("\n" + pad + "]" if items else "[]")
 
 
 def _json_text(obj, pad: str = "") -> str:
-    """``obj`` as ``_write_json`` lays it out, joined into one string."""
+    """``obj`` as ``_write_json`` writes it, joined into one string."""
     parts: list = []
     _write_json(obj, parts.append, pad)
     return "".join(parts)
@@ -610,17 +604,24 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         result, code, seed = args.func(args)
-        envelope = {"command": args.command, "result": _jsonable(result)}
+        envelope = {"command": args.command, "result": result}
         if seed is not None:
             envelope["seed"] = seed
         if not args.no_timestamp:
             envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
             envelope["elapsed_s"] = round(time.perf_counter() - started, 6)
+        # nothing is written until the whole report is converted, so a
+        # failing command prints nothing
+        parts = []
+        _write_json(envelope, parts.append)
+        parts.append("\n")
         if args.format == "json":
-            _write_json(envelope, sys.stdout.write)
-            sys.stdout.write("\n")
+            sys.stdout.writelines(parts)
         else:
-            sys.stdout.write(_render(envelope, args.format))
+            # text and CSV flatten the JSON document, parsed with neither
+            # the report's objects nor the pieces kept
+            text, parts, result, envelope = "".join(parts), None, None, None
+            sys.stdout.write(_render(json.loads(text), args.format))
     except (ValueError, OSError, OverflowError, CapExceededError,
             DegenerateSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)

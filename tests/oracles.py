@@ -930,3 +930,17 @@ def reference_jsonable(obj):
 def reference_render(tree) -> str:
     """A plain tree as the command line prints it in JSON."""
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def reference_rows(document, prefix: str = "") -> list:
+    """A JSON document's (key, value) rows as --format text and csv print
+    them: dotted keys in sorted order, each list one cell of compact JSON
+    with sorted keys, every other leaf as it is."""
+    if isinstance(document, dict):
+        return [row for key in sorted(document)
+                for row in reference_rows(document[key],
+                                          f"{prefix}.{key}" if prefix else key)]
+    if isinstance(document, list):
+        return [(prefix, json.dumps(document, separators=(",", ":"),
+                                    sort_keys=True))]
+    return [(prefix, document)]

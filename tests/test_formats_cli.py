@@ -1,6 +1,9 @@
 import argparse
+import collections
 import contextlib
 import csv
+import dataclasses
+import enum
 import importlib
 import io
 import json
@@ -9,7 +12,10 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +26,7 @@ from fpsystems import cli, fplinalg, search, slicerank
 from fpsystems.cli import build_parser, main
 from fpsystems.weights import AdmissibleSet
 
-from .oracles import reference_jsonable, reference_render
+from .oracles import reference_jsonable, reference_render, reference_rows
 
 AP3 = "p=3 m=1 k=3\n1 1 1\n"
 BAD_MINOR = "p=3 m=1 k=3\n1 2 0\n"
@@ -989,28 +995,25 @@ TREES = st.recursive(LEAVES, lambda inner: st.one_of(
                     max_size=4)), max_leaves=24)
 
 
-def _typed(tree):
-    """``tree`` with the exact type beside every node and key."""
-    if type(tree) is dict:
-        return dict, {(type(k), k): _typed(v) for k, v in tree.items()}
-    if type(tree) is list:
-        return list, [_typed(x) for x in tree]
-    return type(tree), tree
-
-
 @pytest.fixture(scope="module")
-def session_results(tmp_path_factory):
-    """The result object of each command of the benchmark's cli-session
-    workload, as its handler returns it."""
+def session_commands(tmp_path_factory):
+    """The (template, argv) of each command of the benchmark's cli-session
+    workload."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                / "perfbench"))
         workloads = importlib.import_module("workloads")
-    inputs = workloads.CliSession.setup(
-        fpsystems, 1, {}, tmp_path_factory.mktemp("session"))
+    return workloads.CliSession.setup(
+        fpsystems, 1, {}, tmp_path_factory.mktemp("session")).commands
+
+
+@pytest.fixture(scope="module")
+def session_results(session_commands):
+    """The result object of each cli-session command, as its handler
+    returns it."""
     parser = build_parser()
     results = []
-    for template, argv in inputs.commands:
+    for template, argv in session_commands:
         args = parser.parse_args(argv)
         results.append((template, args.func(args)[0]))
     return results
@@ -1024,33 +1027,61 @@ class TestJsonWriter:
     @example(tree={"a": {}, "b": [], "c": [[], {}, [[]]], "": None})
     @example(tree=[_Int(7), _Str("x"), _Float(-0.0), True, False, 1e16])
     def test_matches_json_dumps(self, tree):
+        want = reference_render(reference_jsonable(tree))
         parts = []
         cli._write_json(tree, parts.append)
-        assert "".join(parts) + "\n" == reference_render(tree)
-        assert cli._json_text(tree, "") + "\n" == reference_render(tree)
+        assert "".join(parts) + "\n" == want
+        assert cli._json_text(tree, "") + "\n" == want
+
+    def test_generic_chain_matches_reference(self):
+        # every type past the exact ones, and exact ones past 10^18
+        @dataclasses.dataclass
+        class Point:
+            x: int
+            label: str
+
+            @property
+            def double(self):
+                return 2 * self.x
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        pair = collections.namedtuple("Pair", "a b")
+        report = {
+            1: Point(_Int(5), _Str("p")), (0, 1): Fraction(-3, 7),
+            "sets": [{3, 1, 2}, frozenset({(1, 0), (0, 1)}), set()],
+            "sub": collections.OrderedDict(b=pair(Level.HIGH, _Float(math.nan)),
+                                           a=collections.UserList([1])),
+            "big": [10**18, -10**18, 10**30, _Int(10**30), (10**19,)],
+            "other": [Decimal("1.50"), None, range(2), Fraction(1, 10**20)],
+        }
+        want = reference_render(reference_jsonable(report))
+        assert cli._json_text(report) + "\n" == want
 
     def test_listing_written_item_by_item(self, files, capsys):
         # each solution is one write, the listing never one string
         parts = []
         args = build_parser().parse_args(["solve", "--system", files["ap3"],
                                           "--n", "2"])
-        tree = cli._jsonable(args.func(args)[0])
-        cli._write_json(tree, parts.append)
-        assert len(tree["solutions"]) == 81
+        result = args.func(args)[0]
+        cli._write_json(result, parts.append)
+        assert len(result["solutions"]) == 81
         assert max(map(len, parts)) < 300 < len("".join(parts)) / 50
-        assert "".join(parts) + "\n" == reference_render(tree)
+        assert "".join(parts) + "\n" == reference_render(
+            reference_jsonable(result))
 
 
 class TestJsonable:
     def test_session_results_match_reference(self, session_results):
         assert len(session_results) == 140
         for template, result in session_results:
-            assert (_typed(cli._jsonable(result))
-                    == _typed(reference_jsonable(result))), template
+            assert (cli._json_text(result) + "\n"
+                    == reference_render(reference_jsonable(result))), template
 
     def test_weight_handler_converts_nothing(self, files, spy, capsys):
-        # the handler returns objects; main converts them in one pass
-        calls = spy(cli._jsonable)
+        # the handler returns objects; main converts them as it writes
+        calls = spy(cli._write_json)
         argv = ["weight", "--tuple", "1,0;0,1;2,2", "--p", "3", "--system",
                 files["ap3"], "--check-properties", "--check-partition"]
         args = build_parser().parse_args(argv)
@@ -1063,6 +1094,60 @@ class TestJsonable:
         assert code == 0
         assert out == reference_render({"command": "weight",
                                         "result": reference_jsonable(payload)})
+
+
+class TestFlatFormats:
+    def test_session_rows_flatten_the_json_document(self, session_commands,
+                                                      capsys):
+        # text and csv print the rows of the command's JSON output
+        for template, argv in session_commands:
+            code, out, err = run_cli(argv, capsys)
+            rows = reference_rows(json.loads(out)) if out else []
+            assert run_cli(argv + ["--format", "text"], capsys) == (
+                code, "".join(f"{key} = {value}\n" for key, value in rows),
+                err), template
+            code_csv, out_csv, err_csv = run_cli(argv + ["--format", "csv"],
+                                                 capsys)
+            assert (code_csv, err_csv) == (code, err), template
+            assert list(csv.reader(io.StringIO(out_csv))) == (
+                [["key", "value"]] * bool(rows)
+                + [[key, "" if value is None else str(value)]
+                   for key, value in rows]), template
+
+    def test_list_cell_keys_sorted(self, files, capsys):
+        code, out, _ = run_cli(["solve", "--system", files["ap3"], "--n", "2",
+                                "--limit", "2", "--format", "csv",
+                                "--no-timestamp"], capsys)
+        assert code == 0
+        assert out == ('key,value\ncommand,solve\nresult.count,81\n'
+                       'result.listed,2\nresult.mode,any\nresult.points,9\n'
+                       'result.solutions,"[{""distinct_count"":1,""entries"":'
+                       '[[0,0],[0,0],[0,0]],""span_dim"":0},{""distinct_count"":3,'
+                       '""entries"":[[0,2],[0,0],[0,1]],""span_dim"":1}]"\n')
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_listing_failing_on_its_last_item_prints_nothing(
+            self, fmt, files, monkeypatch, capsys):
+        # the last listed solution has a 641-digit entry under a 640-digit
+        # limit: the report is converted whole before any of it is written
+        solutions = cli.enumerate_solutions
+
+        def listing(*args):
+            yield from solutions(*args)
+            yield SimpleNamespace(entries=((0,), (0,), (10**640,)),
+                                  distinct_count=2, span_dim=1)
+
+        monkeypatch.setattr(cli, "enumerate_solutions", listing)
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(["solve", "--system", files["ap3"],
+                                      "--n", "1", "--format", fmt], capsys)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (code, out) == (2, "")
+        assert err == ("error: an exact integer of 641 digits exceeds the "
+                       "limit of 640 digits for printing it\n")
 
 
 class TestCommands:
