@@ -357,10 +357,10 @@ def _cmd_slicerank_identity(args) -> tuple:
 
 
 def _cmd_slicerank_diagonal(args) -> tuple:
-    # prime and shape are checked before the L diagonal entries are built
-    p = check_prime(args.p)
+    # the shape is checked before the L diagonal entries are built; the
+    # diagonal has slice rank L over every field, so it is built over F_2
     _check_shape(args.length, args.k)
-    tensor = Tensor.from_entries(p, args.length, args.k,
+    tensor = Tensor.from_entries(2, args.length, args.k,
                                  {(i,) * args.k: 1 for i in range(args.length)})
     orders = corollary_orders((tuple(range(args.k)),), args.length)
     rank_value = antichain_slice_rank(tensor, orders, cap=args.cap_support)
@@ -516,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sr_id, _cmd_slicerank_identity)
     sr_diag = sr_sub.add_parser("diagonal", help="rank of the diagonal "
                                                  "tensor (sanity demo)")
-    sr_diag.add_argument("--p", type=int, default=2)
     sr_diag.add_argument("--length", type=int, required=True)
     sr_diag.add_argument("--k", type=int, required=True)
     sr_diag.add_argument("--cap-support", type=int,

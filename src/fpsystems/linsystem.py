@@ -691,11 +691,34 @@ class _Completion:
         self.codes = _point_codes(p, n)
         self._const_codes = list(map(self.codes.encode, self.const))
 
+    def _prefixes(self, pools: Sequence[Sequence[tuple]], lower: Sequence,
+                  partial: list, chosen: list, t: int = 0,
+                  prefix: tuple = ()) -> Iterator[tuple[tuple, list]]:
+        """(prefix, partial sums) for each choice of the entries at the
+        free positions from ``t`` on but the last two, after ``prefix``
+        with the sums ``partial``, in lexicographic order: the entry at
+        ``free[s]`` is ``pools[s][chosen[s]]``, with ``chosen[s]`` no
+        smaller than ``chosen[lower[s]]`` unless ``lower[s]`` is None.
+        ``chosen`` holds a slot per free position and is set in place,
+        so a caller may read it and fill the last two."""
+        if t >= len(pools) - 2:
+            yield prefix, partial
+            return
+        add, pool, low = self.codes.add, pools[t], lower[t]
+        row = [self.codes.scale[w] for w in self.weights[self.free[t]]]
+        for i in range(0 if low is None else chosen[low], len(pool)):
+            chosen[t] = i
+            pair = pool[i]
+            x = pair[0]
+            yield from self._prefixes(
+                pools, lower, [add[base][sc[x]] for base, sc in zip(partial, row)],
+                chosen, t + 1, prefix + (pair,))
+
     def walk(self, pools: Sequence[Sequence[tuple]], tables: Sequence,
              pins: Sequence[int] = ()) -> Iterator[tuple[tuple, list]]:
         """Every solution whose pinned entries have the codes ``pins``,
         whose entry at the free position ``free[i]`` comes from
-        ``pools[i]`` (an iterable of (code, label) pairs) and whose entry
+        ``pools[i]`` (a sequence of (code, label) pairs) and whose entry
         at the open pivot ``pivots[open_pivots[i]]`` has a label in
         ``tables[i]``, a table indexed by code (see ``_PointCodes``) that
         holds None where a point is absent.
@@ -705,30 +728,28 @@ class _Completion:
         that choice as pairs, and ends lists, in pool order, the tuple
         (label of the last free entry, table value of each open pivot)
         of each choice of the last free entry that completes a solution
-        (no last label when there is no free position).
+        (no last label when there is no free position).  The entries
+        solved from the last free position depend on the others only
+        through their partial sums, which repeat, so each distinct
+        partial is completed once, over the whole last pool, and kept up
+        to ``_MEMO_CAP``; ``orbit_supports`` keeps the same rule.
         """
         add, scale = self.codes.add, self.codes.scale
-        weights = self.weights
+        weights, free = self.weights, self.free
         consts = self._const_codes
         for j, x in zip(self.pinned, pins):
             if j in weights:
                 consts = [add[c][scale[w][x]] for c, w in zip(consts, weights[j])]
-        head = [[scale[w] for w in weights[j]] for j in self.free[:-1]]
-        last = [scale[w] for w in weights[self.free[-1]]] if self.free else None
-        *head_pools, last_pool = pools or [None]
-        # the last head position varies fastest, so the sum rows of the
-        # partials before it are read once per choice of the others
-        inner = head.pop() if head else None
-        inner_pool = head_pools.pop() if head_pools else [None]
-        # the entries solved from the last free position depend on the
-        # others only through the partial sums, which repeat, so each
-        # distinct partial is completed once (up to a bounded store)
+        last = [scale[w] for w in weights[free[-1]]] if free else None
+        last_pool = pools[-1] if free else None
+        # the last free position but one varies fastest, so the sum rows
+        # of the partials before it are read once per choice of the others
+        inner = [scale[w] for w in weights[free[-2]]] if len(free) > 1 else None
+        inner_pool = pools[-2] if inner else [None]
         memo: dict = {}
         stored = 0
-        for outer in product(*head_pools):
-            partial = consts
-            for scales, (x, _) in zip(head, outer):
-                partial = [add[base][sc[x]] for base, sc in zip(partial, scales)]
+        for outer, partial in self._prefixes(pools, [None] * len(pools), consts,
+                                             [0] * len(pools)):
             rows = [add[base] for base in partial] if inner else None
             for pair in inner_pool:
                 if pair is None:
@@ -815,27 +836,6 @@ class _Completion:
             scales.append([scale[w] for w in column])
         return previous, scales
 
-    def _orbit_prefixes(self, pool: Sequence[tuple[int, int]], chosen: list,
-                        depth: int, t: int, partial: list,
-                        mask: int) -> Iterator[tuple[list, int]]:
-        """(partial sums, OR of the bits) of each choice of the entries at
-        the first ``depth`` free positions from ``pool``, in lexicographic
-        order, each position taking a pool index no smaller than the one
-        at the nearest earlier position with its weight column.  The
-        indices of a choice are in ``chosen[:depth]`` when it is yielded;
-        the first ``t`` of them are given, with their sums and bits."""
-        if t == depth:
-            yield partial, mask
-            return
-        add = self.codes.add
-        previous, scales = self._orbit_plan
-        for i in range(0 if previous[t] is None else chosen[previous[t]], len(pool)):
-            chosen[t] = i
-            x, bit = pool[i]
-            yield from self._orbit_prefixes(
-                pool, chosen, depth, t + 1,
-                [add[base][sc[x]] for base, sc in zip(partial, scales[t])], mask | bit)
-
     def orbit_supports(self, pool: Sequence[tuple[int, int]], table) -> set[int]:
         """The distinct supports of ``supports`` with no position pinned,
         where the bits of ``pool`` increase in pool order, from one
@@ -843,12 +843,13 @@ class _Completion:
 
         Free positions whose weight columns are equal enter every pivot
         alike, so swapping their entries maps a solution to one with the
-        same support.  Such positions take nondecreasing pool indices,
-        and each support is still reached.  The ends of the last free
-        position are completed once per partial sum and cut at the first
-        pool index its class allows: from that index on when the sum is
-        first met, and over the whole pool, kept for every later start,
-        when it is met again with an earlier start."""
+        same support.  Such positions take nondecreasing pool indices
+        (``_orbit_plan`` gives each its lower-bound position), and each
+        support is still reached.  The prefixes come from ``_prefixes``
+        and the ends under ``walk``'s memo rule: each distinct partial
+        sum is completed once, over the whole pool.  An end is then kept
+        when its first label, the bit of the last free entry, is at
+        least the bit at the last position's lower bound."""
         if len(self.free) < 2:
             return {support for supports in self.supports(pool, table)
                     for support in supports}
@@ -859,35 +860,29 @@ class _Completion:
         row, last = scales[inner], scales[-1]
         inner_previous, last_previous = previous[inner], previous[-1]
         tables = [table] * len(self.open_pivots)
-        pairs = len(self.open_pivots) == 1
-        size = len(pool)
-        chosen = [0] * (inner + 1)
+        chosen = [0] * len(scales)
         found: set[int] = set()
-        # partial sums -> (first pool index covered, the ends from there)
         memo: dict = {}
         stored = 0
-        for partial, mask in self._orbit_prefixes(pool, chosen, inner, 0,
-                                                  self._const_codes, 0):
+        for prefix, partial in self._prefixes([pool] * len(scales), previous,
+                                               self._const_codes, chosen):
+            mask = 0
+            for _, bit in prefix:
+                mask |= bit
             rows = [add[base] for base in partial]
-            for i in range(0 if inner_previous is None else chosen[inner_previous], size):
+            for i in range(0 if inner_previous is None else chosen[inner_previous],
+                           len(pool)):
                 x, bit = pool[i]
                 chosen[inner] = i
                 key = tuple([r[sc[x]] for r, sc in zip(rows, row)])
-                start = 0 if last_previous is None else chosen[last_previous]
-                entry = memo.get(key)
-                if entry is None or entry[0] > start:
-                    covered = 0 if entry else start
-                    ends = self._ends(key, last, pool[covered:], tables, ())
+                ends = memo.get(key)
+                if ends is None:
+                    ends = self._ends(key, last, pool, tables, ())
                     if stored < _MEMO_CAP:
-                        memo[key] = covered, ends
+                        memo[key] = ends
                         stored += len(ends) + 1
-                else:
-                    covered, ends = entry
+                least = 0 if last_previous is None else pool[chosen[last_previous]][1]
                 here = mask | bit
-                least = pool[start][1] if start > covered else 0
-                if pairs:
-                    found.update([here | a | b for a, b in ends if a >= least])
-                    continue
                 for end in ends:
                     if end[0] >= least:
                         support = here

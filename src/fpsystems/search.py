@@ -16,8 +16,9 @@ and still reaches every support.  Each support is kept as an int
 bitmask, listed under each point it uses.  The filter
 (``ClassFilter.admits_support``) is applied per support, not per tuple,
 and only admitted supports are kept.  On six ones over F_3^3 the walk
-over orbits takes about 0.1 s, where the walk over every ordering of
-the five free entries took 4 to 5 s.
+over orbits takes about 0.07 s, and the walk over every ordering of
+the five free entries 3.5 s, for the same 31,149 supports (Python
+3.11, 2-core Xeon).
 
 The search is a depth first scan over points in order, carrying the
 current set and the candidates that can still join it, both as
@@ -39,10 +40,11 @@ witness, are those of the full lists.  A node's view is made at its
 first candidate, and a list in it is filtered on its first read, by a
 child, so later children share it.  The node reads its own candidate's
 list from its parent's view unless a child has filled its own: no
-later reader would share a copy filtered for it alone.  On the six-ones
-distinct search over F_3^3 with only the first nonzero point forced
-(126,740 nodes) the lists shrink about threefold per level, and the
-scan takes 3 to 5 s on a 2-core Xeon.
+later reader would share a copy filtered for it alone.  Under the
+frame root, six ones distinct over F_3^3 (1,861 nodes) takes 0.18 to
+0.26 s with live lists against 0.39 to 0.43 s with the full lists, and
+``1 1 2 2`` distinct over F_3^4 (1,615 nodes) 0.27 to 0.34 s against
+0.78 to 0.94 s, whole searches on the same 2-core Xeon.
 
 The witness is re-checked by one walk of the unpinned solver over its
 points, each distinct support of a solution inside it tested with the

@@ -1380,7 +1380,7 @@ FUZZ_GRAMMAR = [
     (["slicerank", "identity"], [("--system", SYSTEM)],
      POINT_SOURCE + SEED + [("--samples", INT)]),
     (["slicerank", "diagonal"], [("--length", INT), ("--k", INT)],
-     [("--p", PRIME), ("--cap-support", INT)]),
+     [("--cap-support", INT)]),
     (["slicerank", "bound"], [("--system", SYSTEM), ("--n", INT)], []),
     (["sample", "containment"],
      [("--p", PRIME), ("--n", CONTAINMENT_DIM), ("--d", CONTAINMENT_DIM),

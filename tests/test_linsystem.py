@@ -761,12 +761,32 @@ ORBIT_CASES = [
 ]
 
 
+orbit_cases = pytest.mark.parametrize(
+    "case", ORBIT_CASES, ids=lambda c: f"{c[0]}-p{c[1]}-b{c[2]}-n{c[3]}")
+
+
 class TestOrbitSupports:
     """The walk over one solution per orbit of equal weight columns
-    reaches the supports of the plain walk, on random pools."""
+    reaches the supports of the coordinate-tuple walk
+    (``tests/oracles.py``), on random pools."""
 
-    @pytest.mark.parametrize("case", ORBIT_CASES,
-                             ids=lambda c: f"{c[0]}-p{c[1]}-b{c[2]}-n{c[3]}")
+    @orbit_cases
+    def test_walk_takes_every_ordering(self, table_cap, case):
+        # the plain walk shares the orbit walk's prefixes with no lower
+        # bound, so equal columns still take every ordering
+        coeffs, p, constants, n = case
+        completion = linsystem._Completion(SystemSpec.make(coeffs, p, constants), n)
+        codes = completion.codes
+        bits = {v: 1 << i for i, v in enumerate(product(range(p), repeat=n))}
+        pool = [(codes.encode(v), bit) for v, bit in bits.items()]
+        free, open_pivots = len(completion.free), len(completion.open_pivots)
+        walked = completion.walk([pool] * free, [_coded_table(codes, bits)] * open_pivots)
+        ours = [(tuple((codes.decode(x), bit) for x, bit in prefix), ends)
+                for prefix, ends in walked]
+        assert ours == list(reference_walk(completion, [list(bits.items())] * free,
+                                           [bits] * open_pivots))
+
+    @orbit_cases
     def test_same_supports_as_the_plain_walk(self, table_cap, case):
         coeffs, p, constants, n = case
         completion = linsystem._Completion(SystemSpec.make(coeffs, p, constants), n)
@@ -775,17 +795,26 @@ class TestOrbitSupports:
         rng = random.Random(4)
         for _ in range(12):
             points = rng.sample(space, rng.randint(0, len(space)))
-            pool = [(codes.encode(v), 1 << i) for i, v in enumerate(points)]
-            table = _coded_table(codes, {v: 1 << i for i, v in enumerate(points)})
-            assert completion.orbit_supports(pool, table) == {
-                support for supports in completion.supports(pool, table)
-                for support in supports}
+            bits = {v: 1 << i for i, v in enumerate(points)}
+            pool = [(codes.encode(v), bit) for v, bit in bits.items()]
+            walked = reference_walk(completion, [list(bits.items())] * len(completion.free),
+                                    [bits] * len(completion.open_pivots))
+            supports = set()
+            for prefix, ends in walked:
+                mask = 0
+                for _, bit in prefix:
+                    mask |= bit
+                for end in ends:
+                    support = mask
+                    for bit in end:
+                        support |= bit
+                    supports.add(support)
+            assert completion.orbit_supports(pool, _coded_table(codes, bits)) == supports
 
-    def test_at_most_two_completions_per_partial_sum(self, monkeypatch):
+    def test_each_partial_sum_completed_once(self, monkeypatch):
         # six ones over F_3^2: the four head entries sum to one of the 9
-        # points.  A sum is completed from its first start on, and once
-        # more, over the whole pool, if it comes back with an earlier one,
-        # which some sums do
+        # points, and each sum is completed once, over the whole pool,
+        # whatever lower bound the orbit puts on the last free entry
         spec = SystemSpec.make([(1,) * 6], 3)
         completion = linsystem._Completion(spec, 2)
         codes = completion.codes
@@ -802,9 +831,7 @@ class TestOrbitSupports:
         monkeypatch.setattr(linsystem._Completion, "_ends", spy)
         completion.orbit_supports(pool, table)
         assert len(completed) == 9
-        assert all(len(sizes) == 1 or sizes[0] < sizes[1] == 9
-                   for sizes in completed.values())
-        assert any(len(sizes) == 2 for sizes in completed.values())
+        assert all(sizes == [9] for sizes in completed.values())
 
 
 class TestLargePrimes:

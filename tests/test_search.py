@@ -385,13 +385,14 @@ class TestExhaustive:
         assert on.best_size == off.best_size
 
     def test_six_ones_distinct_in_three_dimensions(self, deadline):
-        # 126,740 nodes when only the first nonzero point was forced, and
-        # 4 to 5 s of support walk over every ordering of the five free
-        # entries
+        # the node count pins the tree that the support index, built on
+        # one solution per orbit of the five equal free columns, and the
+        # affine frame root give
         spec = SystemSpec.make([(1,) * 6], 3)
         with deadline(3):
             result = exhaustive_max(AvoidanceProblem(spec, ClassFilter.distinct(), 3))
         assert result.best_size == 9 and result.optimal
+        assert result.nodes == 1861
 
     def test_1122_distinct_in_four_dimensions(self, deadline):
         # 450,358 nodes and 46 s when the affine root forced zero, the
@@ -400,6 +401,7 @@ class TestExhaustive:
         with deadline(5):
             result = exhaustive_max(AvoidanceProblem(spec, ClassFilter.distinct(), 4))
         assert result.best_size == 9 and result.optimal
+        assert result.nodes == 1615
         assert subset_avoids(spec, ClassFilter.distinct(), result.witness.points, 4)
 
     def test_distinct_impossible_when_space_too_small(self):
