@@ -34,6 +34,7 @@ from .linsystem import (
     SystemSpec,
     ValidationReport,
     count_interesting_tuples,
+    count_solutions,
     enumerate_solutions,
     interesting_tuples,
     is_interesting,

@@ -29,6 +29,7 @@ import time
 from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import CapExceededError, DegenerateSystemError, _unprintable
@@ -39,6 +40,7 @@ from .linsystem import (
     PointSet,
     _MODES,
     _check_walk_work,
+    count_solutions,
     enumerate_solutions,
     read_system_file,
     validate,
@@ -282,16 +284,14 @@ def _cmd_solve(args) -> tuple:
     points = _load_points(args, sys_spec.p)
     flt = _make_filter(args, sys_spec.k)
     _check_walk_work(sys_spec, points, DEFAULT_WORK_CAP)
-    count = 0
-    listed = []
-    for sol in enumerate_solutions(sys_spec, points, flt):
-        count += 1
-        if not args.count_only and len(listed) < args.limit:
-            listed.append({
-                "entries": sol.entries,
-                "distinct_count": sol.distinct_count,
-                "span_dim": sol.span_dim,
-            })
+    limit = 0 if args.count_only else args.limit
+    listed = [{"entries": sol.entries, "distinct_count": sol.distinct_count,
+               "span_dim": sol.span_dim}
+              for sol in islice(enumerate_solutions(sys_spec, points, flt), limit)]
+    # a listing that ends before the limit holds every solution; past
+    # it the walk's supports count the rest, with no tuple built
+    count = (len(listed) if len(listed) < limit
+             else count_solutions(sys_spec, points, flt))
     payload = {
         "mode": flt.mode,
         "points": len(points),

@@ -6,11 +6,11 @@ F_p^n, with scalar coefficients: sum_i a_{j,i} x_i = b_j for each row j
 structural hypotheses used throughout (rows summing to zero, all m x m
 coefficient minors nonsingular), streams every solution with entries in
 a given point set exactly once, classifies solutions by distinctness and
-span, and counts the extendable independent tuples that the subspace
-deletion steps key on.  One pivot solver, ``_Completion``, does every
-solve: enumeration, the supports of the extremal search and of the
-interesting-tuple test, and the indicator tensor and partitioned bound
-in ``slicerank`` are views over its walk.
+span, counts them, and counts the extendable independent tuples that
+the subspace deletion steps key on.  One pivot solver, ``_Completion``,
+does every solve: enumeration, the solution count, the supports of the
+extremal search and of the interesting-tuple test, and the indicator
+tensor and partitioned bound in ``slicerank`` are views over its walk.
 
 Inside the walk a point of F_p^n is its integer code, its base-p number
 with the first coordinate most significant (``_PointCodes``): pools are
@@ -542,6 +542,17 @@ class PointSet:
             table[code] = v
         return [(code, v) for v, code in self._codes.items()], table
 
+    @cached_property
+    def _bit_view(self) -> tuple[list, list | _Sparse]:
+        """The set as a support walk reads it, each point labelled by its
+        bit in point order: the (code, bit) pool in point order, and the
+        table from each member's code to its bit."""
+        pool = [(code, 1 << i) for i, code in enumerate(self._codes.values())]
+        table = _point_codes(self.p, self.n).table()
+        for code, bit in pool:
+            table[code] = bit
+        return pool, table
+
     def __contains__(self, v) -> bool:
         return reduce_coords(v, self.p) in self._codes
 
@@ -601,6 +612,14 @@ def _check_walk_work(sys_spec: SystemSpec, points: PointSet, cap: int) -> None:
             max(sys_spec.k - sys_spec.m, 0))
 
 
+def _selected(items: Sequence, mask: int) -> Iterator:
+    """The items at the positions set in ``mask``, in order."""
+    while mask:
+        low = mask & -mask
+        yield items[low.bit_length() - 1]
+        mask ^= low
+
+
 def enumerate_solutions(
     sys_spec: SystemSpec,
     points: PointSet,
@@ -652,6 +671,35 @@ def enumerate_solutions(
             if (sol.distinct_count >= least if least is not None
                     else flt.admits(sol)):
                 yield sol
+
+
+def count_solutions(sys_spec: SystemSpec, points: PointSet,
+                    flt: ClassFilter | None = None) -> int:
+    """The number of solutions ``enumerate_solutions`` yields with no
+    position pinned, read off the walk's supports with no tuple built.
+
+    Each point's label is its bit in point order, so a support is one
+    solution and its popcount is the solution's distinct count: ``any``
+    counts the ends of the walk, the other least counts compare each
+    popcount once, and ``span-dim`` decodes a support's points for
+    ``admits_support``.  The prime is checked and DegenerateSystemError
+    raised as ``enumerate_solutions`` does, at the call rather than at
+    the first step."""
+    flt = flt or ClassFilter.any()
+    k, p = sys_spec.k, sys_spec.p
+    least = flt.least(k)
+    _check_same_prime(sys_spec, points)
+    completion = _unpinned(sys_spec, points.n)
+    pool, table = points._bit_view
+    if least == 1:
+        return sum(len(ends) for _, ends in completion.walk(
+            [pool] * len(completion.free), [table] * len(completion.open_pivots)))
+    supports = chain.from_iterable(completion.supports(pool, table))
+    if least is not None:
+        return sum(support.bit_count() >= least for support in supports)
+    return sum(flt.admits_support(k, support.bit_count(),
+                                  _selected(points.points, support), p)
+               for support in supports)
 
 
 class _Completion:
@@ -961,10 +1009,7 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
             completions = [_Completion(sys_spec, points.n, idx) for idx in positions]
             live = [(c, group) for c, group in zip(completions, groups)
                     if not (sys_spec.homogeneous and c.pinned_pivots and not c.free)]
-            pool = [(code, 1 << i) for i, code in enumerate(codes.values())]
-            table = _point_codes(p, points.n).table()
-            for code, bit in pool:
-                table[code] = bit
+            pool, table = points._bit_view
         for completion, group in live:
             for supports in completion.supports(pool, table, pins):
                 hit = next((i for i, support in enumerate(supports)

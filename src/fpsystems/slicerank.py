@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import _capped
 from .fplinalg import check_prime, read_lines, reduce_coords, reduce_vectors, write_lines
-from .linsystem import SystemSpec, _Completion, is_solution
+from .linsystem import SystemSpec, _Completion, _solves, is_solution
 
 DEFAULT_SUPPORT_CAP = 40
 DEFAULT_CROSS_CAP = 10**7
@@ -479,8 +479,9 @@ def verify_polynomial_identity(
     theorem.  All L^k index tuples are checked when that count is within
     ``DEFAULT_IDENTITY_CAP``, otherwise ``samples`` uniformly drawn
     tuples (which needs a seeded rng).  No tensor is built: each checked
-    entry of the indicator tensor is decided on its own by
-    ``is_solution``.  ``samples`` must be positive on either path, as a
+    entry of the indicator tensor is decided on its own by the solve
+    kernel, on the columns as they were reduced and checked once for
+    every entry.  ``samples`` must be positive on either path, as a
     sampled check of no tuples would pass vacuously, and within the
     dense tensor cap, so a sampled check does no more work than the
     largest [L]^k tensor (CapExceededError otherwise).
@@ -513,7 +514,7 @@ def verify_polynomial_identity(
         tuples = (tuple(rng.randrange(length) for _ in range(k))
                   for _ in range(samples))
     rows = ([cols[i][l] for i, l in enumerate(idx)] for idx in tuples)
-    return all(product_formula(xs) == is_solution(sys_spec, xs) for xs in rows)
+    return all(product_formula(xs) == _solves(sys_spec, xs, n) for xs in rows)
 
 
 @dataclass(frozen=True)

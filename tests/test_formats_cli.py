@@ -26,7 +26,12 @@ from fpsystems import cli, fplinalg, search, slicerank
 from fpsystems.cli import build_parser, main
 from fpsystems.weights import AdmissibleSet
 
-from .oracles import reference_jsonable, reference_render, reference_rows
+from .oracles import (
+    reference_enumerate_solutions,
+    reference_jsonable,
+    reference_render,
+    reference_rows,
+)
 
 AP3 = "p=3 m=1 k=3\n1 1 1\n"
 BAD_MINOR = "p=3 m=1 k=3\n1 2 0\n"
@@ -1150,7 +1155,80 @@ class TestFlatFormats:
                        "limit of 640 digits for printing it\n")
 
 
+def _reference_solve(system, n, flt, limit) -> dict:
+    """The report of ``solve`` as it was built by enumerating every
+    solution: the count of all of them, the first ``limit`` listed."""
+    spec = fpsystems.read_system_file(system)
+    points = fpsystems.PointSet.full_space(n, spec.p)
+    sols = list(reference_enumerate_solutions(spec, points, flt))
+    listed = [{"entries": s.entries, "distinct_count": s.distinct_count,
+               "span_dim": s.span_dim} for s in sols[:limit]]
+    return {"command": "solve",
+            "result": {"mode": flt.mode, "points": len(points),
+                       "count": len(sols), "listed": len(listed),
+                       "solutions": listed}}
+
+
 class TestCommands:
+    @pytest.mark.parametrize("mode,flag", [
+        ("any", []), ("not-all-equal", []), ("distinct", []),
+        ("span-dim", ["--r", "2"]), ("distinct-count", ["--ell", "2"])])
+    @pytest.mark.parametrize("system", ["ap3", "m2k4"])
+    def test_solve_output_as_by_enumeration(self, files, capsys, system,
+                                            mode, flag):
+        # a count below, equal to and above the limit, and no listing
+        flt = fpsystems.ClassFilter(mode, r=2 if "--r" in flag else None,
+                                    ell=2 if "--ell" in flag else None)
+        total = _reference_solve(files[system], 2, flt, 0)["result"]["count"]
+        argv = ["solve", "--system", files[system], "--n", "2", "--mode",
+                mode, *flag, "--no-timestamp"]
+        for extra, limit in ((["--limit", str(total + 1)], total + 1),
+                             (["--limit", str(total)], total),
+                             (["--limit", str(total - 1)], total - 1),
+                             (["--limit", "0"], 0), (["--count-only"], 0)):
+            doc = _reference_solve(files[system], 2, flt, limit)
+            rows = reference_rows(json.loads(json.dumps(doc)))
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(
+                [["key", "value"]] + rows)
+            for fmt, out in (
+                    ("json", reference_render(doc)),
+                    ("text", "".join(f"{k} = {v}\n" for k, v in rows)),
+                    ("csv", buf.getvalue())):
+                assert run_cli(argv + extra + ["--format", fmt],
+                               capsys) == (0, out, ""), (extra, fmt)
+
+    @pytest.mark.parametrize("extra,most", [
+        (["--limit", "5"], 5), (["--limit", "81"], 81),
+        (["--limit", "100"], 100), (["--limit", "0"], 0),
+        (["--count-only"], 0), (["--count-only", "--limit", "7"], 0)])
+    def test_solve_lists_up_to_the_limit(self, files, capsys, monkeypatch,
+                                         extra, most):
+        # the listing is advanced at most --limit times, and never under
+        # --count-only; the count of x+y+z=0 over F_3^2 stays 81
+        solutions = cli.enumerate_solutions
+        advanced = []
+
+        class Counted:
+            def __init__(self, args):
+                self.it = solutions(*args)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                advanced.append(None)
+                return next(self.it)
+
+        monkeypatch.setattr(cli, "enumerate_solutions",
+                            lambda *args: Counted(args))
+        code, data, _ = run_json(["solve", "--system", files["ap3"],
+                                  "--n", "2"] + extra, capsys)
+        assert code == 0
+        assert len(advanced) <= most
+        assert data["result"]["count"] == 81
+        assert data["result"]["listed"] == min(most, 81)
+
     def test_solve_distinct_count(self, files, capsys):
         code, data, _ = run_json(["solve", "--system", files["ap3"],
                                   "--n", "1", "--mode", "distinct"], capsys)

@@ -14,6 +14,7 @@ from fpsystems import (
     SolutionTuple,
     SystemSpec,
     count_interesting_tuples,
+    count_solutions,
     enumerate_solutions,
     interesting_tuples,
     is_interesting,
@@ -959,6 +960,33 @@ class TestEnumerateAgainstReference:
             assert ours == _outcome(
                 lambda: reference_enumerate_solutions(spec, points, flt))
             assert isinstance(ours, list)
+            assert count_solutions(spec, points, flt) == len(ours), flt
+
+
+def _count(run):
+    try:
+        return run()
+    except DegenerateSystemError as exc:
+        return str(exc)
+
+
+class TestCountAgainstReference:
+    """``count_solutions``, read off the walk's supports, against the
+    length of the earlier per-assignment listing, over every mode and
+    threshold."""
+
+    # a property that draws a mode and a threshold needs more examples
+    # than the suite's 40 to meet each off-by-one of the count
+    @settings(max_examples=400)
+    @given(enumeration_cases())
+    def test_same_count(self, case):
+        spec, points, flt, _ = case
+        assert _count(lambda: count_solutions(spec, points, flt)) == _count(
+            lambda: len(list(reference_enumerate_solutions(spec, points, flt))))
+
+    def test_prime_checked(self, sys_ap3):
+        with pytest.raises(ValueError, match="prime differs"):
+            count_solutions(sys_ap3, PointSet.full_space(1, 5))
 
 
 class TestSystemFiles:

@@ -495,6 +495,26 @@ class TestIndicator:
         monkeypatch.setattr(slicerank, "DEFAULT_IDENTITY_CAP", 10)
         assert verify_polynomial_identity(sys_ap3, cols, samples=200, rng=rng)
 
+    @pytest.mark.parametrize("cap", [10**6, 10], ids=["exhaustive", "sampled"])
+    def test_identity_decides_every_entry(self, sys_ap3, monkeypatch, cap):
+        # a solve kernel wrong on the last index tuple checked fails the
+        # check: each entry is decided, none taken as read
+        points = list(PointSet.full_space(2, 3))
+        cols = [points] * 3
+        monkeypatch.setattr(slicerank, "DEFAULT_IDENTITY_CAP", cap)
+        if cap == 10:
+            draws = spawn(0, "identity")
+            for _ in range(200):
+                last = tuple(draws.randrange(9) for _ in range(3))
+        else:
+            last = (8, 8, 8)
+        flipped = tuple(points[l] for l in last)
+        solves = slicerank._solves
+        monkeypatch.setattr(slicerank, "_solves", lambda spec, xs, n: (
+            solves(spec, xs, n) != (tuple(xs) == flipped)))
+        assert not verify_polynomial_identity(sys_ap3, cols, samples=200,
+                                              rng=spawn(0, "identity"))
+
     def test_sampled_identity_builds_no_tensor(self, sys_ap3, monkeypatch):
         def no_tensor(*args, **kwargs):
             raise AssertionError("a tensor was built")
