@@ -288,8 +288,9 @@ def _cmd_solve(args) -> tuple:
     listed = [{"entries": sol.entries, "distinct_count": sol.distinct_count,
                "span_dim": sol.span_dim}
               for sol in islice(enumerate_solutions(sys_spec, points, flt), limit)]
-    # a listing that ends before the limit holds every solution; past
-    # it the walk's supports count the rest, with no tuple built
+    # a listing that ends before the limit holds every solution; one
+    # that reaches it may hold them all too (exactly --limit of them),
+    # but only a second walk, counting with no tuple built, can tell
     count = (len(listed) if len(listed) < limit
              else count_solutions(sys_spec, points, flt))
     payload = {

@@ -542,17 +542,6 @@ class PointSet:
             table[code] = v
         return [(code, v) for v, code in self._codes.items()], table
 
-    @cached_property
-    def _bit_view(self) -> tuple[list, list | _Sparse]:
-        """The set as a support walk reads it, each point labelled by its
-        bit in point order: the (code, bit) pool in point order, and the
-        table from each member's code to its bit."""
-        pool = [(code, 1 << i) for i, code in enumerate(self._codes.values())]
-        table = _point_codes(self.p, self.n).table()
-        for code, bit in pool:
-            table[code] = bit
-        return pool, table
-
     def __contains__(self, v) -> bool:
         return reduce_coords(v, self.p) in self._codes
 
@@ -612,14 +601,6 @@ def _check_walk_work(sys_spec: SystemSpec, points: PointSet, cap: int) -> None:
             max(sys_spec.k - sys_spec.m, 0))
 
 
-def _selected(items: Sequence, mask: int) -> Iterator:
-    """The items at the positions set in ``mask``, in order."""
-    while mask:
-        low = mask & -mask
-        yield items[low.bit_length() - 1]
-        mask ^= low
-
-
 def enumerate_solutions(
     sys_spec: SystemSpec,
     points: PointSet,
@@ -676,30 +657,38 @@ def enumerate_solutions(
 def count_solutions(sys_spec: SystemSpec, points: PointSet,
                     flt: ClassFilter | None = None) -> int:
     """The number of solutions ``enumerate_solutions`` yields with no
-    position pinned, read off the walk's supports with no tuple built.
+    position pinned, counted over the walk with no tuple built.
 
-    Each point's label is its bit in point order, so a support is one
-    solution and its popcount is the solution's distinct count: ``any``
-    counts the ends of the walk, the other least counts compare each
-    popcount once, and ``span-dim`` decodes a support's points for
-    ``admits_support``.  The prime is checked and DegenerateSystemError
-    raised as ``enumerate_solutions`` does, at the call rather than at
-    the first step."""
+    Each point is labelled by its index in point order, so a solution's
+    distinct count is the number of distinct labels among its entries:
+    ``any`` counts the ends of the walk, the other least counts compare
+    each distinct count with ``ClassFilter.least(k)``, and ``span-dim``
+    reads the points of the distinct labels for ``admits_support``.  The
+    labels take no more room than the point set.  The prime is checked
+    and DegenerateSystemError raised as ``enumerate_solutions`` does, at
+    the call rather than at the first step."""
     flt = flt or ClassFilter.any()
-    k, p = sys_spec.k, sys_spec.p
+    k, p, pts = sys_spec.k, sys_spec.p, points.points
     least = flt.least(k)
     _check_same_prime(sys_spec, points)
     completion = _unpinned(sys_spec, points.n)
-    pool, table = points._bit_view
+    pool = [(code, i) for i, code in enumerate(points._codes.values())]
+    table = completion.codes.table()
+    for code, i in pool:
+        table[code] = i
+    walk = completion.walk([pool] * len(completion.free),
+                           [table] * len(completion.open_pivots))
     if least == 1:
-        return sum(len(ends) for _, ends in completion.walk(
-            [pool] * len(completion.free), [table] * len(completion.open_pivots)))
-    supports = chain.from_iterable(completion.supports(pool, table))
-    if least is not None:
-        return sum(support.bit_count() >= least for support in supports)
-    return sum(flt.admits_support(k, support.bit_count(),
-                                  _selected(points.points, support), p)
-               for support in supports)
+        return sum(len(ends) for _, ends in walk)
+    count = 0
+    for prefix, ends in walk:
+        head = tuple([i for _, i in prefix])
+        for end in ends:
+            entries = set(head + end)
+            count += (len(entries) >= least if least is not None
+                      else flt.admits_support(k, len(entries),
+                                              (pts[i] for i in entries), p))
+    return count
 
 
 class _Completion:
@@ -1009,7 +998,10 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
             completions = [_Completion(sys_spec, points.n, idx) for idx in positions]
             live = [(c, group) for c, group in zip(completions, groups)
                     if not (sys_spec.homogeneous and c.pinned_pivots and not c.free)]
-            pool, table = points._bit_view
+            pool = [(code, 1 << i) for i, code in enumerate(codes.values())]
+            table = _point_codes(p, points.n).table()
+            for code, bit in pool:
+                table[code] = bit
         for completion, group in live:
             for supports in completion.supports(pool, table, pins):
                 hit = next((i for i, support in enumerate(supports)

@@ -121,7 +121,6 @@ from .linsystem import (
     SystemSpec,
     _Completion,
     _point_codes,
-    _selected,
     _unpinned,
 )
 from .slicerank import ceiling
@@ -172,6 +171,14 @@ class SearchResult:
     witness: PointSet
     optimal: bool
     nodes: int
+
+
+def _selected(items: Sequence, mask: int) -> Iterator:
+    """The items at the positions set in ``mask``, in order."""
+    while mask:
+        low = mask & -mask
+        yield items[low.bit_length() - 1]
+        mask ^= low
 
 
 def _admitted_supports(completion: _Completion, problem: AvoidanceProblem,

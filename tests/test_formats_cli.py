@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -1228,6 +1229,28 @@ class TestCommands:
         assert len(advanced) <= most
         assert data["result"]["count"] == 81
         assert data["result"]["listed"] == min(most, 81)
+
+    @pytest.mark.parametrize("mode", ["any", "distinct"])
+    def test_solve_count_memory_as_the_point_set(self, tmp_path, capsys, mode):
+        # x = y over F_3^9 walks 3^9 points with one free position; the
+        # count's labels must take room linear in the point set, where
+        # one bit per point makes its pool quadratic (32 MiB here)
+        system = tmp_path / "k2.system"
+        system.write_text("p=3 m=1 k=2\n1 2\n")
+        tracemalloc.start()
+        try:
+            fpsystems.PointSet.full_space(9, 3)._walk_view
+            base = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            code, data, _ = run_json(["solve", "--system", str(system), "--n",
+                                      "9", "--count-only", "--mode", mode],
+                                     capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert data["result"]["count"] == (3**9 if mode == "any" else 0)
+        assert peak < 2 * base, (peak, base)
 
     def test_solve_distinct_count(self, files, capsys):
         code, data, _ = run_json(["solve", "--system", files["ap3"],
