@@ -9,8 +9,8 @@ a given point set exactly once, classifies solutions by distinctness and
 span, counts them, and counts the extendable independent tuples that
 the subspace deletion steps key on.  One pivot solver, ``_Completion``,
 does every solve: enumeration, the solution count, the supports of the
-extremal search and of the interesting-tuple test, and the indicator
-tensor and partitioned bound in ``slicerank`` are views over its walk.
+extremal search, the interesting-tuple test, and the indicator tensor
+and partitioned bound in ``slicerank`` are views over its walk.
 
 Inside the walk a point of F_p^n is its integer code, its base-p number
 with the first coordinate most significant (``_PointCodes``): pools are
@@ -22,10 +22,10 @@ tuples everywhere else: in the API, the file formats and the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, product
 from math import comb
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateSystemError, _capped
@@ -542,6 +542,15 @@ class PointSet:
             table[code] = v
         return [(code, v) for v, code in self._codes.items()], table
 
+    def _index_view(self) -> tuple[list, list | _Sparse]:
+        """``_walk_view`` with each point labelled by its index, built per
+        call: labels that take no more room than the set."""
+        pool = list(zip(self._codes.values(), range(len(self.points))))
+        table = _point_codes(self.p, self.n).table()
+        for code, i in pool:
+            table[code] = i
+        return pool, table
+
     def __contains__(self, v) -> bool:
         return reduce_coords(v, self.p) in self._codes
 
@@ -659,23 +668,19 @@ def count_solutions(sys_spec: SystemSpec, points: PointSet,
     """The number of solutions ``enumerate_solutions`` yields with no
     position pinned, counted over the walk with no tuple built.
 
-    Each point is labelled by its index in point order, so a solution's
-    distinct count is the number of distinct labels among its entries:
-    ``any`` counts the ends of the walk, the other least counts compare
-    each distinct count with ``ClassFilter.least(k)``, and ``span-dim``
-    reads the points of the distinct labels for ``admits_support``.  The
-    labels take no more room than the point set.  The prime is checked
-    and DegenerateSystemError raised as ``enumerate_solutions`` does, at
-    the call rather than at the first step."""
+    Each point is labelled by its index (``PointSet._index_view``), so a
+    solution's distinct count is its number of distinct labels: ``any``
+    counts the ends of the walk, the other least counts compare each
+    distinct count with ``ClassFilter.least(k)``, and ``span-dim`` reads
+    the points of the distinct labels for ``admits_support``.  The prime
+    is checked and DegenerateSystemError raised as ``enumerate_solutions``
+    does, at the call rather than at the first step."""
     flt = flt or ClassFilter.any()
     k, p, pts = sys_spec.k, sys_spec.p, points.points
     least = flt.least(k)
     _check_same_prime(sys_spec, points)
     completion = _unpinned(sys_spec, points.n)
-    pool = [(code, i) for i, code in enumerate(points._codes.values())]
-    table = completion.codes.table()
-    for code, i in pool:
-        table[code] = i
+    pool, table = points._index_view()
     walk = completion.walk([pool] * len(completion.free),
                            [table] * len(completion.open_pivots))
     if least == 1:
@@ -693,8 +698,7 @@ def count_solutions(sys_spec: SystemSpec, points: PointSet,
 
 class _Completion:
     """Solutions of the system with the entries at some positions given:
-    the one pivot solver behind enumeration, supports and the
-    partitioned bound.
+    the one pivot solver of the module docstring.
 
     The m pivot positions are solved from the others: pivot r holds
     const_r + sum_j w_rj * x_j over the non-pivot positions j.  The
@@ -705,8 +709,7 @@ class _Completion:
     and weights all come from one reduced echelon form of the
     coefficients beside the constant terms (see ``_echelon``).  The walk
     takes and solves points as their codes in ``codes``, so each pivot
-    entry is a lookup in the sum and scale rows.
-    """
+    entry is a lookup in the sum and scale rows."""
 
     def __init__(self, sys_spec: SystemSpec, n: int, pinned: Sequence[int] = ()):
         p, k = sys_spec.p, sys_spec.k
@@ -727,6 +730,15 @@ class _Completion:
                         for c, j in enumerate(order) if j not in self.pivots}
         self.codes = _point_codes(p, n)
         self._const_codes = list(map(self.codes.encode, self.const))
+
+    def start(self, pins: Sequence[int] = ()) -> list[int]:
+        """The pivots' partial sums before any free entry: the constants
+        with the pinned non-pivot entries, of codes ``pins``, folded in."""
+        (add, scale), consts = self.codes._rows, self._const_codes
+        for j, x in zip(self.pinned, pins):
+            if j in self.weights:
+                consts = [add[c][scale[w][x]] for c, w in zip(consts, self.weights[j])]
+        return consts
 
     def _prefixes(self, pools: Sequence[Sequence[tuple]], lower: Sequence,
                   partial: list, chosen: list, t: int = 0,
@@ -769,14 +781,8 @@ class _Completion:
         solved from the last free position depend on the others only
         through their partial sums, which repeat, so each distinct
         partial is completed once, over the whole last pool, and kept up
-        to ``_MEMO_CAP``; ``orbit_supports`` keeps the same rule.
-        """
-        add, scale = self.codes.add, self.codes.scale
-        weights, free = self.weights, self.free
-        consts = self._const_codes
-        for j, x in zip(self.pinned, pins):
-            if j in weights:
-                consts = [add[c][scale[w][x]] for c, w in zip(consts, weights[j])]
+        to ``_MEMO_CAP``; ``orbit_supports`` keeps the same rule."""
+        (add, scale), weights, free = self.codes._rows, self.weights, self.free
         last = [scale[w] for w in weights[free[-1]]] if free else None
         last_pool = pools[-1] if free else None
         # the last free position but one varies fastest, so the sum rows
@@ -785,8 +791,8 @@ class _Completion:
         inner_pool = pools[-2] if inner else [None]
         memo: dict = {}
         stored = 0
-        for outer, partial in self._prefixes(pools, [None] * len(pools), consts,
-                                             [0] * len(pools)):
+        for outer, partial in self._prefixes(pools, [None] * len(pools),
+                                             self.start(pins), [0] * len(pools)):
             rows = [add[base] for base in partial] if inner else None
             for pair in inner_pool:
                 if pair is None:
@@ -838,27 +844,6 @@ class _Completion:
                     out.append(tuple(labels))
         return out
 
-    def supports(self, pool: Sequence[tuple[int, int]], table,
-                 pins: Sequence[int] = ()) -> Iterator[list[int]]:
-        """The supports, as ORs of bits, of the entries off the pinned
-        positions of every solution whose pinned entries have the codes
-        ``pins`` and whose other entries come from ``pool``, (code, bit)
-        pairs that ``table`` indexes by code.  One list per prefix of
-        the walk, empty when the prefix completes nothing; once per
-        solution."""
-        tables = [table] * len(self.open_pivots)
-        for prefix, ends in self.walk([pool] * len(self.free), tables, pins):
-            mask = 0
-            for _, bit in prefix:
-                mask |= bit
-            out = []
-            for end in ends:
-                support = mask
-                for bit in end:
-                    support |= bit
-                out.append(support)
-            yield out
-
     @cached_property
     def _orbit_plan(self) -> tuple[list, list]:
         """Per free position, the nearest earlier free position with the
@@ -874,9 +859,11 @@ class _Completion:
         return previous, scales
 
     def orbit_supports(self, pool: Sequence[tuple[int, int]], table) -> set[int]:
-        """The distinct supports of ``supports`` with no position pinned,
-        where the bits of ``pool`` increase in pool order, from one
-        solution per orbit of swaps at equal weight columns.
+        """The distinct supports, as ORs of bits, of the solutions with
+        no position pinned and every entry from ``pool``, (code, bit)
+        pairs that ``table`` indexes by code, with the bits increasing in
+        pool order; found from one solution per orbit of swaps at equal
+        weight columns.
 
         Free positions whose weight columns are equal enter every pivot
         alike, so swapping their entries maps a solution to one with the
@@ -887,16 +874,17 @@ class _Completion:
         sum is completed once, over the whole pool.  An end is then kept
         when its first label, the bit of the last free entry, is at
         least the bit at the last position's lower bound."""
+        tables = [table] * len(self.open_pivots)
         if len(self.free) < 2:
-            return {support for supports in self.supports(pool, table)
-                    for support in supports}
+            # no swaps, and every prefix of the walk is empty
+            return {reduce(or_, end) for _, ends in
+                    self.walk([pool] * len(self.free), tables) for end in ends}
         add = self.codes.add
         previous, scales = self._orbit_plan
         # the last free position but one varies fastest, as in ``walk``
         inner = len(scales) - 2
         row, last = scales[inner], scales[-1]
         inner_previous, last_previous = previous[inner], previous[-1]
-        tables = [table] * len(self.open_pivots)
         chosen = [0] * len(scales)
         found: set[int] = set()
         memo: dict = {}
@@ -962,6 +950,12 @@ def interesting_tuples(
     as reduced coordinate tuples, and is checked and rank-tested once
     for all index sets; each index set's completion is built once.  The
     rank test stops once no index set can hold an interesting tuple.
+    A tuple reaches a walk only through the pivots' partial sums with
+    its entries folded in (``_Completion.start``) and its entries at
+    pinned pivots; a completion's distinct count, of point indices,
+    leaves the pinned positions out.  So an index set walks once per
+    such key in a call, and a later tuple with the key takes the answer
+    and is charged what the walk cost.
     CapExceededError once the completions walked, and the walked
     prefixes that complete nothing, over all tuples and index sets,
     pass ``DEFAULT_WORK_CAP``."""
@@ -978,9 +972,7 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
     m, p = sys_spec.m, sys_spec.p
     positions = [_interesting_positions(sys_spec, idx, ell) for idx in index_sets]
     need = max(0, ell - m - 1)
-    codes = points._codes
-    live = None
-    left = cap
+    codes, live, left = points._codes, None, cap
     groups: list[list] = [[] for _ in positions]
     for xs in tuples:
         if len(xs) != m + 1:
@@ -996,25 +988,32 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
             # with no free position solves to a combination of the other
             # pins, so no independent tuple extends on that index set.
             completions = [_Completion(sys_spec, points.n, idx) for idx in positions]
-            live = [(c, group) for c, group in zip(completions, groups)
+            live = [(c, group, {}) for c, group in zip(completions, groups)
                     if not (sys_spec.homogeneous and c.pinned_pivots and not c.free)]
-            pool = [(code, 1 << i) for i, code in enumerate(codes.values())]
-            table = _point_codes(p, points.n).table()
-            for code, bit in pool:
-                table[code] = bit
-        for completion, group in live:
-            for supports in completion.supports(pool, table, pins):
-                hit = next((i for i, support in enumerate(supports)
-                            if support.bit_count() >= need), None)
-                # the completions walked up to a hit, or one step for a
-                # prefix that completes nothing: a count, not a clock,
-                # so a refusal is reproducible
-                left -= (len(supports) or 1) if hit is None else hit + 1
-                if left < 0:
-                    _capped(cap + 1, cap, "{} tuple completions exceed the cap {cap}")
-                if hit is not None:
-                    group.append(xs)
-                    break
+            pool, table = points._index_view()
+        for completion, group, seen in live:
+            key = (*completion.start(pins), *[pins[i] for _, i in completion.pinned_pivots])
+            known = seen.get(key)
+            if known is None:
+                hit, charged = False, 0
+                for prefix, ends in completion.walk([pool] * len(completion.free),
+                                                    [table] * len(completion.open_pivots), pins):
+                    head = tuple([i for _, i in prefix])
+                    at = next((t for t, end in enumerate(ends)
+                               if len(set(head + end)) >= need), None)
+                    # the completions walked up to a hit, or one step for a prefix
+                    # that completes nothing: a count, so a refusal is reproducible
+                    charged += (len(ends) or 1) if at is None else at + 1
+                    hit = at is not None
+                    if hit or charged > left:
+                        break
+                known = seen[key] = hit, charged
+            hit, charged = known
+            left -= charged
+            if left < 0:
+                _capped(cap + 1, cap, "{} tuple completions exceed the cap {cap}")
+            if hit:
+                group.append(xs)
     return [xs for group in groups for xs in group]
 
 

@@ -46,7 +46,7 @@ from .linsystem import (
 )
 from .seeds import spawner
 from .slicerank import ceiling
-from .weights import _check_k, _weigh, _weight_facts
+from .weights import _check_k, _report, _tuple_shape, _weight_facts
 
 DEFAULT_ENUM_CAP = 10**5
 # entries (subspaces times d * n) an exhaustive containment scan lists
@@ -257,18 +257,19 @@ def _step_report(d: int, inside: PointSet,
 
 def _weight_class(sys_spec: SystemSpec, points: PointSet, w: int,
                   pinned: Mapping | None = None) -> Iterator[tuple]:
-    """(solution, weight report) for every solution of weight w with
-    entries in ``points`` and the ``pinned`` entries, in enumeration
-    order.  The point set and k are checked when called, not when
-    iterated; enumerated entries are reduced, nonzero and in F_p^n, so
-    each solution goes to the weight walk unchecked."""
+    """(solution, (omega, chosen, blocks)) for every solution of weight
+    w with entries in ``points`` and the ``pinned`` entries, in
+    enumeration order, weighed by relation shape alone; a caller that
+    reads U or the lines completes a report with ``_report``.  The point
+    set and k are checked at the call; enumerated entries are reduced,
+    nonzero and in F_p^n, so each goes to the weight walk unchecked."""
     if (0,) * points.n in points:
         raise ValueError("weight machinery needs a point set without zero")
     _check_k(sys_spec.k)
-    n, p = points.n, sys_spec.p
-    return ((sol, rep)
+    p = sys_spec.p
+    return ((sol, shape)
             for sol in enumerate_solutions(sys_spec, points, pinned=pinned)
-            for rep in [_weigh(sol.entries, n, p)] if rep.omega == w)
+            for shape in [_tuple_shape(sol.entries, p)] if shape[0] == w)
 
 
 def sampling_step_distinct(
@@ -357,11 +358,9 @@ def count_weight_solutions(sys_spec: SystemSpec, points: PointSet, w: int, r: in
         raise ValueError(f"need {floor_w + 1} <= r <= {k}")
     ceil = ceiling(p, m, k - floor_w, points.n,
                    factor=(2 * k) ** (2 * k) * p ** (r * k) * len(points) ** (r - 1))
-    count = 0
-    dim_ok = True
-    sizes_ok = True
-    for _, rep in solutions:
-        facts = _weight_facts(rep, k, points.n, p)
+    count, dim_ok, sizes_ok = 0, True, True
+    for sol, shape in solutions:
+        facts = _weight_facts(_report(sol.entries, points.n, p, shape), k, points.n, p)
         sizes_ok = sizes_ok and facts.size_valid
         dim_ok = dim_ok and facts.span_valid
         count += facts.span_dim == r
@@ -407,10 +406,9 @@ def max_disjoint_span_family(
         raise ValueError("fixed vectors must belong to the point set")
     # a qualifying solution's chosen maximizer is idx, so the quotient
     # lines of its weight report are those modulo the fixed entries' span
-    qualifying = [(sol.entries, frozenset(rep.lines))
-                  for sol, rep in _weight_class(sys_spec, points, w,
-                                                dict(zip(idx, fixed_cs)))
-                  if rep.chosen == idx]
+    qualifying = [(sol.entries, frozenset(_report(sol.entries, points.n, p, shape).lines))
+                  for sol, shape in _weight_class(sys_spec, points, w, dict(zip(idx, fixed_cs)))
+                  if shape[1] == idx]
     family = []
     used: set = set()
     for entries, lines in qualifying:

@@ -36,28 +36,26 @@ coordinate, one column per entry).  The r nonzero rows of that matrix's
 reduced row echelon form are canonical for the row space, and their k
 columns are the images of the entries in F_p^r under a map injective on
 their span.  The walk runs on those columns, memoised per shape and
-prime.  The span U of the chosen entries and the line of each block are
-computed per tuple in V: a block's line is its first member reduced by
-U's echelon basis and scaled to lead 1, which is the walk's residue.
-``admissible_sets`` needs a span and lines for every set, so it walks
-the entries themselves.
+prime (``_tuple_shape``).  The span U of the chosen entries and the line
+of each block are computed per tuple in V (``_report``): a block's line
+is its first member reduced by U's echelon basis and scaled to lead 1,
+which is the walk's residue.  ``admissible_sets`` needs a span and lines
+for every set, so it walks the entries themselves.
 
-Each public operation validates its input once per call, at the cost
-of the definition and no more: one normalising pass over the entries
-(``reduce_vectors``), one pass each over their dimensions and their
-zero entries, and, when a system is supplied, its prime and k and one
-unchecked solve over the validated tuple.  Then the checked tuple is
-weighed through a small memo keyed on the reduced tuple, because the
-census flow weighs each solution twice in a row (the weight facts, then
-the partition structure).  A tuple the memo has not seen costs two
-eliminations: one row reduces its coordinate matrix to find the shape,
-and one gives the echelon basis and pivots of U, against which each
-block's first member is reduced inline.  The walk also gives the rank
-of the whole tuple: the chosen entries are independent and every other
-entry lies on its quotient line, so the rank is |I| plus the rank of
-those lines, which needs a forward elimination only when there are
-three or more of them; ``_weight_facts`` is the one place that ranks a
-weighed tuple and checks omega, its chosen size and its rank.
+Each public operation validates its input once per call: one
+normalising pass over the entries (``reduce_vectors``), one pass each
+over their dimensions and zero entries, and, when a system is supplied,
+its prime and k and one unchecked solve.  Then the checked tuple is
+weighed through a small memo keyed on the reduced tuple, as the census
+flow weighs each solution twice in a row (the weight facts, then the
+partition structure).  A tuple the memo has not seen costs two
+eliminations, one for its shape and one for U; a caller that reads only
+omega, the chosen set and the blocks stops after the first.  The walk
+also gives the rank of the whole tuple, |I| plus the rank of the
+quotient lines, as the chosen entries are independent and every other
+entry lies on its line; only three or more lines need an elimination.
+``_weight_facts`` is the one place that ranks a weighed tuple and checks
+omega, its chosen size and its rank.
 
 These definitions never look at any linear system, so every operation
 here accepts an arbitrary tuple of nonzero vectors; the operations tied
@@ -82,8 +80,8 @@ ADMISSIBLE_K_CAP = 20
 # a stream of new shapes from growing the memo without end
 _SHAPE_MEMO_SIZE = 1024
 # reports are frozen, so callers can share them; a few entries catch a
-# tuple weighed twice in a row, and repeats further apart, as across
-# sampling steps, reuse the shape memo
+# tuple weighed twice in a row, as by the census checks.  The weight
+# classes of ``sampling`` weigh by shape alone and never reach it
 _WEIGHT_MEMO_SIZE = 16
 
 
@@ -228,20 +226,28 @@ def _weigh_shape(cols, p: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, .
             tuple(tuple(members) for members in by_line.values()))
 
 
-@lru_cache(maxsize=_WEIGHT_MEMO_SIZE)
-def _weigh(xs, n: int, p: int) -> WeightReport:
-    # the nonzero rows of the row reduced coordinate matrix; their
-    # columns are the relation shape
+def _tuple_shape(xs, p: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``_weigh_shape`` of a checked tuple: the columns of the nonzero
+    rows of its row reduced coordinate matrix are its relation shape."""
     rows = _rref(list(zip(*xs)), len(xs), p)[0]
-    omega, chosen, partition = _weigh_shape(tuple(zip(*rows)), p)
+    return _weigh_shape(tuple(zip(*rows)), p)
+
+
+def _report(xs, n: int, p: int, shape: tuple) -> WeightReport:
+    """The report of a checked tuple in F_p^n with ``_tuple_shape``
+    ``shape``, each line reduced as ``Subspace.reduce`` does it."""
+    omega, chosen, partition = shape
     span_u = _span(xs, chosen, n, p)
     basis, pivots = span_u.basis, span_u.pivots
-    # each block's line: its first member, already checked, reduced by
-    # U's echelon basis as ``Subspace.reduce`` does it, and scaled to lead 1
     lines = tuple(_lead_one(_coset_rep(xs[b[0]], basis, pivots, p), p)
                   for b in partition)
     return WeightReport(omega=omega, chosen=chosen, span_u=span_u,
                         partition=partition, lines=lines)
+
+
+@lru_cache(maxsize=_WEIGHT_MEMO_SIZE)
+def _weigh(xs, n: int, p: int) -> WeightReport:
+    return _report(xs, n, p, _tuple_shape(xs, p))
 
 
 def _check_witness(sys_spec: SystemSpec, xs, n: int, p: int) -> None:
@@ -335,11 +341,6 @@ def partition_structure(entries: Sequence, sys_spec: SystemSpec) -> PartitionRep
     rep = _weigh(xs, n, p)
     sizes = [len(b) for b in rep.partition]
     min_size = min(sizes) if sizes else 0
-    return PartitionReport(
-        omega=rep.omega,
-        chosen=rep.chosen,
-        blocks=rep.partition,
-        lines=rep.lines,
-        min_block_size=min_size,
-        lemma_ok=not sizes or min_size >= 2,
-    )
+    return PartitionReport(omega=rep.omega, chosen=rep.chosen, blocks=rep.partition,
+                           lines=rep.lines, min_block_size=min_size,
+                           lemma_ok=not sizes or min_size >= 2)

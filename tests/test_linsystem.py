@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -523,6 +524,86 @@ class TestInterestingAgainstReference:
         good = ((1, 0), (0, 1))
         with pytest.raises(ValueError):
             interesting_tuples(sys_ap3, points, [(0, 1)], 3, [good, entries])
+
+
+def _memo_cases():
+    """(coefficients, constants, points, ell): affine systems with m = 2
+    and k = 4 over F_3^3, where an index set of three positions leaves
+    one unpinned column and so takes a pinned pivot, and homogeneous
+    systems with m = 1 and k = 4, 5, whose walks have free positions."""
+    vector = st.tuples(*[st.integers(0, 2)] * 3)
+
+    def rows(m, k):
+        return st.lists(st.lists(st.integers(0, 2), min_size=k, max_size=k),
+                        min_size=m, max_size=m)
+
+    affine = st.tuples(rows(2, 4), st.lists(vector, min_size=2, max_size=2))
+    homogeneous = st.tuples(st.integers(4, 5).flatmap(lambda k: rows(1, k)), st.none())
+    return st.tuples(st.one_of(affine, homogeneous),
+                     st.lists(vector, min_size=2, max_size=6, unique=True),
+                     st.integers(1, 5))
+
+
+class TestInterestingMemo:
+    """Each index set walks once per pinned partial sum and pinned-pivot
+    entry in a call; later tuples with that key take the answer."""
+
+    @settings(max_examples=200)
+    @given(_memo_cases())
+    def test_same_as_reference(self, case):
+        (coeffs, constants), pts, ell = case
+        assume(rank_by_minors(coeffs, 3) == len(coeffs))
+        spec = SystemSpec.make(coeffs, 3, constants)
+        ell = min(ell, spec.k)
+        points = PointSet.make(pts, 3)
+        tuples = list(product(points.points, repeat=spec.m + 1))
+        index_sets = list(combinations(range(spec.k), spec.m + 1))
+        expected = [tup for idx in index_sets for tup in tuples
+                    if reference_is_interesting(spec, points, idx, tup, ell)]
+        assert interesting_tuples(spec, points, index_sets, ell, tuples) == expected
+
+    @pytest.mark.parametrize("coeffs,constants,n,walks", [
+        # per index set, one walk per nonzero partial sum: 3 * 26 walks
+        # for the 3 * 624 independent pairs, 6 * 8 for the 6 * 48
+        ([(1, 1, 1)], None, 3, 78),
+        ([(1, 1, 2, 2)], None, 2, 48),
+        # a pinned pivot, whose entry is part of the key
+        ([(1, 1, 1, 1), (1, 2, 0, 1)], [(1, 0, 0), (0, 1, 2)], 3, None),
+    ])
+    def test_one_walk_per_key(self, monkeypatch, coeffs, constants, n, walks):
+        spec = SystemSpec.make(coeffs, 3, constants)
+        points = PointSet.full_space(n, 3, include_zero=False)
+        walked = []
+        walk = linsystem._Completion.walk
+
+        def spy(self, pools, tables, pins=()):
+            walked.append((self.pinned, tuple(self.start(pins)),
+                           tuple(pins[i] for _, i in self.pinned_pivots)))
+            return walk(self, pools, tables, pins)
+
+        monkeypatch.setattr(linsystem._Completion, "walk", spy)
+        index_sets = list(combinations(range(spec.k), spec.m + 1))
+        tuples = list(product(points.points, repeat=spec.m + 1))
+        found = interesting_tuples(spec, points, index_sets, spec.k, tuples)
+        assert found and len(set(walked)) == len(walked)
+        assert walks is None or len(walked) == walks
+
+    def test_label_pool_linear_in_the_point_set(self):
+        # each point is labelled by its index: one bit per point made
+        # the pool quadratic, 3.4 MiB at n = 8 and 27.3 MiB at n = 9
+        spec = SystemSpec.make([(1, 1, 1)], 3)
+        peaks = []
+        for n in (8, 9):
+            points = PointSet.full_space(n, 3)
+            pair = [(points.points[1], points.points[3])]
+            assert interesting_tuples(spec, points, [(0, 1)], 3, pair) == pair
+            tracemalloc.start()
+            try:
+                interesting_tuples(spec, points, [(0, 1)], 3, pair)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 4 * peaks[0], peaks
 
 
 class TestFewUnpinnedColumns:

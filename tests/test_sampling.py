@@ -31,7 +31,8 @@ from fpsystems import (
 from fpsystems import fplinalg, linsystem, sampling, weights
 from fpsystems.sampling import _delete_per_structure
 from fpsystems.seeds import spawn, spawner
-from .oracles import containment_fraction, reference_containment_probability
+from .oracles import (containment_fraction, reference_containment_probability,
+                      reference_enumerate_solutions, weight_by_definition)
 
 
 class TestContainmentProbability:
@@ -568,6 +569,58 @@ class TestWeighedOnTheWalk:
         assert step.deleted == 8
         assert count_weight_solutions(sys_ap3, points, 1, 1).count == 8
         assert weighed == ranked == []
+
+
+class TestWeightClassByShape:
+    """A weight class weighs each solution by its relation shape; U and
+    the block lines are computed only for weight-w solutions, and only
+    by the callers that read them."""
+
+    @pytest.mark.parametrize("coeffs", [[(1, 1, 1)], [(1, 1, 2, 2)]], ids=["ap3", "k4"])
+    def test_step_deletes_the_weight_class(self, coeffs):
+        spec = SystemSpec.make(coeffs, 3)
+        points = PointSet.full_space(3, 3, include_zero=False)
+        weighed: dict = {}
+        checked = 0
+        for seed in range(4):
+            # the subspace the step draws first from the same generator
+            inside = points.restrict_to(random_subspace(3, 2, 3, spawn(seed, "class")))
+            sols = [sol.entries for sol in reference_enumerate_solutions(spec, inside)]
+            for sol in sols:
+                if sol not in weighed:
+                    weighed[sol] = weight_by_definition(list(sol), 3)
+            for w in sorted({weighed[sol] for sol in sols}):
+                members = [sol for sol in sols if weighed[sol] == w]
+                report = sampling_step_weight(spec, points, w, 2, spawn(seed, "class"))
+                assert (report.kept, report.deleted) == (len(inside), len(members))
+                assert report.removed == tuple(sorted(_delete_per_structure(members)))
+                checked += 1
+        assert checked >= 8
+
+    def test_space_side_only_on_the_class(self, sys_ap3, sys_k4, spy):
+        full3 = PointSet.full_space(3, 3, include_zero=False)
+        full2 = PointSet.full_space(2, 3, include_zero=False)
+        inside = full3.restrict_to(random_subspace(3, 2, 3, spawn(1, "class")))
+        kept = sum(1 for _ in enumerate_solutions(sys_ap3, inside))
+        sols = [sol.entries for sol in enumerate_solutions(sys_k4, full2)]
+        reports = {sol: weight(sol, 3) for sol in sols}
+        fixed = next(sol for sol in sols if reports[sol].chosen == (0,))
+        w = reports[fixed].omega
+        family = {sol for sol in sols if sol[0] == fixed[0]
+                  and reports[sol].omega == w and reports[sol].chosen == (0,)}
+        spaced, shaped = spy(weights._report), spy(weights._tuple_shape)
+        # the step reads entries only: one elimination per solution
+        step = sampling_step_weight(sys_ap3, full3, 5, 2, spawn(1, "class"))
+        assert step.deleted and spaced == [] and len(shaped) == kept
+        for w_count in sorted({rep.omega for rep in reports.values()}):
+            spaced.clear()
+            count_weight_solutions(sys_k4, full2, w_count, w_count // 5 + 1)
+            assert sorted(args[0] for args in spaced) == sorted(
+                sol for sol in sols if reports[sol].omega == w_count)
+        spaced.clear()
+        max_disjoint_span_family(sys_k4, full2, (0,), (fixed[0],), w)
+        assert family and {args[0] for args in spaced} == family
+        assert len(spaced) == len(family)
 
 
 class TestWeightCounts:
