@@ -148,23 +148,21 @@ def _rref(work: list, ncols: int, p: int
     return tuple(map(tuple, work[:row])), tuple(pivots)
 
 
-def _pivots(work: list, ncols: int, p: int, limit: int | None = None,
+def _pivots(work: list, ncols: int, p: int,
             order: Sequence[int] | None = None) -> tuple[int, ...]:
     """The pivot columns of the row echelon form of ``work``, which is
     as for ``_rref`` and is overwritten the same way.  The elimination
     only runs forward: it clears below each pivot, never above, and
-    scales no row, so it answers rank questions and nothing more.  With
-    a ``limit`` it stops after that many pivots, which are then the
-    first ``limit`` of the full list.  An ``order`` of the columns,
+    scales no row, so it answers rank questions and nothing more.  An
+    ``order`` of the columns,
     ``range(ncols)`` by default, is the order they are eliminated in:
     the pivots are then those of the rows with their columns so
     permuted, named by their original indices."""
     nrows = len(work)
-    stop = nrows if limit is None else min(nrows, limit)
     pivots: list[int] = []
     row = 0
     for col in range(ncols) if order is None else order:
-        if row >= stop:
+        if row >= nrows:
             break
         sel = row
         while sel < nrows and not work[sel][col]:

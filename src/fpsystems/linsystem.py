@@ -32,7 +32,6 @@ from .errors import DegenerateSystemError, _capped
 from .fplinalg import (
     Subspace,
     _header_fields,
-    _pivots,
     check_prime,
     rank,
     read_lines,
@@ -280,7 +279,9 @@ _MODES = ("any", "not-all-equal", "distinct", "span-dim", "distinct-count")
 class ClassFilter:
     """A predicate on solution tuples, decided by ``admits_support``
     from the distinct entries alone, so a tuple and its support (as the
-    extremal search keeps it) get the same answer.
+    extremal search keeps it) get the same answer.  The solution walks
+    hold their points as codes and ask ``_span_admits``, the rank on
+    codes, directly.
 
     Modes: ``any`` admits everything; ``not-all-equal`` drops constant
     tuples; ``distinct`` requires all k entries pairwise distinct;
@@ -316,17 +317,24 @@ class ClassFilter:
                        p: int) -> bool:
         """The filter on a k-tuple over F_p with ``distinct`` distinct
         entries; ``rows`` yields those entries (repeats allowed) and is
-        read only by ``span-dim``, at most once."""
+        read only by ``span-dim``, at most once, encoded for
+        ``_span_admits``."""
         least = self.least(k)
         if least is not None:
             return distinct >= least
-        # the span dimension never exceeds the distinct count, so the
-        # rank test runs only where it can succeed, and stops at the
-        # r-th pivot
         if distinct < self.r:
             return False
         work = [[c % p for c in row] for row in rows]
-        return len(_pivots(work, len(work[0]), p, self.r)) == self.r
+        codes = _point_codes(p, len(work[0]))
+        return self._span_admits(distinct, codes, map(codes.encode, work))
+
+    def _span_admits(self, distinct: int, codes, xs: Iterable) -> bool:
+        """The ``span-dim`` filter on a tuple with ``distinct`` distinct
+        entries, which ``xs`` yields as point codes of ``codes`` (repeats
+        allowed).  The span dimension never exceeds the distinct count,
+        so the rank runs only where it can succeed, and stops at the
+        r-th pivot."""
+        return distinct >= self.r and codes.rank(xs, self.r) == self.r
 
     @classmethod
     def any(cls) -> "ClassFilter":
@@ -423,7 +431,8 @@ class _PointCodes:
     leading and a trailing half, each laid out the same way.
     ``table()`` is an empty lookup table indexed by code: a list of p^n
     Nones within the cap, else a dict that reads None where a code is
-    absent.
+    absent.  ``rank`` answers span questions on codes with the same
+    rows.
     """
 
     def __init__(self, p: int, n: int):
@@ -471,6 +480,44 @@ class _PointCodes:
     @property
     def scale(self):
         return self._rows[1]
+
+    @cached_property
+    def _leads(self):
+        """Per code, the column and digit of its first nonzero
+        coordinate, None for zero, read off its base-p digits: once into
+        a list beside the sum table within the cap, else per read."""
+        p, n = self.p, self.n
+
+        def lead(code):
+            col = n - 1
+            while code >= p:
+                code //= p
+                col -= 1
+            return (col, code) if code else None
+
+        return ([lead(code) for code in range(len(self.add))]
+                if isinstance(self.add, list) else _Rows(lead))
+
+    def rank(self, codes: Iterable[int], limit: int) -> int:
+        """The dimension of the span of the points ``codes``, or ``limit``
+        (at least 1) as soon as that many are independent, with no code
+        read after.  Forward elimination on codes: each basis point is
+        kept under its lead column, scaled to lead digit 1, and a code
+        loses one lead after another to them, each by a sum and a scale
+        row, until it is zero or its lead column is new."""
+        (add, scale), leads, p = self._rows, self._leads, self.p
+        basis = {}
+        for x in codes:
+            while x:
+                col, d = leads[x]
+                b = basis.get(col)
+                if b is None:
+                    basis[col] = x if d == 1 else scale[pow(d, -1, p)][x]
+                    if len(basis) == limit:
+                        return limit
+                    break
+                x = add[x][scale[p - d][b]]
+        return len(basis)
 
 
 @lru_cache(maxsize=32)
@@ -537,18 +584,16 @@ class PointSet:
         """The set as a solution walk reads it, each point its own label:
         the (code, point) pool in point order, and the table from each
         member's code to the point."""
-        table = _point_codes(self.p, self.n).table()
-        for v, code in self._codes.items():
-            table[code] = v
-        return [(code, v) for v, code in self._codes.items()], table
+        return self._index_view(self.points)
 
-    def _index_view(self) -> tuple[list, list | _Sparse]:
-        """``_walk_view`` with each point labelled by its index, built per
-        call: labels that take no more room than the set."""
-        pool = list(zip(self._codes.values(), range(len(self.points))))
+    def _index_view(self, labels: Iterable = None) -> tuple[list, list | _Sparse]:
+        """``_walk_view`` with each point labelled by its index, or by
+        ``labels`` in point order, built per call: index labels take no
+        more room than the set."""
+        pool = list(zip(self._codes.values(), labels or range(len(self.points))))
         table = _point_codes(self.p, self.n).table()
-        for code, i in pool:
-            table[code] = i
+        for code, label in pool:
+            table[code] = label
         return pool, table
 
     def __contains__(self, v) -> bool:
@@ -634,14 +679,13 @@ def enumerate_solutions(
     _check_same_prime(sys_spec, points)
     n = points.n
     pin: dict[int, tuple[int, ...]] = {}
-    if pinned:
-        for pos, vec in pinned.items():
-            if not 0 <= pos < sys_spec.k:
-                raise IndexError(f"pinned position {pos} out of range")
-            cs = reduce_coords(vec, p)
-            if len(cs) != n:
-                raise ValueError("pinned vector dimension mismatch")
-            pin[pos] = cs
+    for pos, vec in (pinned or {}).items():
+        if not 0 <= pos < sys_spec.k:
+            raise IndexError(f"pinned position {pos} out of range")
+        cs = reduce_coords(vec, p)
+        if len(cs) != n:
+            raise ValueError("pinned vector dimension mismatch")
+        pin[pos] = cs
     completion = _Completion(sys_spec, n, tuple(pin))
     pool, table = points._walk_view
     pins = tuple(map(completion.codes.encode, pin.values()))
@@ -672,12 +716,11 @@ def count_solutions(sys_spec: SystemSpec, points: PointSet,
     solution's distinct count is its number of distinct labels: ``any``
     counts the ends of the walk, the other least counts compare each
     distinct count with ``ClassFilter.least(k)``, and ``span-dim`` reads
-    the points of the distinct labels for ``admits_support``.  The prime
+    the codes of the distinct labels from the pool.  The prime
     is checked and DegenerateSystemError raised as ``enumerate_solutions``
     does, at the call rather than at the first step."""
     flt = flt or ClassFilter.any()
-    k, p, pts = sys_spec.k, sys_spec.p, points.points
-    least = flt.least(k)
+    least = flt.least(sys_spec.k)
     _check_same_prime(sys_spec, points)
     completion = _unpinned(sys_spec, points.n)
     pool, table = points._index_view()
@@ -691,8 +734,8 @@ def count_solutions(sys_spec: SystemSpec, points: PointSet,
         for end in ends:
             entries = set(head + end)
             count += (len(entries) >= least if least is not None
-                      else flt.admits_support(k, len(entries),
-                                              (pts[i] for i in entries), p))
+                      else flt._span_admits(len(entries), completion.codes,
+                                            [pool[i][0] for i in entries]))
     return count
 
 
@@ -753,8 +796,7 @@ class _Completion:
         if t >= len(pools) - 2:
             yield prefix, partial
             return
-        add, pool, low = self.codes.add, pools[t], lower[t]
-        row = [self.codes.scale[w] for w in self.weights[self.free[t]]]
+        add, pool, low, row = self.codes.add, pools[t], lower[t], self._plan[1][t]
         for i in range(0 if low is None else chosen[low], len(pool)):
             chosen[t] = i
             pair = pool[i]
@@ -782,12 +824,12 @@ class _Completion:
         through their partial sums, which repeat, so each distinct
         partial is completed once, over the whole last pool, and kept up
         to ``_MEMO_CAP``; ``orbit_supports`` keeps the same rule."""
-        (add, scale), weights, free = self.codes._rows, self.weights, self.free
-        last = [scale[w] for w in weights[free[-1]]] if free else None
-        last_pool = pools[-1] if free else None
+        add, scales = self.codes.add, self._plan[1]
+        last = scales[-1] if scales else None
+        last_pool = pools[-1] if scales else None
         # the last free position but one varies fastest, so the sum rows
         # of the partials before it are read once per choice of the others
-        inner = [scale[w] for w in weights[free[-2]]] if len(free) > 1 else None
+        inner = scales[-2] if len(scales) > 1 else None
         inner_pool = pools[-2] if inner else [None]
         memo: dict = {}
         stored = 0
@@ -845,10 +887,10 @@ class _Completion:
         return out
 
     @cached_property
-    def _orbit_plan(self) -> tuple[list, list]:
+    def _plan(self) -> tuple[list, list]:
         """Per free position, the nearest earlier free position with the
         same weight column (None if there is none), and the scale rows of
-        its weights."""
+        its weights, which every walk reads."""
         scale = self.codes.scale
         previous, scales, last = [], [], {}
         for t, j in enumerate(self.free):
@@ -868,7 +910,7 @@ class _Completion:
         Free positions whose weight columns are equal enter every pivot
         alike, so swapping their entries maps a solution to one with the
         same support.  Such positions take nondecreasing pool indices
-        (``_orbit_plan`` gives each its lower-bound position), and each
+        (``_plan`` gives each its lower-bound position), and each
         support is still reached.  The prefixes come from ``_prefixes``
         and the ends under ``walk``'s memo rule: each distinct partial
         sum is completed once, over the whole pool.  An end is then kept
@@ -880,7 +922,7 @@ class _Completion:
             return {reduce(or_, end) for _, ends in
                     self.walk([pool] * len(self.free), tables) for end in ends}
         add = self.codes.add
-        previous, scales = self._orbit_plan
+        previous, scales = self._plan
         # the last free position but one varies fastest, as in ``walk``
         inner = len(scales) - 2
         row, last = scales[inner], scales[-1]
@@ -947,9 +989,10 @@ def interesting_tuples(
     """The interesting tuples among ``tuples`` (see ``is_interesting``),
     grouped by index set in ``index_sets`` order, candidate order kept
     within each group.  Each tuple must hold m + 1 members of ``points``
-    as reduced coordinate tuples, and is checked and rank-tested once
-    for all index sets; each index set's completion is built once.  The
-    rank test stops once no index set can hold an interesting tuple.
+    as reduced coordinate tuples, and is checked and rank-tested on its
+    codes (``_PointCodes.rank``) once for all index sets; each index
+    set's completion is built once.  The rank test stops once no index
+    set can hold an interesting tuple.
     A tuple reaches a walk only through the pivots' partial sums with
     its entries folded in (``_Completion.start``) and its entries at
     pinned pivots; a completion's distinct count, of point indices,
@@ -969,10 +1012,11 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
     """``interesting_tuples`` with at most ``cap`` completions and
     empty prefixes walked."""
     _check_same_prime(sys_spec, points)
-    m, p = sys_spec.m, sys_spec.p
+    m = sys_spec.m
     positions = [_interesting_positions(sys_spec, idx, ell) for idx in index_sets]
     need = max(0, ell - m - 1)
     codes, live, left = points._codes, None, cap
+    space = _point_codes(sys_spec.p, points.n)
     groups: list[list] = [[] for _ in positions]
     for xs in tuples:
         if len(xs) != m + 1:
@@ -980,7 +1024,7 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
         pins = tuple([codes.get(x) for x in xs])
         if None in pins:
             raise ValueError("tuple entries must belong to the point set")
-        if live == [] or len(_pivots(list(xs), points.n, p)) != m + 1:
+        if live == [] or space.rank(pins, m + 1) != m + 1:
             continue
         if live is None:
             # built at the first independent tuple, as dependent tuples
@@ -1065,11 +1109,11 @@ def write_system_file(dest, sys_spec: SystemSpec) -> None:
     then an optional ``b:`` block with one constant vector per row."""
     lines = [f"p={sys_spec.p} m={sys_spec.m} k={sys_spec.k}"]
     for row in sys_spec.coeffs:
-        lines.append(" ".join(str(c) for c in row))
+        lines.append(" ".join(map(str, row)))
     if sys_spec.constants is not None:
         lines.append("b:")
         for b in sys_spec.constants:
-            lines.append(" ".join(str(c) for c in b))
+            lines.append(" ".join(map(str, b)))
     write_lines(dest, lines)
 
 

@@ -13,12 +13,13 @@ every pivot alike, so swapping their entries keeps a solution and its
 support; the walk gives them nondecreasing positions
 (``_Completion.orbit_supports``), one solution per orbit of such swaps,
 and still reaches every support.  Each support is kept as an int
-bitmask, listed under each point it uses.  The filter
-(``ClassFilter.admits_support``) is applied per support, not per tuple,
-and only admitted supports are kept.  On six ones over F_3^3 the walk
-over orbits takes about 0.07 s, and the walk over every ordering of
-the five free entries 3.5 s, for the same 31,149 supports (Python
-3.11, 2-core Xeon).
+bitmask, listed under each point it uses.  The filter is applied per
+support, not per tuple, and only admitted supports are kept;
+``span-dim`` ranks the codes of the support's points
+(``ClassFilter._span_admits``, ``_PointCodes.rank``) and decodes none.
+On six ones over F_3^3 the walk over orbits takes about 0.07 s, and
+the walk over every ordering of the five free entries 3.5 s, for the
+same 31,149 supports (Python 3.11, 2-core Xeon).
 
 The search is a depth first scan over points in order, carrying the
 current set and the candidates that can still join it, both as
@@ -78,17 +79,17 @@ in 16.9 million nodes, in about a minute on a 2-core Xeon.
 The greedy bound runs on point spaces far too large for an index.  It
 scans the points in order and keeps a point unless it completes an
 admitted solution with the members kept so far.  It holds points as
-their codes, which number the space in its order, and decodes them
-only for the span-dimension filter and the witness.  A point x is
-decided by a walk: for each position in turn it pins x there and ranges
-the other free positions over the members and x, at a cost set by the
-member count, not by the space.  A position whose column lies in every
-pivot basis cannot be pinned; it stays a pivot, and its solved entry
-must equal x.  Positions with equal coefficient columns are pinned
-once, at the first of them: swapping the entries at two such positions
-maps solutions to solutions with the same support, and admission
-depends on the support alone, so x completes an admitted solution at
-one of them exactly when it does at the first.
+their codes, which number the space in its order, ranks codes for the
+span-dimension filter, and decodes points only for the witness.  A
+point x is decided by a walk: for each position in turn it pins x there
+and ranges the other free positions over the members and x, at a cost
+set by the member count, not by the space.  A position whose column
+lies in every pivot basis cannot be pinned; it stays a pivot, and its
+solved entry must equal x.  Positions with equal coefficient columns
+are pinned once, at the first of them: swapping the entries at two
+such positions maps solutions to solutions with the same support, and
+admission depends on the support alone, so x completes an admitted
+solution at one of them exactly when it does at the first.
 
 The same walks fill a blocked set, so a rejected point often needs no
 walk.  Where a pinned position leaves exactly one open pivot, that
@@ -186,18 +187,20 @@ def _admitted_supports(completion: _Completion, problem: AvoidanceProblem,
     """Each distinct support, as a bitmask over positions in ``points``,
     of an admitted solution with every entry in ``points``, walked with
     ``completion``, an unpinned completion of the problem's system.  The
-    points are decoded for the filter only where ``span-dim`` reads them."""
+    points are encoded once; ``span-dim`` ranks the codes at a
+    support's bits."""
     codes = completion.codes
     pool = [(codes.encode(v), 1 << i) for i, v in enumerate(points)]
     table = codes.table()
     for code, bit in pool:
         table[code] = bit
-    mode, k, p = problem.mode, problem.sys_spec.k, problem.sys_spec.p
-    least = mode.least(k)
+    mode = problem.mode
+    least = mode.least(problem.sys_spec.k)
+    encoded = [code for code, _ in pool] if least is None else None
     for support in completion.orbit_supports(pool, table):
         count = support.bit_count()
         if (count >= least if least is not None else
-                mode.admits_support(k, count, _selected(points, support), p)):
+                mode._span_admits(count, codes, _selected(encoded, support))):
             yield support
 
 
@@ -446,19 +449,19 @@ def greedy_lower_bound(
     space = codes.table()
     for z in order:
         space[z] = z
-    mode, k, p = problem.mode, sys_spec.k, sys_spec.p
-    least = mode.least(k)
+    mode = problem.mode
+    least = mode.least(sys_spec.k)
     nodes = 0
 
     def admitted(pool: list, support: int, *more: int) -> bool:
         """Whether the filter admits a solution on the points at the bits
-        of ``support`` in the pool, then ``more``; they are decoded only
-        for ``span-dim``, the one filter that reads them."""
+        of ``support`` in the pool, then ``more``, all codes; ``span-dim``
+        ranks them, the one filter that reads them."""
         count = support.bit_count() + len(more)
         if least is not None:
             return count >= least
-        return mode.admits_support(k, count, map(codes.decode, chain(
-            (z for z, _ in _selected(pool, support)), more)), p)
+        return mode._span_admits(count, codes, chain(
+            (z for z, _ in _selected(pool, support)), more))
 
     def rejects(x: int, pool: list, bits: list | dict, blocked: set,
                 found: set) -> bool:

@@ -115,6 +115,20 @@ def rank_by_minors(rows: list[list[int]], p: int) -> int:
     return 0
 
 
+def reference_admits_support(flt: ClassFilter, k: int, distinct: int, rows,
+                             p: int) -> bool:
+    """``ClassFilter.admits_support`` on coordinate tuples: ``span-dim``
+    eliminates the reduced rows forward, where the library ranks their
+    point codes."""
+    least = flt.least(k)
+    if least is not None:
+        return distinct >= least
+    if distinct < flt.r:
+        return False
+    work = [[c % p for c in row] for row in rows]
+    return len(_pivots(work, len(work[0]), p)) >= flt.r
+
+
 def brute_solutions(coeffs, constants, p: int, points: list[tuple[int, ...]],
                     n: int) -> list[tuple[tuple[int, ...], ...]]:
     """All k-tuples over the point list satisfying the system, by direct

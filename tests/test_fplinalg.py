@@ -129,32 +129,28 @@ class TestRref:
             st.one_of(st.just([0] * ncols),
                       st.lists(st.integers(0, p - 1), min_size=ncols,
                                max_size=ncols)),
-            max_size=5)))), st.integers(0, 6))
-    def test_pivot_kernel_matches_rref(self, case, limit):
+            max_size=5)))))
+    def test_pivot_kernel_matches_rref(self, case):
         # zero rows and the empty matrix included; the forward kernel
-        # finds the pivots of the reduced form, or the first ``limit``
+        # finds the pivots of the reduced form
         p, rows = case
         ncols = len(rows[0]) if rows else 0
         full = fplinalg._rref([list(r) for r in rows], ncols, p)[1]
         assert fplinalg._pivots([list(r) for r in rows], ncols, p) == full
-        assert (fplinalg._pivots([list(r) for r in rows], ncols, p, limit)
-                == full[:limit])
 
     @given(PRIMES.flatmap(lambda p: st.tuples(
         st.just(p), st.integers(0, 5).flatmap(lambda ncols: st.tuples(
             st.lists(st.lists(st.integers(0, p - 1), min_size=ncols,
                               max_size=ncols), max_size=4),
-            st.permutations(range(ncols)))))),
-        st.one_of(st.none(), st.integers(0, 5)))
-    def test_pivot_order_matches_permuted_copy(self, case, limit):
+            st.permutations(range(ncols)))))))
+    def test_pivot_order_matches_permuted_copy(self, case):
         # eliminating in a column order finds the pivots of the copy with
         # its columns so permuted, named by their original columns
         p, (rows, order) = case
         ncols = len(order)
         permuted = [[r[c] for c in order] for r in rows]
-        expected = tuple(order[c]
-                         for c in fplinalg._pivots(permuted, ncols, p, limit))
-        assert fplinalg._pivots([list(r) for r in rows], ncols, p, limit,
+        expected = tuple(order[c] for c in fplinalg._pivots(permuted, ncols, p))
+        assert fplinalg._pivots([list(r) for r in rows], ncols, p,
                                 order) == expected
 
 

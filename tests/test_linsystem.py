@@ -803,6 +803,45 @@ class TestPointCodes:
         assert codes.decode(codes.add[a][b]) == tuple((x + y) % p for x, y in zip(u, v))
         assert codes.decode(codes.scale[w][b]) == tuple(w * y % p for y in v)
 
+    @pytest.mark.parametrize("p, n, layout", [
+        (2, 3, "tables"), (3, 4, "tables"), (5, 2, "tables"), (7, 0, "tables"),
+        (3, 6, "split"), (5, 4, "split"), (257, 1, "mod"), (65537, 1, "mod"),
+        (1009, 2, "split over mod")])
+    def test_rank_matches_minors(self, p, n, layout):
+        codes = linsystem._point_codes(p, n)
+        row = codes.add[0]
+        assert layout == ("tables" if isinstance(row, list) else
+                          "mod" if isinstance(row, linsystem._ModRow) else
+                          "split" if isinstance(row.hi, list) else "split over mod")
+        rng = random.Random(p * 10 + n)
+
+        def point():
+            return tuple(rng.randrange(p) for _ in range(n))
+
+        for _ in range(40):
+            # random points, zero, repeats and combinations of earlier ones
+            rows = [point()]
+            for _ in range(rng.randrange(6)):
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randrange(p), rng.randrange(p)
+                rows.append(rng.choice([point(), (0,) * n, a,
+                                        tuple((s * x + t * y) % p for x, y in zip(a, b))]))
+            rng.shuffle(rows)
+            want = rank_by_minors(rows, p)
+            xs = [codes.encode(v) for v in rows]
+            assert codes.rank(xs, n + 1) == want
+            for limit in range(1, n + 1):
+                assert codes.rank(xs, limit) == min(want, limit)
+
+    def test_rank_stops_at_its_limit(self):
+        codes = linsystem._point_codes(3, 4)
+        xs = iter([0, codes.encode((0, 1, 0, 0)), codes.encode((0, 2, 0, 0)),
+                   codes.encode((1, 0, 0, 0)), codes.encode((1, 1, 1, 1))])
+        assert codes.rank(xs, 2) == 2
+        assert list(xs) == [codes.encode((1, 1, 1, 1))]
+        assert codes.rank(iter([]), 1) == 0
+        assert linsystem._point_codes(3, 0).rank([0, 0], 1) == 0
+
 
 class TestCodedWalk:
     """The walk on point codes against the walk on coordinate tuples
@@ -946,6 +985,13 @@ class TestLargePrimes:
         assert sorted(ours) == sorted(expected)
         # the constant tuples, or the chosen solution and its swap
         assert len(expected) >= (2 if affine else len(points))
+        # span dimension n, ranked on codes over the split or mod rows
+        flt = ClassFilter.span_at_least(n)
+        spanning = sorted(xs for xs in expected if rank_by_minors(xs, p) >= n)
+        assert sorted(sol.entries for sol in
+                      enumerate_solutions(spec, points, flt)) == spanning
+        assert count_solutions(spec, points, flt) == len(spanning)
+        assert spanning
 
 
 REFERENCE_CASES_FOR_ENUMERATION = REFERENCE_CASES + [

@@ -456,23 +456,23 @@ class TestStepDistinct:
         assert report.deleted == global_count
 
     def test_each_candidate_rank_tested_once(self, sys_ap3, monkeypatch):
-        # kept^2 candidates, each rank-tested once for all three index
-        # sets; the three completions' pivot_columns reduce their
-        # coefficients through rref_with_pivots, not the rank kernel
+        # kept^2 candidates, each rank-tested on its codes once for all
+        # three index sets; the three completions' pivot_columns reduce
+        # their coefficients through rref_with_pivots, not the rank kernel
         calls = 0
-        counted = linsystem._pivots
+        counted = linsystem._PointCodes.rank
 
-        def counting(work, ncols, p, limit=None):
+        def counting(codes, xs, limit):
             nonlocal calls
             calls += 1
-            return counted(work, ncols, p, limit)
+            return counted(codes, xs, limit)
 
-        monkeypatch.setattr(linsystem, "_pivots", counting)
+        monkeypatch.setattr(linsystem._PointCodes, "rank", counting)
         points = PointSet.full_space(3, 3, include_zero=False)
         report = sampling_step_distinct(sys_ap3, points, 3, 2,
                                         spawn(0, "step", 0))
         assert report.deleted
-        assert calls <= report.kept**2 + 3
+        assert calls == report.kept**2
 
     def test_generic_minors_required(self):
         spec = SystemSpec.make([(1, 2, 0)], 3)

@@ -23,6 +23,7 @@ from fpsystems.fplinalg import rank, rref_with_pivots
 from fpsystems.seeds import spawn
 
 from .oracles import (
+    reference_admits_support,
     reference_exhaustive_max,
     reference_flag,
     reference_greedy,
@@ -210,12 +211,13 @@ def filtered_tuples(draw):
     """A filter, built as the command line builds it (``ell`` passed to
     every mode, ``r`` to ``span-dim``), and a k-tuple over F_p^n with
     k <= 8 and any distinct count, its entries in any order."""
-    p, n = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 2)]))
+    p, n = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 2), (7, 3),
+                                 (257, 1)]))
     k = draw(st.integers(1, 8))
-    space = list(product(range(p), repeat=n))
-    distinct = draw(st.integers(1, min(k, len(space))))
-    points = draw(st.lists(st.sampled_from(space), min_size=distinct,
-                           max_size=distinct, unique=True))
+    point = st.tuples(*[st.integers(0, p - 1)] * n)
+    distinct = draw(st.integers(1, min(k, p**n)))
+    points = draw(st.lists(point, min_size=distinct, max_size=distinct,
+                           unique=True))
     repeats = draw(st.lists(st.sampled_from(points), min_size=k - distinct,
                             max_size=k - distinct))
     rows = draw(st.permutations(points + repeats))
@@ -257,22 +259,25 @@ class TestSupportFilter:
                 for r in range(1, 4):
                     flt = ClassFilter.span_at_least(r)
                     assert flt.admits_support(4, size, iter(rows), p) == (dim >= r)
+                    assert reference_admits_support(flt, 4, size, rows, p) == (dim >= r)
 
     def test_span_test_stops_at_the_rth_pivot(self, monkeypatch):
-        pivots = []
-        kernel = linsystem._pivots
+        # (codes read, rank) per call of the rank kernel on point codes
+        calls = []
+        kernel = linsystem._PointCodes.rank
 
-        def spy(work, ncols, p, limit=None):
-            out = kernel(work, ncols, p, limit)
-            pivots.append(out)
+        def spy(codes, xs, limit):
+            read = []
+            out = kernel(codes, (read.append(x) or x for x in xs), limit)
+            calls.append((len(read), out))
             return out
 
-        monkeypatch.setattr(linsystem, "_pivots", spy)
-        # rank 3: full elimination would reach the pivot in column 2
+        monkeypatch.setattr(linsystem._PointCodes, "rank", spy)
+        # rank 3: full elimination would read the third row
         rows = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
         assert ClassFilter.span_at_least(2).admits_support(3, 3, iter(rows), 3)
         assert ClassFilter.span_at_least(3).admits_support(3, 3, iter(rows), 3)
-        assert pivots == [(0, 1), (0, 1, 2)]
+        assert calls == [(2, 2), (3, 3)]
 
     def test_zero_point_spans_nothing(self):
         flt = ClassFilter.span_at_least(1)
@@ -296,8 +301,9 @@ class TestSupportFilter:
     @given(case=filtered_tuples())
     def test_admits_each_mode_by_its_definition(self, case):
         flt, k, distinct, rows, p = case
-        assert flt.admits_support(k, distinct, iter(rows), p) == \
-            DEFINITIONS[flt.mode](flt, k, distinct, rows, p)
+        expected = DEFINITIONS[flt.mode](flt, k, distinct, rows, p)
+        assert flt.admits_support(k, distinct, iter(rows), p) == expected
+        assert reference_admits_support(flt, k, distinct, rows, p) == expected
 
     @given(problem=affine_problems())
     def test_affine_root_exactly_for_the_count_modes(self, problem):
