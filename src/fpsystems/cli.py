@@ -284,7 +284,8 @@ def _cmd_solve(args) -> tuple:
     points = _load_points(args, sys_spec.p)
     flt = _make_filter(args, sys_spec.k)
     _check_walk_work(sys_spec, points, DEFAULT_WORK_CAP)
-    limit = 0 if args.count_only else args.limit
+    # no listing is longer than sys.maxsize, the most islice takes
+    limit = 0 if args.count_only else min(args.limit, sys.maxsize)
     listed = [{"entries": sol.entries, "distinct_count": sol.distinct_count,
                "span_dim": sol.span_dim}
               for sol in islice(enumerate_solutions(sys_spec, points, flt), limit)]

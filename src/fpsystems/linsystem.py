@@ -10,13 +10,17 @@ span, counts them, and counts the extendable independent tuples that
 the subspace deletion steps key on.  One pivot solver, ``_Completion``,
 does every solve: enumeration, the solution count, the supports of the
 extremal search, the interesting-tuple test, and the indicator tensor
-and partitioned bound in ``slicerank`` are views over its walk.
+and partitioned bound in ``slicerank`` are views over its walk, each
+completion built once per (system, n, pinned positions) by
+``_completion``.
 
-Inside the walk a point of F_p^n is its integer code, its base-p number
-with the first coordinate most significant (``_PointCodes``): pools are
-(code, label) pairs, lookup tables are indexed by code, and each pivot
-entry is read from a sum row and a scale row.  Points are coordinate
-tuples everywhere else: in the API, the file formats and the CLI.
+The solver takes codes and gives labels.  Inside the walk a point of
+F_p^n is its integer code, its base-p number with the first coordinate
+most significant (``_PointCodes``): pools pair codes with labels (a
+point's index, or a bit), lookup tables are indexed by code, each pivot
+entry is read from a sum row and a scale row, and the walk yields labels
+alone.  Points are coordinate tuples everywhere else: in the API, the
+file formats and the CLI.
 """
 
 from __future__ import annotations
@@ -580,17 +584,11 @@ class PointSet:
         return {v: encode(v) for v in self.points}
 
     @cached_property
-    def _walk_view(self) -> tuple[list, list | _Sparse]:
-        """The set as a solution walk reads it, each point its own label:
-        the (code, point) pool in point order, and the table from each
-        member's code to the point."""
-        return self._index_view(self.points)
-
-    def _index_view(self, labels: Iterable = None) -> tuple[list, list | _Sparse]:
-        """``_walk_view`` with each point labelled by its index, or by
-        ``labels`` in point order, built per call: index labels take no
-        more room than the set."""
-        pool = list(zip(self._codes.values(), labels or range(len(self.points))))
+    def _index_view(self) -> tuple[list, list | _Sparse]:
+        """The set as a solution walk reads it, each point labelled by
+        its index: the (code, index) pool in point order, and the table
+        from each member's code to its index."""
+        pool = list(zip(self._codes.values(), range(len(self.points))))
         table = _point_codes(self.p, self.n).table()
         for code, label in pool:
             table[code] = label
@@ -672,6 +670,8 @@ def enumerate_solutions(
     yields at most one solution, so the iteration hits each solution
     exactly once and no dedup pass is needed.  Solutions come in the
     lexicographic order of their free entries, by position.
+    The walk labels each point by its index (``PointSet._index_view``)
+    and ``span-dim`` ranks the pinned codes and those of the labels.
     """
     flt = flt or ClassFilter.any()
     least = flt.least(sys_spec.k)
@@ -686,9 +686,10 @@ def enumerate_solutions(
         if len(cs) != n:
             raise ValueError("pinned vector dimension mismatch")
         pin[pos] = cs
-    completion = _Completion(sys_spec, n, tuple(pin))
-    pool, table = points._walk_view
-    pins = tuple(map(completion.codes.encode, pin.values()))
+    completion = _completion(sys_spec, n, tuple(pin))
+    pool, table = points._index_view
+    pts, codes = points.points, completion.codes
+    pins = tuple(map(codes.encode, pin.values()))
     head = completion.free[:-1]
     # positions of an end's labels: the last free one, then the open pivots
     tail = completion.free[-1:] + [completion.pivots[r]
@@ -696,14 +697,15 @@ def enumerate_solutions(
     entries = [pin.get(j) for j in range(sys_spec.k)]
     for prefix, ends in completion.walk([pool] * len(completion.free),
                                         [table] * len(completion.open_pivots), pins):
-        for j, (_, x) in zip(head, prefix):
-            entries[j] = x
+        for j, i in zip(head, prefix):
+            entries[j] = pts[i]
         for end in ends:
-            for j, x in zip(tail, end):
-                entries[j] = x
+            for j, i in zip(tail, end):
+                entries[j] = pts[i]
             sol = SolutionTuple._of(tuple(entries), p)
             if (sol.distinct_count >= least if least is not None
-                    else flt.admits(sol)):
+                    else flt._span_admits(sol.distinct_count, codes, chain(
+                        pins, [pool[i][0] for i in prefix + end]))):
                 yield sol
 
 
@@ -712,27 +714,27 @@ def count_solutions(sys_spec: SystemSpec, points: PointSet,
     """The number of solutions ``enumerate_solutions`` yields with no
     position pinned, counted over the walk with no tuple built.
 
-    Each point is labelled by its index (``PointSet._index_view``), so a
-    solution's distinct count is its number of distinct labels: ``any``
-    counts the ends of the walk, the other least counts compare each
-    distinct count with ``ClassFilter.least(k)``, and ``span-dim`` reads
-    the codes of the distinct labels from the pool.  The prime
-    is checked and DegenerateSystemError raised as ``enumerate_solutions``
-    does, at the call rather than at the first step."""
+    The walk yields each point's index (``PointSet._index_view``) as its
+    label, so a solution's distinct count is its number of distinct
+    labels: ``any`` counts the ends of the walk, the other least counts
+    compare each distinct count with ``ClassFilter.least(k)``, and
+    ``span-dim`` reads the codes of the distinct labels from the pool.
+    The prime is checked and DegenerateSystemError raised as
+    ``enumerate_solutions`` does, at the call rather than at the first
+    step."""
     flt = flt or ClassFilter.any()
     least = flt.least(sys_spec.k)
     _check_same_prime(sys_spec, points)
-    completion = _unpinned(sys_spec, points.n)
-    pool, table = points._index_view()
+    completion = _completion(sys_spec, points.n, ())
+    pool, table = points._index_view
     walk = completion.walk([pool] * len(completion.free),
                            [table] * len(completion.open_pivots))
     if least == 1:
         return sum(len(ends) for _, ends in walk)
     count = 0
     for prefix, ends in walk:
-        head = tuple([i for _, i in prefix])
         for end in ends:
-            entries = set(head + end)
+            entries = set(prefix + end)
             count += (len(entries) >= least if least is not None
                       else flt._span_admits(len(entries), completion.codes,
                                             [pool[i][0] for i in entries]))
@@ -752,7 +754,8 @@ class _Completion:
     and weights all come from one reduced echelon form of the
     coefficients beside the constant terms (see ``_echelon``).  The walk
     takes and solves points as their codes in ``codes``, so each pivot
-    entry is a lookup in the sum and scale rows."""
+    entry is a lookup in the sum and scale rows.  Callers take it from
+    ``_completion``."""
 
     def __init__(self, sys_spec: SystemSpec, n: int, pinned: Sequence[int] = ()):
         p, k = sys_spec.p, sys_spec.k
@@ -789,8 +792,9 @@ class _Completion:
         """(prefix, partial sums) for each choice of the entries at the
         free positions from ``t`` on but the last two, after ``prefix``
         with the sums ``partial``, in lexicographic order: the entry at
-        ``free[s]`` is ``pools[s][chosen[s]]``, with ``chosen[s]`` no
-        smaller than ``chosen[lower[s]]`` unless ``lower[s]`` is None.
+        ``free[s]`` is ``pools[s][chosen[s]]``, a (code, label) pair whose
+        label joins the prefix, with ``chosen[s]`` no smaller than
+        ``chosen[lower[s]]`` unless ``lower[s]`` is None.
         ``chosen`` holds a slot per free position and is set in place,
         so a caller may read it and fill the last two."""
         if t >= len(pools) - 2:
@@ -799,11 +803,10 @@ class _Completion:
         add, pool, low, row = self.codes.add, pools[t], lower[t], self._plan[1][t]
         for i in range(0 if low is None else chosen[low], len(pool)):
             chosen[t] = i
-            pair = pool[i]
-            x = pair[0]
+            x, label = pool[i]
             yield from self._prefixes(
                 pools, lower, [add[base][sc[x]] for base, sc in zip(partial, row)],
-                chosen, t + 1, prefix + (pair,))
+                chosen, t + 1, prefix + (label,))
 
     def walk(self, pools: Sequence[Sequence[tuple]], tables: Sequence,
              pins: Sequence[int] = ()) -> Iterator[tuple[tuple, list]]:
@@ -816,7 +819,7 @@ class _Completion:
 
         Yields (prefix, ends) for each choice of the entries at all free
         positions but the last, in lexicographic pool order: prefix is
-        that choice as pairs, and ends lists, in pool order, the tuple
+        that choice as labels, and ends lists, in pool order, the tuple
         (label of the last free entry, table value of each open pivot)
         of each choice of the last free entry that completes a solution
         (no last label when there is no free position).  The entries
@@ -840,7 +843,8 @@ class _Completion:
                 if pair is None:
                     prefix, key = outer, tuple(partial)
                 else:
-                    prefix, x = outer + (pair,), pair[0]
+                    x, label = pair
+                    prefix = outer + (label,)
                     key = tuple([row[sc[x]] for row, sc in zip(rows, inner)])
                 ends = memo.get(key)
                 if ends is None:
@@ -934,7 +938,7 @@ class _Completion:
         for prefix, partial in self._prefixes([pool] * len(scales), previous,
                                                self._const_codes, chosen):
             mask = 0
-            for _, bit in prefix:
+            for bit in prefix:
                 mask |= bit
             rows = [add[base] for base in partial]
             for i in range(0 if inner_previous is None else chosen[inner_previous],
@@ -959,11 +963,12 @@ class _Completion:
         return found
 
 
-@lru_cache(maxsize=32)
-def _unpinned(sys_spec: SystemSpec, n: int) -> _Completion:
-    """The completion of the system over F_p^n with no position pinned,
-    built once per (system, n): a walk reads it and never changes it."""
-    return _Completion(sys_spec, n)
+@lru_cache(maxsize=128)
+def _completion(sys_spec: SystemSpec, n: int, pinned: tuple) -> _Completion:
+    """The completion of the system over F_p^n with the positions
+    ``pinned`` pinned, in that order, built once per (system, n,
+    pinned): a walk reads it and never changes it."""
+    return _Completion(sys_spec, n, pinned)
 
 
 def _interesting_positions(sys_spec: SystemSpec, index_set: Sequence[int],
@@ -991,8 +996,8 @@ def interesting_tuples(
     within each group.  Each tuple must hold m + 1 members of ``points``
     as reduced coordinate tuples, and is checked and rank-tested on its
     codes (``_PointCodes.rank``) once for all index sets; each index
-    set's completion is built once.  The rank test stops once no index
-    set can hold an interesting tuple.
+    set's completion comes from ``_completion``.  The rank test stops
+    once no index set can hold an interesting tuple.
     A tuple reaches a walk only through the pivots' partial sums with
     its entries folded in (``_Completion.start``) and its entries at
     pinned pivots; a completion's distinct count, of point indices,
@@ -1031,10 +1036,10 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
             # never need one.  On a homogeneous system a pinned pivot
             # with no free position solves to a combination of the other
             # pins, so no independent tuple extends on that index set.
-            completions = [_Completion(sys_spec, points.n, idx) for idx in positions]
+            completions = [_completion(sys_spec, points.n, idx) for idx in positions]
             live = [(c, group, {}) for c, group in zip(completions, groups)
                     if not (sys_spec.homogeneous and c.pinned_pivots and not c.free)]
-            pool, table = points._index_view()
+            pool, table = points._index_view
         for completion, group, seen in live:
             key = (*completion.start(pins), *[pins[i] for _, i in completion.pinned_pivots])
             known = seen.get(key)
@@ -1042,9 +1047,8 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
                 hit, charged = False, 0
                 for prefix, ends in completion.walk([pool] * len(completion.free),
                                                     [table] * len(completion.open_pivots), pins):
-                    head = tuple([i for _, i in prefix])
                     at = next((t for t, end in enumerate(ends)
-                               if len(set(head + end)) >= need), None)
+                               if len(set(prefix + end)) >= need), None)
                     # the completions walked up to a hit, or one step for a prefix
                     # that completes nothing: a count, so a refusal is reproducible
                     charged += (len(ends) or 1) if at is None else at + 1

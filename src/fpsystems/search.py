@@ -6,13 +6,14 @@ distinct, span at least r, at least ell distinct entries).  Both
 questions depend only on a tuple's support, the set of distinct points
 it uses, so the exhaustive search runs on a support index that each
 call builds once.  Every point is numbered by its position in the point
-order.  The supports are walked with the free positions ranging over
-the space and the pivot positions solved from them on point codes (see
-``linsystem``).  Free positions with equal coefficient columns enter
-every pivot alike, so swapping their entries keeps a solution and its
-support; the walk gives them nondecreasing positions
-(``_Completion.orbit_supports``), one solution per orbit of such swaps,
-and still reaches every support.  Each support is kept as an int
+order, and the order is encoded once: the order check, the support
+index and the frame read the same codes.  The supports are walked with
+the free positions ranging over the space and the pivot positions
+solved from them on point codes (see ``linsystem``).  Free positions
+with equal coefficient columns enter every pivot alike, so swapping
+their entries keeps a solution and its support; the walk gives them
+nondecreasing positions (``_Completion.orbit_supports``), one solution
+per orbit of such swaps, and still reaches every support.  Each support is kept as an int
 bitmask, listed under each point it uses.  The filter is applied per
 support, not per tuple, and only admitted supports are kept;
 ``span-dim`` ranks the codes of the support's points
@@ -48,8 +49,11 @@ frame root, six ones distinct over F_3^3 (1,861 nodes) takes 0.18 to
 0.78 to 0.94 s, whole searches on the same 2-core Xeon.
 
 The witness is re-checked by one walk of the unpinned solver over its
-points, each distinct support of a solution inside it tested with the
-filter; an admitted one fails the call.
+codes, each distinct support of a solution inside it tested with the
+filter; an admitted one fails the call.  Every completion, unpinned or
+pinned, comes from ``linsystem._completion``, built once per (system,
+n, pinned positions), and each walk yields the bits of its points, the
+labels its pool pairs with their codes.
 
 Symmetry reduction forces a frame, flat by flat.  For a homogeneous
 system the avoidance property is invariant under GL(n, p), which acts
@@ -121,8 +125,8 @@ from .linsystem import (
     PointSet,
     SystemSpec,
     _Completion,
+    _completion,
     _point_codes,
-    _unpinned,
 )
 from .slicerank import ceiling
 
@@ -183,20 +187,19 @@ def _selected(items: Sequence, mask: int) -> Iterator:
 
 
 def _admitted_supports(completion: _Completion, problem: AvoidanceProblem,
-                       points: Sequence[tuple[int, ...]]) -> Iterator[int]:
-    """Each distinct support, as a bitmask over positions in ``points``,
-    of an admitted solution with every entry in ``points``, walked with
-    ``completion``, an unpinned completion of the problem's system.  The
-    points are encoded once; ``span-dim`` ranks the codes at a
-    support's bits."""
+                       encoded: Sequence[int]) -> Iterator[int]:
+    """Each distinct support, as a bitmask over positions in ``encoded``,
+    of an admitted solution with every entry among the points of codes
+    ``encoded``, walked with ``completion``, an unpinned completion of
+    the problem's system.  Each point is labelled by its bit;
+    ``span-dim`` ranks the codes at a support's bits."""
     codes = completion.codes
-    pool = [(codes.encode(v), 1 << i) for i, v in enumerate(points)]
+    pool = [(code, 1 << i) for i, code in enumerate(encoded)]
     table = codes.table()
     for code, bit in pool:
         table[code] = bit
     mode = problem.mode
     least = mode.least(problem.sys_spec.k)
-    encoded = [code for code, _ in pool] if least is None else None
     for support in completion.orbit_supports(pool, table):
         count = support.bit_count()
         if (count >= least if least is not None else
@@ -205,15 +208,15 @@ def _admitted_supports(completion: _Completion, problem: AvoidanceProblem,
 
 
 def _support_index(completion: _Completion, problem: AvoidanceProblem,
-                   order: Sequence[tuple[int, ...]]) -> tuple[list, int]:
-    """The admitted supports of the point space, as bitmasks over
-    positions in the point order: per point x, those through x without
-    x's own bit; and the points whose all-equal tuple is an admitted
-    solution."""
-    through: list[list[int]] = [[] for _ in order]
+                   encoded: Sequence[int]) -> tuple[list, int]:
+    """The admitted supports of the point space, the codes ``encoded``
+    in the point order, as bitmasks over positions in that order: per
+    point x, those through x without x's own bit; and the points whose
+    all-equal tuple is an admitted solution."""
+    through: list[list[int]] = [[] for _ in encoded]
     singles = 0
-    positions = range(len(order))
-    for support in _admitted_supports(completion, problem, order):
+    positions = range(len(encoded))
+    for support in _admitted_supports(completion, problem, encoded):
         if support & (support - 1) == 0:
             singles |= support
         for i in _selected(positions, support):
@@ -299,7 +302,7 @@ class _DepthFirst:
             members.pop()
 
 
-def _flag(codes, order: Sequence[tuple[int, ...]],
+def _flag(codes, encoded: Sequence[int],
           affine: bool) -> Iterator[tuple[int | None, int]]:
     """The frame the symmetric root forces, flat by flat: per dimension
     d = 0, 1, ..., the position of the point the frame adds at d, or None
@@ -307,8 +310,8 @@ def _flag(codes, order: Sequence[tuple[int, ...]],
     The affine frame starts at the first point of the order, forced; the
     linear one at zero, which is not.  Each later point is the first of
     the order outside the flat, and the flat grows by its multiples:
-    f + t (x - origin) for every f in the flat and t in F_p."""
-    encoded = [codes.encode(v) for v in order]
+    f + t (x - origin) for every f in the flat and t in F_p.  The points
+    are the codes ``encoded`` of ``codes``, in the point order."""
     position = codes.table()
     for i, code in enumerate(encoded):
         position[code] = i
@@ -319,7 +322,7 @@ def _flag(codes, order: Sequence[tuple[int, ...]],
     mask = 0 if at is None else 1 << at
     yield (at if affine else None), mask
     minus = scale[codes.p - 1][origin]
-    full = (1 << len(order)) - 1
+    full = (1 << len(encoded)) - 1
     while mask != full:
         rest = full & ~mask
         x = (rest & -rest).bit_length() - 1
@@ -345,9 +348,10 @@ def _affine_root(problem: AvoidanceProblem) -> bool:
 def _verify_witness(completion: _Completion, problem: AvoidanceProblem,
                     members: Sequence[tuple[int, ...]]) -> PointSet:
     """The members as a point set, re-verified to contain no admitted
-    solution by one walk over them."""
+    solution by one walk over its codes."""
     witness = PointSet.make(members, problem.sys_spec.p, problem.n)
-    if next(_admitted_supports(completion, problem, witness.points), None) is not None:
+    if next(_admitted_supports(completion, problem, list(witness._codes.values())),
+            None) is not None:
         raise AssertionError("witness fails re-verification")
     return witness
 
@@ -365,29 +369,27 @@ def exhaustive_max(
     restricts the branch exploration as described in the module notes.
     """
     count = problem.check_point_cap(cap_points)
-    if point_order is None:
-        order = problem.point_order()
-    else:
-        # distinct codes of points of F_p^n, as many as the space has and
-        # zero left out where the problem excludes it, are the space
-        n = problem.n
-        order = reduce_vectors(point_order, problem.sys_spec.p)
-        encode = _point_codes(problem.sys_spec.p, n).encode
-        codes = {encode(v) for v in order if len(v) == n}
-        if (len(order) != count or len(codes) != count
-                or problem.exclude_zero and 0 in codes):
-            raise ValueError("point order must permute the problem's point space")
+    n = problem.n
+    order = (problem.point_order() if point_order is None
+             else reduce_vectors(point_order, problem.sys_spec.p))
+    encoded = list(map(_point_codes(problem.sys_spec.p, n).encode, order))
+    # distinct codes of points of F_p^n, as many as the space has and
+    # zero left out where the problem excludes it, are the space
+    if (len(set(encoded)) != count or len(order) != count
+            or any(len(v) != n for v in order)
+            or problem.exclude_zero and 0 in encoded):
+        raise ValueError("point order must permute the problem's point space")
     if symmetry is None:
         symmetry = problem.sys_spec.homogeneous
     if symmetry and not problem.sys_spec.homogeneous:
         raise ValueError("symmetry reduction needs a homogeneous system")
 
-    completion = _unpinned(problem.sys_spec, problem.n)
-    through, singles = _support_index(completion, problem, order)
+    completion = _completion(problem.sys_spec, n, ())
+    through, singles = _support_index(completion, problem, encoded)
     walker = _DepthFirst(len(order))
     root = _Live(None, 0, through)
     full = (1 << len(order)) - 1
-    flag = (_flag(completion.codes, order, _affine_root(problem)) if symmetry
+    flag = (_flag(completion.codes, encoded, _affine_root(problem)) if symmetry
             else [(None, full)])
     members: list[int] = []
     inside, candidates = 0, full & ~singles
@@ -438,7 +440,7 @@ def greedy_lower_bound(
     sys_spec = problem.sys_spec
     # one check per distinct coefficient column, at its first position
     columns = list(zip(*sys_spec.coeffs))
-    checks = [_Completion(sys_spec, problem.n, pinned=(pos,))
+    checks = [_completion(sys_spec, problem.n, (pos,))
               for pos, col in enumerate(columns) if col not in columns[:pos]]
     codes = checks[0].codes
     # the space in its order: the codes from 0, or from 1 without zero
@@ -476,7 +478,7 @@ def greedy_lower_bound(
             tables = [space] if one_open else [bits] * len(check.open_pivots)
             for prefix, ends in check.walk([pool] * len(check.free), tables, (x,)):
                 mask = xbit
-                for _, bit in prefix:
+                for bit in prefix:
                     mask |= bit
                 for end in ends:
                     support = mask
@@ -524,7 +526,7 @@ def greedy_lower_bound(
         cand = one_pass(shuffled)
         if len(cand) > len(best):
             best = cand
-    witness = _verify_witness(_unpinned(sys_spec, problem.n), problem,
+    witness = _verify_witness(_completion(sys_spec, problem.n, ()), problem,
                               list(map(codes.decode, best)))
     return SearchResult(len(best), witness, False, nodes)
 

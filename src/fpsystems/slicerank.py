@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import _capped
 from .fplinalg import check_prime, read_lines, reduce_coords, reduce_vectors, write_lines
-from .linsystem import SystemSpec, _Completion, _solves, is_solution
+from .linsystem import SystemSpec, _completion, _solves, is_solution
 
 DEFAULT_SUPPORT_CAP = 40
 DEFAULT_CROSS_CAP = 10**7
@@ -427,7 +427,7 @@ def _solving_indices(sys_spec: SystemSpec,
     the order of the pivot solver's walk: a free entry is labelled by
     its index, a pivot entry by the indices holding that point in its
     column."""
-    completion = _Completion(sys_spec, len(cols[0][0]))
+    completion = _completion(sys_spec, len(cols[0][0]), ())
     coded = [list(map(completion.codes.encode, col)) for col in cols]
     pools = [[(code, l) for l, code in enumerate(coded[pos])] for pos in completion.free]
     tables = [completion.codes.table() for _ in completion.pivots]
@@ -440,7 +440,7 @@ def _solving_indices(sys_spec: SystemSpec,
     head, last = completion.free[:-1], completion.free[-1:]
     idx = [0] * sys_spec.k
     for prefix, ends in completion.walk(pools, tables):
-        for pos, (_, l) in zip(head, prefix):
+        for pos, l in zip(head, prefix):
             idx[pos] = l
         for end in ends:
             for pos, l in zip(last, end):

@@ -1239,7 +1239,7 @@ class TestCommands:
         system.write_text("p=3 m=1 k=2\n1 2\n")
         tracemalloc.start()
         try:
-            fpsystems.PointSet.full_space(9, 3)._walk_view
+            fpsystems.PointSet.full_space(9, 3)._index_view
             base = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             code, data, _ = run_json(["solve", "--system", str(system), "--n",
@@ -1258,6 +1258,14 @@ class TestCommands:
         assert code == 0
         assert data["result"]["count"] == 6
         assert len(data["result"]["solutions"]) == 6
+
+    def test_solve_limit_above_maxsize_lists_everything(self, files, capsys):
+        # islice refused a stop above sys.maxsize with an internal error
+        code, data, _ = run_json(["solve", "--system", files["ap3"], "--n", "1",
+                                  "--limit", "100000000000000000000"], capsys)
+        assert code == 0
+        assert data["result"]["count"] == 9
+        assert data["result"]["listed"] == len(data["result"]["solutions"]) == 9
 
     def test_solve_limit_and_count_only(self, files, capsys):
         _, data, _ = run_json(["solve", "--system", files["ap3"], "--n", "1",

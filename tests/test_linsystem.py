@@ -1,7 +1,7 @@
 import io
 import random
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -26,6 +26,8 @@ from fpsystems import (
     write_system_file,
 )
 from fpsystems import fplinalg, linsystem
+from fpsystems.sampling import sampling_step_distinct
+from fpsystems.search import AvoidanceProblem, greedy_lower_bound
 from .oracles import (
     brute_solutions,
     rank_by_minors,
@@ -262,6 +264,29 @@ class TestEnumerate:
             sys_ap3, points, ClassFilter.span_at_least(2))}
         assert nae < all_sols
         assert spanned <= nae
+
+    def test_span_dim_encodes_no_entry_per_solution(self, sys_k4, monkeypatch):
+        # 1 1 2 2 over F_3^3, span dimension at least 3: the filter ranks
+        # the codes the walk holds, so listing every solution encodes no
+        # more points than listing the first
+        flt = ClassFilter.span_at_least(3)
+        encode = linsystem._PointCodes.encode
+        calls = []
+
+        def spy(self, v):
+            calls.append(1)
+            return encode(self, v)
+
+        monkeypatch.setattr(linsystem._PointCodes, "encode", spy)
+        counts = []
+        for most in (1, None):
+            linsystem._completion.cache_clear()
+            calls.clear()
+            sols = list(islice(enumerate_solutions(
+                sys_k4, PointSet.full_space(3, 3), flt), most))
+            counts.append(len(calls))
+        assert len(sols) == 11232
+        assert counts[0] == counts[1]
 
     def test_constant_rows_solutions(self):
         spec = SystemSpec.make([(1, 1, 1)], 3, constants=[(1, 0)])
@@ -743,6 +768,27 @@ class TestCompletionSetup:
                 built += 1
         assert len(calls) == built
 
+    def test_each_completion_built_once_across_calls(self, sys_ap3, monkeypatch):
+        # greedy pins position 0 (all three columns are equal) and
+        # checks its witness unpinned; the deletion step pins each pair
+        # of the three positions.  Repeated calls build nothing more
+        made = []
+        init = linsystem._Completion.__init__
+
+        def spy(self, sys_spec, n, pinned=()):
+            made.append(tuple(pinned))
+            init(self, sys_spec, n, pinned)
+
+        monkeypatch.setattr(linsystem._Completion, "__init__", spy)
+        linsystem._completion.cache_clear()
+        problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), 2)
+        points = PointSet.full_space(2, 3, include_zero=False)
+        for seed in (1, 2):
+            greedy_lower_bound(problem, restarts=1, rng=random.Random(seed))
+        for seed in (1, 2):
+            sampling_step_distinct(sys_ap3, points, 3, 2, random.Random(seed))
+        assert made == [(0,), (), (0, 1), (0, 2), (1, 2)]
+
 
 @pytest.fixture(params=[None, 49, 1], ids=["tables", "split", "mod"])
 def table_cap(request, monkeypatch):
@@ -843,9 +889,16 @@ class TestPointCodes:
         assert linsystem._point_codes(3, 0).rank([0, 0], 1) == 0
 
 
+def _labelled(walked) -> list:
+    """The oracle walk's (prefix, ends) with each prefix pair's label
+    alone, as ``_Completion.walk`` yields it."""
+    return [(tuple(label for _, label in prefix), ends) for prefix, ends in walked]
+
+
 class TestCodedWalk:
     """The walk on point codes against the walk on coordinate tuples
-    (``tests/oracles.py``), decoded prefix for prefix."""
+    (``tests/oracles.py``), prefix for prefix, the oracle's (point,
+    label) pairs read as the labels the walk yields."""
 
     @settings(max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -859,9 +912,7 @@ class TestCodedWalk:
             [[(codes.encode(v), label) for v, label in pool] for pool in pools],
             [_coded_table(codes, table) for table in tables],
             [codes.encode(v) for v in pins])
-        ours = [(tuple((codes.decode(x), label) for x, label in prefix), ends)
-                for prefix, ends in walked]
-        assert ours == list(reference_walk(completion, pools, tables, pins))
+        assert list(walked) == _labelled(reference_walk(completion, pools, tables, pins))
 
 
 # (coeffs, p, constants, n): free positions in one column class, two
@@ -902,10 +953,8 @@ class TestOrbitSupports:
         pool = [(codes.encode(v), bit) for v, bit in bits.items()]
         free, open_pivots = len(completion.free), len(completion.open_pivots)
         walked = completion.walk([pool] * free, [_coded_table(codes, bits)] * open_pivots)
-        ours = [(tuple((codes.decode(x), bit) for x, bit in prefix), ends)
-                for prefix, ends in walked]
-        assert ours == list(reference_walk(completion, [list(bits.items())] * free,
-                                           [bits] * open_pivots))
+        assert list(walked) == _labelled(reference_walk(
+            completion, [list(bits.items())] * free, [bits] * open_pivots))
 
     @orbit_cases
     def test_same_supports_as_the_plain_walk(self, table_cap, case):

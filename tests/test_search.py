@@ -169,7 +169,7 @@ def test_witness_check_matches_enumeration(case):
     raises exactly where the enumeration yields an admitted solution."""
     coeffs, p, constants, n = case
     spec = SystemSpec.make(coeffs, p, constants=constants)
-    completion = linsystem._unpinned(spec, n)
+    completion = linsystem._completion(spec, n, ())
     space = list(product(range(p), repeat=n))
     rng = random.Random(3)
     outcomes = set()
@@ -546,18 +546,19 @@ class TestGreedy:
                                               ((1, 1, 2, 2), [(0,), (2,)])],
                              ids=["x+y+z", "1122"])
     def test_one_check_per_column_class(self, coeffs, pins, monkeypatch):
+        # the checks, then the unpinned completion of the witness check
         made = []
+        completion = search._completion
 
-        class Counted(search._Completion):
-            def __init__(self, *args, **kwargs):
-                made.append(kwargs.get("pinned"))
-                super().__init__(*args, **kwargs)
+        def counted(sys_spec, n, pinned):
+            made.append(pinned)
+            return completion(sys_spec, n, pinned)
 
-        monkeypatch.setattr(search, "_Completion", Counted)
+        monkeypatch.setattr(search, "_completion", counted)
         problem = AvoidanceProblem(SystemSpec.make([coeffs], 3),
                                    ClassFilter.not_all_equal(), 2)
         greedy_lower_bound(problem, restarts=1, rng=random.Random(0))
-        assert made == pins
+        assert made == pins + [()]
 
 
 class TestTheoremBounds:

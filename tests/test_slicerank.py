@@ -473,7 +473,7 @@ class TestIndicator:
         def no_walk(*args, **kwargs):
             raise AssertionError("the solver walked")
 
-        monkeypatch.setattr(slicerank, "_Completion", no_walk)
+        monkeypatch.setattr(slicerank, "_completion", no_walk)
         cols = [list(PointSet.full_space(7, 3))] * 3
         with pytest.raises(CapExceededError):
             indicator_tensor(sys_ap3, cols)
