@@ -963,7 +963,7 @@ class _Completion:
         return found
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=32)
 def _completion(sys_spec: SystemSpec, n: int, pinned: tuple) -> _Completion:
     """The completion of the system over F_p^n with the positions
     ``pinned`` pinned, in that order, built once per (system, n,
