@@ -157,7 +157,7 @@ def _singular_minors(columns: Sequence[Sequence[int]], m: int,
     column costs one product.
     """
     k = len(columns)
-    found: list[tuple[int, ...]] = []
+    found = []
     # one frame per prefix on the path: the next column to try after
     # it, the prefix and its orthogonal basis
     frames = [[0, (), [[int(i == j) for j in range(m)] for i in range(m)]]]
@@ -281,11 +281,11 @@ _MODES = ("any", "not-all-equal", "distinct", "span-dim", "distinct-count")
 
 @dataclass(frozen=True)
 class ClassFilter:
-    """A predicate on solution tuples, decided by ``admits_support``
-    from the distinct entries alone, so a tuple and its support (as the
-    extremal search keeps it) get the same answer.  The solution walks
-    hold their points as codes and ask ``_span_admits``, the rank on
-    codes, directly.
+    """A predicate on solution tuples, decided from the distinct entries
+    alone, so a tuple and its support (as the extremal search keeps it)
+    get the same answer: ``least`` for a count of distinct entries, and
+    ``_span_admits``, the rank on the entries' point codes, for
+    ``span-dim``.
 
     Modes: ``any`` admits everything; ``not-all-equal`` drops constant
     tuples; ``distinct`` requires all k entries pairwise distinct;
@@ -312,25 +312,6 @@ class ClassFilter:
         ``span-dim``, which reads the entries themselves."""
         return {"any": 1, "not-all-equal": 2, "distinct": k,
                 "distinct-count": self.ell}.get(self.mode)
-
-    def admits(self, sol: SolutionTuple) -> bool:
-        return self.admits_support(len(sol.entries), sol.distinct_count,
-                                   sol.entries, sol.p)
-
-    def admits_support(self, k: int, distinct: int, rows: Iterable,
-                       p: int) -> bool:
-        """The filter on a k-tuple over F_p with ``distinct`` distinct
-        entries; ``rows`` yields those entries (repeats allowed) and is
-        read only by ``span-dim``, at most once, encoded for
-        ``_span_admits``."""
-        least = self.least(k)
-        if least is not None:
-            return distinct >= least
-        if distinct < self.r:
-            return False
-        work = [[c % p for c in row] for row in rows]
-        codes = _point_codes(p, len(work[0]))
-        return self._span_admits(distinct, codes, map(codes.encode, work))
 
     def _span_admits(self, distinct: int, codes, xs: Iterable) -> bool:
         """The ``span-dim`` filter on a tuple with ``distinct`` distinct
@@ -502,25 +483,35 @@ class _PointCodes:
         return ([lead(code) for code in range(len(self.add))]
                 if isinstance(self.add, list) else _Rows(lead))
 
-    def rank(self, codes: Iterable[int], limit: int) -> int:
-        """The dimension of the span of the points ``codes``, or ``limit``
-        (at least 1) as soon as that many are independent, with no code
-        read after.  Forward elimination on codes: each basis point is
-        kept under its lead column, scaled to lead digit 1, and a code
-        loses one lead after another to them, each by a sum and a scale
-        row, until it is zero or its lead column is new."""
+    def _cleared(self, codes: Iterable[int], basis: dict) -> Iterator[int]:
+        """Each of ``codes`` cleared by ``basis``, which keeps each basis
+        point under its lead column, scaled to lead digit 1: a code loses
+        one lead after another to them, each by a sum and a scale row,
+        until it is zero (it lies in their span) or its lead column is
+        not in ``basis``.  One code is read per step, so a caller may
+        grow ``basis`` between steps and stop at any one."""
         (add, scale), leads, p = self._rows, self._leads, self.p
-        basis = {}
         for x in codes:
             while x:
                 col, d = leads[x]
                 b = basis.get(col)
                 if b is None:
-                    basis[col] = x if d == 1 else scale[pow(d, -1, p)][x]
-                    if len(basis) == limit:
-                        return limit
                     break
                 x = add[x][scale[p - d][b]]
+            yield x
+
+    def rank(self, codes: Iterable[int], limit: int) -> int:
+        """The dimension of the span of the points ``codes``, or ``limit``
+        (at least 1) as soon as that many are independent, with no code
+        read after: forward elimination on codes, each code that
+        ``_cleared`` leaves nonzero joining the basis."""
+        scale, leads, basis = self._rows[1], self._leads, {}
+        for x in self._cleared(codes, basis):
+            if x:
+                col, d = leads[x]
+                basis[col] = x if d == 1 else scale[pow(d, -1, self.p)][x]
+                if len(basis) == limit:
+                    return limit
         return len(basis)
 
 
@@ -604,9 +595,21 @@ class PointSet:
         return iter(self.points)
 
     def restrict_to(self, subspace: Subspace) -> "PointSet":
-        """The points lying in the subspace, order preserved."""
-        return PointSet(self.p, self.n,
-                        tuple(v for v in self.points if subspace.contains(v)))
+        """The points lying in the subspace, order preserved.  Each
+        point's code is cleared (``_PointCodes._cleared``) by the codes
+        of the subspace's reduced basis, each under its pivot column with
+        lead digit 1, and the point lies in it when nothing is left.
+        ValueError, before any point is read, for a subspace over another
+        prime or of another ambient dimension."""
+        if subspace.p != self.p:
+            raise ValueError("subspace prime differs from point set prime")
+        if subspace.ambient_dim != self.n:
+            raise ValueError("vector dimension differs from ambient dimension")
+        codes = _point_codes(self.p, self.n)
+        basis = dict(zip(subspace.pivots, map(codes.encode, subspace.basis)))
+        return PointSet(self.p, self.n, tuple(
+            v for v, x in zip(self.points, codes._cleared(self._codes.values(), basis))
+            if not x))
 
     def without(self, removed: Iterable[tuple[int, ...]]) -> "PointSet":
         gone = set(removed)
@@ -678,7 +681,7 @@ def enumerate_solutions(
     p = sys_spec.p
     _check_same_prime(sys_spec, points)
     n = points.n
-    pin: dict[int, tuple[int, ...]] = {}
+    pin = {}
     for pos, vec in (pinned or {}).items():
         if not 0 <= pos < sys_spec.k:
             raise IndexError(f"pinned position {pos} out of range")
@@ -754,7 +757,10 @@ class _Completion:
     and weights all come from one reduced echelon form of the
     coefficients beside the constant terms (see ``_echelon``).  The walk
     takes and solves points as their codes in ``codes``, so each pivot
-    entry is a lookup in the sum and scale rows.  Callers take it from
+    entry is a lookup in the sum and scale rows.  The scale rows that
+    fold the pinned entries into the constants (``start``) are built
+    with the rest of the set-up, once per completion, and those of the
+    free positions on the first walk (``_plan``).  Callers take it from
     ``_completion``."""
 
     def __init__(self, sys_spec: SystemSpec, n: int, pinned: Sequence[int] = ()):
@@ -776,14 +782,20 @@ class _Completion:
                         for c, j in enumerate(order) if j not in self.pivots}
         self.codes = _point_codes(p, n)
         self._const_codes = list(map(self.codes.encode, self.const))
+        # per pinned non-pivot position, its index in the pins and the
+        # scale rows of its weights, which ``start`` folds with
+        scale = self.codes.scale
+        self._folds = [(i, [scale[w] for w in self.weights[j]])
+                       for i, j in enumerate(self.pinned) if j in self.weights]
 
     def start(self, pins: Sequence[int] = ()) -> list[int]:
         """The pivots' partial sums before any free entry: the constants
-        with the pinned non-pivot entries, of codes ``pins``, folded in."""
-        (add, scale), consts = self.codes._rows, self._const_codes
-        for j, x in zip(self.pinned, pins):
-            if j in self.weights:
-                consts = [add[c][scale[w][x]] for c, w in zip(consts, self.weights[j])]
+        with the pinned non-pivot entries, of codes ``pins``, folded in
+        through the scale rows built with the completion."""
+        add, consts = self.codes._rows[0], self._const_codes
+        for i, rows in self._folds:
+            x = pins[i]
+            consts = [add[c][sc[x]] for c, sc in zip(consts, rows)]
         return consts
 
     def _prefixes(self, pools: Sequence[Sequence[tuple]], lower: Sequence,
@@ -999,11 +1011,13 @@ def interesting_tuples(
     set's completion comes from ``_completion``.  The rank test stops
     once no index set can hold an interesting tuple.
     A tuple reaches a walk only through the pivots' partial sums with
-    its entries folded in (``_Completion.start``) and its entries at
-    pinned pivots; a completion's distinct count, of point indices,
-    leaves the pinned positions out.  So an index set walks once per
-    such key in a call, and a later tuple with the key takes the answer
-    and is charged what the walk cost.
+    its entries folded in (``_Completion.start``, from the fold rows the
+    completion built once) and its entries at pinned pivots, whose
+    indices among the pins are found once per index set in a call; a
+    completion's distinct count, of point indices, leaves the pinned
+    positions out.  So an index set walks once per such key in a call,
+    and a later tuple with the key takes the answer and is charged what
+    the walk cost.
     CapExceededError once the completions walked, and the walked
     prefixes that complete nothing, over all tuples and index sets,
     pass ``DEFAULT_WORK_CAP``."""
@@ -1037,11 +1051,12 @@ def _interesting_tuples(sys_spec: SystemSpec, points: PointSet,
             # with no free position solves to a combination of the other
             # pins, so no independent tuple extends on that index set.
             completions = [_completion(sys_spec, points.n, idx) for idx in positions]
-            live = [(c, group, {}) for c, group in zip(completions, groups)
+            live = [(c, group, {}, [i for _, i in c.pinned_pivots])
+                    for c, group in zip(completions, groups)
                     if not (sys_spec.homogeneous and c.pinned_pivots and not c.free)]
             pool, table = points._index_view
-        for completion, group, seen in live:
-            key = (*completion.start(pins), *[pins[i] for _, i in completion.pinned_pivots])
+        for completion, group, seen, fixed in live:
+            key = (*completion.start(pins), *[pins[i] for i in fixed])
             known = seen.get(key)
             if known is None:
                 hit, charged = False, 0

@@ -6,7 +6,7 @@ reduction, grid search instead of bisection, full enumeration instead
 of pivot solving, unpruned recursion instead of branch and bound, and
 explicit span tables instead of echelon bases.  Slow on purpose.
 
-Eighteen exceptions sit at the end.  The earlier weight, which checks all
+Nineteen exceptions sit at the end.  The earlier weight, which checks all
 2^k subsets of positions with a fresh row reduction and subspace each,
 is the reference that the walk over the admissible family must
 reproduce field for field.  The earlier extremal search, which solves
@@ -48,7 +48,12 @@ the work on a common prefix of columns.  The earlier report conversion,
 one generic isinstance chain per node, is the reference for the
 conversion with exact-type fast paths, and ``json.dumps`` with
 ``indent=2`` and ``sort_keys=True`` is the reference for the command
-line's own JSON writer.
+line's own JSON writer.  The earlier membership test, ``Subspace.contains``
+per point in coordinates, is the reference for ``restrict_to``'s
+elimination on point codes.  Last sits no reference but the filter
+method the package kept until its walks asked ``least`` and
+``_span_admits`` themselves; the support-filter tests run it beside
+``reference_admits_support``.
 """
 
 from __future__ import annotations
@@ -72,7 +77,8 @@ from fpsystems.fplinalg import (
     reduce_coords,
     rref_with_pivots,
 )
-from fpsystems.linsystem import ClassFilter, SolutionTuple, is_solution, pivot_columns
+from fpsystems.linsystem import (ClassFilter, PointSet, SolutionTuple, _point_codes,
+                                  is_solution, pivot_columns)
 from fpsystems.slicerank import PartitionedBoundReport, ceiling
 from fpsystems.weights import AdmissibleSet, WeightReport
 
@@ -652,7 +658,7 @@ def reference_enumerate_solutions(sys_spec, points, flt=None, pinned=None):
         if not ok:
             continue
         sol = SolutionTuple.create(sys_spec, tuple(entries))
-        if flt.admits(sol):
+        if reference_admits_support(flt, k, sol.distinct_count, sol.entries, p):
             yield sol
 
 
@@ -863,6 +869,19 @@ def reference_containment_probability(p: int, n: int, d: int,
     return exact, upper
 
 
+def reference_start(completion, pins) -> list[tuple[int, ...]]:
+    """The pivots' partial sums before any free entry, as points: the
+    constants with each pinned non-pivot entry of ``pins``, a point per
+    pinned position, times its weights added coordinate by coordinate."""
+    p, weights = completion.codes.p, completion.weights
+    consts = [tuple(c) for c in completion.const]
+    for j, x in zip(completion.pinned, pins):
+        if j in weights:
+            consts = [tuple((c + w * v) % p for c, v in zip(const, x))
+                      for const, w in zip(consts, weights[j])]
+    return consts
+
+
 def reference_walk(completion, pools, tables, pins=()):
     """The pivot solver's walk as the package ran it on coordinate
     tuples: ``pools`` of (point, label) pairs, ``tables`` from points to
@@ -871,11 +890,7 @@ def reference_walk(completion, pools, tables, pins=()):
     points of each prefix in place of their codes; no partial sum is
     memoised."""
     p, weights = completion.codes.p, completion.weights
-    consts = [tuple(c) for c in completion.const]
-    for j, x in zip(completion.pinned, pins):
-        if j in weights:
-            consts = [tuple((c + w * v) % p for c, v in zip(const, x))
-                      for const, w in zip(consts, weights[j])]
+    consts = reference_start(completion, pins)
     head = [weights[j] for j in completion.free[:-1]]
     *head_pools, last_pool = pools or [[(None, None)]]
     for prefix in product(*head_pools):
@@ -958,3 +973,28 @@ def reference_rows(document, prefix: str = "") -> list:
         return [(prefix, json.dumps(document, separators=(",", ":"),
                                     sort_keys=True))]
     return [(prefix, document)]
+
+
+def reference_restrict_to(points, subspace) -> PointSet:
+    """The points of ``points`` lying in ``subspace``, order preserved,
+    as the package found them before it cleared point codes: each point
+    reduced modulo the subspace in coordinates by ``Subspace.contains``."""
+    return PointSet(points.p, points.n,
+                    tuple(v for v in points.points if subspace.contains(v)))
+
+
+def coded_admits_support(flt: ClassFilter, k: int, distinct: int, rows,
+                         p: int) -> bool:
+    """The filter on a k-tuple over F_p with ``distinct`` distinct
+    entries, as ``ClassFilter.admits_support`` decided it before the
+    walks asked ``least`` and ``_span_admits`` themselves: ``rows``
+    yields the entries (repeats allowed) and is read only by
+    ``span-dim``, at most once, encoded for ``_span_admits``."""
+    least = flt.least(k)
+    if least is not None:
+        return distinct >= least
+    if distinct < flt.r:
+        return False
+    work = [[c % p for c in row] for row in rows]
+    codes = _point_codes(p, len(work[0]))
+    return flt._span_admits(distinct, codes, map(codes.encode, work))

@@ -36,6 +36,8 @@ from .oracles import (
     reference_failing_minors,
     reference_is_interesting,
     reference_is_solution,
+    reference_restrict_to,
+    reference_start,
     reference_walk,
 )
 
@@ -363,6 +365,88 @@ class TestPointSet:
     def test_without(self):
         ps = PointSet.full_space(1, 3)
         assert ps.without([(0,)]).points == ((1,), (2,))
+
+
+def _layout(codes) -> str:
+    """The point-code layout of ``codes``: full tables, a single
+    coordinate modulo p, or halves split over either."""
+    row = codes.add[0]
+    return ("tables" if isinstance(row, list) else
+            "mod" if isinstance(row, linsystem._ModRow) else
+            "split" if isinstance(row.hi, list) else "split over mod")
+
+
+class TestRestrict:
+    """``PointSet.restrict_to`` clears point codes by the subspace's
+    basis codes; the earlier test reduced each point in coordinates
+    (``reference_restrict_to``)."""
+
+    @pytest.mark.parametrize("p, n, layout", [
+        (2, 4, "tables"), (3, 3, "tables"), (3, 6, "split"), (5, 4, "split"),
+        (257, 1, "mod"), (65537, 1, "mod"), (1009, 2, "split over mod")])
+    def test_same_points_as_the_coordinate_test(self, p, n, layout):
+        assert _layout(linsystem._point_codes(p, n)) == layout
+        rng = random.Random(p * 10 + n)
+        inside = outside = 0
+        for d in range(n + 1):
+            for _ in range(3):
+                v = fplinalg.random_subspace(n, d, p, rng)
+                # members of V, combinations of its basis, among points
+                # drawn from the whole space, shuffled
+                pts = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(30)]
+                for _ in range(10):
+                    cs = [rng.randrange(p) for _ in v.basis]
+                    pts.append(tuple(sum(c * row[j] for c, row in zip(cs, v.basis)) % p
+                                     for j in range(n)))
+                if p**n <= 1000:
+                    pts += rng.sample(list(product(range(p), repeat=n)),
+                                      rng.randrange(p**n + 1))
+                rng.shuffle(pts)
+                points = PointSet.make(pts, p, n)
+                want = reference_restrict_to(points, v)
+                got = points.restrict_to(v)
+                assert (got.p, got.n, got.points) == (want.p, want.n, want.points)
+                inside += len(want)
+                outside += len(points) - len(want)
+        assert inside and outside
+
+    def test_zero_and_whole_space(self):
+        points = PointSet.make([(2, 1), (0, 0), (1, 2), (0, 1)], 3)
+        zero = fplinalg.span([], 3, 2)
+        assert points.restrict_to(zero).points == ((0, 0),)
+        assert points.restrict_to(fplinalg.span([(1, 0), (0, 1)], 3)) == points
+        assert points.restrict_to(fplinalg.span([(1, 2)], 3)).points == (
+            (2, 1), (0, 0), (1, 2))
+        assert PointSet.make([()], 5).restrict_to(fplinalg.span([], 5, 0)).points == ((),)
+
+    def test_no_coordinate_reduction(self, monkeypatch):
+        def no_reduce(self, v):
+            raise AssertionError("a point was reduced in coordinates")
+
+        monkeypatch.setattr(fplinalg.Subspace, "reduce", no_reduce)
+        points = PointSet.full_space(3, 3)
+        v = fplinalg.span([(1, 1, 0), (0, 1, 2)], 3)
+        assert len(points.restrict_to(v)) == 9
+
+    def test_other_prime_or_dimension_refused_before_any_point(self, monkeypatch):
+        def unread(self):
+            raise AssertionError("a point was read")
+
+        # reduced mod 3, (3, 4) read as (0, 1) and the set gave ((1, 0),)
+        five = PointSet.make([(1, 0), (0, 1), (3, 4)], 5, 2)
+        empty = PointSet.make([], 3, 2)
+        other = PointSet.make([(1, 0, 0)], 3)
+        monkeypatch.setattr(PointSet, "_codes", property(unread))
+        monkeypatch.setattr(PointSet, "points", property(unread), raising=False)
+        line = fplinalg.span([(1, 0)], 3)
+        with pytest.raises(ValueError, match="^subspace prime differs from point set prime$"):
+            five.restrict_to(line)
+        with pytest.raises(ValueError,
+                           match="^vector dimension differs from ambient dimension$"):
+            empty.restrict_to(fplinalg.span([(1, 0, 0)], 3))
+        with pytest.raises(ValueError,
+                           match="^vector dimension differs from ambient dimension$"):
+            other.restrict_to(line)
 
 
 class TestInteresting:
@@ -855,10 +939,7 @@ class TestPointCodes:
         (1009, 2, "split over mod")])
     def test_rank_matches_minors(self, p, n, layout):
         codes = linsystem._point_codes(p, n)
-        row = codes.add[0]
-        assert layout == ("tables" if isinstance(row, list) else
-                          "mod" if isinstance(row, linsystem._ModRow) else
-                          "split" if isinstance(row.hi, list) else "split over mod")
+        assert _layout(codes) == layout
         rng = random.Random(p * 10 + n)
 
         def point():
@@ -887,6 +968,43 @@ class TestPointCodes:
         assert list(xs) == [codes.encode((1, 1, 1, 1))]
         assert codes.rank(iter([]), 1) == 0
         assert linsystem._point_codes(3, 0).rank([0, 0], 1) == 0
+
+
+class TestStart:
+    """The pivots' partial sums with the pins folded in, on point codes,
+    against the same sums on coordinates (``reference_start``)."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+              max_examples=200)
+    @given(st.data())
+    def test_matches_coordinate_sums(self, table_cap, data):
+        spec, n, pinned = data.draw(completion_cases().filter(lambda case: case[2]))
+        try:
+            completion = linsystem._Completion(spec, n, pinned)
+        except DegenerateSystemError:
+            assume(False)
+        point = st.tuples(*[st.integers(0, spec.p - 1)] * n)
+        pins = [data.draw(point) for _ in pinned]
+        codes = completion.codes
+        got = completion.start(list(map(codes.encode, pins)))
+        assert list(map(codes.decode, got)) == reference_start(completion, pins)
+
+    @pytest.mark.parametrize("constants", [None, [(1, 0, 2), (0, 1, 1)]])
+    def test_pinned_pivots_and_constants(self, table_cap, constants):
+        # three pins on four columns leave one unpinned, so one pivot is
+        # pinned; two pins leave both pivots open
+        spec = SystemSpec.make([(1, 1, 1, 0), (0, 1, 2, 1)], 3, constants)
+        rng = random.Random(3)
+        shapes = set()
+        for pinned in [(0, 1, 2), (3, 1, 0), (2, 3), (1,)]:
+            completion = linsystem._Completion(spec, 3, pinned)
+            shapes.add(bool(completion.pinned_pivots))
+            codes = completion.codes
+            for _ in range(20):
+                pins = [tuple(rng.randrange(3) for _ in range(3)) for _ in pinned]
+                got = completion.start(list(map(codes.encode, pins)))
+                assert list(map(codes.decode, got)) == reference_start(completion, pins)
+        assert shapes == {False, True}
 
 
 def _labelled(walked) -> list:
