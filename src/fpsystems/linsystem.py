@@ -9,10 +9,14 @@ a given point set exactly once, classifies solutions by distinctness and
 span, counts them, and counts the extendable independent tuples that
 the subspace deletion steps key on.  One pivot solver, ``_Completion``,
 does every solve: enumeration, the solution count, the supports of the
-extremal search, the interesting-tuple test, and the indicator tensor
-and partitioned bound in ``slicerank`` are views over its walk, each
+extremal search and its greedy checks, the interesting-tuple test, and
+the indicator tensor and partitioned bound in ``slicerank`` are views
+over its walk, the one loop that enumerates completions, each
 completion built once per (system, n, pinned positions) by
-``_completion``.
+``_completion``.  The search's walks take lower bounds per free
+position (``_Completion._plan``), one solution per orbit of swaps at
+equal weight columns, as they read supports alone; the others count
+tuples, and take none.
 
 The solver takes codes and gives labels.  Inside the walk a point of
 F_p^n is its integer code, its base-p number with the first coordinate
@@ -25,11 +29,12 @@ file formats and the CLI.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
 from math import comb
-from operator import mul, or_
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateSystemError, _capped
@@ -46,8 +51,10 @@ from .fplinalg import (
     write_lines,
 )
 
-# points of a full space, minors of a system, and candidate tuples or
-# assignments a count or deletion step scans, each at most
+# points of a full space, minors of a system, candidate tuples or
+# assignments a count or deletion step scans, and the free assignments
+# of the exhaustive search's support walk, counted before it starts,
+# each at most
 DEFAULT_WORK_CAP = 10**6
 # completed last-position entries a solution walk keeps for reuse
 _MEMO_CAP = 1 << 16
@@ -656,6 +663,19 @@ def _check_walk_work(sys_spec: SystemSpec, points: PointSet, cap: int) -> None:
             max(sys_spec.k - sys_spec.m, 0))
 
 
+def _orbit_walk_work(completion: _Completion, points: int) -> int:
+    """The free assignments a walk bounded by ``_plan`` takes over a
+    pool of ``points`` points: C(points + c - 1, c) multisets per class
+    of c free positions with equal weight columns, the classes
+    multiplied.  Built a position at a time: the r-th position of a
+    class multiplies the count by (points + r - 1) / r, exactly."""
+    work, ranks = 1, []
+    for low in completion._plan[0]:
+        ranks.append(1 if low is None else ranks[low] + 1)
+        work = work * (points + ranks[-1] - 1) // ranks[-1]
+    return work
+
+
 def enumerate_solutions(
     sys_spec: SystemSpec,
     points: PointSet,
@@ -760,8 +780,9 @@ class _Completion:
     entry is a lookup in the sum and scale rows.  The scale rows that
     fold the pinned entries into the constants (``start``) are built
     with the rest of the set-up, once per completion, and those of the
-    free positions on the first walk (``_plan``).  Callers take it from
-    ``_completion``."""
+    free positions on the first walk (``_plan``), with each free
+    position's lower bound for a walk over one solution per orbit of
+    equal weight columns.  Callers take it from ``_completion``."""
 
     def __init__(self, sys_spec: SystemSpec, n: int, pinned: Sequence[int] = ()):
         p, k = sys_spec.p, sys_spec.k
@@ -806,9 +827,10 @@ class _Completion:
         with the sums ``partial``, in lexicographic order: the entry at
         ``free[s]`` is ``pools[s][chosen[s]]``, a (code, label) pair whose
         label joins the prefix, with ``chosen[s]`` no smaller than
-        ``chosen[lower[s]]`` unless ``lower[s]`` is None.
-        ``chosen`` holds a slot per free position and is set in place,
-        so a caller may read it and fill the last two."""
+        ``chosen[lower[s]]`` unless ``lower[s]`` is None, as ``walk``
+        bounds them.  ``chosen`` holds a slot per free position and is
+        set in place, so ``walk`` reads the bound of its inner loop
+        there."""
         if t >= len(pools) - 2:
             yield prefix, partial
             return
@@ -821,7 +843,8 @@ class _Completion:
                 chosen, t + 1, prefix + (label,))
 
     def walk(self, pools: Sequence[Sequence[tuple]], tables: Sequence,
-             pins: Sequence[int] = ()) -> Iterator[tuple[tuple, list]]:
+             pins: Sequence[int] = (), lower: Sequence | None = None
+             ) -> Iterator[tuple[tuple, list]]:
         """Every solution whose pinned entries have the codes ``pins``,
         whose entry at the free position ``free[i]`` comes from
         ``pools[i]`` (a sequence of (code, label) pairs) and whose entry
@@ -838,20 +861,33 @@ class _Completion:
         solved from the last free position depend on the others only
         through their partial sums, which repeat, so each distinct
         partial is completed once, over the whole last pool, and kept up
-        to ``_MEMO_CAP``; ``orbit_supports`` keeps the same rule."""
+        to ``_MEMO_CAP``.
+
+        ``lower`` bounds the walk to one solution per orbit of swaps at
+        equal weight columns, which keep every pivot entry and so the
+        support: given per free position as ``_plan`` gives it, the
+        pools are one pool whose labels increase in pool order, and the
+        entry at ``free[s]`` is no earlier in it than the entry at
+        ``free[lower[s]]`` unless ``lower[s]`` is None.  The last
+        position's bound cuts each memoised ends list to a suffix, found
+        by bisection on the first label."""
         add, scales = self.codes.add, self._plan[1]
+        lower = lower or [None] * len(scales)
         last = scales[-1] if scales else None
         last_pool = pools[-1] if scales else None
         # the last free position but one varies fastest, so the sum rows
         # of the partials before it are read once per choice of the others
         inner = scales[-2] if len(scales) > 1 else None
         inner_pool = pools[-2] if inner else [None]
+        # the bounds of the last two free positions
+        low, cut = lower[-2:] if inner else (None, None)
+        first = itemgetter(0)
+        chosen = [0] * len(scales)
         memo: dict = {}
         stored = 0
-        for outer, partial in self._prefixes(pools, [None] * len(pools),
-                                             self.start(pins), [0] * len(pools)):
+        for outer, partial in self._prefixes(pools, lower, self.start(pins), chosen):
             rows = [add[base] for base in partial] if inner else None
-            for pair in inner_pool:
+            for pair in inner_pool if low is None else inner_pool[chosen[low]:]:
                 if pair is None:
                     prefix, key = outer, tuple(partial)
                 else:
@@ -864,6 +900,8 @@ class _Completion:
                     if stored < _MEMO_CAP:
                         memo[key] = ends
                         stored += len(ends) + 1
+                if cut is not None:
+                    ends = ends[bisect_left(ends, prefix[cut], key=first):]
                 yield prefix, ends
 
     def _ends(self, partial, last, pool, tables, pins) -> list[tuple]:
@@ -905,8 +943,9 @@ class _Completion:
     @cached_property
     def _plan(self) -> tuple[list, list]:
         """Per free position, the nearest earlier free position with the
-        same weight column (None if there is none), and the scale rows of
-        its weights, which every walk reads."""
+        same weight column (None if there is none), the lower bounds
+        that ``walk`` takes for one solution per orbit, and the scale
+        rows of its weights, which every walk reads."""
         scale = self.codes.scale
         previous, scales, last = [], [], {}
         for t, j in enumerate(self.free):
@@ -915,64 +954,6 @@ class _Completion:
             last[column] = t
             scales.append([scale[w] for w in column])
         return previous, scales
-
-    def orbit_supports(self, pool: Sequence[tuple[int, int]], table) -> set[int]:
-        """The distinct supports, as ORs of bits, of the solutions with
-        no position pinned and every entry from ``pool``, (code, bit)
-        pairs that ``table`` indexes by code, with the bits increasing in
-        pool order; found from one solution per orbit of swaps at equal
-        weight columns.
-
-        Free positions whose weight columns are equal enter every pivot
-        alike, so swapping their entries maps a solution to one with the
-        same support.  Such positions take nondecreasing pool indices
-        (``_plan`` gives each its lower-bound position), and each
-        support is still reached.  The prefixes come from ``_prefixes``
-        and the ends under ``walk``'s memo rule: each distinct partial
-        sum is completed once, over the whole pool.  An end is then kept
-        when its first label, the bit of the last free entry, is at
-        least the bit at the last position's lower bound."""
-        tables = [table] * len(self.open_pivots)
-        if len(self.free) < 2:
-            # no swaps, and every prefix of the walk is empty
-            return {reduce(or_, end) for _, ends in
-                    self.walk([pool] * len(self.free), tables) for end in ends}
-        add = self.codes.add
-        previous, scales = self._plan
-        # the last free position but one varies fastest, as in ``walk``
-        inner = len(scales) - 2
-        row, last = scales[inner], scales[-1]
-        inner_previous, last_previous = previous[inner], previous[-1]
-        chosen = [0] * len(scales)
-        found: set[int] = set()
-        memo: dict = {}
-        stored = 0
-        for prefix, partial in self._prefixes([pool] * len(scales), previous,
-                                               self._const_codes, chosen):
-            mask = 0
-            for bit in prefix:
-                mask |= bit
-            rows = [add[base] for base in partial]
-            for i in range(0 if inner_previous is None else chosen[inner_previous],
-                           len(pool)):
-                x, bit = pool[i]
-                chosen[inner] = i
-                key = tuple([r[sc[x]] for r, sc in zip(rows, row)])
-                ends = memo.get(key)
-                if ends is None:
-                    ends = self._ends(key, last, pool, tables, ())
-                    if stored < _MEMO_CAP:
-                        memo[key] = ends
-                        stored += len(ends) + 1
-                least = 0 if last_previous is None else pool[chosen[last_previous]][1]
-                here = mask | bit
-                for end in ends:
-                    if end[0] >= least:
-                        support = here
-                        for b in end:
-                            support |= b
-                        found.add(support)
-        return found
 
 
 @lru_cache(maxsize=32)

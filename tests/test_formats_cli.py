@@ -594,6 +594,18 @@ class TestExitCodes:
         assert not out
         assert err.endswith("points exceed the cap 81\n")
 
+    def test_extremal_support_walk_capped(self, tmp_path, capsys, deadline):
+        # the 81 points are within the point cap, but the support index
+        # took 1.8 GB before the first node
+        system = tmp_path / "six.system"
+        system.write_text("p=3 m=1 k=6\n1 1 1 1 1 1\n")
+        with deadline(2):
+            code, out, err = run_cli(["extremal", "--system", str(system),
+                                      "--n", "4", "--mode", "distinct"], capsys)
+        assert code == 2
+        assert not out
+        assert err == "error: 32801517 support walk assignments exceed the cap 1000000\n"
+
     def test_step_distinct_counts_index_sets_before_listing(self, tmp_path,
                                                             capsys, deadline):
         # the 17,997,000 index sets of 6,000 ones were listed first

@@ -1,7 +1,10 @@
 import io
 import random
 import tracemalloc
+from functools import reduce
 from itertools import combinations, islice, product
+from math import comb
+from operator import or_
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -1055,6 +1058,14 @@ orbit_cases = pytest.mark.parametrize(
     "case", ORBIT_CASES, ids=lambda c: f"{c[0]}-p{c[1]}-b{c[2]}-n{c[3]}")
 
 
+def _bounded_walk(completion, pool, table):
+    """The walk over one solution per orbit of equal weight columns, one
+    pool at every free position and one table at every open pivot."""
+    return completion.walk([pool] * len(completion.free),
+                           [table] * len(completion.open_pivots), (),
+                           completion._plan[0])
+
+
 class TestOrbitSupports:
     """The walk over one solution per orbit of equal weight columns
     reaches the supports of the coordinate-tuple walk
@@ -1073,6 +1084,33 @@ class TestOrbitSupports:
         walked = completion.walk([pool] * free, [_coded_table(codes, bits)] * open_pivots)
         assert list(walked) == _labelled(reference_walk(
             completion, [list(bits.items())] * free, [bits] * open_pivots))
+
+    @orbit_cases
+    def test_free_assignments_counted(self, table_cap, case):
+        # over the whole space every free assignment solves the pivots
+        # inside it, so the ends count the assignments walked: N^f for
+        # the plain walk, and C(N + c - 1, c) multisets per class of c
+        # equal free columns, multiplied, for the bounded one, which is
+        # the count the exhaustive search caps before it walks
+        coeffs, p, constants, n = case
+        completion = linsystem._Completion(SystemSpec.make(coeffs, p, constants), n)
+        codes = completion.codes
+        bits = {v: 1 << i for i, v in enumerate(product(range(p), repeat=n))}
+        pool = [(codes.encode(v), bit) for v, bit in bits.items()]
+        table = _coded_table(codes, bits)
+        size, free = len(pool), len(completion.free)
+        classes: dict = {}
+        for j in completion.free:
+            column = tuple(completion.weights[j])
+            classes[column] = classes.get(column, 0) + 1
+        multisets = 1
+        for c in classes.values():
+            multisets *= comb(size + c - 1, c)
+        plain = completion.walk([pool] * free, [table] * len(completion.open_pivots))
+        assert sum(len(ends) for _, ends in plain) == size ** free
+        bounded = _bounded_walk(completion, pool, table)
+        assert sum(len(ends) for _, ends in bounded) == multisets
+        assert linsystem._orbit_walk_work(completion, size) == multisets
 
     @orbit_cases
     def test_same_supports_as_the_plain_walk(self, table_cap, case):
@@ -1097,7 +1135,11 @@ class TestOrbitSupports:
                     for bit in end:
                         support |= bit
                     supports.add(support)
-            assert completion.orbit_supports(pool, _coded_table(codes, bits)) == supports
+            found = set()
+            for prefix, ends in _bounded_walk(completion, pool, _coded_table(codes, bits)):
+                for end in ends:
+                    found.add(reduce(or_, prefix + end, 0))
+            assert found == supports
 
     def test_each_partial_sum_completed_once(self, monkeypatch):
         # six ones over F_3^2: the four head entries sum to one of the 9
@@ -1117,7 +1159,7 @@ class TestOrbitSupports:
             return ends(self, partial, last, tail, *args)
 
         monkeypatch.setattr(linsystem._Completion, "_ends", spy)
-        completion.orbit_supports(pool, table)
+        list(_bounded_walk(completion, pool, table))
         assert len(completed) == 9
         assert all(sizes == [9] for sizes in completed.values())
 

@@ -411,6 +411,29 @@ class TestExhaustive:
         assert result.nodes == 1615
         assert subset_avoids(spec, ClassFilter.distinct(), result.witness.points, 4)
 
+    @pytest.mark.parametrize("coeffs, p, n, cap_points, count", [
+        ([(1,) * 6], 3, 4, 81, 32801517),
+        ([(1, 0, 1, 1, 3, 4), (0, 1, 1, 3, 2, 3)], 5, 3, 125, 244140625),
+    ], ids=["six-ones-n4", "m2-n3"])
+    def test_support_walk_capped_before_the_index(self, coeffs, p, n, cap_points,
+                                                  count, deadline, monkeypatch):
+        # six ones at n = 4 built a 1.8 GB support index, and the m = 2
+        # row at n = 3 reached 5.4 GB before it was stopped
+        walks = []
+        walk = search._Completion.walk
+
+        def counted(self, *args):
+            walks.append(args)
+            return walk(self, *args)
+
+        monkeypatch.setattr(search._Completion, "walk", counted)
+        problem = AvoidanceProblem(SystemSpec.make(coeffs, p), ClassFilter.distinct(), n)
+        with deadline(1), pytest.raises(
+                CapExceededError,
+                match=f"^{count} support walk assignments exceed the cap 1000000$"):
+            exhaustive_max(problem, cap_points=cap_points)
+        assert walks == []
+
     def test_distinct_impossible_when_space_too_small(self):
         # three pairwise distinct entries cannot fit in F_2, so the
         # whole space avoids and the maximum is p^n
@@ -531,10 +554,10 @@ class TestGreedy:
         walks = []
         walk = search._Completion.walk
 
-        def counted(self, pools, tables, pins=()):
+        def counted(self, pools, tables, pins=(), lower=None):
             if pins:
                 walks.append(pins)
-            return walk(self, pools, tables, pins)
+            return walk(self, pools, tables, pins, lower)
 
         monkeypatch.setattr(search._Completion, "walk", counted)
         problem = AvoidanceProblem(sys_ap3, ClassFilter.not_all_equal(), n)
@@ -542,6 +565,29 @@ class TestGreedy:
         kept = sum(map(len, reference_greedy_passes(problem, 1,
                                                     random.Random(0))))
         assert len(walks) == kept < result.nodes
+
+    def test_pinned_walks_take_one_ordering_per_orbit(self, monkeypatch):
+        # six ones over F_3^2: each check pins one position and leaves
+        # four equal free columns, so its bounded walk reads fewer
+        # prefixes than the walk over every ordering
+        read = {"bounded": 0, "plain": 0}
+        walk = search._Completion.walk
+
+        def counted(self, pools, tables, pins=(), lower=None):
+            if pins:
+                read["plain"] += sum(1 for _ in walk(self, pools, tables, pins))
+                walked = list(walk(self, pools, tables, pins, lower))
+                read["bounded"] += len(walked)
+                return iter(walked)
+            return walk(self, pools, tables, pins, lower)
+
+        monkeypatch.setattr(search._Completion, "walk", counted)
+        problem = AvoidanceProblem(SystemSpec.make([(1,) * 6], 3),
+                                   ClassFilter.distinct(), 2)
+        result = greedy_lower_bound(problem, restarts=1, rng=random.Random(0))
+        assert (result.best_size, result.witness.points, result.nodes) == \
+            reference_greedy(problem, 1, random.Random(0))
+        assert 0 < read["bounded"] < read["plain"]
 
     @pytest.mark.parametrize("coeffs, pins", [((1, 1, 1), [(0,)]),
                                               ((1, 1, 2, 2), [(0,), (2,)])],
